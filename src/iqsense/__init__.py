@@ -4,7 +4,7 @@ The receiver decides, per subcarrier pair (k, -k), between four states:
 noise only, mirror leakage only, own signal only, or both.  This package
 provides the closed-form statistics of that test, the decision rule and
 its two-level baselines, a deterministic Monte Carlo harness that
-cross-checks every closed form, and a CLI (``iqsense``) over all of it.
+cross-checks the closed forms, and a CLI (``iqsense``) over all of it.
 """
 
 from .detection import (
@@ -13,6 +13,7 @@ from .detection import (
     DetectorMode,
     Hypothesis,
     HypothesisVariances,
+    VarianceOrderError,
     analytic_detection,
     analytic_false_alarm,
     busy_decision,
@@ -78,6 +79,7 @@ __all__ = [
     "SubcarrierPairConfig",
     "SweepPoint",
     "TallyMatrix",
+    "VarianceOrderError",
     "analytic_detection",
     "analytic_false_alarm",
     "analytic_outage",

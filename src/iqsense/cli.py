@@ -35,6 +35,7 @@ from .config import (
 from .detection import (
     DetectorMode,
     Hypothesis,
+    VarianceOrderError,
     analytic_detection,
     analytic_false_alarm,
     conditional_probabilities,
@@ -73,6 +74,10 @@ def main(argv=None) -> int:
         return args.handler(cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except VarianceOrderError as e:  # the image outpowers the wanted signal
+        section = "scenario" if args.command in ("analytic", "sense") else args.command
+        print(f"error: {section}: {e}", file=sys.stderr)
         return 2
 
 
@@ -171,7 +176,6 @@ def _provenance(cfg: ExperimentConfig, command: str) -> dict:
         "stream_index": cfg.seed.stream_index,
         "trials": cfg.trials,
         "chunk_size": cfg.chunk_size,
-        "calibration_samples": cfg.calibration_samples,
     }
 
 
@@ -215,13 +219,32 @@ def _render_json(provenance: dict, payload: dict) -> str:
 
 
 def _emit(cfg: ExperimentConfig, text: str):
+    import tempfile
+
     if cfg.out is None:
         sys.stdout.write(text)
         return
-    tmp = cfg.out + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="") as f:
-        f.write(text)
-    os.replace(tmp, cfg.out)
+    if os.path.exists(cfg.out) and not os.path.isfile(cfg.out):
+        # a device or pipe such as /dev/null: renaming onto it would replace it
+        with open(cfg.out, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        return
+    # A unique temporary name in the target directory keeps concurrent
+    # runs aimed at one path from clobbering each other's partial files.
+    f = tempfile.NamedTemporaryFile(
+        "w", encoding="utf-8", newline="", suffix=".tmp", delete=False,
+        dir=os.path.dirname(os.path.abspath(cfg.out)),
+    )
+    try:
+        with f:
+            f.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(f.name, 0o666 & ~umask)  # the mode open() would have given
+        os.replace(f.name, cfg.out)
+    except BaseException:
+        os.unlink(f.name)
+        raise
 
 
 def _emit_table(cfg, command, columns, rows):
@@ -288,7 +311,7 @@ def _metric_block(v, rule) -> dict:
 
 def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    v = scenario_variances(sc, cfg.seed, cfg.calibration_samples)
+    v = scenario_variances(sc)
     rule = _rule_for_mode(v, sc.n_packets, sc.mode)
     report: dict = {
         "variances": {
@@ -297,7 +320,7 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
             "sigma2_sq": v.sigma2_sq,
             "sigma3_sq": v.sigma3_sq,
         },
-        "variances_source": "estimated" if sc.is_joint else "analytic",
+        "variances_source": "analytic",
         "mode": sc.mode.kind,
         "rule": _rule_report(rule),
         "metrics": _metric_block(v, rule),
@@ -342,7 +365,7 @@ def _sense_rows(tally, v, rule):
 
 def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    v = scenario_variances(sc, cfg.seed, cfg.calibration_samples)
+    v = scenario_variances(sc)
     rule = _rule_for_mode(v, sc.n_packets, sc.mode)
     tally = run_trials(
         sc,
@@ -351,7 +374,6 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
         rule=rule,
         workers=cfg.workers,
         chunk_size=cfg.chunk_size,
-        calibration_samples=cfg.calibration_samples,
     )
     columns = ["record", "truth", "decided", "count", "convention", "metric",
                "analytic", "estimate", "lo", "hi"]
@@ -422,7 +444,6 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
         modes=list(cfg.sweep.modes),
         workers=cfg.workers,
         chunk_size=cfg.chunk_size,
-        calibration_samples=cfg.calibration_samples,
     )
     _emit_table(cfg, "sweep", _SWEEP_COLUMNS, _sweep_rows(points))
     if cfg.out is not None:
@@ -445,7 +466,6 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
             sc, "irr_db", list(fig.irr_grid), cfg.trials, cfg.seed,
             modes=[DetectorMode.four_level(), DetectorMode.two_level_bayes()],
             workers=cfg.workers, chunk_size=cfg.chunk_size,
-            calibration_samples=cfg.calibration_samples,
         )
         extend("", points)
     elif fig_id == 4:
@@ -455,7 +475,6 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
                 base, "snr_db_at_delta", list(fig.snr1_grid), cfg.trials, cfg.seed,
                 modes=[DetectorMode.four_level()],
                 workers=cfg.workers, chunk_size=cfg.chunk_size,
-                calibration_samples=cfg.calibration_samples,
                 stream_path=(c,),
             )
             extend(f"delta_snr_db={delta:g}", points)
@@ -467,7 +486,6 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
                 base, "irr_db", list(fig.irr_grid), cfg.trials, cfg.seed,
                 modes=[DetectorMode.four_level()],
                 workers=cfg.workers, chunk_size=cfg.chunk_size,
-                calibration_samples=cfg.calibration_samples,
                 stream_path=(c,),
             )
             extend(curve, points)
@@ -498,9 +516,7 @@ def _cmd_figure(cfg: ExperimentConfig, args) -> int:
 def _cmd_frame(cfg: ExperimentConfig, args) -> int:
     frame = cfg.frame
     scn = cfg.scenario.with_snr(snr1_db=frame.snr_db, snr2_db=frame.snr_db)
-    result = simulate_frame(
-        frame.occupancy, scn, cfg.seed, calibration_samples=cfg.calibration_samples
-    )
+    result = simulate_frame(frame.occupancy, scn, cfg.seed)
     summary = {
         "confusion": result.confusion.tolist(),
         "vacant_mirror_flags": result.vacant_mirror_flags,

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from .detection import DetectorMode
 from .frame import OccupancyMap
 from .montecarlo import (
-    DEFAULT_CALIBRATION_SAMPLES,
     DEFAULT_CHUNK_SIZE,
     SWEEP_AXES,
     SeedSpec,
@@ -55,10 +54,6 @@ def _reject_unknown(d: dict, path: str, known: set[str]):
     for key in d:
         if key not in known:
             raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
-
-
-def _get(d: dict, path: str, key: str, default):
-    return d.get(key, default)
 
 
 def _number(d, path, key, default, *, minimum=None, maximum=None, allow_null=False,
@@ -310,7 +305,7 @@ def _figure_from(d: dict, path: str = "figure") -> FigureSection:
 
 _TOP_KEYS = {
     "scenario", "trials", "seed", "stream_index", "chunk_size", "workers",
-    "calibration_samples", "sweep", "outage", "frame", "figure", "out", "format",
+    "sweep", "outage", "frame", "figure", "out", "format",
 }
 
 
@@ -323,7 +318,6 @@ class ExperimentConfig:
     seed: SeedSpec
     chunk_size: int
     workers: int
-    calibration_samples: int
     sweep: SweepSection | None
     outage: OutageScenario
     frame: FrameSection
@@ -355,7 +349,6 @@ class ExperimentConfig:
             "seed": self.seed.master_seed,
             "stream_index": self.seed.stream_index,
             "chunk_size": self.chunk_size,
-            "calibration_samples": self.calibration_samples,
         }
         if self.scenario.mode.target_pfa is not None:
             d["scenario"]["cfar_pfa"] = self.scenario.mode.target_pfa
@@ -396,6 +389,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an :class:`ExperimentConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: must be an object")
+    if "calibration_samples" in raw:
+        raise ConfigError("calibration_samples: key removed; joint-model variances are "
+                          "now computed in closed form, so delete it from the config")
     _reject_unknown(raw, "", _TOP_KEYS)
     scenario = _scenario_from(raw.get("scenario", {}))
     seed = SeedSpec(
@@ -415,9 +411,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         seed=seed,
         chunk_size=_integer(raw, "", "chunk_size", DEFAULT_CHUNK_SIZE, minimum=1),
         workers=_integer(raw, "", "workers", 1, minimum=1),
-        calibration_samples=_integer(
-            raw, "", "calibration_samples", DEFAULT_CALIBRATION_SAMPLES, minimum=100
-        ),
         sweep=sweep_sec,
         outage=outage_sec,
         frame=frame_sec,

@@ -28,7 +28,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .numerics import gamma_pdf, gamma_sf, inverse_gamma_sf
+from .numerics import gamma_sf, inverse_gamma_sf
 from .signal_model import (
     IqMismatch,
     MismatchCoefficients,
@@ -40,6 +40,7 @@ __all__ = [
     "Hypothesis",
     "DetectorMode",
     "HypothesisVariances",
+    "VarianceOrderError",
     "DecisionRule",
     "scale_of",
     "periodogram",
@@ -133,6 +134,10 @@ class DetectorMode:
         return self.kind != "four"
 
 
+class VarianceOrderError(ValueError):
+    """Variances that break the model ordering sigma0 <= ... <= sigma3."""
+
+
 @dataclass(frozen=True)
 class HypothesisVariances:
     """Per-component received-sample variances under H0..H3.
@@ -154,7 +159,7 @@ class HypothesisVariances:
             raise ValueError(f"variances must be finite and > 0, got {v}")
         for i in range(3):
             if v[i] > v[i + 1]:
-                raise ValueError(
+                raise VarianceOrderError(
                     f"variances must be nondecreasing (model ordering assumption), got {v}"
                 )
 
@@ -182,6 +187,8 @@ def periodogram(samples, n_packets: int) -> float:
 def hypothesis_variances(
     cfg: SubcarrierPairConfig,
     tx: MismatchCoefficients | IqMismatch,
+    rx: MismatchCoefficients | IqMismatch | None = None,
+    *,
     symbols: tuple[complex, complex] | None = None,
 ) -> HypothesisVariances:
     """Per-component variances of the received sample under H0..H3.
@@ -189,28 +196,52 @@ def hypothesis_variances(
     Parameters
     ----------
     cfg : SubcarrierPairConfig
-        Pair powers, channel variance and noise variance.
+        Pair powers, channel variances and noise variance.
     tx : MismatchCoefficients or IqMismatch
-        Transmitter front-end gains (alpha, beta), or the mismatch
+        Transmitter front-end gains (alpha_t, beta_t), or the mismatch
         parameters they derive from.
+    rx : MismatchCoefficients or IqMismatch, optional
+        Sensing-receiver gains (alpha_r, beta_r) of the joint model,
+        which observes r_k = alpha_r*y_k + beta_r*conj(y_-k).  None is
+        the transmitter-only model, i.e. the ideal receiver (1, 0).
     symbols : (s_k, s_mk), optional
         When given, variances are conditioned on this fixed symbol
         pair.  Under H3 the direct and image components ride the same
         channel draw, so a symbol-dependent cross term
-        2*sqrt(P_k*P_mk)*Re(alpha*conj(beta)*s_k*s_mk) contributes.
-        The default averages over independent uniform PSK symbols, for
-        which the cross term is exactly zero and |s|^2 = 1.
+        2*sqrt(P_k*P_mk)*Re(alpha_t*conj(beta_t)*s_k*s_mk) contributes
+        to E|y_k|^2 and E|y_-k|^2 alike.  The default averages over
+        independent uniform PSK symbols, for which the cross term is
+        exactly zero and |s|^2 = 1.
 
     Notes
     -----
+    The two sides' channels and noises are independent, so given the
+    symbols r_k is circular Gaussian with 2*sigma^2 = E|r_k|^2 =
+    |alpha_r|^2*E|y_k|^2 + |beta_r|^2*E|y_-k|^2, where E|y_k|^2 =
+    (|alpha_t|^2*P_k*[own] + |beta_t|^2*P_mk*[mirror])*cv + N0 and
+    E|y_-k|^2 is its mirror-swapped form.  A configuration whose image
+    outpowers the wanted signal raises :class:`VarianceOrderError`.
+
     The conditioned form exists for analysis; the detector itself is
     blind to the instantaneous symbols and always uses the averaged
     variances.
     """
+    return HypothesisVariances(*_component_variances(cfg, tx, rx, symbols))
+
+
+def _component_variances(cfg, tx, rx, symbols) -> tuple[float, float, float, float]:
+    """The four variances of :func:`hypothesis_variances`, unordered."""
     if isinstance(tx, IqMismatch):
         tx = mismatch_coefficients(tx)
-    a2 = abs(tx.alpha) ** 2
-    b2 = abs(tx.beta) ** 2
+    if rx is None:
+        rx = MismatchCoefficients(1.0, 0.0)
+    elif isinstance(rx, IqMismatch):
+        rx = mismatch_coefficients(rx)
+    at2, bt2 = abs(tx.alpha) ** 2, abs(tx.beta) ** 2
+    ar2, br2 = abs(rx.alpha) ** 2, abs(rx.beta) ** 2
+    # weights of the k-side and the mirror-side channel in E|r_k|^2
+    g = ar2 * cfg.channel_var
+    gm = br2 * cfg.channel_var_mirror
     if symbols is None:
         sk2 = smk2 = 1.0
         cross = 0.0
@@ -223,11 +254,11 @@ def hypothesis_variances(
             * math.sqrt(cfg.power_k * cfg.power_mk)
             * (tx.alpha * np.conjugate(tx.beta) * s_k * s_mk).real
         )
-    s0 = cfg.noise_var / 2.0
-    s1 = 0.5 * b2 * cfg.power_mk * smk2 * cfg.channel_var + s0
-    s2 = 0.5 * a2 * cfg.power_k * sk2 * cfg.channel_var + s0
-    s3 = s2 + (s1 - s0) + 0.5 * cross * cfg.channel_var
-    return HypothesisVariances(s0, s1, s2, s3)
+    s0 = 0.5 * (ar2 + br2) * cfg.noise_var
+    s1 = 0.5 * (bt2 * cfg.power_mk * smk2 * g + at2 * cfg.power_mk * smk2 * gm) + s0
+    s2 = 0.5 * (at2 * cfg.power_k * sk2 * g + bt2 * cfg.power_k * sk2 * gm) + s0
+    s3 = s2 + (s1 - s0) + 0.5 * cross * (g + gm)
+    return s0, s1, s2, s3
 
 
 def pairwise_threshold(
@@ -497,8 +528,3 @@ def detection_paper_literal(v: HypothesisVariances, n_packets: int) -> float:
     q2b = gamma_sf(n_packets, n_packets * v.sigma2_sq, s23)
     q3 = gamma_sf(n_packets, n_packets * v.sigma3_sq, s23)
     return q2a - q2b + q3
-
-
-# Re-export for callers that want the density itself (e.g. likelihood
-# scans in tests and notebooks).
-statistic_pdf = gamma_pdf

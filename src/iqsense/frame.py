@@ -26,7 +26,6 @@ import numpy as np
 
 from .detection import DecisionRule, Hypothesis, classify_batch
 from .montecarlo import (
-    DEFAULT_CALIBRATION_SAMPLES,
     SeedSpec,
     SensingScenario,
     _coefficients,
@@ -34,7 +33,6 @@ from .montecarlo import (
     scenario_rule,
     substream,
     _FRAME_STREAM,
-    _as_seed,
 )
 from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint
 
@@ -97,7 +95,6 @@ def simulate_frame(
     seed: "SeedSpec | int",
     *,
     rule: DecisionRule | None = None,
-    calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES,
 ) -> FrameResult:
     """Sense every subcarrier of one frame.
 
@@ -111,9 +108,8 @@ def simulate_frame(
             "frame simulation uses one nominal subcarrier power: "
             f"power_k={pair.power_k} != power_mk={pair.power_mk}"
         )
-    seed = _as_seed(seed)
     if rule is None:
-        rule = scenario_rule(sc, seed, calibration_samples)
+        rule = scenario_rule(sc)
     tx_c, rx_c = _coefficients(sc)
 
     half = occupancy.n_subcarriers // 2

@@ -27,6 +27,7 @@ from .detection import (
     DetectorMode,
     Hypothesis,
     HypothesisVariances,
+    VarianceOrderError,
     analytic_detection,
     analytic_false_alarm,
     classify_batch,
@@ -63,15 +64,13 @@ __all__ = [
     "sweep",
     "SWEEP_AXES",
     "DEFAULT_CHUNK_SIZE",
-    "DEFAULT_CALIBRATION_SAMPLES",
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
-DEFAULT_CALIBRATION_SAMPLES = 1_000_000
 
 # Purpose tags keeping independent uses of a seed on disjoint streams.
 _TRIAL_STREAM = 0
-_CALIBRATION_STREAM = 1
+_ESTIMATOR_STREAM = 1
 _FRAME_STREAM = 2
 
 SWEEP_AXES = ("irr_db", "snr1_db", "delta_snr_db", "snr_db_at_delta")
@@ -376,64 +375,35 @@ def _coefficients(sc: SensingScenario):
 # variances and rules
 
 
-def _isotonic_nondecreasing(values: list[float]) -> list[float]:
-    """Least-squares nondecreasing projection (pool adjacent violators)."""
-    blocks: list[list[float]] = []  # [sum, weight]
-    for v in values:
-        blocks.append([v, 1.0])
-        while len(blocks) > 1 and blocks[-2][0] / blocks[-2][1] > blocks[-1][0] / blocks[-1][1]:
-            s, w = blocks.pop()
-            blocks[-1][0] += s
-            blocks[-1][1] += w
-    out: list[float] = []
-    for s, w in blocks:
-        out.extend([s / w] * int(w))
-    return out
-
-
 def estimate_component_variances(
     sc: SensingScenario,
     samples: int,
     seed: "SeedSpec | int",
     stream_path: tuple[int, ...] = (),
-) -> HypothesisVariances:
-    """Per-component variances estimated from simulated received samples.
+) -> tuple[float, float, float, float]:
+    """Sample-mean estimates of the four per-component variances.
 
-    Used for the joint transmitter+receiver model, whose statistic has
-    no closed-form variance decomposition here.  One dedicated
-    calibration substream per hypothesis keeps the estimate independent
-    of the trial streams.  Sampling noise can leave adjacent estimates
-    microscopically out of order; they are projected onto the
-    nondecreasing cone (isotonic regression) before constructing the
-    ordered variance set.
+    Each is mean(|r|^2)/2 over ``samples`` simulated received samples
+    under one hypothesis, drawn from its own substream, independent of
+    the trial streams.  The estimates are returned raw (sampling noise
+    can leave them out of order); they serve as an oracle for the closed
+    form of :func:`scenario_variances`.
     """
     if samples < 100:
-        raise ValueError(f"need at least 100 calibration samples, got {samples}")
-    seed = _as_seed(seed)
+        raise ValueError(f"need at least 100 samples, got {samples}")
     tx_c, rx_c = _coefficients(sc)
     est = []
     for hyp in range(4):
-        rng = substream(seed, _CALIBRATION_STREAM, *stream_path, hyp)
+        rng = substream(seed, _ESTIMATOR_STREAM, *stream_path, hyp)
         r = _received_batch(sc, tx_c, rx_c, hyp, samples, 1, rng)
         est.append(float(np.mean(np.abs(r) ** 2)) / 2.0)
-    return HypothesisVariances(*_isotonic_nondecreasing(est))
+    return tuple(est)
 
 
-def scenario_variances(
-    sc: SensingScenario,
-    seed: "SeedSpec | int | None" = None,
-    calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES,
-    stream_path: tuple[int, ...] = (),
-) -> HypothesisVariances:
-    """Variances the detector would use for this scenario: closed-form
-    for the transmitter-only model, calibration estimates for the joint
-    model (which then requires a seed)."""
-    tx_c, _ = _coefficients(sc)
-    if not sc.is_joint:
-        return hypothesis_variances(sc.pair, tx_c)
-    if seed is None:
-        raise ValueError("joint-model variances are estimated; a seed is required")
-    return estimate_component_variances(sc, calibration_samples, seed, stream_path)
+def scenario_variances(sc: SensingScenario) -> HypothesisVariances:
+    """Closed-form variances the detector uses for this scenario, for
+    the transmitter-only and the joint model alike."""
+    return hypothesis_variances(sc.pair, *_coefficients(sc))
 
 
 def _rule_for_mode(v: HypothesisVariances, n_packets: int, mode: DetectorMode) -> DecisionRule:
@@ -442,14 +412,8 @@ def _rule_for_mode(v: HypothesisVariances, n_packets: int, mode: DetectorMode) -
     return two_level_rule(v, n_packets, mode)
 
 
-def scenario_rule(
-    sc: SensingScenario,
-    seed: "SeedSpec | int | None" = None,
-    calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES,
-    stream_path: tuple[int, ...] = (),
-) -> DecisionRule:
-    v = scenario_variances(sc, seed, calibration_samples, stream_path)
-    return _rule_for_mode(v, sc.n_packets, sc.mode)
+def scenario_rule(sc: SensingScenario) -> DecisionRule:
+    return _rule_for_mode(scenario_variances(sc), sc.n_packets, sc.mode)
 
 
 # --------------------------------------------------------------------------
@@ -512,7 +476,6 @@ def run_trials(
     rule: DecisionRule | None = None,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES,
     stream_path: tuple[int, ...] = (),
 ) -> TallyMatrix:
     """Simulate ``per_hypothesis`` trials under each true hypothesis and
@@ -530,7 +493,7 @@ def run_trials(
         raise ValueError(f"workers must be >= 1, got {workers}")
     seed = _as_seed(seed)
     if rule is None:
-        rule = scenario_rule(sc, seed, calibration_samples, stream_path)
+        rule = scenario_rule(sc)
     return _tally_rules(sc, [rule], per_hypothesis, seed, stream_path, workers, chunk_size)[0]
 
 
@@ -590,7 +553,6 @@ def compare_modes(
     seed: "SeedSpec | int",
     *,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES,
     stream_path: tuple[int, ...] = (),
 ) -> ModeComparison:
     """Run both modes over identical simulated trials and record the
@@ -598,7 +560,7 @@ def compare_modes(
     if per_hypothesis < 1:
         raise ValueError(f"per_hypothesis must be >= 1, got {per_hypothesis}")
     seed = _as_seed(seed)
-    v = scenario_variances(sc, seed, calibration_samples, stream_path)
+    v = scenario_variances(sc)
     rule_a = _rule_for_mode(v, sc.n_packets, mode_a)
     rule_b = _rule_for_mode(v, sc.n_packets, mode_b)
     tx_c, rx_c = _coefficients(sc)
@@ -625,8 +587,8 @@ class SweepPoint:
     """One (grid value, detector mode) cell of a sweep.
 
     Analytic columns are closed forms evaluated at the variances the
-    rule was built from (calibration estimates for the joint model), so
-    empirical minus analytic measures Monte Carlo closure directly.
+    rule was built from, so empirical minus analytic measures Monte
+    Carlo closure directly.
     """
 
     axis: str
@@ -667,7 +629,6 @@ def sweep(
     modes: list[DetectorMode] | None = None,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    calibration_samples: int = DEFAULT_CALIBRATION_SAMPLES,
     stream_path: tuple[int, ...] = (),
 ) -> list[SweepPoint]:
     """Evaluate the detector(s) along one parameter axis.
@@ -692,7 +653,10 @@ def sweep(
     for i, value in enumerate(grid):
         scn = _apply_axis(sc, axis, value)
         path = (*stream_path, i)
-        v = scenario_variances(scn, seed, calibration_samples, path)
+        try:
+            v = scenario_variances(scn)
+        except VarianceOrderError as e:
+            raise VarianceOrderError(f"{axis}={value:g}: {e}") from None
         rules = [_rule_for_mode(v, scn.n_packets, m) for m in modes]
         tallies = _tally_rules(scn, rules, per_hypothesis, seed, path, workers, chunk_size)
         for mode, rule, tally in zip(modes, rules, tallies):

@@ -261,7 +261,6 @@ def test_criterion_08_joint_rx_degradation():
     CI-separated gap; an ideal receiver reproduces Tx-only within CI."""
     t0 = time.perf_counter()
     trials = 1_000_000
-    cal = 4_000_000
     seed = SeedSpec(880)
     tx_only = SensingScenario.from_snr(0.0, **PAPER_POINT)
     joint = SensingScenario.from_snr(
@@ -274,7 +273,7 @@ def test_criterion_08_joint_rx_degradation():
     # so rule differences are isolated from sampling noise.
     pd = {}
     for name, sc in (("tx", tx_only), ("joint", joint), ("rx_ideal", rx_ideal)):
-        tally = run_trials(sc, trials, seed, calibration_samples=cal)
+        tally = run_trials(sc, trials, seed)
         pd[name] = empirical_metrics(tally, "prior-weighted").p_d
     separated = pd["tx"].lo > pd["joint"].hi
     coincide = (

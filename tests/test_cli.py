@@ -100,6 +100,55 @@ def test_config_error_exit_code(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("scenario", [
+    {"snr1_db": 0, "snr2_db": 20, "tx_irr_db": -5},
+    {"snr1_db": 0, "snr2_db": 13, "tx_irr_db": -15, "rx_irr_db": -15},
+])
+@pytest.mark.parametrize("command", ["analytic", "sense"])
+def test_out_of_order_variances_exit_code(tmp_path, command, scenario):
+    """An image that outpowers the wanted signal is bad input, for the
+    transmitter-only and the joint model alike."""
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scenario": scenario, "trials": 100}))
+    r = run_cli(command, "--config", str(cfgf))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: scenario: variances must be nondecreasing")
+    assert "Traceback" not in r.stderr
+
+
+def test_out_of_order_grid_point_exit_code(tmp_path):
+    # In order for the transmitter-only curve, out of order for the joint one.
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "scenario": {"snr1_db": 0, "snr2_db": 13},
+        "figure": {"irr_grid": [-15.0]},
+        "trials": 100,
+    }))
+    r = run_cli("figure", "5", "--config", str(cfgf))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: figure: irr_db=-15: variances must be nondecreasing")
+
+
+def test_removed_calibration_key_exit_code(tmp_path):
+    cfgf = tmp_path / "old.json"
+    cfgf.write_text(json.dumps({"calibration_samples": 1000000}))
+    r = run_cli("analytic", "--config", str(cfgf))
+    assert r.returncode == 2
+    assert "calibration_samples: key removed" in r.stderr
+    assert "closed form" in r.stderr
+
+
+def test_out_leaves_foreign_tmp_file_alone(tmp_path):
+    out = tmp_path / "s.csv"
+    other = tmp_path / "s.csv.tmp"
+    other.write_text("another run's partial output")
+    r = run_cli("sense", "--trials", "100", "--out", str(out))
+    assert r.returncode == 0
+    assert other.read_text() == "another run's partial output"
+    assert "tally,H0,H0," in out.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", "s.csv.tmp"]
+
+
 def test_malformed_json_exit_code(tmp_path):
     cfgf = tmp_path / "broken.json"
     cfgf.write_text("{oops")

@@ -5,7 +5,7 @@ import pytest
 
 from iqsense.detection import Hypothesis
 from iqsense.frame import OccupancyMap, simulate_frame
-from iqsense.montecarlo import SensingScenario
+from iqsense.montecarlo import SensingScenario, scenario_rule
 from iqsense.signal_model import irr_to_mismatch
 
 
@@ -122,6 +122,6 @@ def test_loud_frame_detects_occupants():
 def test_frame_joint_model_runs():
     occ = OccupancyMap(16, {1, -2})
     sc = frame_scenario(rx_mismatch=irr_to_mismatch(-15.0))
-    res = simulate_frame(occ, sc, 21, calibration_samples=20_000)
+    res = simulate_frame(occ, sc, 21)
     assert res.confusion.sum() == 16
-    assert res.rule.n_packets == sc.n_packets
+    assert res.rule == scenario_rule(sc)

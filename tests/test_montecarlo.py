@@ -4,12 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from iqsense.detection import (
     DetectorMode,
+    VarianceOrderError,
+    _component_variances,
     analytic_detection,
     analytic_false_alarm,
     conditional_probabilities,
+    hypothesis_variances,
 )
 from iqsense.montecarlo import (
     SWEEP_AXES,
@@ -18,7 +22,6 @@ from iqsense.montecarlo import (
     TallyMatrix,
     _apply_axis,
     _chunk_layout,
-    _isotonic_nondecreasing,
     compare_modes,
     empirical_metrics,
     estimate_component_variances,
@@ -28,7 +31,12 @@ from iqsense.montecarlo import (
     substream,
     sweep,
 )
-from iqsense.signal_model import irr_to_mismatch
+from iqsense.signal_model import (
+    IqMismatch,
+    MismatchCoefficients,
+    irr_to_mismatch,
+    mismatch_coefficients,
+)
 
 
 def scenario(**kw):
@@ -98,19 +106,6 @@ def test_chunk_layout():
     assert _chunk_layout(10, 4) == [(0, 4), (1, 4), (2, 2)]
     assert _chunk_layout(4, 4) == [(0, 4)]
     assert _chunk_layout(1, 100) == [(0, 1)]
-
-
-def test_isotonic_projection():
-    assert _isotonic_nondecreasing([1.0, 2.0, 3.0]) == [1.0, 2.0, 3.0]
-    out = _isotonic_nondecreasing([1.0, 3.0, 2.0])
-    assert out == [1.0, 2.5, 2.5]
-    # Mean is preserved and order restored, whatever the input.
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        vals = rng.uniform(0.0, 1.0, size=6).tolist()
-        out = _isotonic_nondecreasing(vals)
-        assert all(b >= a for a, b in zip(out, out[1:]))
-        assert sum(out) == pytest.approx(sum(vals))
 
 
 def test_tally_matrix_algebra():
@@ -184,19 +179,109 @@ def test_estimated_variances_match_analytic_for_tx_only():
     sc = scenario()
     est = estimate_component_variances(sc, 300_000, 1)
     ana = scenario_variances(sc)
-    for e, a in zip(est.as_tuple(), ana.as_tuple()):
+    for e, a in zip(est, ana.as_tuple()):
         assert e == pytest.approx(a, rel=0.02)
 
 
-def test_joint_variances_require_seed():
+def test_joint_variances_closed_form():
     joint = scenario(rx_mismatch=irr_to_mismatch(-15.0))
-    with pytest.raises(ValueError):
-        scenario_variances(joint)
-    v = scenario_variances(joint, 7, calibration_samples=50_000)
-    assert v.sigma0_sq <= v.sigma1_sq <= v.sigma2_sq <= v.sigma3_sq
+    v = scenario_variances(joint)
+    assert v == scenario_variances(joint)
+    assert v.sigma0_sq < v.sigma1_sq < v.sigma2_sq < v.sigma3_sq
     # The receiver front end folds mirror noise in: the noise floor
     # exceeds the transmitter-only value.
-    assert v.sigma0_sq > scenario_variances(scenario()).sigma0_sq
+    tx_only = scenario_variances(scenario())
+    assert v.sigma0_sq > tx_only.sigma0_sq
+    # An ideal receiver is the transmitter-only model, bit for bit.
+    assert scenario_variances(scenario(rx_mismatch=IqMismatch.ideal())) == tx_only
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        sc = scenario(
+            tx_mismatch=IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)),
+            snr1_db=rng.uniform(0.0, 20.0), snr2_db=rng.uniform(-20.0, 0.0),
+            channel_var=rng.uniform(0.5, 2.0), channel_var_mirror=rng.uniform(0.5, 2.0),
+        )
+        assert hypothesis_variances(sc.pair, sc.tx_mismatch, IqMismatch.ideal()) == (
+            hypothesis_variances(sc.pair, sc.tx_mismatch)
+        )
+
+
+def joint_scenario(irr_db, snr1_db, snr2_db):
+    m = irr_to_mismatch(irr_db)
+    return scenario(snr1_db=snr1_db, snr2_db=snr2_db, tx_mismatch=m, rx_mismatch=m)
+
+
+# H2 and H3 differ by 0.08%: sampled calibration used to merge them.
+_CLOSE_H2_H3 = joint_scenario(-25.0, 5.0, -3.0)
+# sigma1 > sigma2: sampled calibration used to merge H1 and H2 silently.
+_OUT_OF_ORDER = joint_scenario(-15.0, 0.0, 13.0)
+_ORACLE_POINTS = [
+    *(
+        joint_scenario(irr, s1, s2)
+        for irr in (-30.0, -20.0, -15.0, -10.0, -5.0)
+        for s1, s2 in ((0.0, -10.0), (5.0, 5.0), (10.0, -5.0))
+    ),
+    _CLOSE_H2_H3,
+    _OUT_OF_ORDER,
+    # Phase errors and unequal channel variances, so that a swap of the
+    # two sides' terms shows.
+    scenario(snr1_db=3.0, snr2_db=-2.0, tx_mismatch=IqMismatch(0.2, 0.15),
+             rx_mismatch=IqMismatch(-0.1, 0.2), noise_var=1.3,
+             channel_var=0.7, channel_var_mirror=1.8),
+]
+_ORACLE_SAMPLES = 200_000
+_ORACLE_FAMILYWISE = 1e-6
+
+
+def _oracle_z(variances, est) -> np.ndarray:
+    """|estimate - closed form| in standard errors, per hypothesis.
+
+    Given the symbols, |r|^2/2 is exponential with mean sigma_s^2, so
+    its variance is sigma^4 under H0..H2.  Under H3 the symbol cross
+    term adds Var(sigma_s^2) twice; it is at most
+    2*(sigma1^2 - sigma0^2)*(sigma2^2 - sigma0^2) (Cauchy-Schwarz), so
+    the H3 standard error below is an upper bound.
+    """
+    s0, s1, s2, s3 = variances
+    per_sample = np.array([s0**2, s1**2, s2**2, s3**2 + 4.0 * (s1 - s0) * (s2 - s0)])
+    return np.abs(np.array(est) - variances) / np.sqrt(per_sample / _ORACLE_SAMPLES)
+
+
+def test_closed_form_variances_match_estimator():
+    """The joint-model closed form sits inside the sample-mean
+    estimator's confidence interval at every point and hypothesis
+    (Bonferroni, familywise false-fail rate 1e-6), while the same form
+    with the receiver's |beta_r|^2 terms dropped is rejected."""
+    comparisons = 4 * len(_ORACLE_POINTS)
+    z_crit = norm.isf(_ORACLE_FAMILYWISE / (2 * comparisons))
+    worst, worst_dropped = 0.0, 0.0
+    for i, sc in enumerate(_ORACLE_POINTS):
+        est = estimate_component_variances(sc, _ORACLE_SAMPLES, 600, (i,))
+        exact = np.array(_component_variances(sc.pair, sc.tx_mismatch, sc.rx_mismatch, None))
+        worst = max(worst, _oracle_z(exact, est).max())
+        rx = mismatch_coefficients(sc.rx_mismatch)
+        dropped = np.array(_component_variances(
+            sc.pair, sc.tx_mismatch, MismatchCoefficients(rx.alpha, 0j), None
+        ))
+        worst_dropped = max(worst_dropped, _oracle_z(dropped, est).max())
+    assert worst <= z_crit, f"closed form off by {worst:.2f} SE (limit {z_crit:.2f})"
+    assert worst_dropped > z_crit, f"dropped |beta_r|^2 only {worst_dropped:.2f} SE off"
+
+
+def test_out_of_order_joint_variances_are_rejected():
+    """Where the image outpowers the wanted signal the closed form and
+    the estimator agree that sigma1^2 > sigma2^2, and the detector
+    refuses the scenario instead of merging hypotheses."""
+    with pytest.raises(VarianceOrderError, match="nondecreasing"):
+        scenario_variances(_OUT_OF_ORDER)
+    with pytest.raises(VarianceOrderError):
+        scenario_rule(_OUT_OF_ORDER)
+    est = estimate_component_variances(_OUT_OF_ORDER, 50_000, 601)
+    assert est[1] > est[2]
+    # Closely spaced but ordered variances keep four distinct levels.
+    v = scenario_variances(_CLOSE_H2_H3)
+    assert v.sigma2_sq < v.sigma3_sq
+    assert len(scenario_rule(_CLOSE_H2_H3).levels) == 4
 
 
 def test_compare_modes_is_paired():
