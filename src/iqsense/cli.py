@@ -46,12 +46,13 @@ from .detection import (
 from .frame import simulate_frame
 from .montecarlo import (
     SeedSpec,
-    _rule_for_mode,
     empirical_metrics,
+    rule_for_mode,
     run_trials,
     scenario_variances,
     substream,
     sweep,
+    sweep_variances,
 )
 from .outage import analytic_outage, mc_outage, outage_paper_literal
 
@@ -312,7 +313,7 @@ def _metric_block(v, rule) -> dict:
 def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
     v = scenario_variances(sc)
-    rule = _rule_for_mode(v, sc.n_packets, sc.mode)
+    rule = rule_for_mode(v, sc.n_packets, sc.mode)
     report: dict = {
         "variances": {
             "sigma0_sq": v.sigma0_sq,
@@ -366,7 +367,7 @@ def _sense_rows(tally, v, rule):
 def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
     v = scenario_variances(sc)
-    rule = _rule_for_mode(v, sc.n_packets, sc.mode)
+    rule = rule_for_mode(v, sc.n_packets, sc.mode)
     tally = run_trials(
         sc,
         cfg.trials,
@@ -454,42 +455,8 @@ def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
 def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[list]]:
     sc = cfg.scenario
     fig = cfg.figure
-    columns = ["figure", "curve", *_SWEEP_COLUMNS]
     rows: list[list] = []
-
-    def extend(curve: str, points):
-        for row in _sweep_rows(points):
-            rows.append([fig_id, curve, *row])
-
-    if fig_id == 3:
-        points = sweep(
-            sc, "irr_db", list(fig.irr_grid), cfg.trials, cfg.seed,
-            modes=[DetectorMode.four_level(), DetectorMode.two_level_bayes()],
-            workers=cfg.workers, chunk_size=cfg.chunk_size,
-        )
-        extend("", points)
-    elif fig_id == 4:
-        for c, delta in enumerate(fig.delta_snrs):
-            base = sc.with_snr(snr2_db=sc.snr1_db - delta)
-            points = sweep(
-                base, "snr_db_at_delta", list(fig.snr1_grid), cfg.trials, cfg.seed,
-                modes=[DetectorMode.four_level()],
-                workers=cfg.workers, chunk_size=cfg.chunk_size,
-                stream_path=(c,),
-            )
-            extend(f"delta_snr_db={delta:g}", points)
-    elif fig_id == 5:
-        tx_only = replace(sc, rx_mismatch=None)
-        joint = replace(sc, rx_mismatch=sc.tx_mismatch)
-        for c, (curve, base) in enumerate((("tx-only", tx_only), ("joint", joint))):
-            points = sweep(
-                base, "irr_db", list(fig.irr_grid), cfg.trials, cfg.seed,
-                modes=[DetectorMode.four_level()],
-                workers=cfg.workers, chunk_size=cfg.chunk_size,
-                stream_path=(c,),
-            )
-            extend(curve, points)
-    else:
+    if fig_id == 6:
         columns = ["figure", "curve", "axis", "value", "beta_sq_sec",
                    "outage_analytic", "outage_mc", "outage_lo", "outage_hi",
                    "outage_paper_literal"]
@@ -502,7 +469,35 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
                 analytic_outage(scn), est.value, est.lo, est.hi,
                 outage_paper_literal(scn),
             ])
-    return columns, rows
+        return columns, rows
+
+    # (curve, template scenario, axis, grid, modes, stream path) per curve
+    four = DetectorMode.four_level()
+    if fig_id == 3:
+        curves = [("", sc, "irr_db", fig.irr_grid, [four, DetectorMode.two_level_bayes()], ())]
+    elif fig_id == 4:
+        curves = [
+            (f"delta_snr_db={delta:g}", sc.with_snr(snr2_db=sc.snr1_db - delta),
+             "snr_db_at_delta", fig.snr1_grid, [four], (c,))
+            for c, delta in enumerate(fig.delta_snrs)
+        ]
+    else:
+        bases = (("tx-only", replace(sc, rx_mismatch=None)),
+                 ("joint", replace(sc, rx_mismatch=sc.tx_mismatch)))
+        curves = [
+            (curve, base, "irr_db", fig.irr_grid, [four], (c,))
+            for c, (curve, base) in enumerate(bases)
+        ]
+    # A bad grid point on any curve exits before the first trial runs.
+    for _, base, axis, grid, _, _ in curves:
+        sweep_variances(base, axis, grid)
+    for curve, base, axis, grid, modes, path in curves:
+        points = sweep(
+            base, axis, list(grid), cfg.trials, cfg.seed, modes=modes,
+            workers=cfg.workers, chunk_size=cfg.chunk_size, stream_path=path,
+        )
+        rows.extend([fig_id, curve, *row] for row in _sweep_rows(points))
+    return ["figure", "curve", *_SWEEP_COLUMNS], rows
 
 
 def _cmd_figure(cfg: ExperimentConfig, args) -> int:

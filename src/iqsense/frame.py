@@ -25,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .detection import DecisionRule, Hypothesis, classify_batch
-from .montecarlo import (
-    SeedSpec,
-    SensingScenario,
-    _coefficients,
-    _mirrored,
-    scenario_rule,
-    substream,
-    _FRAME_STREAM,
-)
+from .montecarlo import FRAME_STREAM, SeedSpec, SensingScenario, scenario_rule, substream
 from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint
 
 __all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
@@ -54,13 +46,15 @@ class OccupancyMap:
         n = self.n_subcarriers
         if not isinstance(n, int) or n < 2 or n % 2:
             raise ValueError(f"n_subcarriers must be a positive even integer, got {n!r}")
-        object.__setattr__(self, "active", frozenset(self.active))
+        active = frozenset(self.active)
+        object.__setattr__(self, "active", active)
         half = n // 2
-        for k in self.active:
-            if not isinstance(k, int) or isinstance(k, bool):
-                raise ValueError(f"subcarrier indices must be integers, got {k!r}")
-            if k == 0:
-                raise ValueError("0 is the DC bin, not a data subcarrier")
+        if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):
+            k = next(k for k in active if not isinstance(k, int) or isinstance(k, bool))
+            raise ValueError(f"subcarrier indices must be integers, got {k!r}")
+        if 0 in active:
+            raise ValueError("0 is the DC bin, not a data subcarrier")
+        for k in (min(active, default=1), max(active, default=1)):
             if not (-half <= k <= half):
                 raise ValueError(f"subcarrier index {k} outside [-{half}, {half}]")
 
@@ -110,29 +104,32 @@ def simulate_frame(
         )
     if rule is None:
         rule = scenario_rule(sc)
-    tx_c, rx_c = _coefficients(sc)
+    tx_c, rx_c = sc.coefficients
 
+    # Subcarrier k > 0 sits in row k-1 of the "pos" side, -k in row k-1 of
+    # the "neg" side.
     half = occupancy.n_subcarriers // 2
-    pos = np.arange(1, half + 1)
-    active = occupancy.active
-    own_pos = np.array([k in active for k in pos], dtype=bool)[:, None]
-    own_neg = np.array([-k in active for k in pos], dtype=bool)[:, None]
+    active = np.fromiter(occupancy.active, dtype=np.int64, count=len(occupancy.active))
+    own_pos = np.zeros(half, dtype=bool)
+    own_neg = np.zeros(half, dtype=bool)
+    own_pos[active[active > 0] - 1] = True
+    own_neg[-active[active < 0] - 1] = True
 
-    rng = substream(seed, _FRAME_STREAM)
+    rng = substream(seed, FRAME_STREAM)
     m = pair.psk_order
     table = np.exp(2j * np.pi * np.arange(m) / m)
     size = (half, sc.n_packets)
     # one symbol stream per physical subcarrier, shared by both sensing
     # directions of the pair; channels and noise are per-side
-    s_pos = table[rng.integers(0, m, size)] * own_pos
-    s_neg = table[rng.integers(0, m, size)] * own_neg
+    s_pos = table[rng.integers(0, m, size)] * own_pos[:, None]
+    s_neg = table[rng.integers(0, m, size)] * own_neg[:, None]
     h_pos = draw_rayleigh(pair.channel_var, rng, size)
     h_neg = draw_rayleigh(pair.channel_var_mirror, rng, size)
     w_pos = draw_noise(pair.noise_var, rng, size)
     w_neg = draw_noise(pair.noise_var, rng, size)
 
     y_pos = receive(s_pos, s_neg, h_pos, w_pos, pair, tx_c)
-    y_neg = receive(s_neg, s_pos, h_neg, w_neg, _mirrored(pair), tx_c)
+    y_neg = receive(s_neg, s_pos, h_neg, w_neg, pair.mirrored(), tx_c)
     if rx_c is not None:
         r_pos = receive_joint(y_pos, y_neg, rx_c)
         r_neg = receive_joint(y_neg, y_pos, rx_c)
@@ -141,39 +138,20 @@ def simulate_frame(
 
     z_pos = np.mean(np.abs(r_pos) ** 2, axis=1)
     z_neg = np.mean(np.abs(r_neg) ** 2, axis=1)
-    decided_pos = classify_batch(z_pos, rule)
-    decided_neg = classify_batch(z_neg, rule)
 
-    subcarriers: list[int] = []
-    truths: list[Hypothesis] = []
-    decisions: list[Hypothesis] = []
-    for k in occupancy.indices:
-        i = abs(k) - 1
-        decided = decided_neg[i] if k < 0 else decided_pos[i]
-        subcarriers.append(k)
-        truths.append(occupancy.truth(k))
-        decisions.append(Hypothesis(int(decided)))
-
-    confusion = np.zeros((4, 4), dtype=np.int64)
-    vacant_flags = 0
-    unflagged_risk = 0
-    missed_own = 0
-    for truth, decided in zip(truths, decisions):
-        confusion[int(truth), int(decided)] += 1
-        if decided == Hypothesis.H1:
-            vacant_flags += 1
-        if decided == Hypothesis.H0 and truth == Hypothesis.H1:
-            unflagged_risk += 1
-        if not decided.own_active and truth.own_active:
-            missed_own += 1
-
+    # Frame order -half..-1, 1..half: the neg side reversed, then pos.
+    truth = np.concatenate([(2 * own_neg + own_pos)[::-1], 2 * own_pos + own_neg])
+    decided = np.concatenate([classify_batch(z_neg, rule)[::-1], classify_batch(z_pos, rule)])
+    members = tuple(Hypothesis)
     return FrameResult(
-        subcarriers=tuple(subcarriers),
-        truths=tuple(truths),
-        decisions=tuple(decisions),
-        confusion=confusion,
-        vacant_mirror_flags=vacant_flags,
-        unflagged_mirror_risk=unflagged_risk,
-        missed_own=missed_own,
+        subcarriers=occupancy.indices,
+        truths=tuple(map(members.__getitem__, truth.tolist())),
+        decisions=tuple(map(members.__getitem__, decided.tolist())),
+        confusion=np.bincount(4 * truth + decided, minlength=16).reshape(4, 4),
+        vacant_mirror_flags=int(np.count_nonzero(decided == Hypothesis.H1)),
+        unflagged_mirror_risk=int(
+            np.count_nonzero((decided == Hypothesis.H0) & (truth == Hypothesis.H1))
+        ),
+        missed_own=int(np.count_nonzero((decided < Hypothesis.H2) & (truth >= Hypothesis.H2))),
         rule=rule,
     )

@@ -57,21 +57,25 @@ __all__ = [
     "substream",
     "scenario_variances",
     "scenario_rule",
+    "rule_for_mode",
     "estimate_component_variances",
     "run_trials",
     "empirical_metrics",
     "compare_modes",
     "sweep",
+    "sweep_variances",
     "SWEEP_AXES",
+    "FRAME_STREAM",
     "DEFAULT_CHUNK_SIZE",
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
-# Purpose tags keeping independent uses of a seed on disjoint streams.
+# Purpose tags keeping independent uses of a seed on disjoint streams;
+# the frame simulator draws from FRAME_STREAM.
 _TRIAL_STREAM = 0
 _ESTIMATOR_STREAM = 1
-_FRAME_STREAM = 2
+FRAME_STREAM = 2
 
 SWEEP_AXES = ("irr_db", "snr1_db", "delta_snr_db", "snr_db_at_delta")
 
@@ -195,6 +199,14 @@ class SensingScenario:
         return self.rx_mismatch is not None
 
     @property
+    def coefficients(self) -> tuple[MismatchCoefficients, MismatchCoefficients | None]:
+        """(transmitter, receiver) mismatch coefficients; the receiver's
+        are None for the transmitter-only model."""
+        tx_c = mismatch_coefficients(self.tx_mismatch)
+        rx_c = mismatch_coefficients(self.rx_mismatch) if self.is_joint else None
+        return tx_c, rx_c
+
+    @property
     def delta_snr_db(self) -> float:
         return self.snr1_db - self.snr2_db
 
@@ -312,16 +324,6 @@ def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metr
 # sample generation
 
 
-def _mirrored(pair: SubcarrierPairConfig) -> SubcarrierPairConfig:
-    return replace(
-        pair,
-        power_k=pair.power_mk,
-        power_mk=pair.power_k,
-        channel_var=pair.channel_var_mirror,
-        channel_var_mirror=pair.channel_var,
-    )
-
-
 def _received_batch(
     sc: SensingScenario,
     tx_c: MismatchCoefficients,
@@ -356,19 +358,13 @@ def _received_batch(
         return y
     ch_m = draw_rayleigh(pair.channel_var_mirror, rng, size)
     w_m = draw_noise(pair.noise_var, rng, size)
-    y_m = receive(smk, sk, ch_m, w_m, _mirrored(pair), tx_c)
+    y_m = receive(smk, sk, ch_m, w_m, pair.mirrored(), tx_c)
     return receive_joint(y, y_m, rx_c)
 
 
 def _statistic_batch(sc, tx_c, rx_c, hyp, count, rng) -> np.ndarray:
     r = _received_batch(sc, tx_c, rx_c, hyp, count, sc.n_packets, rng)
     return np.mean(np.abs(r) ** 2, axis=1)
-
-
-def _coefficients(sc: SensingScenario):
-    tx_c = mismatch_coefficients(sc.tx_mismatch)
-    rx_c = mismatch_coefficients(sc.rx_mismatch) if sc.is_joint else None
-    return tx_c, rx_c
 
 
 # --------------------------------------------------------------------------
@@ -391,7 +387,7 @@ def estimate_component_variances(
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    tx_c, rx_c = _coefficients(sc)
+    tx_c, rx_c = sc.coefficients
     est = []
     for hyp in range(4):
         rng = substream(seed, _ESTIMATOR_STREAM, *stream_path, hyp)
@@ -403,17 +399,18 @@ def estimate_component_variances(
 def scenario_variances(sc: SensingScenario) -> HypothesisVariances:
     """Closed-form variances the detector uses for this scenario, for
     the transmitter-only and the joint model alike."""
-    return hypothesis_variances(sc.pair, *_coefficients(sc))
+    return hypothesis_variances(sc.pair, *sc.coefficients)
 
 
-def _rule_for_mode(v: HypothesisVariances, n_packets: int, mode: DetectorMode) -> DecisionRule:
+def rule_for_mode(v: HypothesisVariances, n_packets: int, mode: DetectorMode) -> DecisionRule:
+    """The decision rule of ``mode`` for the given variances."""
     if mode.kind == "four":
         return decision_rule(v, n_packets)
     return two_level_rule(v, n_packets, mode)
 
 
 def scenario_rule(sc: SensingScenario) -> DecisionRule:
-    return _rule_for_mode(scenario_variances(sc), sc.n_packets, sc.mode)
+    return rule_for_mode(scenario_variances(sc), sc.n_packets, sc.mode)
 
 
 # --------------------------------------------------------------------------
@@ -431,7 +428,7 @@ def _chunk_task(args) -> tuple[int, np.ndarray]:
     """Simulate one chunk under one hypothesis and classify it with
     every rule; returns (hypothesis, per-rule decision bincounts)."""
     sc, rules, hyp, chunk_idx, count, seed, stream_path = args
-    tx_c, rx_c = _coefficients(sc)
+    tx_c, rx_c = sc.coefficients
     rng = substream(seed, _TRIAL_STREAM, *stream_path, hyp, chunk_idx)
     z = _statistic_batch(sc, tx_c, rx_c, hyp, count, rng)
     out = np.zeros((len(rules), 4), dtype=np.int64)
@@ -561,9 +558,9 @@ def compare_modes(
         raise ValueError(f"per_hypothesis must be >= 1, got {per_hypothesis}")
     seed = _as_seed(seed)
     v = scenario_variances(sc)
-    rule_a = _rule_for_mode(v, sc.n_packets, mode_a)
-    rule_b = _rule_for_mode(v, sc.n_packets, mode_b)
-    tx_c, rx_c = _coefficients(sc)
+    rule_a = rule_for_mode(v, sc.n_packets, mode_a)
+    rule_b = rule_for_mode(v, sc.n_packets, mode_b)
+    tx_c, rx_c = sc.coefficients
     joint = np.zeros((4, 4), dtype=np.int64)
     for hyp in range(4):
         for idx, count in _chunk_layout(per_hypothesis, chunk_size):
@@ -619,6 +616,25 @@ def _apply_axis(sc: SensingScenario, axis: str, value: float) -> SensingScenario
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
+def sweep_variances(
+    sc: SensingScenario, axis: str, grid
+) -> list[tuple[SensingScenario, HypothesisVariances]]:
+    """Scenario and closed-form variances at every grid value of ``axis``.
+
+    Raises :class:`VarianceOrderError` naming the first grid value whose
+    variances are out of order, so that a caller can reject a bad grid
+    before running any trial.
+    """
+    out = []
+    for value in grid:
+        scn = _apply_axis(sc, axis, value)
+        try:
+            out.append((scn, scenario_variances(scn)))
+        except VarianceOrderError as e:
+            raise VarianceOrderError(f"{axis}={value:g}: {e}") from None
+    return out
+
+
 def sweep(
     sc: SensingScenario,
     axis: str,
@@ -634,7 +650,8 @@ def sweep(
     """Evaluate the detector(s) along one parameter axis.
 
     Returns one :class:`SweepPoint` per (grid value, mode), modes
-    paired on common random numbers within each grid point.  Grid point
+    paired on common random numbers within each grid point.  Every grid
+    point's variances are checked before any trial runs.  Grid point
     i draws from stream path ``(*stream_path, i)``, so results for a
     given point do not depend on the rest of the grid, and callers
     running several sweeps under one seed can keep them independent by
@@ -650,14 +667,9 @@ def sweep(
     if not modes:
         raise ValueError("modes must be nonempty")
     points: list[SweepPoint] = []
-    for i, value in enumerate(grid):
-        scn = _apply_axis(sc, axis, value)
+    for i, (value, (scn, v)) in enumerate(zip(grid, sweep_variances(sc, axis, grid))):
         path = (*stream_path, i)
-        try:
-            v = scenario_variances(scn)
-        except VarianceOrderError as e:
-            raise VarianceOrderError(f"{axis}={value:g}: {e}") from None
-        rules = [_rule_for_mode(v, scn.n_packets, m) for m in modes]
+        rules = [rule_for_mode(v, scn.n_packets, m) for m in modes]
         tallies = _tally_rules(scn, rules, per_hypothesis, seed, path, workers, chunk_size)
         for mode, rule, tally in zip(modes, rules, tallies):
             points.append(

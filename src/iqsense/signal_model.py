@@ -14,7 +14,7 @@ arrays alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -153,6 +153,17 @@ class SubcarrierPairConfig:
             raise ValueError(f"psk_order must be an integer >= 2, got {m!r}")
         if self.require_pow2_psk and m & (m - 1):
             raise ValueError(f"psk_order must be a power of 2, got {m}")
+
+    def mirrored(self) -> "SubcarrierPairConfig":
+        """The same pair seen from -k: the two sides' powers and channel
+        variances swap."""
+        return replace(
+            self,
+            power_k=self.power_mk,
+            power_mk=self.power_k,
+            channel_var=self.channel_var_mirror,
+            channel_var_mirror=self.channel_var,
+        )
 
 
 def psk_symbol(index: int, order: int) -> complex:

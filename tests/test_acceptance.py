@@ -26,7 +26,6 @@ from iqsense.detection import (
 from iqsense.montecarlo import (
     SeedSpec,
     SensingScenario,
-    _coefficients,
     _statistic_batch,
     compare_modes,
     empirical_metrics,
@@ -79,7 +78,7 @@ def test_criterion_02_statistic_distribution():
     for n_packets in (1, 4):
         sc = SensingScenario.from_snr(0.0, **{**PAPER_POINT, "n_packets": n_packets})
         v = scenario_variances(sc)
-        tx_c, rx_c = _coefficients(sc)
+        tx_c, rx_c = sc.coefficients
         for hyp, s in enumerate(v.as_tuple()):
             rng = substream(SeedSpec(202), 9, n_packets, hyp)
             z = _statistic_batch(sc, tx_c, rx_c, hyp, 100_000, rng)

@@ -129,6 +129,28 @@ def test_out_of_order_grid_point_exit_code(tmp_path):
     assert r.stderr.startswith("error: figure: irr_db=-15: variances must be nondecreasing")
 
 
+@pytest.mark.parametrize("fig_id, point", [("4", "snr_db_at_delta=0"), ("5", "irr_db=-15")])
+def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fig_id, point):
+    """Every curve's grid is checked before the first curve runs: figure 5's
+    transmitter-only curve is in order, its joint curve is not; figure 4's
+    first curve (SNR 0/13 dB) is in order, its second (0/20 dB) is not."""
+    import iqsense.cli as cli
+    import iqsense.montecarlo as montecarlo
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "scenario": {"snr1_db": 0, "snr2_db": 13},
+        "figure": {"irr_grid": [-15.0], "snr1_grid": [0.0], "delta_snrs": [-13.0, -20.0]},
+        "trials": 100,
+    }))
+    calls = []
+    monkeypatch.setattr(montecarlo, "_tally_rules", lambda *a: calls.append(a))
+    assert cli.main(["figure", fig_id, "--config", str(cfgf)]) == 2
+    assert calls == []
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: figure: {point}: variances must be nondecreasing")
+
+
 def test_removed_calibration_key_exit_code(tmp_path):
     cfgf = tmp_path / "old.json"
     cfgf.write_text(json.dumps({"calibration_samples": 1000000}))

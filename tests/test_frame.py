@@ -29,6 +29,21 @@ def test_occupancy_validation():
     assert m.active == frozenset({1, -4})
 
 
+@pytest.mark.parametrize(
+    "active, message",
+    [
+        ({1, 2.0}, "subcarrier indices must be integers, got 2.0"),
+        ({-1, True}, "subcarrier indices must be integers, got True"),
+        ({3, 0, -2}, "0 is the DC bin, not a data subcarrier"),
+        ({1, 5}, r"subcarrier index 5 outside \[-4, 4\]"),
+        ({-5, 4}, r"subcarrier index -5 outside \[-4, 4\]"),
+    ],
+)
+def test_occupancy_error_messages(active, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OccupancyMap(8, frozenset(active))
+
+
 def test_indices_skip_dc():
     m = OccupancyMap(8, frozenset())
     assert m.indices == (-4, -3, -2, -1, 1, 2, 3, 4)
@@ -60,18 +75,58 @@ def test_frame_requires_uniform_power():
         simulate_frame(occ, sc, 1)
 
 
-def test_frame_counts_are_consistent():
-    occ = OccupancyMap(64, {1, 2, 3, -3, -9, 20})
-    sc = frame_scenario()
-    res = simulate_frame(occ, sc, 7)
-    assert len(res.subcarriers) == 64
-    assert res.confusion.sum() == 64
-    # Truth marginals match the occupancy map exactly.
-    truth_counts = res.confusion.sum(axis=1)
-    want = np.zeros(4, dtype=int)
-    for k in occ.indices:
-        want[int(occ.truth(k))] += 1
-    assert truth_counts.tolist() == want.tolist()
+def _random_map(n, seed):
+    rng = np.random.default_rng(seed)
+    half = n // 2
+    ks = np.concatenate([-np.arange(1, half + 1), np.arange(1, half + 1)])
+    return OccupancyMap(n, frozenset(int(k) for k in ks[rng.random(n) < 0.5]))
+
+
+_MAPS = {
+    "empty": OccupancyMap(64, frozenset()),
+    "full": OccupancyMap(64, frozenset(range(-32, 0)) | frozenset(range(1, 33))),
+    "two-subcarriers": OccupancyMap(2, {1}),
+    "sparse-64": OccupancyMap(64, {1, 2, 3, -3, -9, 20}),
+    "random-2048": _random_map(2048, 5),
+}
+
+
+@pytest.mark.parametrize(
+    "name, scenario_kw",
+    [
+        pytest.param("empty", {}, id="empty"),
+        pytest.param("full", {}, id="full"),
+        pytest.param("two-subcarriers", {"n_packets": 3}, id="two-subcarriers-n3"),
+        pytest.param("sparse-64", {}, id="sparse-64"),
+        pytest.param("sparse-64", {"n_packets": 1}, id="sparse-64-n1"),
+        pytest.param(
+            "sparse-64", {"rx_mismatch": irr_to_mismatch(-15.0), "n_packets": 3},
+            id="sparse-64-joint-n3",
+        ),
+        pytest.param("random-2048", {"n_packets": 1}, id="random-2048-n1"),
+        pytest.param(
+            "random-2048", {"rx_mismatch": irr_to_mismatch(-20.0), "n_packets": 3},
+            id="random-2048-joint-n3",
+        ),
+    ],
+)
+def test_frame_counts_are_consistent(name, scenario_kw):
+    occ = _MAPS[name]
+    res = simulate_frame(occ, frame_scenario(**scenario_kw), 7)
+    n = occ.n_subcarriers
+    assert res.subcarriers == occ.indices
+    assert res.truths == tuple(occ.truth(k) for k in occ.indices)
+    assert len(res.decisions) == n
+    assert all(type(h) is Hypothesis for h in res.truths + res.decisions)
+    for counter in (res.vacant_mirror_flags, res.unflagged_mirror_risk, res.missed_own):
+        assert type(counter) is int
+    assert res.confusion.shape == (4, 4)
+    assert res.confusion.sum() == n
+    # Each cell counts the (truth, decision) pairs it names.
+    want = np.zeros((4, 4), dtype=int)
+    for t, d in zip(res.truths, res.decisions):
+        want[int(t), int(d)] += 1
+    assert res.confusion.tolist() == want.tolist()
     # Hazard counters agree with their definitions.
     assert res.vacant_mirror_flags == sum(
         1 for d in res.decisions if d == Hypothesis.H1
@@ -83,6 +138,27 @@ def test_frame_counts_are_consistent():
     assert res.missed_own == sum(
         1 for t, d in zip(res.truths, res.decisions)
         if t.own_active and not d.own_active
+    )
+
+
+# Decisions of one seeded 16-subcarrier frame, in index order -8..-1, 1..8.
+# Misaligning the two sides (a reversed or shifted negative half, swapped
+# halves) keeps every count consistent but changes this sequence.
+_GOLDEN_DECISIONS = {
+    "tx-only": "H1 H0 H2 H2 H0 H1 H1 H0 H0 H1 H1 H0 H0 H2 H1 H1",
+    "joint": "H1 H0 H1 H2 H0 H1 H1 H0 H0 H1 H1 H0 H1 H2 H1 H0",
+}
+
+
+@pytest.mark.parametrize("model", sorted(_GOLDEN_DECISIONS))
+def test_frame_decisions_golden(model):
+    occ = OccupancyMap(16, {1, 2, -3, -5, 6, -6, 8})
+    rx = irr_to_mismatch(-15.0) if model == "joint" else None
+    sc = frame_scenario(snr_db=5.0, n_packets=2, rx_mismatch=rx)
+    res = simulate_frame(occ, sc, 2024)
+    assert " ".join(d.name for d in res.decisions) == _GOLDEN_DECISIONS[model]
+    assert " ".join(t.name for t in res.truths) == (
+        "H1 H0 H3 H2 H0 H2 H1 H1 H2 H2 H1 H0 H1 H3 H0 H2"
     )
 
 

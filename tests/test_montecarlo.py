@@ -15,6 +15,7 @@ from iqsense.detection import (
     conditional_probabilities,
     hypothesis_variances,
 )
+import iqsense.montecarlo as montecarlo
 from iqsense.montecarlo import (
     SWEEP_AXES,
     SeedSpec,
@@ -353,6 +354,19 @@ def test_sweep_point_independent_of_grid():
     alone = sweep(sc, "snr1_db", [2.0], 4_000, 21)
     grid = sweep(sc, "snr1_db", [2.0, 4.0], 4_000, 21)
     assert alone[0].tally == grid[0].tally
+
+
+def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):
+    """The joint model's variances are in order at IRR -30 dB and out of
+    order at -15 dB (SNR 0/13): the sweep refuses the grid before it
+    tallies its first point."""
+    m = irr_to_mismatch(-15.0)
+    sc = scenario(snr2_db=13.0, tx_mismatch=m, rx_mismatch=m)
+    calls = []
+    monkeypatch.setattr(montecarlo, "_tally_rules", lambda *a: calls.append(a))
+    with pytest.raises(VarianceOrderError, match="^irr_db=-15: variances must be"):
+        sweep(sc, "irr_db", [-30.0, -15.0], 100, 1)
+    assert calls == []
 
 
 def test_run_trials_argument_validation():
