@@ -536,7 +536,7 @@ def _cmd_frame(cfg: ExperimentConfig, args) -> int:
         ]
         _emit_table(cfg, "frame", columns, rows)
     if cfg.out is not None:
-        print(json.dumps({"summary": summary}, sort_keys=True))
+        print(json.dumps({"summary": summary}, sort_keys=True, default=_json_default))
     return 0
 
 

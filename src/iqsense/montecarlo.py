@@ -22,6 +22,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+# numpy loads its random module on first attribute access.  Load it with
+# the package, so the first substream of a run (often in a freshly forked
+# pool worker) does not pay that import inside the trial phase.
+import numpy.random  # noqa: F401
+
 from .detection import (
     DecisionRule,
     DetectorMode,

@@ -9,6 +9,14 @@ tail is evaluated through the finite Erlang sum
 
 which is exact for integer shape and free of the cancellation that
 plagues ``1 - P(n, x)`` in the far right tail.
+
+scipy is imported only on first use: ``scipy.special`` by the x > 700
+tail and ``scipy.optimize`` by :func:`inverse_gamma_sf` (the two-cfar
+threshold).  Importing scipy costs more than importing numpy and the rest
+of iqsense together, which every four-level run and every frame scan
+would otherwise pay at start-up for code it never calls; a two-cfar
+``sense``, ``sweep`` or ``figure`` pays it once, when it builds its
+first rule.
 """
 
 from __future__ import annotations
@@ -16,7 +24,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import optimize, special
 
 __all__ = [
     "regularized_upper_gamma",
@@ -26,7 +33,8 @@ __all__ = [
 ]
 
 # Largest x for which exp(-x) stays comfortably inside double range; the
-# direct Erlang sum is used below this, scipy's gammaincc above it.
+# direct Erlang sum is used below this, scipy's gammaincc above it.  Only
+# the branches above it import scipy.special, at their first call.
 _DIRECT_SUM_LIMIT = 700.0
 
 
@@ -78,6 +86,8 @@ def regularized_upper_gamma(n: int, x):
             acc += term
         out[near] = np.exp(-xs) * acc
     if not np.all(near):
+        from scipy import special
+
         out[~near] = special.gammaincc(n, x[~near])
     return out
 
@@ -88,6 +98,8 @@ def _upper_gamma_scalar(n: int, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x > _DIRECT_SUM_LIMIT:
+        from scipy import special
+
         return float(special.gammaincc(n, x))
     terms = [1.0]
     term = 1.0
@@ -164,6 +176,8 @@ def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
         raise ValueError(f"tail_prob must be in (0, 1], got {tail_prob}")
     if tail_prob == 1.0:
         return 0.0
+    from scipy import optimize
+
     hi = float(n)
     while _upper_gamma_scalar(n, hi) > tail_prob:
         hi *= 2.0

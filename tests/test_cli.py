@@ -240,6 +240,128 @@ def test_frame_command(tmp_path):
     assert json.loads(r.stdout)["summary"]["confusion"] == doc["summary"]["confusion"]
 
 
+def test_frame_summary_line_serialises_numpy_counters(tmp_path, monkeypatch, capsys):
+    """The stdout summary after ``--out`` takes numpy scalars, as the
+    ``--out`` document does."""
+    import dataclasses
+
+    import numpy as np
+
+    import iqsense.cli as cli
+
+    real = cli.simulate_frame
+
+    def numpy_counters(*args, **kwargs):
+        r = real(*args, **kwargs)
+        return dataclasses.replace(
+            r,
+            vacant_mirror_flags=np.int64(r.vacant_mirror_flags),
+            unflagged_mirror_risk=np.int64(r.unflagged_mirror_risk),
+            missed_own=np.int64(r.missed_own),
+        )
+
+    monkeypatch.setattr(cli, "simulate_frame", numpy_counters)
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "frame": {"n_subcarriers": 16, "active": [1, 2, -3], "snr_db": 10.0},
+    }))
+    out = tmp_path / "frame.csv"
+    assert cli.main(["frame", "--config", str(cfgf), "--seed", "4", "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)["summary"]
+    assert set(summary) == {
+        "confusion", "vacant_mirror_flags", "unflagged_mirror_risk", "missed_own",
+    }
+    assert sum(map(sum, summary["confusion"])) == 16
+
+
+_IMPORT_PROBE = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+seen = {}
+import iqsense
+seen["import iqsense"] = scipy_modules()
+random_at_import = "numpy.random" in sys.modules
+import iqsense.cli as cli
+seen["import iqsense.cli"] = scipy_modules()
+rules = []
+run_trials = cli.run_trials
+def spy(*args, **kwargs):
+    rules.append(kwargs["rule"])
+    return run_trials(*args, **kwargs)
+cli.run_trials = spy
+rc = {}
+for name, argv in json.loads(sys.argv[1]):
+    rc[name] = cli.main(argv)
+    seen[name] = scipy_modules()
+print(json.dumps({
+    "rc": rc,
+    "scipy": seen,
+    "random_at_import": random_at_import,
+    "boundaries": [[b.hex() for b in r.boundaries] for r in rules],
+}))
+"""
+
+
+def _probe(runs):
+    """Run ``runs`` (name, argv) through ``cli.main`` in a fresh interpreter;
+    return the exit codes, the scipy modules loaded after each step, whether
+    ``import iqsense`` loaded numpy.random and the boundaries of every rule
+    handed to ``run_trials``."""
+    r = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+def test_four_level_and_frame_runs_never_import_scipy(tmp_path):
+    """scipy is needed only by the two-cfar threshold and the far Gamma
+    tail; importing iqsense and running the four-level detector or a frame
+    must not pay its start-up cost.  numpy.random, which every trial needs
+    and numpy loads lazily, must be loaded at import, not in the first
+    trial.  A fresh interpreter is needed because other tests load scipy
+    into this one."""
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "frame": {"n_subcarriers": 16, "active": [1, 2, -3], "snr_db": 10.0},
+    }))
+    doc = _probe([
+        ["sense", ["sense", "--trials", "200", "--workers", "1",
+                   "--out", str(tmp_path / "s.csv")]],
+        ["frame", ["frame", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]],
+    ])
+    assert doc["rc"] == {"sense": 0, "frame": 0}
+    assert doc["scipy"] == {
+        "import iqsense": [], "import iqsense.cli": [], "sense": [], "frame": [],
+    }
+    assert doc["random_at_import"]
+
+
+def test_cfar_run_imports_scipy_on_first_use(tmp_path):
+    """Positive control for the test above: the two-cfar threshold loads
+    scipy when it is first needed, and the threshold it yields is the one
+    computed in this process."""
+    from iqsense.config import parse_config
+    from iqsense.detection import scale_of
+    from iqsense.montecarlo import scenario_variances
+    from iqsense.numerics import inverse_gamma_sf
+
+    doc = _probe([
+        ["cfar", ["sense", "--mode", "two-cfar", "--cfar-pfa", "0.1", "--trials", "200",
+                  "--workers", "1", "--out", str(tmp_path / "s.csv")]],
+    ])
+    assert doc["rc"] == {"cfar": 0}
+    assert doc["scipy"]["import iqsense.cli"] == []
+    assert "scipy.optimize" in doc["scipy"]["cfar"]
+    sc = parse_config({}).scenario
+    t = inverse_gamma_sf(sc.n_packets, scale_of(scenario_variances(sc).sigma0_sq, sc.n_packets), 0.1)
+    assert doc["boundaries"] == [[t.hex()]]
+
+
 def test_figure_smoke(tmp_path):
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
