@@ -26,7 +26,6 @@ from .detection import (
     hypothesis_variances,
     pairwise_threshold,
     pairwise_threshold_paper,
-    periodogram,
     thresholds_paper_literal,
     two_level_rule,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "outage_paper_literal",
     "pairwise_threshold",
     "pairwise_threshold_paper",
-    "periodogram",
     "regularized_upper_gamma",
     "run_trials",
     "scenario_rule",

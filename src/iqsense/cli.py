@@ -11,7 +11,8 @@ Subcommands::
 
 All randomness derives from the configured master seed; outputs embed
 the seed and a hash of the resolved configuration and are byte-stable
-across runs and worker counts.
+across runs and worker counts.  One call uses at most one worker pool,
+started when its first trial batch needs one.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ from .montecarlo import (
     rule_for_mode,
     run_trials,
     scenario_variances,
+    shared_pool,
     substream,
     sweep,
     sweep_variances,
@@ -72,7 +74,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        return args.handler(cfg, args)
+        with shared_pool:  # at most one worker pool per call, started on demand
+            return args.handler(cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -321,7 +324,6 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
             "sigma2_sq": v.sigma2_sq,
             "sigma3_sq": v.sigma3_sq,
         },
-        "variances_source": "analytic",
         "mode": sc.mode.kind,
         "rule": _rule_report(rule),
         "metrics": _metric_block(v, rule),

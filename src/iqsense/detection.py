@@ -43,7 +43,6 @@ __all__ = [
     "VarianceOrderError",
     "DecisionRule",
     "scale_of",
-    "periodogram",
     "hypothesis_variances",
     "pairwise_threshold",
     "pairwise_threshold_paper",
@@ -174,14 +173,6 @@ def scale_of(variance: float, n_packets: int) -> float:
     if not (variance > 0 and math.isfinite(variance)):
         raise ValueError(f"variance must be finite and > 0, got {variance}")
     return 2.0 * variance / n_packets
-
-
-def periodogram(samples, n_packets: int) -> float:
-    """Average squared magnitude of one packet of received samples."""
-    z = np.asarray(samples)
-    if z.size != n_packets:
-        raise ValueError(f"expected {n_packets} samples, got {z.size}")
-    return float(np.mean(np.abs(z) ** 2))
 
 
 def hypothesis_variances(

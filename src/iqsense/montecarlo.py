@@ -7,6 +7,13 @@ into fixed-size chunks whose tallies merge by integer addition, so
 results are a pure function of (scenario, seed, trial count,
 chunk size) -- bit-identical across runs and worker counts.
 
+One engine runs every trial: :func:`run_trials` hands it one job and
+:func:`sweep` one job per grid point, and it maps all their chunks over
+a process pool in a single batch.  Calls made inside one
+``shared_pool`` scope share one pool, started on the first batch that
+needs ``workers > 1``; the CLI holds that scope for a whole command, so
+one CLI call uses at most one worker pool.
+
 Detector modes evaluated at the same sweep point share the generation
 streams (common random numbers): every mode classifies the same
 simulated statistics, which makes mode-vs-mode gaps directly
@@ -442,32 +449,76 @@ def _chunk_task(args) -> tuple[int, np.ndarray]:
     return hyp, out
 
 
-def _tally_rules(
-    sc: SensingScenario,
-    rules: list[DecisionRule],
+class _SharedPool:
+    """Reentrant scope that shares one lazily started process pool.
+
+    Engine calls inside the outermost ``with`` block reuse one pool.  It
+    starts at the first call that needs ``workers > 1``, keeps that
+    call's worker count (tallies do not depend on it), and shuts down
+    when the outermost block exits, so a scope in which no trial runs in
+    parallel starts no process.  The engine enters the scope itself, so a
+    call made outside any scope gets a pool of its own.
+    """
+
+    def __init__(self):
+        self._depth = 0
+        self._pool: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "_SharedPool":
+        self._depth += 1
+        return self
+
+    def __exit__(self, *exc):
+        self._depth -= 1
+        if self._depth == 0 and self._pool is not None:
+            pool, self._pool = self._pool, None
+            pool.shutdown(cancel_futures=True)
+
+    def map(self, fn, tasks: list, workers: int) -> list:
+        if workers == 1:
+            return list(map(fn, tasks))
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+        # Small maps go one task per pool item, so every worker gets a
+        # share.  A large map goes in about 32 items per worker: each item
+        # costs this process ~0.7 ms of CPU, which the workers lose when
+        # cores are few, and 32 items still leave a short last one.
+        chunksize = max(1, len(tasks) // (32 * workers))
+        return list(self._pool.map(fn, tasks, chunksize=chunksize))
+
+
+# The package's one pool scope; ``iqsense.cli`` holds it open for a whole call.
+shared_pool = _SharedPool()
+
+
+def _tally_jobs(
+    jobs: list[tuple[SensingScenario, list[DecisionRule], tuple[int, ...]]],
     per_hypothesis: int,
     seed: SeedSpec,
-    stream_path: tuple[int, ...],
     workers: int,
     chunk_size: int,
-) -> list[TallyMatrix]:
+) -> list[list[TallyMatrix]]:
+    """The trial engine: per-rule tallies for each (scenario, rules,
+    stream path) job.
+
+    Every chunk of every job is one task of a single map over the shared
+    pool; chunk counts merge into their job by integer addition, so the
+    result does not depend on ``workers``.
+    """
+    layout = _chunk_layout(per_hypothesis, chunk_size)
     tasks = [
-        (sc, rules, hyp, idx, count, seed, stream_path)
+        (sc, rules, hyp, idx, count, seed, path)
+        for sc, rules, path in jobs
         for hyp in range(4)
-        for idx, count in _chunk_layout(per_hypothesis, chunk_size)
+        for idx, count in layout
     ]
-    counts = np.zeros((len(rules), 4, 4), dtype=np.int64)
-    if workers == 1:
-        results = map(_chunk_task, tasks)
-    else:
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_chunk_task, tasks, chunksize=4))
-        finally:
-            pool.shutdown()
-    for hyp, arr in results:
-        counts[:, hyp, :] += arr
-    return [TallyMatrix(counts[r]) for r in range(len(rules))]
+    with shared_pool:
+        results = shared_pool.map(_chunk_task, tasks, workers)
+    counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
+    tasks_per_job = 4 * len(layout)
+    for t, (hyp, arr) in enumerate(results):
+        counts[t // tasks_per_job][:, hyp, :] += arr
+    return [[TallyMatrix(c) for c in job_counts] for job_counts in counts]
 
 
 def run_trials(
@@ -496,7 +547,7 @@ def run_trials(
     seed = _as_seed(seed)
     if rule is None:
         rule = scenario_rule(sc)
-    return _tally_rules(sc, [rule], per_hypothesis, seed, stream_path, workers, chunk_size)[0]
+    return _tally_jobs([(sc, [rule], stream_path)], per_hypothesis, seed, workers, chunk_size)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -660,7 +711,8 @@ def sweep(
     i draws from stream path ``(*stream_path, i)``, so results for a
     given point do not depend on the rest of the grid, and callers
     running several sweeps under one seed can keep them independent by
-    passing distinct ``stream_path`` prefixes.
+    passing distinct ``stream_path`` prefixes.  The chunks of all grid
+    points run as one batch of the trial engine.
     """
     if axis not in SWEEP_AXES:
         raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
@@ -671,26 +723,25 @@ def sweep(
     modes = list(modes) if modes is not None else [sc.mode]
     if not modes:
         raise ValueError("modes must be nonempty")
-    points: list[SweepPoint] = []
-    for i, (value, (scn, v)) in enumerate(zip(grid, sweep_variances(sc, axis, grid))):
-        path = (*stream_path, i)
-        rules = [rule_for_mode(v, scn.n_packets, m) for m in modes]
-        tallies = _tally_rules(scn, rules, per_hypothesis, seed, path, workers, chunk_size)
-        for mode, rule, tally in zip(modes, rules, tallies):
-            points.append(
-                SweepPoint(
-                    axis=axis,
-                    value=value,
-                    mode=mode,
-                    variances=v,
-                    rule=rule,
-                    pfa_analytic_paper=analytic_false_alarm(v, rule, "paper-sum"),
-                    pfa_analytic_prior=analytic_false_alarm(v, rule, "prior-weighted"),
-                    pd_analytic_paper=analytic_detection(v, rule, "paper-sum"),
-                    pd_analytic_prior=analytic_detection(v, rule, "prior-weighted"),
-                    paper=empirical_metrics(tally, "paper-sum"),
-                    prior=empirical_metrics(tally, "prior-weighted"),
-                    tally=tally,
-                )
-            )
-    return points
+    cells = sweep_variances(sc, axis, grid)
+    rules = [[rule_for_mode(v, scn.n_packets, m) for m in modes] for scn, v in cells]
+    jobs = [(scn, r, (*stream_path, i)) for i, ((scn, _), r) in enumerate(zip(cells, rules))]
+    tallies = _tally_jobs(jobs, per_hypothesis, seed, workers, chunk_size)
+    return [
+        SweepPoint(
+            axis=axis,
+            value=value,
+            mode=mode,
+            variances=v,
+            rule=rule,
+            pfa_analytic_paper=analytic_false_alarm(v, rule, "paper-sum"),
+            pfa_analytic_prior=analytic_false_alarm(v, rule, "prior-weighted"),
+            pd_analytic_paper=analytic_detection(v, rule, "paper-sum"),
+            pd_analytic_prior=analytic_detection(v, rule, "prior-weighted"),
+            paper=empirical_metrics(tally, "paper-sum"),
+            prior=empirical_metrics(tally, "prior-weighted"),
+            tally=tally,
+        )
+        for value, (_, v), point_rules, point_tallies in zip(grid, cells, rules, tallies)
+        for mode, rule, tally in zip(modes, point_rules, point_tallies)
+    ]

@@ -30,7 +30,6 @@ __all__ = [
     "transmit",
     "receive",
     "receive_joint",
-    "primary_rx",
     "draw_rayleigh",
     "draw_noise",
 ]
@@ -201,34 +200,6 @@ def receive_joint(y_k, y_mk, rx: MismatchCoefficients):
     r_k = alpha_r*y_k + beta_r*conj(y_mk)
     """
     return rx.alpha * y_k + rx.beta * np.conjugate(y_mk)
-
-
-def primary_rx(
-    s_mk,
-    g_mk,
-    s_sk,
-    h_mk,
-    noise,
-    p_mk: float,
-    p0: float,
-    sec_tx: MismatchCoefficients,
-):
-    """Primary receiver's sample on subcarrier -k while a secondary
-    transmits on k.
-
-    The wanted term is sqrt(p_mk)*s_mk*g_mk; the secondary's transmitter
-    imbalance leaks an image of its own signal (power p0) onto -k
-    through the channel h_mk:
-
-        y = sqrt(p_mk)*s_mk*g_mk + beta_s*sqrt(p0)*conj(s_sk)*h_mk + noise
-    """
-    if p_mk < 0 or p0 < 0:
-        raise ValueError("powers must be >= 0")
-    return (
-        math.sqrt(p_mk) * s_mk * g_mk
-        + sec_tx.beta * math.sqrt(p0) * np.conjugate(s_sk) * h_mk
-        + noise
-    )
 
 
 def _circular_gaussian(var: float, rng: np.random.Generator, size=None):

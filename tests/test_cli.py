@@ -39,7 +39,6 @@ def test_analytic_json_structure():
     doc = json.loads(r.stdout)
     assert doc["provenance"]["command"] == "analytic"
     rep = doc["report"]
-    assert rep["variances_source"] == "analytic"
     assert rep["rule"]["levels"] == ["H0", "H1", "H2", "H3"]
     assert rep["paper_literal"]["p_fa"] == pytest.approx(
         rep["metrics"]["paper_sum"]["p_fa"], rel=1e-12
@@ -144,11 +143,76 @@ def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fi
         "trials": 100,
     }))
     calls = []
-    monkeypatch.setattr(montecarlo, "_tally_rules", lambda *a: calls.append(a))
+    monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
     assert cli.main(["figure", fig_id, "--config", str(cfgf)]) == 2
     assert calls == []
     err = capsys.readouterr().err
     assert err.startswith(f"error: figure: {point}: variances must be nondecreasing")
+
+
+def _count_pools(monkeypatch) -> list:
+    """Record every worker pool montecarlo constructs; the pools still work."""
+    import iqsense.montecarlo as montecarlo
+
+    made = []
+    real = montecarlo.ProcessPoolExecutor
+
+    def spy(*args, **kwargs):
+        made.append(kwargs.get("max_workers"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", spy)
+    return made
+
+
+@pytest.mark.parametrize("fig_id", ["4", "5"])
+def test_figure_call_uses_one_pool(tmp_path, monkeypatch, fig_id):
+    """Every curve and grid point of one figure call shares one pool."""
+    import iqsense.cli as cli
+
+    made = _count_pools(monkeypatch)
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "figure": {"irr_grid": [-30.0, -20.0], "snr1_grid": [0.0, 5.0],
+                   "delta_snrs": [0.0, 10.0]},
+        "trials": 300, "chunk_size": 128,
+    }))
+    argv = ["figure", fig_id, "--config", str(cfgf), "--workers", "2",
+            "--out", str(tmp_path / "f.csv")]
+    assert cli.main(argv) == 0
+    assert made == [2]
+
+
+def test_calls_without_parallel_trials_start_no_pool(tmp_path, monkeypatch, capsys):
+    import iqsense.cli as cli
+
+    made = _count_pools(monkeypatch)
+    assert cli.main(["analytic", "--workers", "2"]) == 0
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "scenario": {"snr1_db": 0, "snr2_db": 13},
+        "figure": {"irr_grid": [-15.0]},
+        "trials": 100,
+    }))
+    assert cli.main(["figure", "5", "--config", str(cfgf), "--workers", "2"]) == 2
+    assert made == []
+
+
+def test_figure_bytes_independent_of_workers(tmp_path):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "figure": {"irr_grid": [-30.0, -20.0, -10.0]},
+        "trials": 2000, "chunk_size": 512,
+    }))
+    outs = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"f{workers}.csv"
+        r = run_cli("figure", "5", "--config", str(cfgf), "--workers", workers,
+                    "--out", str(out))
+        assert r.returncode == 0, r.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+    assert outs[0].count(b"\n5,joint,irr_db,") == 3
 
 
 def test_removed_calibration_key_exit_code(tmp_path):

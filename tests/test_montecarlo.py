@@ -356,6 +356,24 @@ def test_sweep_point_independent_of_grid():
     assert alone[0].tally == grid[0].tally
 
 
+def test_sweep_worker_invariance():
+    """All grid points' chunks run in one map; how they spread over the
+    workers never changes a tally.  The 288 chunk tasks are large enough a
+    map for the pool to send them several to an item (4 with 2 workers,
+    3 with 3)."""
+    sc = scenario()
+    modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
+    runs = [
+        sweep(sc, "irr_db", [-30.0, -20.0, -10.0], 1_500, 17, modes=modes,
+              workers=workers, chunk_size=64)
+        for workers in (1, 2, 3)
+    ]
+    assert len(runs[0]) == 6
+    for run in runs[1:]:
+        assert [(p.value, p.mode) for p in run] == [(p.value, p.mode) for p in runs[0]]
+        assert [p.tally for p in run] == [p.tally for p in runs[0]]
+
+
 def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):
     """The joint model's variances are in order at IRR -30 dB and out of
     order at -15 dB (SNR 0/13): the sweep refuses the grid before it
@@ -363,7 +381,7 @@ def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):
     m = irr_to_mismatch(-15.0)
     sc = scenario(snr2_db=13.0, tx_mismatch=m, rx_mismatch=m)
     calls = []
-    monkeypatch.setattr(montecarlo, "_tally_rules", lambda *a: calls.append(a))
+    monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
     with pytest.raises(VarianceOrderError, match="^irr_db=-15: variances must be"):
         sweep(sc, "irr_db", [-30.0, -15.0], 100, 1)
     assert calls == []
