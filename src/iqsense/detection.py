@@ -50,6 +50,7 @@ __all__ = [
     "two_level_rule",
     "classify",
     "classify_batch",
+    "decision_counts",
     "busy_decision",
     "conditional_probabilities",
     "analytic_false_alarm",
@@ -436,6 +437,21 @@ def classify_batch(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
     """Vectorized :func:`classify`; returns integer hypothesis values."""
     idx = np.searchsorted(np.asarray(rule.boundaries), z, side="right")
     return np.asarray([int(lv) for lv in rule.levels], dtype=np.int64)[idx]
+
+
+def decision_counts(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
+    """Per-hypothesis decision counts of a batch of statistics.
+
+    Equals ``np.bincount(classify_batch(z, rule), minlength=4)``, from
+    one ``z >= t`` pass per boundary: a boundary point belongs to the
+    upper region, as in :func:`classify`.
+    """
+    z = np.asarray(z)
+    at_or_above = [z.size, *(int(np.count_nonzero(z >= t)) for t in rule.boundaries), 0]
+    out = np.zeros(4, dtype=np.int64)
+    for r, level in enumerate(rule.levels):
+        out[int(level)] = at_or_above[r] - at_or_above[r + 1]
+    return out
 
 
 def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.ndarray:

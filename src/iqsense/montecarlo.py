@@ -43,6 +43,7 @@ from .detection import (
     analytic_detection,
     analytic_false_alarm,
     classify_batch,
+    decision_counts,
     decision_rule,
     hypothesis_variances,
     two_level_rule,
@@ -54,9 +55,12 @@ from .signal_model import (
     draw_noise,
     draw_rayleigh,
     mismatch_coefficients,
-    receive,
     receive_joint,
 )
+
+# Not called here since the kernel folds it into a symbol table; bound for
+# the trace in bench/job.py.
+from .signal_model import receive  # noqa: F401
 from .stats import Estimate, Z_95, wilson_interval
 
 __all__ = [
@@ -347,36 +351,84 @@ def _received_batch(
 ) -> np.ndarray:
     """(count, n_packets) received samples under one true hypothesis.
 
-    Draw order is fixed (symbols k, symbols -k, channel, noise, then
-    the mirror-side channel and noise for the joint model) and both
-    symbol arrays are always consumed, so a given substream yields the
-    same draws for every hypothesis.
+    Draw order is fixed: symbol indices on k, symbol indices on -k,
+    channel, noise, then the mirror-side channel and noise for the joint
+    model.  Both index arrays are always drawn, so a given substream
+    yields the same draws for every hypothesis.
+
+    The samples equal, bit for bit, those of the sample-level reference
+    in ``tests/sample_oracle.py``, which looks the symbols up one side at
+    a time and applies :func:`~iqsense.signal_model.receive` and
+    :func:`~iqsense.signal_model.receive_joint`.  Here the two indices
+    fold into one, ``ik*m + imk``, into an m x m table of transmitted
+    samples (a silent side contributes a zero row or column).  Channel
+    and noise are applied in place, with the reference's operands in the
+    reference's order, and the joint model combines the two sides with
+    ``receive_joint`` as the reference does.
     """
     pair = sc.pair
     h = Hypothesis(hyp)
     m = pair.psk_order
-    table = np.exp(2j * np.pi * np.arange(m) / m)
     size = (count, n_packets)
-    sk = table[rng.integers(0, m, size)]
-    smk = table[rng.integers(0, m, size)]
-    if not h.own_active:
-        sk = np.zeros(size, dtype=complex)
-    if not h.mirror_active:
-        smk = np.zeros(size, dtype=complex)
-    ch = draw_rayleigh(pair.channel_var, rng, size)
-    w = draw_noise(pair.noise_var, rng, size)
-    y = receive(sk, smk, ch, w, pair, tx_c)
+    idx = rng.integers(0, m, size)
+    idx *= m
+    idx += rng.integers(0, m, size)
+    table = np.exp(2j * np.pi * np.arange(m) / m)
+    silent = np.zeros(m, dtype=complex)
+    s_k = (table if h.own_active else silent)[:, None]
+    s_mk = (table if h.mirror_active else silent)[None, :]
+    sent = h != Hypothesis.H0
+    image_first = count * n_packets * np.dtype(complex).itemsize >= _ELISION_BYTES
+    tab = _transmit_table(s_k, s_mk, pair, tx_c, image_first) if sent else None
+    y = _faded(tab, idx, rng, pair.channel_var, pair.noise_var)
     if rx_c is None:
         return y
-    ch_m = draw_rayleigh(pair.channel_var_mirror, rng, size)
-    w_m = draw_noise(pair.noise_var, rng, size)
-    y_m = receive(smk, sk, ch_m, w_m, pair.mirrored(), tx_c)
+    tab_m = _transmit_table(s_mk, s_k, pair.mirrored(), tx_c, image_first) if sent else None
+    y_m = _faded(tab_m, idx, rng, pair.channel_var_mirror, pair.noise_var)
     return receive_joint(y, y_m, rx_c)
 
 
+# numpy runs ``c * t`` as ``t *= c`` when ``t`` is a temporary of at least
+# 256 KiB, and where its SIMD complex product uses fused multiply-add, the
+# swapped product can differ in the last bit of the imaginary part.  The
+# sample-level model formed the image term of ``transmit`` on (count,
+# n_packets) arrays, so the table takes the operand order that size gave it.
+_ELISION_BYTES = 256 * 1024
+
+
+def _transmit_table(s_k, s_mk, pair, tx_c, image_first: bool) -> np.ndarray:
+    """:func:`~iqsense.signal_model.transmit` over the grid of a column of
+    k-side and a row of mirror-side symbols; ``image_first`` puts the
+    conjugated symbols first in the image term's product."""
+    c = tx_c.beta * math.sqrt(pair.power_mk)
+    conj = np.conjugate(s_mk)
+    image = conj * c if image_first else c * conj
+    return tx_c.alpha * math.sqrt(pair.power_k) * s_k + image
+
+
+def _faded(tab, idx, rng, channel_var, noise_var) -> np.ndarray:
+    """One side's received samples ``tab[idx]*ch + w``, as
+    :func:`~iqsense.signal_model.receive` computes them.  ``tab`` None
+    means nothing is sent (H0): the samples are the noise itself."""
+    ch = draw_rayleigh(channel_var, rng, idx.shape)
+    w = draw_noise(noise_var, rng, idx.shape)
+    if tab is None:
+        return w
+    y = tab.ravel().take(idx)
+    y *= ch
+    y += w
+    return y
+
+
 def _statistic_batch(sc, tx_c, rx_c, hyp, count, rng) -> np.ndarray:
-    r = _received_batch(sc, tx_c, rx_c, hyp, count, sc.n_packets, rng)
-    return np.mean(np.abs(r) ** 2, axis=1)
+    """Average periodogram |r|^2 over each trial's packets.
+
+    ``abs(r)`` squared rounds as the reference's ``abs(r) ** 2`` does;
+    ``re**2 + im**2`` would round differently.
+    """
+    a = np.abs(_received_batch(sc, tx_c, rx_c, hyp, count, sc.n_packets, rng))
+    a *= a
+    return a.mean(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -443,10 +495,7 @@ def _chunk_task(args) -> tuple[int, np.ndarray]:
     tx_c, rx_c = sc.coefficients
     rng = substream(seed, _TRIAL_STREAM, *stream_path, hyp, chunk_idx)
     z = _statistic_batch(sc, tx_c, rx_c, hyp, count, rng)
-    out = np.zeros((len(rules), 4), dtype=np.int64)
-    for r, rule in enumerate(rules):
-        out[r] = np.bincount(classify_batch(z, rule), minlength=4)
-    return hyp, out
+    return hyp, np.array([decision_counts(z, rule) for rule in rules])
 
 
 class _SharedPool:

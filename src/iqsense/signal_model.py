@@ -203,10 +203,23 @@ def receive_joint(y_k, y_mk, rx: MismatchCoefficients):
 
 
 def _circular_gaussian(var: float, rng: np.random.Generator, size=None):
+    """Complex samples whose parts are IID N(0, var/2).
+
+    The draw is bit-equal to ``rng.normal(0, sd, size)`` for the real
+    parts followed by a second such call for the imaginary parts:
+    ``normal`` returns ``0 + sd*standard_normal``, and one call of 2N
+    standard normals yields the same sequence as two calls of N.
+    """
     sd = math.sqrt(var / 2.0)
-    re = rng.normal(0.0, sd, size)
-    im = rng.normal(0.0, sd, size)
-    return re + 1j * im
+    if size is None:
+        re, im = sd * rng.standard_normal(2)
+        return complex(re, im)
+    out = np.empty(size, dtype=complex)
+    g = rng.standard_normal((2, *out.shape))
+    g *= sd
+    out.real = g[0]
+    out.imag = g[1]
+    return out
 
 
 def draw_rayleigh(channel_var: float, rng: np.random.Generator, size=None):

@@ -160,6 +160,37 @@ def test_run_trials_worker_invariance():
     assert serial == parallel
 
 
+# Tallies of the sample-level kernel (symbols looked up per side, receive
+# and receive_joint on full arrays).  Three chunks with a short last one;
+# the full chunks hold 16384 samples, where numpy switches the operand
+# order of some products (see montecarlo._ELISION_BYTES), the last fewer.
+_GOLDEN = {
+    "tx-only": (
+        SensingScenario.from_snr(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),
+        4096, 2 * 4096 + 1001,
+        [[5212, 2148, 1427, 406], [5264, 2110, 1428, 391],
+         [1323, 1484, 2421, 3965], [1270, 1461, 2406, 4056]],
+    ),
+    "joint": (
+        SensingScenario.from_snr(
+            3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
+            n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
+        ),
+        8192, 2 * 8192 + 777,
+        [[10596, 3338, 2300, 927], [9979, 3425, 2616, 1141],
+         [3936, 2753, 3711, 6761], [3803, 2578, 3606, 7174]],
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(_GOLDEN))
+def test_run_trials_golden(model):
+    sc, chunk, per_hypothesis, counts = _GOLDEN[model]
+    for workers in (1, 2):
+        got = run_trials(sc, per_hypothesis, SeedSpec(2024, 3), workers=workers, chunk_size=chunk)
+        assert got.counts.tolist() == counts, f"workers={workers}"
+
+
 def test_run_trials_closure():
     """Empirical conditional rates sit within 5 binomial SE of the
     closed forms (unit check; acceptance tightens this to 3 SE at 1e6)."""
