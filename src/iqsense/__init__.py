@@ -16,8 +16,6 @@ from .detection import (
     VarianceOrderError,
     analytic_detection,
     analytic_false_alarm,
-    busy_decision,
-    classify,
     classify_batch,
     conditional_probabilities,
     decision_rule,
@@ -82,8 +80,6 @@ __all__ = [
     "analytic_detection",
     "analytic_false_alarm",
     "analytic_outage",
-    "busy_decision",
-    "classify",
     "classify_batch",
     "compare_modes",
     "conditional_probabilities",

@@ -48,10 +48,8 @@ __all__ = [
     "pairwise_threshold_paper",
     "decision_rule",
     "two_level_rule",
-    "classify",
     "classify_batch",
     "decision_counts",
-    "busy_decision",
     "conditional_probabilities",
     "analytic_false_alarm",
     "analytic_detection",
@@ -61,7 +59,8 @@ __all__ = [
     "CONVENTIONS",
 ]
 
-DEFAULT_MERGE_TOL = 1e-9
+# Relative gap within which two variances coincide: no crossing, one region.
+MERGE_TOL = 1e-9
 
 # False-alarm / detection bookkeeping conventions:
 #   paper-sum      : plain sum of the off-diagonal (resp. diagonal) busy
@@ -86,12 +85,6 @@ class Hypothesis(IntEnum):
     @property
     def mirror_active(self) -> bool:
         return self in (Hypothesis.H1, Hypothesis.H3)
-
-
-def busy_decision(h: Hypothesis) -> bool:
-    """Binary reduction of a decision: the sensed subcarrier is busy
-    iff the decided state includes its own signal (H2 or H3)."""
-    return Hypothesis(h).own_active
 
 
 @dataclass(frozen=True)
@@ -128,10 +121,6 @@ class DetectorMode:
     @classmethod
     def two_level_cfar(cls, target_pfa: float) -> "DetectorMode":
         return cls("two-cfar", target_pfa)
-
-    @property
-    def is_two_level(self) -> bool:
-        return self.kind != "four"
 
 
 class VarianceOrderError(ValueError):
@@ -253,9 +242,7 @@ def _component_variances(cfg, tx, rx, symbols) -> tuple[float, float, float, flo
     return s0, s1, s2, s3
 
 
-def pairwise_threshold(
-    var_i: float, var_j: float, merge_tol: float = DEFAULT_MERGE_TOL
-) -> float:
+def pairwise_threshold(var_i: float, var_j: float) -> float:
     """Likelihood crossing of two Gamma laws with variances var_i, var_j.
 
     For the n-packet statistic the crossing of Gamma(n, 2*var_i/n) and
@@ -265,24 +252,22 @@ def pairwise_threshold(
 
     independent of n, strictly between the two means 2*var_j < s_ij <
     2*var_i, and symmetric in its arguments.  Equal variances (within
-    ``merge_tol`` relative) have no crossing and raise ValueError.
+    ``MERGE_TOL`` relative) have no crossing and raise ValueError.
     """
     for name, v in (("var_i", var_i), ("var_j", var_j)):
         if not (v > 0 and math.isfinite(v)):
             raise ValueError(f"{name} must be finite and > 0, got {v}")
     d = var_i - var_j
-    if abs(d) <= merge_tol * max(var_i, var_j):
+    if abs(d) <= MERGE_TOL * max(var_i, var_j):
         raise ValueError(
-            f"degenerate pair: variances {var_i} and {var_j} coincide within {merge_tol}"
+            f"degenerate pair: variances {var_i} and {var_j} coincide within {MERGE_TOL}"
         )
     # log1p keeps the near-degenerate regime accurate; the product form
     # of the denominator avoids cancellation between reciprocals.
     return 2.0 * math.log1p(d / var_j) * var_i * var_j / d
 
 
-def pairwise_threshold_paper(
-    var_i: float, var_j: float, n_packets: int, merge_tol: float = DEFAULT_MERGE_TOL
-) -> float:
+def pairwise_threshold_paper(var_i: float, var_j: float, n_packets: int) -> float:
     """Literal published form of the pairwise threshold.
 
     Uses the Gamma(shape=n, scale=n*var) parameterization printed in
@@ -298,7 +283,7 @@ def pairwise_threshold_paper(
     """
     if n_packets < 1:
         raise ValueError(f"n_packets must be >= 1, got {n_packets}")
-    return 0.5 * n_packets**2 * pairwise_threshold(var_i, var_j, merge_tol)
+    return 0.5 * n_packets**2 * pairwise_threshold(var_i, var_j)
 
 
 @dataclass(frozen=True)
@@ -349,9 +334,7 @@ class DecisionRule:
         return self.boundaries[i]
 
 
-def decision_rule(
-    v: HypothesisVariances, n_packets: int, merge_tol: float = DEFAULT_MERGE_TOL
-) -> DecisionRule:
+def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     """Minimum-average-cost rule for the four ordered hypotheses.
 
     With all four variances distinct, the optimal partition needs only
@@ -359,7 +342,7 @@ def decision_rule(
     crossing s_ij (i < j adjacent) dominates the non-adjacent ones
     (s_012 ordering chains), which this routine verifies numerically
     before returning the three-threshold rule.  Hypotheses whose
-    variances coincide within ``merge_tol`` are merged into a single
+    variances coincide within ``MERGE_TOL`` are merged into a single
     region labelled by the lowest index.
     """
     if n_packets < 1:
@@ -369,14 +352,14 @@ def decision_rule(
     for i in range(1, 4):
         prev = groups[-1]
         rep = sum(vs[j] for j in prev) / len(prev)
-        if abs(vs[i] - rep) <= merge_tol * max(vs[i], rep):
+        if abs(vs[i] - rep) <= MERGE_TOL * max(vs[i], rep):
             prev.append(i)
         else:
             groups.append([i])
 
     reps = [sum(vs[j] for j in g) / len(g) for g in groups]
     boundaries = tuple(
-        pairwise_threshold(reps[r + 1], reps[r], merge_tol) for r in range(len(groups) - 1)
+        pairwise_threshold(reps[r + 1], reps[r]) for r in range(len(groups) - 1)
     )
     levels = tuple(Hypothesis(g[0]) for g in groups)
     merged = tuple(tuple(Hypothesis(i) for i in g) for g in groups if len(g) > 1)
@@ -387,7 +370,7 @@ def decision_rule(
         # tile the axis correctly.  Guaranteed analytically for ordered
         # variances; checked cheaply here.
         s = {
-            (i, j): pairwise_threshold(vs[j], vs[i], merge_tol)
+            (i, j): pairwise_threshold(vs[j], vs[i])
             for i in range(4)
             for j in range(i + 1, 4)
         }
@@ -424,17 +407,8 @@ def two_level_rule(
     return DecisionRule(boundaries, levels, (), n_packets)
 
 
-def classify(z: float, rule: DecisionRule) -> Hypothesis:
-    """Decide the occupancy state for one test-statistic value."""
-    z = float(z)
-    if not (z >= 0 and math.isfinite(z)):
-        raise ValueError(f"test statistic must be finite and >= 0, got {z}")
-    i = int(np.searchsorted(rule.boundaries, z, side="right"))
-    return rule.levels[i]
-
-
 def classify_batch(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
-    """Vectorized :func:`classify`; returns integer hypothesis values."""
+    """Decided hypothesis (an int) per statistic; boundary points go up."""
     idx = np.searchsorted(np.asarray(rule.boundaries), z, side="right")
     return np.asarray([int(lv) for lv in rule.levels], dtype=np.int64)[idx]
 
@@ -444,7 +418,7 @@ def decision_counts(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
 
     Equals ``np.bincount(classify_batch(z, rule), minlength=4)``, from
     one ``z >= t`` pass per boundary: a boundary point belongs to the
-    upper region, as in :func:`classify`.
+    upper region, as in :func:`classify_batch`.
     """
     z = np.asarray(z)
     at_or_above = [z.size, *(int(np.count_nonzero(z >= t)) for t in rule.boundaries), 0]

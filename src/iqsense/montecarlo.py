@@ -42,7 +42,6 @@ from .detection import (
     VarianceOrderError,
     analytic_detection,
     analytic_false_alarm,
-    classify_batch,
     decision_counts,
     decision_rule,
     hypothesis_variances,
@@ -54,12 +53,14 @@ from .signal_model import (
     SubcarrierPairConfig,
     draw_noise,
     draw_rayleigh,
+    irr_to_mismatch,
     mismatch_coefficients,
     receive_joint,
 )
 
-# Not called here since the kernel folds it into a symbol table; bound for
-# the trace in bench/job.py.
+# Not called here (the kernel tallies with decision_counts and folds receive
+# into a symbol table); bound for the trace in bench/job.py.
+from .detection import classify_batch  # noqa: F401
 from .signal_model import receive  # noqa: F401
 from .stats import Estimate, Z_95, wilson_interval
 
@@ -239,8 +240,6 @@ class SensingScenario:
     def with_irr(self, irr_db: float):
         """Same scenario with both front ends retuned to ``irr_db``
         (the receiver only when the scenario is joint)."""
-        from .signal_model import irr_to_mismatch
-
         tx = irr_to_mismatch(irr_db)
         rx = irr_to_mismatch(irr_db) if self.is_joint else None
         return replace(self, tx_mismatch=tx, rx_mismatch=rx)
@@ -261,10 +260,6 @@ class TallyMatrix:
             raise ValueError(f"counts must be a nonnegative 4x4 matrix, got shape {c.shape}")
         self.counts = c
 
-    @classmethod
-    def zeros(cls) -> "TallyMatrix":
-        return cls(np.zeros((4, 4), dtype=np.int64))
-
     @property
     def trials_per_hypothesis(self) -> np.ndarray:
         return self.counts.sum(axis=1)
@@ -279,9 +274,6 @@ class TallyMatrix:
         if np.any(n < 1):
             raise ValueError(f"every hypothesis row needs trials, have {n.tolist()}")
         return self.counts / n[:, None]
-
-    def __add__(self, other: "TallyMatrix") -> "TallyMatrix":
-        return TallyMatrix(self.counts + other.counts)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TallyMatrix) and np.array_equal(self.counts, other.counts)
@@ -543,7 +535,7 @@ shared_pool = _SharedPool()
 def _tally_jobs(
     jobs: list[tuple[SensingScenario, list[DecisionRule], tuple[int, ...]]],
     per_hypothesis: int,
-    seed: SeedSpec,
+    seed: "SeedSpec | int",
     workers: int,
     chunk_size: int,
 ) -> list[list[TallyMatrix]]:
@@ -554,6 +546,11 @@ def _tally_jobs(
     pool; chunk counts merge into their job by integer addition, so the
     result does not depend on ``workers``.
     """
+    for name, value in (("per_hypothesis", per_hypothesis), ("chunk_size", chunk_size),
+                        ("workers", workers)):
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    seed = _as_seed(seed)
     layout = _chunk_layout(per_hypothesis, chunk_size)
     tasks = [
         (sc, rules, hyp, idx, count, seed, path)
@@ -587,13 +584,6 @@ def run_trials(
     chunk_size): chunk tallies merge by addition, so any worker count
     reproduces the serial run bit for bit.
     """
-    if per_hypothesis < 1:
-        raise ValueError(f"per_hypothesis must be >= 1, got {per_hypothesis}")
-    if chunk_size < 1:
-        raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    seed = _as_seed(seed)
     if rule is None:
         rule = scenario_rule(sc)
     return _tally_jobs([(sc, [rule], stream_path)], per_hypothesis, seed, workers, chunk_size)[0][0]
@@ -617,11 +607,6 @@ class ModeComparison:
     joint_counts: np.ndarray  # (4, 4) int64
     per_hypothesis: int
 
-    def busy_rate(self, which: str, hyp: int) -> float:
-        both, only_a, only_b, _ = self.joint_counts[hyp]
-        extra = only_a if which == "a" else only_b
-        return (both + extra) / self.per_hypothesis
-
     def _row_gap(self, hyp: int) -> tuple[float, float]:
         """Paired difference P_b(busy|h) - P_a(busy|h) and its SE."""
         n = self.per_hypothesis
@@ -642,10 +627,6 @@ class ModeComparison:
         w = 1.0 if convention == "paper-sum" else 0.5
         return self.busy_gap((0, 1), w)
 
-    def p_d_gap(self, convention: str = "prior-weighted") -> Estimate:
-        w = 1.0 if convention == "paper-sum" else 0.5
-        return self.busy_gap((2, 3), w)
-
 
 def compare_modes(
     sc: SensingScenario,
@@ -657,26 +638,19 @@ def compare_modes(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     stream_path: tuple[int, ...] = (),
 ) -> ModeComparison:
-    """Run both modes over identical simulated trials and record the
-    joint busy decisions per true hypothesis."""
-    if per_hypothesis < 1:
-        raise ValueError(f"per_hypothesis must be >= 1, got {per_hypothesis}")
-    seed = _as_seed(seed)
+    """Joint busy decisions of two modes per true hypothesis, on the
+    trials of one serial trial-engine job.
+
+    Every rule :func:`rule_for_mode` builds has increasing levels, so a
+    mode's busy set is ``z >= t``: one mode's set contains the other's,
+    and both modes flag as many trials as the smaller busy count.
+    """
     v = scenario_variances(sc)
-    rule_a = rule_for_mode(v, sc.n_packets, mode_a)
-    rule_b = rule_for_mode(v, sc.n_packets, mode_b)
-    tx_c, rx_c = sc.coefficients
-    joint = np.zeros((4, 4), dtype=np.int64)
-    for hyp in range(4):
-        for idx, count in _chunk_layout(per_hypothesis, chunk_size):
-            rng = substream(seed, _TRIAL_STREAM, *stream_path, hyp, idx)
-            z = _statistic_batch(sc, tx_c, rx_c, hyp, count, rng)
-            busy_a = classify_batch(z, rule_a) >= 2
-            busy_b = classify_batch(z, rule_b) >= 2
-            joint[hyp, 0] += int(np.count_nonzero(busy_a & busy_b))
-            joint[hyp, 1] += int(np.count_nonzero(busy_a & ~busy_b))
-            joint[hyp, 2] += int(np.count_nonzero(~busy_a & busy_b))
-            joint[hyp, 3] += int(np.count_nonzero(~busy_a & ~busy_b))
+    job = (sc, [rule_for_mode(v, sc.n_packets, m) for m in (mode_a, mode_b)], stream_path)
+    [[tally_a, tally_b]] = _tally_jobs([job], per_hypothesis, seed, 1, chunk_size)
+    a, b = tally_a.busy_counts, tally_b.busy_counts
+    both = np.minimum(a, b)
+    joint = np.stack([both, a - both, b - both, per_hypothesis - a - b + both], axis=1)
     return ModeComparison(mode_a, mode_b, joint, per_hypothesis)
 
 
@@ -768,7 +742,6 @@ def sweep(
     grid = [float(g) for g in grid]
     if not grid:
         raise ValueError("grid must be nonempty")
-    seed = _as_seed(seed)
     modes = list(modes) if modes is not None else [sc.mode]
     if not modes:
         raise ValueError("modes must be nonempty")

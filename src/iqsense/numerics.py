@@ -34,7 +34,7 @@ __all__ = [
 
 # Largest x for which exp(-x) stays comfortably inside double range; the
 # direct Erlang sum is used below this, scipy's gammaincc above it.  Only
-# the branches above it import scipy.special, at their first call.
+# the branch above it imports scipy.special, at its first call.
 _DIRECT_SUM_LIMIT = 700.0
 
 
@@ -46,19 +46,19 @@ def _check_shape(n: int) -> int:
     return int(n)
 
 
-def regularized_upper_gamma(n: int, x):
+def regularized_upper_gamma(n: int, x: float) -> float:
     """Regularized upper incomplete gamma Q(n, x) for integer shape.
 
     Parameters
     ----------
     n : int
         Shape parameter, ``n >= 1``.
-    x : float or ndarray
-        Evaluation point(s), ``x >= 0``.
+    x : float
+        Evaluation point, a scalar ``x >= 0``.
 
     Returns
     -------
-    float or ndarray
+    float
         ``Q(n, x) = Gamma(n, x) / Gamma(n)`` in [0, 1].  Values whose
         true magnitude is below double-precision range underflow to 0.
 
@@ -70,29 +70,7 @@ def regularized_upper_gamma(n: int, x):
     takes over (the sum's ``exp(-x)`` prefactor would underflow first).
     """
     n = _check_shape(n)
-    if np.isscalar(x) or getattr(x, "ndim", 1) == 0:
-        return _upper_gamma_scalar(n, float(x))
-    x = np.asarray(x, dtype=float)
-    if x.size and (np.min(x) < 0 or not np.all(np.isfinite(x))):
-        raise ValueError("x must be finite and >= 0")
-    out = np.empty_like(x)
-    near = x <= _DIRECT_SUM_LIMIT
-    if np.any(near):
-        xs = x[near]
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for m in range(1, n):
-            term *= xs / m
-            acc += term
-        out[near] = np.exp(-xs) * acc
-    if not np.all(near):
-        from scipy import special
-
-        out[~near] = special.gammaincc(n, x[~near])
-    return out
-
-
-def _upper_gamma_scalar(n: int, x: float) -> float:
+    x = float(x)
     if not math.isfinite(x) or x < 0:
         raise ValueError(f"x must be finite and >= 0, got {x}")
     if x == 0.0:
@@ -146,22 +124,20 @@ def gamma_pdf(n: int, scale: float, z):
     return out
 
 
-def gamma_sf(n: int, scale: float, threshold):
-    """Survival function P(Z > threshold) for Z ~ Gamma(n, scale).
+def gamma_sf(n: int, scale: float, threshold: float) -> float:
+    """Survival function P(Z > threshold) for Z ~ Gamma(n, scale), at a
+    scalar threshold.
 
     Thresholds below zero return 1 (the support is nonnegative).
     """
     n = _check_shape(n)
     scale = _check_scale(scale)
-    if np.isscalar(threshold) or getattr(threshold, "ndim", 1) == 0:
-        t = float(threshold)
-        if not math.isfinite(t):
-            raise ValueError(f"threshold must be finite, got {t}")
-        if t < 0.0:
-            return 1.0
-        return _upper_gamma_scalar(n, t / scale)
-    t = np.asarray(threshold, dtype=float)
-    return regularized_upper_gamma(n, np.maximum(t, 0.0) / scale)
+    t = float(threshold)
+    if not math.isfinite(t):
+        raise ValueError(f"threshold must be finite, got {t}")
+    if t < 0.0:
+        return 1.0
+    return regularized_upper_gamma(n, t / scale)
 
 
 def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
@@ -179,10 +155,10 @@ def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
     from scipy import optimize
 
     hi = float(n)
-    while _upper_gamma_scalar(n, hi) > tail_prob:
+    while regularized_upper_gamma(n, hi) > tail_prob:
         hi *= 2.0
     x = optimize.brentq(
-        lambda u: _upper_gamma_scalar(n, u) - tail_prob, 0.0, hi, xtol=1e-300, rtol=8.9e-16
+        lambda u: regularized_upper_gamma(n, u) - tail_prob, 0.0, hi, xtol=1e-300, rtol=8.9e-16
     )
     return x * scale
 

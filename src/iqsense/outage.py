@@ -17,7 +17,7 @@ import numpy as np
 
 from .stats import Estimate, wilson_interval
 
-__all__ = ["OutageScenario", "sinr", "analytic_outage", "outage_paper_literal", "mc_outage"]
+__all__ = ["OutageScenario", "analytic_outage", "outage_paper_literal", "mc_outage"]
 
 
 @dataclass(frozen=True)
@@ -65,15 +65,6 @@ class OutageScenario:
     def interference_mean(self) -> float:
         """Mean of X2 = beta_sq_sec*p0*|h|^2/noise_p (exponential)."""
         return self.beta_sq_sec * self.p0 * self.var_h / self.noise_p
-
-
-def sinr(signal_gain_sq: float, interference_gain_sq: float, sc: OutageScenario) -> float:
-    """Instantaneous primary SINR for given channel power gains."""
-    if signal_gain_sq < 0 or interference_gain_sq < 0:
-        raise ValueError("channel power gains must be >= 0")
-    return (sc.p_mk * signal_gain_sq) / (
-        sc.noise_p + sc.beta_sq_sec * sc.p0 * interference_gain_sq
-    )
 
 
 def analytic_outage(sc: OutageScenario) -> float:

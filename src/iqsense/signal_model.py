@@ -6,7 +6,7 @@ beta*conj(s)``.  On subcarrier k of an OFDMA multiplex the conjugate
 term lands as leakage from the mirror subcarrier -k, so the received
 sample on k mixes the intended signal with an image of whatever the
 mirror carries.  This module provides the mismatch coefficients, the
-subcarrier-pair configuration, symbol/channel/noise draws and the
+subcarrier-pair configuration, channel/noise draws and the
 per-sample transmit/receive maps; everything accepts scalars or numpy
 arrays alike.
 """
@@ -26,7 +26,6 @@ __all__ = [
     "image_rejection_ratio",
     "image_rejection_ratio_db",
     "irr_to_mismatch",
-    "psk_symbol",
     "transmit",
     "receive",
     "receive_joint",
@@ -58,10 +57,6 @@ class IqMismatch:
     @classmethod
     def ideal(cls) -> "IqMismatch":
         return cls(0.0, 0.0)
-
-    @property
-    def is_ideal(self) -> bool:
-        return self.epsilon == 0.0 and self.theta == 0.0
 
 
 @dataclass(frozen=True)
@@ -127,7 +122,7 @@ class SubcarrierPairConfig:
     two subcarriers, ``channel_var`` / ``channel_var_mirror`` the mean
     square magnitudes of their Rayleigh channel gains, ``noise_var``
     the total variance of the circular complex receiver noise and
-    ``psk_order`` the PSK constellation size.
+    ``psk_order`` the PSK constellation size, a power of 2.
     """
 
     power_k: float
@@ -136,7 +131,6 @@ class SubcarrierPairConfig:
     channel_var: float = 1.0
     channel_var_mirror: float = 1.0
     psk_order: int = 16
-    require_pow2_psk: bool = True
 
     def __post_init__(self):
         for name in ("power_k", "power_mk"):
@@ -150,7 +144,7 @@ class SubcarrierPairConfig:
         m = self.psk_order
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:
             raise ValueError(f"psk_order must be an integer >= 2, got {m!r}")
-        if self.require_pow2_psk and m & (m - 1):
+        if m & (m - 1):
             raise ValueError(f"psk_order must be a power of 2, got {m}")
 
     def mirrored(self) -> "SubcarrierPairConfig":
@@ -163,16 +157,6 @@ class SubcarrierPairConfig:
             channel_var=self.channel_var_mirror,
             channel_var_mirror=self.channel_var,
         )
-
-
-def psk_symbol(index: int, order: int) -> complex:
-    """Unit-modulus M-PSK constellation point exp(2j*pi*index/order)."""
-    if not isinstance(order, int) or order < 2:
-        raise ValueError(f"order must be an integer >= 2, got {order!r}")
-    if not isinstance(index, (int, np.integer)) or not (0 <= index < order):
-        raise ValueError(f"index must be in [0, {order}), got {index!r}")
-    phi = 2.0 * math.pi * index / order
-    return complex(math.cos(phi), math.sin(phi))
 
 
 def transmit(s_k, s_mk, cfg: SubcarrierPairConfig, tx: MismatchCoefficients):

@@ -28,8 +28,8 @@ class Estimate:
         return 0.5 * (self.hi - self.lo)
 
 
-def wilson_interval(successes: int, trials: int, z: float = Z_95) -> Estimate:
-    """Wilson score interval for a binomial proportion.
+def wilson_interval(successes: int, trials: int) -> Estimate:
+    """Wilson 95% score interval for a binomial proportion.
 
     Behaves sensibly at the 0/n and n/n boundaries, unlike the plain
     normal interval.
@@ -39,6 +39,7 @@ def wilson_interval(successes: int, trials: int, z: float = Z_95) -> Estimate:
     if not (0 <= successes <= trials):
         raise ValueError(f"successes must be in [0, {trials}], got {successes}")
     p = successes / trials
+    z = Z_95
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))

@@ -13,6 +13,7 @@ from iqsense.config import (
     load_config,
     parse_config,
 )
+from iqsense.signal_model import IqMismatch
 
 
 def test_empty_config_defaults():
@@ -69,7 +70,7 @@ def test_scenario_fields():
 
 def test_scenario_explicit_ideal_tx():
     cfg = parse_config({"scenario": {"tx_irr_db": None}})
-    assert cfg.scenario.tx_mismatch.is_ideal
+    assert cfg.scenario.tx_mismatch == IqMismatch.ideal()
 
 
 def test_scenario_epsilon_theta_form():

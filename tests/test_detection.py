@@ -15,8 +15,6 @@ from iqsense.detection import (
     HypothesisVariances,
     analytic_detection,
     analytic_false_alarm,
-    busy_decision,
-    classify,
     classify_batch,
     conditional_probabilities,
     decision_counts,
@@ -158,14 +156,9 @@ def test_merge_silent_mirror():
 
 def test_classify_semantics():
     r = decision_rule(REF_VARIANCES, 1)
-    assert classify(0.5, r) == Hypothesis.H0
-    assert classify(1.2, r) == Hypothesis.H1
-    assert classify(1.7, r) == Hypothesis.H2
-    assert classify(5.0, r) == Hypothesis.H3
     # A boundary value belongs to the upper region.
-    assert classify(r.s01, r) == Hypothesis.H1
-    out = classify_batch(np.array([0.5, 1.2, 1.7, 5.0, r.s23]), r)
-    assert out.tolist() == [0, 1, 2, 3, 3]
+    out = classify_batch(np.array([0.5, 1.2, 1.7, 5.0, r.s01, r.s23]), r)
+    assert out.tolist() == [0, 1, 2, 3, 1, 3]
 
 
 _COUNT_RULES = {
@@ -199,7 +192,8 @@ def test_decision_counts_equal_classify_bincount(name):
 
 
 def test_busy_decision():
-    assert [busy_decision(h) for h in Hypothesis] == [False, False, True, True]
+    # Busy means the decided state includes the subcarrier's own signal.
+    assert [h.own_active for h in Hypothesis] == [False, False, True, True]
     assert [h.mirror_active for h in Hypothesis] == [False, True, False, True]
 
 
@@ -220,7 +214,7 @@ def test_two_level_cfar_rule():
     r1 = two_level_rule(v, 1, DetectorMode.two_level_cfar(1.0))
     assert r1.boundaries == ()
     assert r1.levels == (Hypothesis.H2,)
-    assert classify(0.0, r1) == Hypothesis.H2
+    assert classify_batch(np.zeros(1), r1).tolist() == [Hypothesis.H2]
 
 
 def test_two_level_rule_rejects_four():
@@ -238,8 +232,6 @@ def test_detector_mode_validation():
     with pytest.raises(ValueError):
         DetectorMode("four", target_pfa=0.1)
     assert DetectorMode.two_level_cfar(1.0).target_pfa == 1.0
-    assert DetectorMode.four_level().is_two_level is False
-    assert DetectorMode.two_level_bayes().is_two_level is True
 
 
 def test_classifier_is_ml_partition():
@@ -324,10 +316,11 @@ def test_conditioned_variances_cross_term():
     """Fixing the symbol pair adds the documented H3 cross term."""
     cfg = SubcarrierPairConfig(power_k=1.0, power_mk=1.0)
     mm = irr_to_mismatch(-10.0)
-    from iqsense.signal_model import mismatch_coefficients, psk_symbol
+    from iqsense.signal_model import mismatch_coefficients
 
     c = mismatch_coefficients(mm)
-    s_k, s_mk = psk_symbol(1, 16), psk_symbol(2, 16)  # positive cross term
+    psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
+    s_k, s_mk = psk16[1], psk16[2]  # positive cross term
     v = hypothesis_variances(cfg, mm, symbols=(s_k, s_mk))
     cross = 2.0 * (c.alpha * np.conjugate(c.beta) * s_k * s_mk).real
     assert cross > 0
@@ -337,4 +330,4 @@ def test_conditioned_variances_cross_term():
     # A destructive pair can push sigma3^2 below sigma2^2; the ordered
     # container refuses to represent that state.
     with pytest.raises(ValueError):
-        hypothesis_variances(cfg, mm, symbols=(psk_symbol(1, 16), psk_symbol(5, 16)))
+        hypothesis_variances(cfg, mm, symbols=(psk16[1], psk16[5]))

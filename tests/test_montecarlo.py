@@ -112,8 +112,8 @@ def test_chunk_layout():
 def test_tally_matrix_algebra():
     a = TallyMatrix(np.arange(16).reshape(4, 4))
     b = TallyMatrix(np.ones((4, 4), dtype=int))
-    s = a + b
-    assert s.counts[0, 0] == 1 and s.counts[3, 3] == 16
+    assert a.trials_per_hypothesis.tolist() == [6, 22, 38, 54]
+    assert a.busy_counts.tolist() == [5, 13, 21, 29]
     assert a == TallyMatrix(np.arange(16).reshape(4, 4))
     assert a != b
     with pytest.raises(ValueError):
@@ -330,11 +330,47 @@ def test_compare_modes_is_paired():
     # Gap therefore equals the one-sided band count and is nonnegative.
     gap = cmp.p_fa_gap("prior-weighted")
     assert gap.value >= 0.0
-    # busy_rate agrees with an independent tally on the same streams.
+    # Mode a's busy counts agree with a tally of the same streams.
     tally = run_trials(sc, 20_000, 3)
-    busy = tally.busy_counts
-    for hyp in range(4):
-        assert cmp.busy_rate("a", hyp) == pytest.approx(busy[hyp] / 20_000)
+    assert np.array_equal(cmp.joint_counts[:, 0] + cmp.joint_counts[:, 1], tally.busy_counts)
+
+
+# Joint counts (both, only_a, only_b, neither) per true hypothesis, computed
+# from per-trial busy masks of both rules on every chunk's statistics.  Three
+# chunks with a short last one.  Four-level vs two-bayes has only_b > 0 and
+# four-level vs two-cfar 0.1 at IRR -5 dB only_a > 0; the joint model puts
+# the CFAR rule first.
+_COMPARE_GOLDEN = {
+    "four-vs-bayes": (
+        scenario(n_packets=4), DetectorMode.four_level(), DetectorMode.two_level_bayes(),
+        4096, 2 * 4096 + 1001, 7,
+        [[1738, 0, 8, 7447], [1793, 0, 10, 7390], [6505, 0, 8, 2680], [6385, 0, 12, 2796]],
+    ),
+    "four-vs-cfar": (
+        scenario(n_packets=2, tx_mismatch=irr_to_mismatch(-5.0)),
+        DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1), 4096, 2 * 4096 + 1001, 8,
+        [[907, 1154, 0, 7132], [1061, 1180, 0, 6952], [3864, 1519, 0, 3810],
+         [3937, 1518, 0, 3738]],
+    ),
+    "joint": (
+        SensingScenario.from_snr(
+            3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
+            n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
+        ),
+        DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 8192, 2 * 8192 + 777, 9,
+        [[1762, 0, 1529, 13870], [2133, 0, 1661, 13367], [8445, 0, 1988, 6728],
+         [8818, 0, 1897, 6446]],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_COMPARE_GOLDEN))
+def test_compare_modes_golden(name):
+    sc, mode_a, mode_b, chunk, per_hypothesis, seed, counts = _COMPARE_GOLDEN[name]
+    cmp = compare_modes(sc, mode_a, mode_b, per_hypothesis, SeedSpec(seed),
+                        chunk_size=chunk, stream_path=(2,))
+    assert cmp.joint_counts.dtype == np.int64
+    assert cmp.joint_counts.tolist() == counts
 
 
 def test_sweep_axes_cover_model_knobs():
@@ -430,3 +466,11 @@ def test_run_trials_argument_validation():
         sweep(sc, "irr_db", [], 10, 1)
     with pytest.raises(ValueError):
         sweep(sc, "irr_db", [-15.0], 10, 1, modes=[])
+    # The trial engine checks its arguments for every caller.
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        sweep(sc, "irr_db", [-15.0], 10, 1, chunk_size=0)
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        sweep(sc, "irr_db", [-15.0], 10, 1, workers=0)
+    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+        compare_modes(sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 10, 1,
+                      chunk_size=0)

@@ -58,13 +58,6 @@ def test_edges():
     )
 
 
-def test_vector_path_matches_scalar():
-    xs = np.array([0.0, 0.5, 3.0, 50.0, 750.0])
-    vec = regularized_upper_gamma(4, xs)
-    for x, v in zip(xs, vec):
-        assert v == regularized_upper_gamma(4, float(x))
-
-
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
 def test_shape_domain(bad):
     with pytest.raises((ValueError, TypeError)):

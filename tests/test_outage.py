@@ -11,7 +11,6 @@ from iqsense.outage import (
     analytic_outage,
     mc_outage,
     outage_paper_literal,
-    sinr,
 )
 
 
@@ -97,12 +96,6 @@ def test_paper_literal_agreement_domain():
     assert outage_paper_literal(other) != pytest.approx(
         analytic_outage(other), rel=1e-3
     )
-
-
-def test_sinr():
-    sc = OutageScenario(p_mk=4.0, p0=2.0, beta_sq_sec=0.25, noise_p=0.5)
-    assert sinr(1.0, 1.0, sc) == pytest.approx(4.0 / (0.5 + 0.5))
-    assert sinr(0.0, 1.0, sc) == 0.0
 
 
 def test_mc_closes_with_analytic():

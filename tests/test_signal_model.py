@@ -16,11 +16,12 @@ from iqsense.signal_model import (
     image_rejection_ratio_db,
     irr_to_mismatch,
     mismatch_coefficients,
-    psk_symbol,
     receive,
     receive_joint,
     transmit,
 )
+
+PSK16 = np.exp(2j * np.pi * np.arange(16) / 16)
 
 
 def test_coefficients_frozen():
@@ -39,7 +40,7 @@ def test_ideal_front_end():
     assert c.beta == 0.0 + 0.0j
     assert image_rejection_ratio(c) == 0.0
     assert image_rejection_ratio_db(c) == -math.inf
-    assert IqMismatch.ideal().is_ideal
+    assert IqMismatch.ideal() == IqMismatch(0.0, 0.0)
 
 
 @given(
@@ -72,8 +73,8 @@ def test_irr_epsilon_frozen():
 
 
 def test_irr_to_mismatch_domain():
-    assert irr_to_mismatch(None).is_ideal
-    assert irr_to_mismatch(-math.inf).is_ideal
+    assert irr_to_mismatch(None) == IqMismatch.ideal()
+    assert irr_to_mismatch(-math.inf) == IqMismatch.ideal()
     with pytest.raises(ValueError):
         irr_to_mismatch(0.0)
     with pytest.raises(ValueError):
@@ -89,16 +90,6 @@ def test_mismatch_domain():
         IqMismatch(math.nan, 0.0)
 
 
-def test_psk_symbols():
-    s = psk_symbol(1, 16)
-    assert s.real == pytest.approx(0.923879532511286756, rel=1e-15)
-    assert s.imag == pytest.approx(0.382683432365089772, rel=1e-15)
-    assert psk_symbol(0, 4) == 1.0 + 0.0j
-    assert abs(psk_symbol(7, 8)) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        psk_symbol(4, 4)
-
-
 def test_pair_config_validation():
     with pytest.raises(ValueError):
         SubcarrierPairConfig(power_k=-1.0, power_mk=1.0)
@@ -106,16 +97,12 @@ def test_pair_config_validation():
         SubcarrierPairConfig(power_k=1.0, power_mk=1.0, noise_var=0.0)
     with pytest.raises(ValueError):
         SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=12)
-    # Non-power-of-two orders allowed when explicitly unlocked.
-    cfg = SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=12,
-                               require_pow2_psk=False)
-    assert cfg.psk_order == 12
 
 
 def test_transmit_leakage_structure():
     cfg = SubcarrierPairConfig(power_k=4.0, power_mk=1.0)
     tx = mismatch_coefficients(IqMismatch(0.1, 0.05))
-    s_k, s_mk = psk_symbol(3, 16), psk_symbol(9, 16)
+    s_k, s_mk = PSK16[3], PSK16[9]
     x = transmit(s_k, s_mk, cfg, tx)
     assert x == pytest.approx(
         tx.alpha * 2.0 * s_k + tx.beta * 1.0 * np.conjugate(s_mk)
@@ -132,7 +119,7 @@ def test_receive_and_joint_shapes():
     rng = np.random.default_rng(0)
     h = draw_rayleigh(1.0, rng, size=8)
     w = draw_noise(1.0, rng, size=8)
-    s = np.full(8, psk_symbol(2, 16))
+    s = np.full(8, PSK16[2])
     y = receive(s, s, h, w, cfg, tx)
     assert y.shape == (8,)
     z = receive_joint(y, np.conjugate(y), rx)
