@@ -1,5 +1,7 @@
 """Whole-frame sensing over an occupancy map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -160,6 +162,31 @@ def test_frame_decisions_golden(model):
     assert " ".join(t.name for t in res.truths) == (
         "H1 H0 H3 H2 H0 H2 H1 H1 H2 H2 H1 H0 H1 H3 H0 H2"
     )
+
+
+# sha256 of a seeded 2048-subcarrier frame: truths and decisions as int8,
+# the int64 confusion matrix, then the three hazard counters as int64.
+_GOLDEN_FRAME_SHA256 = {
+    "tx-only-n1": "6625324c56ad48071609290be100772142b5323506fb8f79996bdd42b5df8ad9",
+    "joint-n4": "286ae924bb2e48da11ea32d66500c7818abe68d5f0bab210d6d6ee81a9b384c8",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GOLDEN_FRAME_SHA256))
+def test_frame_bytes_golden(case):
+    rx = irr_to_mismatch(-20.0) if case.startswith("joint") else None
+    n_packets = 4 if case.startswith("joint") else 1
+    res = simulate_frame(
+        _MAPS["random-2048"], frame_scenario(rx_mismatch=rx, n_packets=n_packets), 2026
+    )
+    assert res.confusion.dtype == np.int64
+    counters = [res.vacant_mirror_flags, res.unflagged_mirror_risk, res.missed_own]
+    h = hashlib.sha256()
+    h.update(np.array(res.truths, dtype=np.int8).tobytes())
+    h.update(np.array(res.decisions, dtype=np.int8).tobytes())
+    h.update(res.confusion.tobytes())
+    h.update(np.array(counters, dtype=np.int64).tobytes())
+    assert h.hexdigest() == _GOLDEN_FRAME_SHA256[case]
 
 
 def test_quiet_frame_stays_idle():
