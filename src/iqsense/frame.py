@@ -20,7 +20,8 @@ mirror-active" warning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,6 +30,15 @@ from .montecarlo import FRAME_STREAM, SeedSpec, SensingScenario, scenario_rule, 
 from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint
 
 __all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
+
+# Hypothesis members by value, for turning an int array into members.
+_HYPOTHESES = np.array(list(Hypothesis), dtype=object)
+
+
+@lru_cache
+def _frame_indices(n_subcarriers: int) -> tuple[int, ...]:
+    half = n_subcarriers // 2
+    return tuple(range(-half, 0)) + tuple(range(1, half + 1))
 
 
 @dataclass(frozen=True)
@@ -60,8 +70,7 @@ class OccupancyMap:
 
     @property
     def indices(self) -> tuple[int, ...]:
-        half = self.n_subcarriers // 2
-        return tuple(range(-half, 0)) + tuple(range(1, half + 1))
+        return _frame_indices(self.n_subcarriers)
 
     def truth(self, k: int) -> Hypothesis:
         own = k in self.active
@@ -69,7 +78,7 @@ class OccupancyMap:
         return Hypothesis(2 * own + mirror)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameResult:
     """Per-subcarrier decisions and aggregate hazard accounting."""
 
@@ -81,6 +90,17 @@ class FrameResult:
     unflagged_mirror_risk: int  # decided H0 while truth is H1
     missed_own: int  # decided idle while the subcarrier itself is active
     rule: DecisionRule
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, FrameResult)
+            and np.array_equal(self.confusion, other.confusion)
+            and all(
+                getattr(self, f.name) == getattr(other, f.name)
+                for f in fields(self)
+                if f.name != "confusion"
+            )
+        )
 
 
 def simulate_frame(
@@ -104,6 +124,11 @@ def simulate_frame(
         )
     if rule is None:
         rule = scenario_rule(sc)
+    elif rule.n_packets != sc.n_packets:
+        raise ValueError(
+            f"rule was built for n_packets={rule.n_packets}, "
+            f"but the scenario has n_packets={sc.n_packets}"
+        )
     tx_c, rx_c = sc.coefficients
 
     # Subcarrier k > 0 sits in row k-1 of the "pos" side, -k in row k-1 of
@@ -141,17 +166,16 @@ def simulate_frame(
 
     # Frame order -half..-1, 1..half: the neg side reversed, then pos.
     truth = np.concatenate([(2 * own_neg + own_pos)[::-1], 2 * own_pos + own_neg])
-    decided = np.concatenate([classify_batch(z_neg, rule)[::-1], classify_batch(z_pos, rule)])
-    members = tuple(Hypothesis)
+    decided = classify_batch(np.concatenate([z_neg[::-1], z_pos]), rule)
+    confusion = np.bincount(4 * truth + decided, minlength=16).reshape(4, 4)
     return FrameResult(
         subcarriers=occupancy.indices,
-        truths=tuple(map(members.__getitem__, truth.tolist())),
-        decisions=tuple(map(members.__getitem__, decided.tolist())),
-        confusion=np.bincount(4 * truth + decided, minlength=16).reshape(4, 4),
-        vacant_mirror_flags=int(np.count_nonzero(decided == Hypothesis.H1)),
-        unflagged_mirror_risk=int(
-            np.count_nonzero((decided == Hypothesis.H0) & (truth == Hypothesis.H1))
-        ),
-        missed_own=int(np.count_nonzero((decided < Hypothesis.H2) & (truth >= Hypothesis.H2))),
+        truths=tuple(_HYPOTHESES[truth].tolist()),
+        decisions=tuple(_HYPOTHESES[decided].tolist()),
+        confusion=confusion,
+        # The counters are cells of the [truth, decided] confusion.
+        vacant_mirror_flags=int(confusion[:, Hypothesis.H1].sum()),
+        unflagged_mirror_risk=int(confusion[Hypothesis.H1, Hypothesis.H0]),
+        missed_own=int(confusion[Hypothesis.H2:, :Hypothesis.H2].sum()),
         rule=rule,
     )

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -465,7 +466,11 @@ def rule_for_mode(v: HypothesisVariances, n_packets: int, mode: DetectorMode) ->
     return two_level_rule(v, n_packets, mode)
 
 
+@lru_cache
 def scenario_rule(sc: SensingScenario) -> DecisionRule:
+    """The scenario's decision rule, built once per distinct scenario
+    (scenarios are frozen and hashable, and the rule depends on nothing
+    else)."""
     return rule_for_mode(scenario_variances(sc), sc.n_packets, sc.mode)
 
 
@@ -586,6 +591,11 @@ def run_trials(
     """
     if rule is None:
         rule = scenario_rule(sc)
+    elif rule.n_packets != sc.n_packets:
+        raise ValueError(
+            f"rule was built for n_packets={rule.n_packets}, "
+            f"but the scenario has n_packets={sc.n_packets}"
+        )
     return _tally_jobs([(sc, [rule], stream_path)], per_hypothesis, seed, workers, chunk_size)[0][0]
 
 

@@ -5,9 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
-from iqsense.detection import Hypothesis
+import iqsense.montecarlo as montecarlo
+from iqsense.detection import DetectorMode, Hypothesis
 from iqsense.frame import OccupancyMap, simulate_frame
-from iqsense.montecarlo import SensingScenario, scenario_rule
+from iqsense.montecarlo import SensingScenario, rule_for_mode, scenario_rule, scenario_variances
 from iqsense.signal_model import irr_to_mismatch
 
 
@@ -68,6 +69,46 @@ def test_frame_determinism():
     c = simulate_frame(occ, sc, 100)
     assert a.decisions == b.decisions
     assert a.decisions != c.decisions
+    assert a == b
+    assert a != c
+
+
+def test_frame_rejects_rule_for_other_packet_count():
+    occ = OccupancyMap(8, {1})
+    rule = scenario_rule(frame_scenario(n_packets=4))
+    with pytest.raises(
+        ValueError, match="^rule was built for n_packets=4, but the scenario has n_packets=8$"
+    ):
+        simulate_frame(occ, frame_scenario(n_packets=8), 1, rule=rule)
+
+
+def test_frame_builds_rule_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counting_rule(*args):
+        calls.append(args)
+        return real_rule(*args)
+
+    real_rule = montecarlo.decision_rule
+    monkeypatch.setattr(montecarlo, "decision_rule", counting_rule)
+    scenario_rule.cache_clear()
+    occ = OccupancyMap(16, {1, -2, 3})
+    sc = frame_scenario()
+    rules = {simulate_frame(occ, sc, seed).rule for seed in range(50)}
+    assert len(calls) == 1
+    assert rules == {real_rule(scenario_variances(sc), sc.n_packets)}
+    # Scenarios that differ in one field each get their own rule.
+    variants = [
+        sc,
+        sc.with_irr(-20.0),
+        sc.with_mode(DetectorMode.two_level_bayes()),
+        sc.with_mode(DetectorMode.two_level_cfar(0.1)),
+        frame_scenario(n_packets=4),
+    ]
+    got = [simulate_frame(occ, v, 1).rule for v in variants]
+    want = [rule_for_mode(scenario_variances(v), v.n_packets, v.mode) for v in variants]
+    assert got == want
+    assert len(set(got)) == len(variants)
 
 
 def test_frame_requires_uniform_power():

@@ -474,3 +474,10 @@ def test_run_trials_argument_validation():
     with pytest.raises(ValueError, match="chunk_size must be >= 1"):
         compare_modes(sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 10, 1,
                       chunk_size=0)
+    # A rule must be built for the scenario's packet count.
+    for mode in (DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1)):
+        rule = scenario_rule(scenario(n_packets=4, mode=mode))
+        with pytest.raises(
+            ValueError, match="^rule was built for n_packets=4, but the scenario has n_packets=8$"
+        ):
+            run_trials(scenario(n_packets=8, mode=mode), 10, 1, rule=rule)
