@@ -152,6 +152,8 @@ def _resolve_config(args) -> ExperimentConfig:
         if args.mode == "two-cfar":
             if args.cfar_pfa is None:
                 raise ConfigError("--mode two-cfar requires --cfar-pfa")
+            if not 0.0 < args.cfar_pfa <= 1.0:  # also NaN
+                raise ConfigError(f"--cfar-pfa: must be in (0, 1], got {args.cfar_pfa}")
             mode = DetectorMode.two_level_cfar(args.cfar_pfa)
         else:
             if args.cfar_pfa is not None:
@@ -164,7 +166,24 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, out=args.out)
     if args.fmt is not None:
         cfg = replace(cfg, fmt=args.fmt)
+    if cfg.out is not None:
+        _check_writable(cfg.out, "--out" if args.out is not None else "out")
     return cfg
+
+
+def _check_writable(path: str, key: str):
+    """Refuse, before any trial runs, an output path that ``_emit`` could
+    not write: a directory, a file in a missing directory, or one that
+    this process may not write."""
+    if os.path.isdir(path):
+        raise ConfigError(f"{key}: {path} is a directory")
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        raise ConfigError(f"{key}: {path}: directory {parent} does not exist")
+    # a regular file is replaced through a temporary file in its directory
+    special = os.path.exists(path) and not os.path.isfile(path)
+    if not os.access(path if special else parent, os.W_OK):
+        raise ConfigError(f"{key}: {path}: permission denied")
 
 
 # --------------------------------------------------------------------------

@@ -434,7 +434,9 @@ def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.
     for i, var in enumerate(v.as_tuple()):
         sc = scale_of(var, rule.n_packets)
         tails = [gamma_sf(rule.n_packets, sc, b) for b in rule.boundaries]
-        edges = [1.0, *tails, 0.0]
+        # The tail falls with the threshold; its rounding need not, and a
+        # rise of one ulp would leave a cell at -1e-16.
+        edges = np.minimum.accumulate([1.0, *tails, 0.0])
         for r, level in enumerate(rule.levels):
             out[i, int(level)] += edges[r] - edges[r + 1]
     return out

@@ -8,15 +8,8 @@ tail is evaluated through the finite Erlang sum
     Q(n, x) = exp(-x) * sum_{m=0}^{n-1} x^m / m!
 
 which is exact for integer shape and free of the cancellation that
-plagues ``1 - P(n, x)`` in the far right tail.
-
-scipy is imported only on first use: ``scipy.special`` by the x > 700
-tail and ``scipy.optimize`` by :func:`inverse_gamma_sf` (the two-cfar
-threshold).  Importing scipy costs more than importing numpy and the rest
-of iqsense together, which every four-level run and every frame scan
-would otherwise pay at start-up for code it never calls; a two-cfar
-``sense``, ``sweep`` or ``figure`` pays it once, when it builds its
-first rule.
+plagues ``1 - P(n, x)`` in the far right tail.  The sum is the Poisson
+CDF ``P(Poisson(x) <= n - 1)``.  The module needs numpy only.
 """
 
 from __future__ import annotations
@@ -33,8 +26,8 @@ __all__ = [
 ]
 
 # Largest x for which exp(-x) stays comfortably inside double range; the
-# direct Erlang sum is used below this, scipy's gammaincc above it.  Only
-# the branch above it imports scipy.special, at its first call.
+# direct Erlang sum is used up to here, the sum scaled by its largest term
+# beyond.
 _DIRECT_SUM_LIMIT = 700.0
 
 
@@ -66,8 +59,11 @@ def regularized_upper_gamma(n: int, x: float) -> float:
     -----
     For ``x <= 700`` the finite Erlang sum is accumulated with a
     multiplicative term recurrence and compensated summation, accurate
-    to a few ULP.  Beyond that the scipy continued-fraction evaluation
-    takes over (the sum's ``exp(-x)`` prefactor would underflow first).
+    to a few ULP.  Beyond that ``exp(-x)`` alone would underflow, so the
+    terms are taken relative to the largest one, ``m0 = min(n - 1,
+    floor(x))``, and the prefactor ``x^m0 e^-x / m0!`` is one ``exp`` of
+    its logarithm, within about 1e-12 relative.  A sum that rounds
+    above 1 is returned as 1.
     """
     n = _check_shape(n)
     x = float(x)
@@ -76,9 +72,7 @@ def regularized_upper_gamma(n: int, x: float) -> float:
     if x == 0.0:
         return 1.0
     if x > _DIRECT_SUM_LIMIT:
-        from scipy import special
-
-        return float(special.gammaincc(n, x))
+        return min(_scaled_erlang_sum(n, x), 1.0)
     terms = [1.0]
     term = 1.0
     for m in range(1, n):
@@ -89,7 +83,42 @@ def regularized_upper_gamma(n: int, x: float) -> float:
         # invisible in the result.
         if m > x and term < terms[0] * 1e-20 and term < terms[-2]:
             break
-    return math.exp(-x) * math.fsum(terms)
+    return min(math.exp(-x) * math.fsum(terms), 1.0)
+
+
+def _scaled_erlang_sum(n: int, x: float) -> float:
+    """The Erlang sum for ``x > 0``, with each term taken relative to the
+    largest, ``x^m0 / m0!``: down from ``m0`` and up to ``n - 1``.  Both
+    runs fall off at least geometrically, so each stops at the first term
+    below 1e-20, where the rest no longer shows next to the sum (>= 1)."""
+    m0 = min(n - 1, math.floor(x))
+    terms = [1.0]
+    term = 1.0
+    for m in range(m0, 0, -1):
+        term *= m / x
+        if term < 1e-20:
+            break
+        terms.append(term)
+    term = 1.0
+    for m in range(m0 + 1, n):
+        term *= x / m
+        if term < 1e-20:
+            break
+        terms.append(term)
+    return math.exp(_log_poisson_mass(m0, x)) * math.fsum(terms)
+
+
+def _log_poisson_mass(m: int, x: float) -> float:
+    """``log(x^m e^-x / m!)``.  For ``m >= 16`` it is written around
+    Stirling's formula, ``-(m log(m/x) + x - m) - log(2 pi m)/2 - d(m)``,
+    so that no two terms of size ``m log x`` cancel; ``d(m) = log m! -
+    log(Stirling's m!)`` is its asymptotic series, exact to double
+    precision from ``m = 16`` on."""
+    if m < 16:
+        return m * math.log(x) - math.lgamma(m + 1) - x
+    u = 1.0 / (m * m)
+    d = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / m
+    return -m * math.log1p((m - x) / x) - (x - m) - 0.5 * math.log(2 * math.pi * m) - d
 
 
 def gamma_pdf(n: int, scale: float, z):
@@ -144,7 +173,10 @@ def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
     """Threshold t with P(Z > t) = tail_prob for Z ~ Gamma(n, scale).
 
     ``tail_prob`` must lie in (0, 1]; the boundary value 1 maps to the
-    threshold 0 (everything exceeds it).
+    threshold 0 (everything exceeds it).  Otherwise ``t = x * scale``,
+    where ``x`` is the smallest double with ``Q(n, x) <= tail_prob``:
+    bisection inside a doubling bracket runs until the bracket's ends
+    are adjacent doubles.
     """
     n = _check_shape(n)
     scale = _check_scale(scale)
@@ -152,15 +184,15 @@ def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
         raise ValueError(f"tail_prob must be in (0, 1], got {tail_prob}")
     if tail_prob == 1.0:
         return 0.0
-    from scipy import optimize
-
-    hi = float(n)
+    lo, hi = 0.0, float(n)  # Q(n, lo) > tail_prob >= Q(n, hi) once bracketed
     while regularized_upper_gamma(n, hi) > tail_prob:
-        hi *= 2.0
-    x = optimize.brentq(
-        lambda u: regularized_upper_gamma(n, u) - tail_prob, 0.0, hi, xtol=1e-300, rtol=8.9e-16
-    )
-    return x * scale
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if regularized_upper_gamma(n, mid) > tail_prob:
+            lo = mid
+        else:
+            hi = mid
+    return hi * scale
 
 
 def _check_scale(scale: float) -> float:

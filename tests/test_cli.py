@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour through the real entry point."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -75,6 +76,21 @@ def test_sense_verify_passes():
                 "--out", "/dev/null")
     assert r.returncode == 0
     assert "verify OK" in r.stdout
+
+
+def test_sense_verify_near_certain_cells_warn_nothing(tmp_path):
+    """Where two tails near 1 round an ulp out of order, the cell between
+    them is 0, not -1e-16, and its standard error warns of no square root
+    of a negative number."""
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scenario": {
+        "n_packets": 32, "tx_irr_db": -5.0, "snr1_db": 20.0, "snr2_db": 10.0,
+    }}))
+    r = run_cli("sense", "--config", str(cfgf), "--trials", "2000", "--verify",
+                "--out", os.devnull)
+    assert r.returncode == 0, r.stdout
+    assert "verify OK" in r.stdout
+    assert r.stderr == ""
 
 
 def test_sense_json(tmp_path):
@@ -213,6 +229,43 @@ def test_figure_bytes_independent_of_workers(tmp_path):
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
     assert outs[0].count(b"\n5,joint,irr_db,") == 3
+
+
+@pytest.mark.parametrize("pfa", ["0", "1.5", "nan"])
+def test_cfar_pfa_out_of_range_exit_code(pfa):
+    r = run_cli("analytic", "--mode", "two-cfar", "--cfar-pfa", pfa)
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: --cfar-pfa: must be in (0, 1]")
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("target, reason", [
+    ("", "is a directory"),
+    ("missing/s.csv", "does not exist"),
+    ("s.csv", "permission denied"),
+])
+def test_unwritable_out_exits_before_any_trial(tmp_path, monkeypatch, capsys, where,
+                                               target, reason):
+    import iqsense.cli as cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials called")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    if reason == "permission denied":  # root writes anywhere; deny it here
+        monkeypatch.setattr(cli.os, "access", lambda path, mode: False)
+    out = str(tmp_path / target)
+    if where == "flag":
+        argv, key = ["sense", "--out", out], "--out"
+    else:
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({"out": out}))
+        argv, key = ["sense", "--config", str(cfgf)], "out"
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key}: {out}")
+    assert reason in err
 
 
 def test_removed_calibration_key_exit_code(tmp_path):
@@ -369,61 +422,42 @@ print(json.dumps({
 """
 
 
-def _probe(runs):
-    """Run ``runs`` (name, argv) through ``cli.main`` in a fresh interpreter;
-    return the exit codes, the scipy modules loaded after each step, whether
-    ``import iqsense`` loaded numpy.random and the boundaries of every rule
-    handed to ``run_trials``."""
-    r = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, json.dumps(runs)],
-        capture_output=True, text=True, timeout=300,
-    )
-    assert r.returncode == 0, r.stderr
-    return json.loads(r.stdout.splitlines()[-1])
-
-
-def test_four_level_and_frame_runs_never_import_scipy(tmp_path):
-    """scipy is needed only by the two-cfar threshold and the far Gamma
-    tail; importing iqsense and running the four-level detector or a frame
-    must not pay its start-up cost.  numpy.random, which every trial needs
-    and numpy loads lazily, must be loaded at import, not in the first
-    trial.  A fresh interpreter is needed because other tests load scipy
-    into this one."""
-    cfgf = tmp_path / "c.json"
-    cfgf.write_text(json.dumps({
-        "frame": {"n_subcarriers": 16, "active": [1, 2, -3], "snr_db": 10.0},
-    }))
-    doc = _probe([
-        ["sense", ["sense", "--trials", "200", "--workers", "1",
-                   "--out", str(tmp_path / "s.csv")]],
-        ["frame", ["frame", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]],
-    ])
-    assert doc["rc"] == {"sense": 0, "frame": 0}
-    assert doc["scipy"] == {
-        "import iqsense": [], "import iqsense.cli": [], "sense": [], "frame": [],
-    }
-    assert doc["random_at_import"]
-
-
-def test_cfar_run_imports_scipy_on_first_use(tmp_path):
-    """Positive control for the test above: the two-cfar threshold loads
-    scipy when it is first needed, and the threshold it yields is the one
-    computed in this process."""
+def test_runs_never_import_scipy(tmp_path):
+    """iqsense needs numpy only: importing it and running the four-level
+    detector, the two-cfar detector or a frame loads no scipy module.
+    numpy.random, which every trial needs and numpy loads lazily, must be
+    loaded at import, not in the first trial.  The two-cfar threshold is
+    the one computed in this process.  A fresh interpreter is needed
+    because the tests load scipy into this one as an oracle."""
     from iqsense.config import parse_config
     from iqsense.detection import scale_of
     from iqsense.montecarlo import scenario_variances
     from iqsense.numerics import inverse_gamma_sf
 
-    doc = _probe([
-        ["cfar", ["sense", "--mode", "two-cfar", "--cfar-pfa", "0.1", "--trials", "200",
-                  "--workers", "1", "--out", str(tmp_path / "s.csv")]],
-    ])
-    assert doc["rc"] == {"cfar": 0}
-    assert doc["scipy"]["import iqsense.cli"] == []
-    assert "scipy.optimize" in doc["scipy"]["cfar"]
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "frame": {"n_subcarriers": 16, "active": [1, 2, -3], "snr_db": 10.0},
+    }))
+    r = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, json.dumps([
+            ["sense", ["sense", "--trials", "200", "--workers", "1",
+                       "--out", str(tmp_path / "s.csv")]],
+            ["cfar", ["sense", "--mode", "two-cfar", "--cfar-pfa", "0.1", "--trials", "200",
+                      "--workers", "1", "--out", str(tmp_path / "c.csv")]],
+            ["frame", ["frame", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]],
+        ])],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    doc = json.loads(r.stdout.splitlines()[-1])
+    assert doc["rc"] == {"sense": 0, "cfar": 0, "frame": 0}
+    assert doc["scipy"] == {
+        "import iqsense": [], "import iqsense.cli": [], "sense": [], "cfar": [], "frame": [],
+    }
+    assert doc["random_at_import"]
     sc = parse_config({}).scenario
     t = inverse_gamma_sf(sc.n_packets, scale_of(scenario_variances(sc).sigma0_sq, sc.n_packets), 0.1)
-    assert doc["boundaries"] == [[t.hex()]]
+    assert doc["boundaries"][1] == [t.hex()]
 
 
 def test_figure_smoke(tmp_path):

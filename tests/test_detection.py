@@ -269,6 +269,22 @@ def test_conditional_probabilities_rows():
             assert m[i, j] == pytest.approx(edges[j] - edges[j + 1], abs=1e-15)
 
 
+def test_conditional_probabilities_stay_in_unit_interval():
+    """At 32 packets and 20/10 dB SNR, the H3 tails at the two lower
+    thresholds both round to about 1, the lower one an ulp below 1; no
+    cell may come out negative."""
+    from iqsense.config import parse_config
+    from iqsense.montecarlo import rule_for_mode, scenario_variances
+
+    sc = parse_config({"scenario": {
+        "n_packets": 32, "tx_irr_db": -5.0, "snr1_db": 20.0, "snr2_db": 10.0,
+    }}).scenario
+    v = scenario_variances(sc)
+    m = conditional_probabilities(v, rule_for_mode(v, sc.n_packets, sc.mode))
+    assert np.all(m >= 0.0) and np.all(m <= 1.0)
+    assert m.sum(axis=1) == pytest.approx(np.ones(4), rel=1e-12)
+
+
 def test_metric_conventions():
     v = REF_VARIANCES
     r = decision_rule(v, 1)

@@ -52,10 +52,45 @@ def test_edges():
     assert regularized_upper_gamma(1, 800.0) == pytest.approx(
         oracle_q(1, 800.0), rel=1e-10
     )
-    # Far tail routed through the scipy fallback branch.
+    # Far tail, past the direct sum's exp(-x).
     assert regularized_upper_gamma(3, 1200.0) == pytest.approx(
         oracle_q(3, 1200.0), rel=1e-10
     )
+
+
+@pytest.mark.parametrize("n", [1, 3, 50, 700, 1000, 5000])
+def test_far_tail_matches_oracle(n):
+    """Beyond x = 700 the Erlang sum is scaled by its largest term."""
+    xs = [700.5, 701.0, 1e3, 2.5e3, 5e3, 1e4, *np.random.default_rng(n).uniform(700, 1e4, 12)]
+    if n > 700:
+        xs += [n - 1.0, n - 0.5, float(n), n + 0.5]  # the largest term moves to n - 1
+    for x in xs:
+        want = oracle_q(n, x)
+        assert regularized_upper_gamma(n, x) == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+def test_far_tail_seam_is_continuous():
+    """The two evaluations of Q agree where they meet, at x = 700."""
+    x_up = math.nextafter(700.0, math.inf)
+    worst = 0.0
+    for n in range(1, 1001):
+        q = regularized_upper_gamma(n, 700.0)
+        worst = max(worst, abs(regularized_upper_gamma(n, x_up) - q) / q)
+    assert worst <= 1e-12
+
+
+@given(
+    n=st.integers(min_value=1, max_value=64),
+    x=st.floats(min_value=0.0, max_value=1e4),
+)
+@settings(max_examples=300, deadline=None)
+def test_probability_stays_in_unit_interval(n, x):
+    assert 0.0 <= regularized_upper_gamma(n, x) <= 1.0
+
+
+def test_sums_that_round_above_one_are_one():
+    assert regularized_upper_gamma(3, 2.2520465783756794e-06) == 1.0
+    assert regularized_upper_gamma(1000, 700.0) == 1.0
 
 
 @pytest.mark.parametrize("bad", [0, -1, 1.5, True])
@@ -146,7 +181,20 @@ def test_inverse_edge_cases():
     assert inverse_gamma_sf(1, 1.0, 1.0) == 0.0
     # p = 0.25 with n=1, scale=1: t = ln 4
     assert inverse_gamma_sf(1, 1.0, 0.25) == pytest.approx(math.log(4.0), rel=1e-12)
+    assert inverse_gamma_sf(1, 1.0, 0.1) == math.log(10.0)
     with pytest.raises(ValueError):
         inverse_gamma_sf(1, 1.0, 0.0)
     with pytest.raises(ValueError):
         inverse_gamma_sf(1, 1.0, 1.0001)
+
+
+def test_inverse_is_the_crossing_to_the_last_double():
+    """The threshold is the smallest double x with Q(n, x) <= p."""
+    rng = np.random.default_rng(5)
+    for n in range(1, 33):
+        for p in rng.uniform(0.0, 1.0, 8):
+            p = float(p)
+            x = inverse_gamma_sf(n, 1.0, p)
+            assert regularized_upper_gamma(n, x) <= p < regularized_upper_gamma(
+                n, math.nextafter(x, 0.0)
+            )
