@@ -43,7 +43,7 @@ from .montecarlo import (
     substream,
     sweep,
 )
-from .numerics import gamma_pdf, gamma_sf, inverse_gamma_sf, regularized_upper_gamma
+from .numerics import gamma_sf, inverse_gamma_sf, regularized_upper_gamma
 from .outage import OutageScenario, analytic_outage, mc_outage, outage_paper_literal
 from .signal_model import (
     IqMismatch,
@@ -88,7 +88,6 @@ __all__ = [
     "empirical_metrics",
     "estimate_component_variances",
     "false_alarm_paper_literal",
-    "gamma_pdf",
     "gamma_sf",
     "hypothesis_variances",
     "image_rejection_ratio",

@@ -44,6 +44,7 @@ __all__ = [
     "DecisionRule",
     "scale_of",
     "hypothesis_variances",
+    "pair_table",
     "pairwise_threshold",
     "pairwise_threshold_paper",
     "decision_rule",
@@ -169,8 +170,6 @@ def hypothesis_variances(
     cfg: SubcarrierPairConfig,
     tx: MismatchCoefficients | IqMismatch,
     rx: MismatchCoefficients | IqMismatch | None = None,
-    *,
-    symbols: tuple[complex, complex] | None = None,
 ) -> HypothesisVariances:
     """Per-component variances of the received sample under H0..H3.
 
@@ -185,14 +184,6 @@ def hypothesis_variances(
         Sensing-receiver gains (alpha_r, beta_r) of the joint model,
         which observes r_k = alpha_r*y_k + beta_r*conj(y_-k).  None is
         the transmitter-only model, i.e. the ideal receiver (1, 0).
-    symbols : (s_k, s_mk), optional
-        When given, variances are conditioned on this fixed symbol
-        pair.  Under H3 the direct and image components ride the same
-        channel draw, so a symbol-dependent cross term
-        2*sqrt(P_k*P_mk)*Re(alpha_t*conj(beta_t)*s_k*s_mk) contributes
-        to E|y_k|^2 and E|y_-k|^2 alike.  The default averages over
-        independent uniform PSK symbols, for which the cross term is
-        exactly zero and |s|^2 = 1.
 
     Notes
     -----
@@ -203,43 +194,59 @@ def hypothesis_variances(
     E|y_-k|^2 is its mirror-swapped form.  A configuration whose image
     outpowers the wanted signal raises :class:`VarianceOrderError`.
 
-    The conditioned form exists for analysis; the detector itself is
-    blind to the instantaneous symbols and always uses the averaged
-    variances.
+    These average over uniform PSK symbols; :func:`pair_table` gives
+    the H3 cross term per phase of s_k*s_-k, whose average is zero.
     """
-    return HypothesisVariances(*_component_variances(cfg, tx, rx, symbols))
+    return HypothesisVariances(*_component_variances(cfg, tx, rx))
 
 
-def _component_variances(cfg, tx, rx, symbols) -> tuple[float, float, float, float]:
+def _component_variances(cfg, tx, rx) -> tuple[float, float, float, float]:
     """The four variances of :func:`hypothesis_variances`, unordered."""
-    if isinstance(tx, IqMismatch):
-        tx = mismatch_coefficients(tx)
-    if rx is None:
-        rx = MismatchCoefficients(1.0, 0.0)
-    elif isinstance(rx, IqMismatch):
-        rx = mismatch_coefficients(rx)
+    tx = _coefficients(tx)
+    rx = MismatchCoefficients(1.0, 0.0) if rx is None else _coefficients(rx)
     at2, bt2 = abs(tx.alpha) ** 2, abs(tx.beta) ** 2
     ar2, br2 = abs(rx.alpha) ** 2, abs(rx.beta) ** 2
     # weights of the k-side and the mirror-side channel in E|r_k|^2
     g = ar2 * cfg.channel_var
     gm = br2 * cfg.channel_var_mirror
-    if symbols is None:
-        sk2 = smk2 = 1.0
-        cross = 0.0
-    else:
-        s_k, s_mk = symbols
-        sk2 = abs(s_k) ** 2
-        smk2 = abs(s_mk) ** 2
-        cross = (
-            2.0
-            * math.sqrt(cfg.power_k * cfg.power_mk)
-            * (tx.alpha * np.conjugate(tx.beta) * s_k * s_mk).real
-        )
     s0 = 0.5 * (ar2 + br2) * cfg.noise_var
-    s1 = 0.5 * (bt2 * cfg.power_mk * smk2 * g + at2 * cfg.power_mk * smk2 * gm) + s0
-    s2 = 0.5 * (at2 * cfg.power_k * sk2 * g + bt2 * cfg.power_k * sk2 * gm) + s0
-    s3 = s2 + (s1 - s0) + 0.5 * cross * (g + gm)
+    s1 = 0.5 * (bt2 * cfg.power_mk * g + at2 * cfg.power_mk * gm) + s0
+    s2 = 0.5 * (at2 * cfg.power_k * g + bt2 * cfg.power_k * gm) + s0
+    s3 = s2 + (s1 - s0)
     return s0, s1, s2, s3
+
+
+def _coefficients(c: MismatchCoefficients | IqMismatch) -> MismatchCoefficients:
+    return mismatch_coefficients(c) if isinstance(c, IqMismatch) else c
+
+
+def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients | IqMismatch) -> np.ndarray:
+    """(4, M, 2) means (E|y_k|^2, E|y_-k|^2) per truth state and symbol phase.
+
+    Entry [t, u] is conditioned on t = 2*own_k + own_-k and on
+    s_k*s_-k = exp(2j*pi*u/M), M = ``cfg.psk_order``: E|y_k|^2 =
+    cv*(|alpha_t|^2*P_k*own_k + |beta_t|^2*P_-k*own_-k + own_k*own_-k*X_u) + N0
+    with X_u = 2*sqrt(P_k*P_-k)*Re(alpha_t*conj(beta_t)*exp(2j*pi*u/M)), and
+    E|y_-k|^2 swaps the sides but keeps X_u.  Given u, y_k and y_-k are
+    independent circular Gaussians; X_u averages to zero over the M equally
+    likely phases, which gives :func:`hypothesis_variances`.
+    """
+    tx = _coefficients(tx)
+    m = cfg.psk_order
+    c = tx.alpha * tx.beta.conjugate()
+    phase = [2.0 * math.pi * u / m for u in range(m)]
+    cross = np.array([c.real * math.cos(p) - c.imag * math.sin(p) for p in phase])
+    cross *= 2.0 * math.sqrt(cfg.power_k * cfg.power_mk)
+    at2, bt2 = abs(tx.alpha) ** 2, abs(tx.beta) ** 2
+    table = np.empty((4, m, 2))
+    for t in range(4):
+        own, mirror = t >> 1, t & 1
+        both = cross if own and mirror else 0.0
+        k_side = at2 * cfg.power_k * own + bt2 * cfg.power_mk * mirror + both
+        mk_side = at2 * cfg.power_mk * mirror + bt2 * cfg.power_k * own + both
+        table[t, :, 0] = cfg.channel_var * k_side + cfg.noise_var
+        table[t, :, 1] = cfg.channel_var_mirror * mk_side + cfg.noise_var
+    return table
 
 
 def pairwise_threshold(var_i: float, var_j: float) -> float:

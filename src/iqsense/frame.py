@@ -3,11 +3,11 @@
 A frame carries ``n_subcarriers`` data subcarriers indexed
 -n/2..-1, 1..n/2 (no DC).  Each index may be occupied; sensing any
 index k is exactly the pair problem with truth determined by the
-(k, -k) occupancy.  The simulation shares the physical quantities of a
-pair -- the symbols on k and -k -- between the two sensing directions,
-draws independent channels and noise per side, and runs one decision
-rule (built from the uniform nominal subcarrier power) over all
-indices.
+(k, -k) occupancy.  The two sensing directions of a pair share its
+symbols, through the phase of s_k*s_-k, and have independent channels
+and noise.  The frame draws each pair from that exact law
+(:func:`~iqsense.detection.pair_table`) and runs one decision rule
+(built from the uniform nominal subcarrier power) over all indices.
 
 The reported hazard counts target the scenario where an idle verdict
 invites a secondary transmission whose transmitter image then lands on
@@ -25,9 +25,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .detection import DecisionRule, Hypothesis, classify_batch
+from .detection import DecisionRule, Hypothesis, classify_batch, pair_table
 from .montecarlo import FRAME_STREAM, SeedSpec, SensingScenario, scenario_rule, substream
-from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint
+
+# Not called here (the frame draws from pair_table); bound for the trace in bench/job.py.
+from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint  # noqa: F401
 
 __all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
 
@@ -39,6 +41,11 @@ _HYPOTHESES = np.array(list(Hypothesis), dtype=object)
 def _frame_indices(n_subcarriers: int) -> tuple[int, ...]:
     half = n_subcarriers // 2
     return tuple(range(-half, 0)) + tuple(range(1, half + 1))
+
+
+@lru_cache
+def _valid_indices(n_subcarriers: int) -> frozenset[int]:
+    return frozenset(_frame_indices(n_subcarriers))
 
 
 @dataclass(frozen=True)
@@ -58,6 +65,8 @@ class OccupancyMap:
             raise ValueError(f"n_subcarriers must be a positive even integer, got {n!r}")
         active = frozenset(self.active)
         object.__setattr__(self, "active", active)
+        if set(map(type, active)) <= {int} and active <= _valid_indices(n):
+            return
         half = n // 2
         if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):
             k = next(k for k in active if not isinstance(k, int) or isinstance(k, bool))
@@ -129,40 +138,29 @@ def simulate_frame(
             f"rule was built for n_packets={rule.n_packets}, "
             f"but the scenario has n_packets={sc.n_packets}"
         )
-    tx_c, rx_c = sc.coefficients
-
     # Subcarrier k > 0 sits in row k-1 of the "pos" side, -k in row k-1 of
-    # the "neg" side.
+    # the "neg" side; mask[-k] wraps to mask[n+1-k].
     half = occupancy.n_subcarriers // 2
-    active = np.fromiter(occupancy.active, dtype=np.int64, count=len(occupancy.active))
-    own_pos = np.zeros(half, dtype=bool)
-    own_neg = np.zeros(half, dtype=bool)
-    own_pos[active[active > 0] - 1] = True
-    own_neg[-active[active < 0] - 1] = True
+    mask = np.zeros(2 * half + 1, dtype=bool)
+    mask[np.fromiter(occupancy.active, dtype=np.int64, count=len(occupancy.active))] = True
+    own_pos, own_neg = mask[1:half + 1], mask[:half:-1]
 
+    # Draw order: one phase index of s_k*s_-k per pair and packet, then the
+    # pos side's draws, then the neg side's: |y|^2 / mean (Tx-only), or the
+    # real then the imaginary parts of y / sd (joint).
     rng = substream(seed, FRAME_STREAM)
-    m = pair.psk_order
-    table = np.exp(2j * np.pi * np.arange(m) / m)
     size = (half, sc.n_packets)
-    # one symbol stream per physical subcarrier, shared by both sensing
-    # directions of the pair; channels and noise are per-side
-    s_pos = table[rng.integers(0, m, size)] * own_pos[:, None]
-    s_neg = table[rng.integers(0, m, size)] * own_neg[:, None]
-    h_pos = draw_rayleigh(pair.channel_var, rng, size)
-    h_neg = draw_rayleigh(pair.channel_var_mirror, rng, size)
-    w_pos = draw_noise(pair.noise_var, rng, size)
-    w_neg = draw_noise(pair.noise_var, rng, size)
-
-    y_pos = receive(s_pos, s_neg, h_pos, w_pos, pair, tx_c)
-    y_neg = receive(s_neg, s_pos, h_neg, w_neg, pair.mirrored(), tx_c)
-    if rx_c is not None:
-        r_pos = receive_joint(y_pos, y_neg, rx_c)
-        r_neg = receive_joint(y_neg, y_pos, rx_c)
+    cell = rng.integers(0, pair.psk_order, size)
+    cell += pair.psk_order * (2 * own_pos + own_neg)[:, None]
+    scale = _pair_scales(sc).take(cell, axis=1)
+    if sc.is_joint:
+        y = rng.standard_normal((2, 2, *size))
+        y *= scale[:, None]
+        power = _joint_power(y, sc.coefficients[1])
     else:
-        r_pos, r_neg = y_pos, y_neg
-
-    z_pos = np.mean(np.abs(r_pos) ** 2, axis=1)
-    z_neg = np.mean(np.abs(r_neg) ** 2, axis=1)
+        power = rng.standard_exponential((2, *size))
+        power *= scale
+    z_pos, z_neg = power.mean(axis=2)
 
     # Frame order -half..-1, 1..half: the neg side reversed, then pos.
     truth = np.concatenate([(2 * own_neg + own_pos)[::-1], 2 * own_pos + own_neg])
@@ -179,3 +177,24 @@ def simulate_frame(
         missed_own=int(confusion[Hypothesis.H2:, :Hypothesis.H2].sum()),
         rule=rule,
     )
+
+
+@lru_cache
+def _pair_scales(sc: SensingScenario) -> np.ndarray:
+    """(side, M*state + phase) scales from the pair table: the mean of |y|^2
+    (Tx-only model) or the sd of each part of y (joint model)."""
+    table = pair_table(sc.pair, sc.coefficients[0])
+    return np.ascontiguousarray((np.sqrt(table / 2.0) if sc.is_joint else table).reshape(-1, 2).T)
+
+
+def _joint_power(y: np.ndarray, rx) -> np.ndarray:
+    """(|r_k|^2, |r_-k|^2) of ``receive_joint`` on y = [side][re, im], which
+    is overwritten: |a|^2*|y_k|^2 + |b|^2*|y_-k|^2 + 2*Re(a*conj(b)*y_k*y_-k)
+    for r_k, the first two terms swapped for r_-k.  Real arithmetic keeps
+    the bits independent of fused multiply-add and temporary elision."""
+    (p, q), (s, t) = y
+    c = rx.alpha * rx.beta.conjugate()
+    cross = c.real * (p * s - q * t) - c.imag * (p * t + q * s)
+    y *= y
+    sq = y[:, 0] + y[:, 1]
+    return abs(rx.alpha) ** 2 * sq + abs(rx.beta) ** 2 * sq[::-1] + 2.0 * cross

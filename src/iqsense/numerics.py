@@ -20,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "regularized_upper_gamma",
-    "gamma_pdf",
     "gamma_sf",
     "inverse_gamma_sf",
 ]
@@ -119,38 +118,6 @@ def _log_poisson_mass(m: int, x: float) -> float:
     u = 1.0 / (m * m)
     d = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / m
     return -m * math.log1p((m - x) / x) - (x - m) - 0.5 * math.log(2 * math.pi * m) - d
-
-
-def gamma_pdf(n: int, scale: float, z):
-    """Density of Gamma(shape=n, scale) at z; zero for z < 0.
-
-    The ``z == 0`` boundary follows the usual convention: ``1/scale``
-    for the exponential case ``n == 1``, zero for ``n > 1``.
-    """
-    n = _check_shape(n)
-    scale = _check_scale(scale)
-    lg = math.lgamma(n)
-    if np.isscalar(z) or getattr(z, "ndim", 1) == 0:
-        z = float(z)
-        if not math.isfinite(z):
-            raise ValueError(f"z must be finite, got {z}")
-        if z < 0.0:
-            return 0.0
-        if z == 0.0:
-            return 1.0 / scale if n == 1 else 0.0
-        u = z / scale
-        return math.exp((n - 1) * math.log(u) - u - lg) / scale
-    z = np.asarray(z, dtype=float)
-    if z.size and not np.all(np.isfinite(z)):
-        raise ValueError("z must be finite")
-    u = z / scale
-    out = np.zeros_like(z)
-    pos = z > 0
-    up = u[pos]
-    out[pos] = np.exp((n - 1) * np.log(up) - up - lg) / scale
-    if n == 1:
-        out[z == 0] = 1.0 / scale
-    return out
 
 
 def gamma_sf(n: int, scale: float, threshold: float) -> float:

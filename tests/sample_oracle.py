@@ -1,17 +1,25 @@
-"""Sample-level reference for the trial kernel in ``iqsense.montecarlo``.
+"""Sample-level references for ``iqsense.montecarlo`` and ``iqsense.frame``.
 
-This is the straightforward form of the kernel: look the symbols up one
-side at a time, draw every Gaussian as two ``Generator.normal`` calls,
-apply ``receive`` / ``receive_joint`` and average ``|r| ** 2``.  The
-kernel must reproduce it bit for bit from the same substream.
+The trial kernel's reference is its straightforward form: look the
+symbols up one side at a time, draw every Gaussian as two
+``Generator.normal`` calls, apply ``receive`` / ``receive_joint`` and
+average ``|r| ** 2``.  The kernel must reproduce it bit for bit from the
+same substream.
+
+The frame's reference, :func:`simulate_frame`, draws every symbol,
+channel and noise sample of a frame.  The frame itself draws each pair
+from its exact per-phase law instead, so the two agree in law, not in
+bits; ``tests/test_frame_oracle.py`` compares them.
 """
 
 import math
 
 import numpy as np
 
-from iqsense.detection import Hypothesis
-from iqsense.signal_model import receive, receive_joint
+from iqsense.detection import Hypothesis, classify_batch
+from iqsense.frame import FrameResult
+from iqsense.montecarlo import FRAME_STREAM, scenario_rule, substream
+from iqsense.signal_model import draw_noise, draw_rayleigh, receive, receive_joint
 
 
 def circular_gaussian(var, rng, size):
@@ -60,3 +68,64 @@ def component_variances(sc, samples, rng_for):
         r = received_batch(sc, tx_c, rx_c, hyp, samples, 1, rng_for(hyp))
         est.append(float(np.mean(np.abs(r) ** 2)) / 2.0)
     return tuple(est)
+
+
+_HYPOTHESES = np.array(list(Hypothesis), dtype=object)
+
+
+def simulate_frame(occupancy, sc, seed):
+    """:func:`iqsense.frame.simulate_frame` from sample-level draws.
+
+    Per physical subcarrier one symbol stream, shared by both sensing
+    directions of its pair; per side one Rayleigh channel and one noise
+    draw per packet.
+    """
+    pair = sc.pair
+    rule = scenario_rule(sc)
+    tx_c, rx_c = sc.coefficients
+
+    # Subcarrier k > 0 sits in row k-1 of the "pos" side, -k in row k-1 of
+    # the "neg" side.
+    half = occupancy.n_subcarriers // 2
+    active = np.fromiter(occupancy.active, dtype=np.int64, count=len(occupancy.active))
+    own_pos = np.zeros(half, dtype=bool)
+    own_neg = np.zeros(half, dtype=bool)
+    own_pos[active[active > 0] - 1] = True
+    own_neg[-active[active < 0] - 1] = True
+
+    rng = substream(seed, FRAME_STREAM)
+    m = pair.psk_order
+    table = np.exp(2j * np.pi * np.arange(m) / m)
+    size = (half, sc.n_packets)
+    s_pos = table[rng.integers(0, m, size)] * own_pos[:, None]
+    s_neg = table[rng.integers(0, m, size)] * own_neg[:, None]
+    h_pos = draw_rayleigh(pair.channel_var, rng, size)
+    h_neg = draw_rayleigh(pair.channel_var_mirror, rng, size)
+    w_pos = draw_noise(pair.noise_var, rng, size)
+    w_neg = draw_noise(pair.noise_var, rng, size)
+
+    y_pos = receive(s_pos, s_neg, h_pos, w_pos, pair, tx_c)
+    y_neg = receive(s_neg, s_pos, h_neg, w_neg, pair.mirrored(), tx_c)
+    if rx_c is not None:
+        r_pos = receive_joint(y_pos, y_neg, rx_c)
+        r_neg = receive_joint(y_neg, y_pos, rx_c)
+    else:
+        r_pos, r_neg = y_pos, y_neg
+
+    z_pos = np.mean(np.abs(r_pos) ** 2, axis=1)
+    z_neg = np.mean(np.abs(r_neg) ** 2, axis=1)
+
+    # Frame order -half..-1, 1..half: the neg side reversed, then pos.
+    truth = np.concatenate([(2 * own_neg + own_pos)[::-1], 2 * own_pos + own_neg])
+    decided = classify_batch(np.concatenate([z_neg[::-1], z_pos]), rule)
+    confusion = np.bincount(4 * truth + decided, minlength=16).reshape(4, 4)
+    return FrameResult(
+        subcarriers=occupancy.indices,
+        truths=tuple(_HYPOTHESES[truth].tolist()),
+        decisions=tuple(_HYPOTHESES[decided].tolist()),
+        confusion=confusion,
+        vacant_mirror_flags=int(confusion[:, Hypothesis.H1].sum()),
+        unflagged_mirror_risk=int(confusion[Hypothesis.H1, Hypothesis.H0]),
+        missed_own=int(confusion[Hypothesis.H2:, :Hypothesis.H2].sum()),
+        rule=rule,
+    )

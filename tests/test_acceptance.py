@@ -15,6 +15,7 @@ import numpy as np
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
+from gamma_density import gamma_pdf
 from iqsense.detection import (
     DetectorMode,
     HypothesisVariances,
@@ -34,7 +35,7 @@ from iqsense.montecarlo import (
     scenario_variances,
     substream,
 )
-from iqsense.numerics import gamma_pdf, regularized_upper_gamma
+from iqsense.numerics import regularized_upper_gamma
 from iqsense.outage import OutageScenario, analytic_outage, mc_outage
 from iqsense.signal_model import IqMismatch, irr_to_mismatch
 

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from gamma_density import gamma_pdf
 from iqsense.detection import (
     DecisionRule,
     DetectorMode,
     Hypothesis,
     HypothesisVariances,
+    VarianceOrderError,
+    _component_variances,
     analytic_detection,
     analytic_false_alarm,
     classify_batch,
@@ -22,13 +25,20 @@ from iqsense.detection import (
     detection_paper_literal,
     false_alarm_paper_literal,
     hypothesis_variances,
+    pair_table,
     pairwise_threshold,
     pairwise_threshold_paper,
     thresholds_paper_literal,
     two_level_rule,
 )
-from iqsense.numerics import gamma_pdf, gamma_sf
-from iqsense.signal_model import SubcarrierPairConfig, irr_to_mismatch
+from iqsense.numerics import gamma_sf
+from iqsense.signal_model import (
+    IqMismatch,
+    MismatchCoefficients,
+    SubcarrierPairConfig,
+    irr_to_mismatch,
+    mismatch_coefficients,
+)
 
 # Reference operating point: unit pair powers, -15 dB IRR transmitter.
 REF_VARIANCES = HypothesisVariances(
@@ -329,21 +339,52 @@ def test_decision_rule_validation():
 
 
 def test_conditioned_variances_cross_term():
-    """Fixing the symbol pair adds the documented H3 cross term."""
-    cfg = SubcarrierPairConfig(power_k=1.0, power_mk=1.0)
-    mm = irr_to_mismatch(-10.0)
-    from iqsense.signal_model import mismatch_coefficients
-
+    """The pair table's H3 entry carries the documented cross term,
+    2*sqrt(P_k*P_mk)*Re(alpha_t*conj(beta_t)*s_k*s_mk), on both sides;
+    H0-H2 have none, and a destructive phase drops H3 below H2."""
+    cfg = SubcarrierPairConfig(power_k=1.0, power_mk=0.5, channel_var_mirror=2.0)
+    mm = IqMismatch(0.3, 0.2)
     c = mismatch_coefficients(mm)
+    at2, bt2 = abs(c.alpha) ** 2, abs(c.beta) ** 2
+    table = pair_table(cfg, mm)
+    assert table.shape == (4, 16, 2)
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
-    s_k, s_mk = psk16[1], psk16[2]  # positive cross term
-    v = hypothesis_variances(cfg, mm, symbols=(s_k, s_mk))
-    cross = 2.0 * (c.alpha * np.conjugate(c.beta) * s_k * s_mk).real
-    assert cross > 0
-    base = hypothesis_variances(cfg, mm)
-    assert v.sigma3_sq == pytest.approx(base.sigma3_sq + 0.5 * cross, rel=1e-12)
-    assert v.sigma0_sq == base.sigma0_sq
-    # A destructive pair can push sigma3^2 below sigma2^2; the ordered
-    # container refuses to represent that state.
-    with pytest.raises(ValueError):
-        hypothesis_variances(cfg, mm, symbols=(psk16[1], psk16[5]))
+    cross = 2.0 * math.sqrt(0.5) * (c.alpha * np.conjugate(c.beta) * psk16).real
+    np.testing.assert_allclose(table[3, :, 0], (at2 + 0.5 * bt2 + cross) + 1.0, rtol=1e-14)
+    np.testing.assert_allclose(
+        table[3, :, 1], 2.0 * (0.5 * at2 + bt2 + cross) + 1.0, rtol=1e-14
+    )
+    assert np.all(table[:3] == table[:3, :1])
+    assert table[0].tolist() == [[1.0, 1.0]] * 16
+    assert table[2, 0].tolist() == [at2 + 1.0, 2.0 * bt2 + 1.0]
+    # A destructive phase pushes H3 below H2; the ordered container
+    # refuses to represent that state.
+    u = int(np.argmin(cross))
+    assert table[3, u, 0] < table[2, u, 0]
+    with pytest.raises(VarianceOrderError):
+        HypothesisVariances(*(table[:, u, 0] / 2.0))
+
+
+@pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
+def test_pair_table_phase_average_is_hypothesis_variances(joint):
+    rng = np.random.default_rng(47 + joint)
+    for _ in range(200):
+        power = float(rng.uniform(0.5, 20.0))
+        cfg = SubcarrierPairConfig(
+            power_k=power,
+            power_mk=power * float(rng.uniform(0.0, 1.0)),
+            noise_var=float(rng.uniform(0.5, 2.0)),
+            channel_var=float(rng.uniform(0.3, 3.0)),
+            channel_var_mirror=float(rng.uniform(0.3, 3.0)),
+            psk_order=2 ** int(rng.integers(1, 7)),
+        )
+        tx = IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        rx = IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) if joint else None
+        # fsum: a correctly rounded phase average, so the comparison
+        # measures the two forms, not the summation order
+        table = pair_table(cfg, tx)
+        mean = np.array([[math.fsum(col) for col in t.T] for t in table]) / cfg.psk_order
+        r = mismatch_coefficients(rx) if joint else MismatchCoefficients(1.0, 0.0)
+        got = 0.5 * (abs(r.alpha) ** 2 * mean[:, 0] + abs(r.beta) ** 2 * mean[:, 1])
+        want = _component_variances(cfg, tx, rx)
+        np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)

@@ -5,11 +5,12 @@ import hashlib
 import numpy as np
 import pytest
 
+import iqsense.frame as frame
 import iqsense.montecarlo as montecarlo
 from iqsense.detection import DetectorMode, Hypothesis
 from iqsense.frame import OccupancyMap, simulate_frame
 from iqsense.montecarlo import SensingScenario, rule_for_mode, scenario_rule, scenario_variances
-from iqsense.signal_model import irr_to_mismatch
+from iqsense.signal_model import IqMismatch, irr_to_mismatch, mismatch_coefficients, receive_joint
 
 
 def frame_scenario(snr_db=10.0, n_packets=8, **kw):
@@ -30,6 +31,17 @@ def test_occupancy_validation():
         OccupancyMap(8, frozenset({True}))
     m = OccupancyMap(8, {1, -4})
     assert m.active == frozenset({1, -4})
+
+
+def test_occupancy_accepts_int_subclasses():
+    class Index(int):
+        pass
+
+    m = OccupancyMap(8, {Index(2), -3})
+    assert m.active == frozenset({2, -3})
+    assert m.truth(2) == Hypothesis.H2
+    with pytest.raises(ValueError, match=r"^subcarrier index 5 outside \[-4, 4\]$"):
+        OccupancyMap(8, {Index(5)})
 
 
 @pytest.mark.parametrize(
@@ -111,6 +123,34 @@ def test_frame_builds_rule_once_per_scenario(monkeypatch):
     assert len(set(got)) == len(variants)
 
 
+def test_frame_builds_pair_table_once_per_scenario(monkeypatch):
+    calls = []
+
+    def counting_table(*args):
+        calls.append(args)
+        return real_table(*args)
+
+    real_table = frame.pair_table
+    monkeypatch.setattr(frame, "pair_table", counting_table)
+    frame._pair_scales.cache_clear()
+    occ = OccupancyMap(16, {1, -2, 3})
+    for sc in (frame_scenario(), frame_scenario(rx_mismatch=irr_to_mismatch(-15.0))):
+        for seed in range(20):
+            simulate_frame(occ, sc, seed)
+    assert len(calls) == 2
+
+
+def test_joint_power_is_power_of_receive_joint():
+    """The frame's real-arithmetic |r_k|^2 and |r_-k|^2 are those of
+    receive_joint on the complex samples, up to rounding."""
+    rng = np.random.default_rng(3)
+    y = rng.standard_normal((2, 2, 64, 3))
+    rx = mismatch_coefficients(IqMismatch(0.3, -0.2))
+    y_k, y_mk = y[0, 0] + 1j * y[0, 1], y[1, 0] + 1j * y[1, 1]
+    want = [abs(receive_joint(y_k, y_mk, rx)) ** 2, abs(receive_joint(y_mk, y_k, rx)) ** 2]
+    np.testing.assert_allclose(frame._joint_power(y.copy(), rx), want, rtol=1e-12, atol=1e-14)
+
+
 def test_frame_requires_uniform_power():
     occ = OccupancyMap(8, frozenset())
     sc = SensingScenario.from_snr(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0))
@@ -188,8 +228,8 @@ def test_frame_counts_are_consistent(name, scenario_kw):
 # Misaligning the two sides (a reversed or shifted negative half, swapped
 # halves) keeps every count consistent but changes this sequence.
 _GOLDEN_DECISIONS = {
-    "tx-only": "H1 H0 H2 H2 H0 H1 H1 H0 H0 H1 H1 H0 H0 H2 H1 H1",
-    "joint": "H1 H0 H1 H2 H0 H1 H1 H0 H0 H1 H1 H0 H1 H2 H1 H0",
+    "tx-only": "H0 H0 H2 H3 H0 H2 H0 H0 H3 H2 H0 H1 H2 H3 H0 H1",
+    "joint": "H0 H0 H3 H0 H0 H3 H0 H1 H1 H1 H0 H0 H0 H3 H1 H3",
 }
 
 
@@ -208,9 +248,19 @@ def test_frame_decisions_golden(model):
 # sha256 of a seeded 2048-subcarrier frame: truths and decisions as int8,
 # the int64 confusion matrix, then the three hazard counters as int64.
 _GOLDEN_FRAME_SHA256 = {
-    "tx-only-n1": "6625324c56ad48071609290be100772142b5323506fb8f79996bdd42b5df8ad9",
-    "joint-n4": "286ae924bb2e48da11ea32d66500c7818abe68d5f0bab210d6d6ee81a9b384c8",
+    "tx-only-n1": "7e2da347841f8d0d78a0db2f1fc8e1853d3a887628f9c28fec3bdbdbfac86bee",
+    "joint-n4": "aa85b7de234d6b7590477fc43f50d71571b7c5ce87fc3f7b16dc4728eb36a265",
 }
+
+
+def frame_digest(res) -> str:
+    counters = [res.vacant_mirror_flags, res.unflagged_mirror_risk, res.missed_own]
+    h = hashlib.sha256()
+    h.update(np.array(res.truths, dtype=np.int8).tobytes())
+    h.update(np.array(res.decisions, dtype=np.int8).tobytes())
+    h.update(res.confusion.tobytes())
+    h.update(np.array(counters, dtype=np.int64).tobytes())
+    return h.hexdigest()
 
 
 @pytest.mark.parametrize("case", sorted(_GOLDEN_FRAME_SHA256))
@@ -221,19 +271,18 @@ def test_frame_bytes_golden(case):
         _MAPS["random-2048"], frame_scenario(rx_mismatch=rx, n_packets=n_packets), 2026
     )
     assert res.confusion.dtype == np.int64
-    counters = [res.vacant_mirror_flags, res.unflagged_mirror_risk, res.missed_own]
-    h = hashlib.sha256()
-    h.update(np.array(res.truths, dtype=np.int8).tobytes())
-    h.update(np.array(res.decisions, dtype=np.int8).tobytes())
-    h.update(res.confusion.tobytes())
-    h.update(np.array(counters, dtype=np.int64).tobytes())
-    assert h.hexdigest() == _GOLDEN_FRAME_SHA256[case]
+    assert frame_digest(res) == _GOLDEN_FRAME_SHA256[case]
 
 
 def test_quiet_frame_stays_idle():
     """With no occupants and long packets, essentially no subcarrier is
     declared busy (H0/H1 confusion is expected: their variances sit
-    close together at this operating point)."""
+    close together at this operating point).
+
+    Every subcarrier is an independent draw from the exact H0 row
+    P(H0|H0) = 0.798, P(busy|H0) = 2.2e-16, so this fails correct code
+    with probability 2.5e-26, nearly all of it from the H0 count
+    falling to 128 or below."""
     occ = OccupancyMap(256, frozenset())
     sc = frame_scenario(n_packets=32)
     res = simulate_frame(occ, sc, 11)
@@ -245,6 +294,10 @@ def test_quiet_frame_stays_idle():
 
 
 def test_loud_frame_detects_occupants():
+    """The 32 own-active subcarriers are independent draws from the
+    exact H2 row, P(H1|H2) = 4.0e-9 and P(busy|H2) = 1 - 1.2e-16, so
+    this fails correct code with probability 1.3e-7, nearly all of it
+    from one of them decided H1."""
     half = 32
     occ = OccupancyMap(2 * half, set(range(1, half + 1)))  # all positives busy
     sc = frame_scenario(n_packets=32)

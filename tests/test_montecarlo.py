@@ -289,11 +289,11 @@ def test_closed_form_variances_match_estimator():
     worst, worst_dropped = 0.0, 0.0
     for i, sc in enumerate(_ORACLE_POINTS):
         est = estimate_component_variances(sc, _ORACLE_SAMPLES, 600, (i,))
-        exact = np.array(_component_variances(sc.pair, sc.tx_mismatch, sc.rx_mismatch, None))
+        exact = np.array(_component_variances(sc.pair, sc.tx_mismatch, sc.rx_mismatch))
         worst = max(worst, _oracle_z(exact, est).max())
         rx = mismatch_coefficients(sc.rx_mismatch)
         dropped = np.array(_component_variances(
-            sc.pair, sc.tx_mismatch, MismatchCoefficients(rx.alpha, 0j), None
+            sc.pair, sc.tx_mismatch, MismatchCoefficients(rx.alpha, 0j)
         ))
         worst_dropped = max(worst_dropped, _oracle_z(dropped, est).max())
     assert worst <= z_crit, f"closed form off by {worst:.2f} SE (limit {z_crit:.2f})"

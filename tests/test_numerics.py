@@ -8,8 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from gamma_density import gamma_pdf
 from iqsense.numerics import (
-    gamma_pdf,
     gamma_sf,
     inverse_gamma_sf,
     regularized_upper_gamma,
