@@ -11,8 +11,8 @@ Subcommands::
 
 All randomness derives from the configured master seed; outputs embed
 the seed and a hash of the resolved configuration and are byte-stable
-across runs and worker counts.  One call uses at most one worker pool,
-started when its first trial batch needs one.
+across runs and worker counts.  ``--workers N`` runs each trial batch
+on N threads of this process; no call starts a child process.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .montecarlo import (
     rule_for_mode,
     run_trials,
     scenario_variances,
-    shared_pool,
     substream,
     sweep,
     sweep_variances,
@@ -74,8 +73,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        with shared_pool:  # at most one worker pool per call, started on demand
-            return args.handler(cfg, args)
+        return args.handler(cfg, args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -99,7 +97,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=_positive_int, help="trials per hypothesis per point")
         sp.add_argument("--mode", choices=DetectorMode.KINDS, help="detector mode override")
         sp.add_argument("--cfar-pfa", type=float, help="design false alarm for --mode two-cfar")
-        sp.add_argument("--workers", type=_positive_int, help="parallel worker processes")
+        sp.add_argument("--workers", type=_positive_int, help="threads that run trial chunks")
         sp.add_argument("--out", metavar="PATH", help="write results to this file")
         sp.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
 

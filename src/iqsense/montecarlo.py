@@ -9,10 +9,10 @@ chunk size) -- bit-identical across runs and worker counts.
 
 One engine runs every trial: :func:`run_trials` hands it one job and
 :func:`sweep` one job per grid point, and it maps all their chunks over
-a process pool in a single batch.  Calls made inside one
-``shared_pool`` scope share one pool, started on the first batch that
-needs ``workers > 1``; the CLI holds that scope for a whole command, so
-one CLI call uses at most one worker pool.
+``workers`` threads in a single batch, with a thread pool of its own.
+A chunk spends nearly all its time in numpy calls that release the
+interpreter lock (the generator fills and the passes over its arrays),
+so threads run chunks in parallel without a child process.
 
 Detector modes evaluated at the same sweep point share the generation
 streams (common random numbers): every mode classifies the same
@@ -24,15 +24,15 @@ confidence intervals that are much tighter than independent ones.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 # numpy loads its random module on first attribute access.  Load it with
-# the package, so the first substream of a run (often in a freshly forked
-# pool worker) does not pay that import inside the trial phase.
+# the package, so the first substream of a run does not pay that import
+# inside the trial phase.
 import numpy.random  # noqa: F401
 
 from .detection import (
@@ -495,48 +495,6 @@ def _chunk_task(args) -> tuple[int, np.ndarray]:
     return hyp, np.array([decision_counts(z, rule) for rule in rules])
 
 
-class _SharedPool:
-    """Reentrant scope that shares one lazily started process pool.
-
-    Engine calls inside the outermost ``with`` block reuse one pool.  It
-    starts at the first call that needs ``workers > 1``, keeps that
-    call's worker count (tallies do not depend on it), and shuts down
-    when the outermost block exits, so a scope in which no trial runs in
-    parallel starts no process.  The engine enters the scope itself, so a
-    call made outside any scope gets a pool of its own.
-    """
-
-    def __init__(self):
-        self._depth = 0
-        self._pool: ProcessPoolExecutor | None = None
-
-    def __enter__(self) -> "_SharedPool":
-        self._depth += 1
-        return self
-
-    def __exit__(self, *exc):
-        self._depth -= 1
-        if self._depth == 0 and self._pool is not None:
-            pool, self._pool = self._pool, None
-            pool.shutdown(cancel_futures=True)
-
-    def map(self, fn, tasks: list, workers: int) -> list:
-        if workers == 1:
-            return list(map(fn, tasks))
-        if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=workers)
-        # Small maps go one task per pool item, so every worker gets a
-        # share.  A large map goes in about 32 items per worker: each item
-        # costs this process ~0.7 ms of CPU, which the workers lose when
-        # cores are few, and 32 items still leave a short last one.
-        chunksize = max(1, len(tasks) // (32 * workers))
-        return list(self._pool.map(fn, tasks, chunksize=chunksize))
-
-
-# The package's one pool scope; ``iqsense.cli`` holds it open for a whole call.
-shared_pool = _SharedPool()
-
-
 def _tally_jobs(
     jobs: list[tuple[SensingScenario, list[DecisionRule], tuple[int, ...]]],
     per_hypothesis: int,
@@ -547,9 +505,11 @@ def _tally_jobs(
     """The trial engine: per-rule tallies for each (scenario, rules,
     stream path) job.
 
-    Every chunk of every job is one task of a single map over the shared
-    pool; chunk counts merge into their job by integer addition, so the
-    result does not depend on ``workers``.
+    Every chunk of every job is one task of a single map over
+    ``workers`` threads; chunk counts merge into their job by integer
+    addition, so the result does not depend on ``workers``.  When a chunk
+    raises, the chunks still queued are cancelled and the exception
+    propagates unchanged once the running ones finish.
     """
     for name, value in (("per_hypothesis", per_hypothesis), ("chunk_size", chunk_size),
                         ("workers", workers)):
@@ -563,8 +523,14 @@ def _tally_jobs(
         for hyp in range(4)
         for idx, count in layout
     ]
-    with shared_pool:
-        results = shared_pool.map(_chunk_task, tasks, workers)
+    if workers == 1:
+        results = list(map(_chunk_task, tasks))
+    else:
+        pool = ThreadPoolExecutor(max_workers=workers)
+        try:
+            results = list(pool.map(_chunk_task, tasks))
+        finally:
+            pool.shutdown(cancel_futures=True)
     counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
     tasks_per_job = 4 * len(layout)
     for t, (hyp, arr) in enumerate(results):

@@ -166,27 +166,34 @@ def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fi
     assert err.startswith(f"error: figure: {point}: variances must be nondecreasing")
 
 
-def _count_pools(monkeypatch) -> list:
-    """Record every worker pool montecarlo constructs; the pools still work."""
+def _count_executors(monkeypatch) -> tuple[list, list]:
+    """Record the worker count of every thread pool montecarlo builds and
+    the job count of every trial-engine batch; both still run."""
     import iqsense.montecarlo as montecarlo
 
-    made = []
-    real = montecarlo.ProcessPoolExecutor
+    made, batches = [], []
+    real_pool, real_tally = montecarlo.ThreadPoolExecutor, montecarlo._tally_jobs
 
-    def spy(*args, **kwargs):
+    def pool(*args, **kwargs):
         made.append(kwargs.get("max_workers"))
-        return real(*args, **kwargs)
+        return real_pool(*args, **kwargs)
 
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", spy)
-    return made
+    def tally(jobs, *args):
+        batches.append(len(jobs))
+        return real_tally(jobs, *args)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(montecarlo, "_tally_jobs", tally)
+    return made, batches
 
 
 @pytest.mark.parametrize("fig_id", ["4", "5"])
-def test_figure_call_uses_one_pool(tmp_path, monkeypatch, fig_id):
-    """Every curve and grid point of one figure call shares one pool."""
+def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id):
+    """Each curve's grid points run as one engine batch on one executor,
+    not one executor per grid point."""
     import iqsense.cli as cli
 
-    made = _count_pools(monkeypatch)
+    made, batches = _count_executors(monkeypatch)
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
         "figure": {"irr_grid": [-30.0, -20.0], "snr1_grid": [0.0, 5.0],
@@ -196,13 +203,34 @@ def test_figure_call_uses_one_pool(tmp_path, monkeypatch, fig_id):
     argv = ["figure", fig_id, "--config", str(cfgf), "--workers", "2",
             "--out", str(tmp_path / "f.csv")]
     assert cli.main(argv) == 0
-    assert made == [2]
+    assert batches == [2, 2]  # two curves of two grid points each
+    assert made == [2, 2]
+
+
+@pytest.mark.parametrize("command", [["sense", "--trials", "20000"], ["figure", "5"]],
+                         ids=["sense", "figure-5"])
+def test_parallel_calls_start_no_child_process(tmp_path, monkeypatch, command):
+    import multiprocessing
+
+    import iqsense.cli as cli
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "figure": {"irr_grid": [-30.0, -20.0]}, "trials": 2000, "chunk_size": 512,
+    }))
+    argv = [*command, "--config", str(cfgf), "--workers", "2", "--out", str(tmp_path / "o.csv")]
+    assert cli.main(argv) == 0
+    assert multiprocessing.active_children() == []
 
 
 def test_calls_without_parallel_trials_start_no_pool(tmp_path, monkeypatch, capsys):
     import iqsense.cli as cli
 
-    made = _count_pools(monkeypatch)
+    made, batches = _count_executors(monkeypatch)
     assert cli.main(["analytic", "--workers", "2"]) == 0
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
@@ -212,6 +240,7 @@ def test_calls_without_parallel_trials_start_no_pool(tmp_path, monkeypatch, caps
     }))
     assert cli.main(["figure", "5", "--config", str(cfgf), "--workers", "2"]) == 2
     assert made == []
+    assert batches == []
 
 
 def test_figure_bytes_independent_of_workers(tmp_path):

@@ -1,6 +1,8 @@
 """Determinism, closure and pairing properties of the trial harness."""
 
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -424,10 +426,8 @@ def test_sweep_point_independent_of_grid():
 
 
 def test_sweep_worker_invariance():
-    """All grid points' chunks run in one map; how they spread over the
-    workers never changes a tally.  The 288 chunk tasks are large enough a
-    map for the pool to send them several to an item (4 with 2 workers,
-    3 with 3)."""
+    """All grid points' chunks run in one map; how the 288 chunk tasks
+    spread over the workers never changes a tally."""
     sc = scenario()
     modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
     runs = [
@@ -439,6 +439,47 @@ def test_sweep_worker_invariance():
     for run in runs[1:]:
         assert [(p.value, p.mode) for p in run] == [(p.value, p.mode) for p in runs[0]]
         assert [p.tally for p in run] == [p.tally for p in runs[0]]
+
+
+def test_two_workers_run_chunks_at_once(monkeypatch):
+    """With workers=2 two chunks are in flight together: each chunk waits
+    at a two-party barrier, which a serial engine never passes."""
+    sc = scenario()
+    serial = run_trials(sc, 2_000, 5, chunk_size=500)
+    real = montecarlo._chunk_task
+    barrier = threading.Barrier(2, timeout=10)
+    threads = set()
+
+    def paired(task):
+        threads.add(threading.get_ident())
+        barrier.wait()
+        return real(task)
+
+    monkeypatch.setattr(montecarlo, "_chunk_task", paired)
+    assert run_trials(sc, 2_000, 5, chunk_size=500, workers=2) == serial
+    assert len(threads) == 2
+
+
+def test_failed_chunk_cancels_queued_chunks(monkeypatch):
+    """The first of 64 chunks raises: the caller gets that exception
+    itself, and the chunks still queued never run."""
+    real = montecarlo._chunk_task
+    err = RuntimeError("chunk failed")
+    ran = []
+
+    def failing(task):
+        ran.append(task)
+        _, _, hyp, chunk_idx, *_ = task
+        if (hyp, chunk_idx) == (0, 0):
+            raise err
+        time.sleep(0.02)  # keep later chunks queued when the failure surfaces
+        return real(task)
+
+    monkeypatch.setattr(montecarlo, "_chunk_task", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        run_trials(scenario(), 16 * 64, 1, chunk_size=64, workers=2)
+    assert excinfo.value is err
+    assert 1 <= len(ran) < 64
 
 
 def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):
