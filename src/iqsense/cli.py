@@ -537,21 +537,22 @@ def _cmd_frame(cfg: ExperimentConfig, args) -> int:
         "unflagged_mirror_risk": result.unflagged_mirror_risk,
         "missed_own": result.missed_own,
     }
+    verdicts = [(k, Hypothesis(t), Hypothesis(d)) for k, t, d in
+                zip(result.subcarriers, result.truths.tolist(), result.decisions.tolist())]
     if cfg.fmt == "json":
         data_rows = [
             {"subcarrier": k, "truth": t.name, "decided": d.name,
              "busy": d.own_active, "truth_mirror_active": t.mirror_active}
-            for k, t, d in zip(result.subcarriers, result.truths, result.decisions)
+            for k, t, d in verdicts
         ]
-        _emit(cfg, _render_json(
-            _provenance(cfg, "frame"), {"summary": summary, "rows": data_rows}
-        ))
+        payload = {"summary": summary, "rows": data_rows}
+        _emit(cfg, _render_json(_provenance(cfg, "frame"), payload))
     else:
         columns = ["subcarrier", "truth", "decided", "busy", "truth_mirror_active", "warning"]
         rows = [
             [k, t.name, d.name, int(d.own_active), int(t.mirror_active),
              "vacant-mirror-active" if d == Hypothesis.H1 else ""]
-            for k, t, d in zip(result.subcarriers, result.truths, result.decisions)
+            for k, t, d in verdicts
         ]
         _emit_table(cfg, "frame", columns, rows)
     if cfg.out is not None:

@@ -415,9 +415,11 @@ def two_level_rule(
 
 
 def classify_batch(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
-    """Decided hypothesis (an int) per statistic; boundary points go up."""
-    idx = np.searchsorted(np.asarray(rule.boundaries), z, side="right")
-    return np.asarray([int(lv) for lv in rule.levels], dtype=np.int64)[idx]
+    """Decided hypothesis (an int8 code) per statistic; boundary points go up."""
+    region = np.zeros(np.shape(z), dtype=np.int8)
+    for t in rule.boundaries:
+        region += np.greater_equal(z, t)
+    return np.array(rule.levels, dtype=np.int8).take(region)
 
 
 def decision_counts(z: np.ndarray, rule: DecisionRule) -> np.ndarray:

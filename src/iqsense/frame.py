@@ -20,7 +20,7 @@ mirror-active" warning.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 
 import numpy as np
@@ -33,9 +33,6 @@ from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint  # n
 
 __all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
 
-# Hypothesis members by value, for turning an int array into members.
-_HYPOTHESES = np.array(list(Hypothesis), dtype=object)
-
 
 @lru_cache
 def _frame_indices(n_subcarriers: int) -> tuple[int, ...]:
@@ -43,21 +40,17 @@ def _frame_indices(n_subcarriers: int) -> tuple[int, ...]:
     return tuple(range(-half, 0)) + tuple(range(1, half + 1))
 
 
-@lru_cache
-def _valid_indices(n_subcarriers: int) -> frozenset[int]:
-    return frozenset(_frame_indices(n_subcarriers))
-
-
 @dataclass(frozen=True)
 class OccupancyMap:
     """Which subcarriers of a frame are occupied.
 
     Indices run over -n/2..-1, 1..n/2; 0 (DC) is not a data subcarrier
-    and is rejected.
-    """
+    and is rejected.  ``truths`` is the read-only int8 ``2*own + mirror``
+    (a :class:`Hypothesis` value) of each index in :attr:`indices`."""
 
     n_subcarriers: int
     active: frozenset[int]
+    truths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.n_subcarriers
@@ -65,35 +58,41 @@ class OccupancyMap:
             raise ValueError(f"n_subcarriers must be a positive even integer, got {n!r}")
         active = frozenset(self.active)
         object.__setattr__(self, "active", active)
-        if set(map(type, active)) <= {int} and active <= _valid_indices(n):
-            return
-        half = n // 2
         if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):
             k = next(k for k in active if not isinstance(k, int) or isinstance(k, bool))
             raise ValueError(f"subcarrier indices must be integers, got {k!r}")
         if 0 in active:
             raise ValueError("0 is the DC bin, not a data subcarrier")
-        for k in (min(active, default=1), max(active, default=1)):
-            if not (-half <= k <= half):
-                raise ValueError(f"subcarrier index {k} outside [-{half}, {half}]")
+        half = n // 2
+        try:
+            k = np.fromiter(active, dtype=np.int64, count=len(active))
+        except OverflowError:  # an index beyond int64 is outside any frame, as n is
+            k = np.array([n])
+        if k.size and (k.min() < -half or k.max() > half):
+            k = min(active) if not -half <= min(active) <= half else max(active)
+            raise ValueError(f"subcarrier index {k} outside [-{half}, {half}]")
+        own = np.zeros(n, dtype=np.int8)
+        own[k + half - (k > 0)] = 1  # k's place in `indices`; reversed, the place of -k
+        truths = 2 * own + own[::-1]
+        truths.flags.writeable = False
+        object.__setattr__(self, "truths", truths)
 
     @property
     def indices(self) -> tuple[int, ...]:
         return _frame_indices(self.n_subcarriers)
 
     def truth(self, k: int) -> Hypothesis:
-        own = k in self.active
-        mirror = -k in self.active
-        return Hypothesis(2 * own + mirror)
+        type(self)(self.n_subcarriers, {k})  # the constructor's error for a bad index
+        return Hypothesis(int(self.truths[k + self.n_subcarriers // 2 - (k > 0)]))
 
 
 @dataclass(frozen=True, eq=False)
 class FrameResult:
-    """Per-subcarrier decisions and aggregate hazard accounting."""
+    """Per-subcarrier truth and decision codes, and aggregate hazard accounting."""
 
     subcarriers: tuple[int, ...]
-    truths: tuple[Hypothesis, ...]
-    decisions: tuple[Hypothesis, ...]
+    truths: np.ndarray
+    decisions: np.ndarray
     confusion: np.ndarray  # (4, 4) counts [truth, decided]
     vacant_mirror_flags: int  # decided H1: vacant but mirror-active warning
     unflagged_mirror_risk: int  # decided H0 while truth is H1
@@ -101,14 +100,9 @@ class FrameResult:
     rule: DecisionRule
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FrameResult)
-            and np.array_equal(self.confusion, other.confusion)
-            and all(
-                getattr(self, f.name) == getattr(other, f.name)
-                for f in fields(self)
-                if f.name != "confusion"
-            )
+        return isinstance(other, FrameResult) and all(
+            np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+            for a, b in ((getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
         )
 
 
@@ -138,20 +132,15 @@ def simulate_frame(
             f"rule was built for n_packets={rule.n_packets}, "
             f"but the scenario has n_packets={sc.n_packets}"
         )
-    # Subcarrier k > 0 sits in row k-1 of the "pos" side, -k in row k-1 of
-    # the "neg" side; mask[-k] wraps to mask[n+1-k].
     half = occupancy.n_subcarriers // 2
-    mask = np.zeros(2 * half + 1, dtype=bool)
-    mask[np.fromiter(occupancy.active, dtype=np.int64, count=len(occupancy.active))] = True
-    own_pos, own_neg = mask[1:half + 1], mask[:half:-1]
-
-    # Draw order: one phase index of s_k*s_-k per pair and packet, then the
-    # pos side's draws, then the neg side's: |y|^2 / mean (Tx-only), or the
-    # real then the imaginary parts of y / sd (joint).
+    # Row k-1 of the "pos" side is subcarrier k, of the "neg" side -k.  Draw
+    # order: one phase index of s_k*s_-k per pair and packet, then the pos
+    # side's draws, then the neg side's: |y|^2 / mean (Tx-only), or the real
+    # then the imaginary parts of y / sd (joint).
     rng = substream(seed, FRAME_STREAM)
     size = (half, sc.n_packets)
     cell = rng.integers(0, pair.psk_order, size)
-    cell += pair.psk_order * (2 * own_pos + own_neg)[:, None]
+    cell += pair.psk_order * occupancy.truths[half:, None].astype(np.int64)  # pair state
     scale = _pair_scales(sc).take(cell, axis=1)
     if sc.is_joint:
         y = rng.standard_normal((2, 2, *size))
@@ -163,13 +152,13 @@ def simulate_frame(
     z_pos, z_neg = power.mean(axis=2)
 
     # Frame order -half..-1, 1..half: the neg side reversed, then pos.
-    truth = np.concatenate([(2 * own_neg + own_pos)[::-1], 2 * own_pos + own_neg])
     decided = classify_batch(np.concatenate([z_neg[::-1], z_pos]), rule)
-    confusion = np.bincount(4 * truth + decided, minlength=16).reshape(4, 4)
+    decided.flags.writeable = False
+    confusion = np.bincount(4 * occupancy.truths + decided, minlength=16).reshape(4, 4)
     return FrameResult(
         subcarriers=occupancy.indices,
-        truths=tuple(_HYPOTHESES[truth].tolist()),
-        decisions=tuple(_HYPOTHESES[decided].tolist()),
+        truths=occupancy.truths,
+        decisions=decided,
         confusion=confusion,
         # The counters are cells of the [truth, decided] confusion.
         vacant_mirror_flags=int(confusion[:, Hypothesis.H1].sum()),
@@ -191,10 +180,18 @@ def _joint_power(y: np.ndarray, rx) -> np.ndarray:
     """(|r_k|^2, |r_-k|^2) of ``receive_joint`` on y = [side][re, im], which
     is overwritten: |a|^2*|y_k|^2 + |b|^2*|y_-k|^2 + 2*Re(a*conj(b)*y_k*y_-k)
     for r_k, the first two terms swapped for r_-k.  Real arithmetic keeps
-    the bits independent of fused multiply-add and temporary elision."""
+    the bits independent of fused multiply-add and temporary elision; the
+    in-place steps keep the formula's operations and their order."""
     (p, q), (s, t) = y
     c = rx.alpha * rx.beta.conjugate()
-    cross = c.real * (p * s - q * t) - c.imag * (p * t + q * s)
+    cross = c.real * (p * s - q * t)
+    cross -= c.imag * (p * t + q * s)
+    cross *= 2.0
     y *= y
-    sq = y[:, 0] + y[:, 1]
-    return abs(rx.alpha) ** 2 * sq + abs(rx.beta) ** 2 * sq[::-1] + 2.0 * cross
+    sq, im_sq = y[:, 0], y[:, 1]
+    sq += im_sq
+    np.multiply(sq[::-1], abs(rx.beta) ** 2, out=im_sq)
+    sq *= abs(rx.alpha) ** 2
+    sq += im_sq
+    sq += cross
+    return sq

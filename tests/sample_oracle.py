@@ -70,9 +70,6 @@ def component_variances(sc, samples, rng_for):
     return tuple(est)
 
 
-_HYPOTHESES = np.array(list(Hypothesis), dtype=object)
-
-
 def simulate_frame(occupancy, sc, seed):
     """:func:`iqsense.frame.simulate_frame` from sample-level draws.
 
@@ -121,8 +118,8 @@ def simulate_frame(occupancy, sc, seed):
     confusion = np.bincount(4 * truth + decided, minlength=16).reshape(4, 4)
     return FrameResult(
         subcarriers=occupancy.indices,
-        truths=tuple(_HYPOTHESES[truth].tolist()),
-        decisions=tuple(_HYPOTHESES[decided].tolist()),
+        truths=truth.astype(np.int8),
+        decisions=decided,
         confusion=confusion,
         vacant_mirror_flags=int(confusion[:, Hypothesis.H1].sum()),
         unflagged_mirror_risk=int(confusion[Hypothesis.H1, Hypothesis.H0]),

@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour through the real entry point."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -384,6 +385,30 @@ def test_frame_command(tmp_path):
     assert total == 16
     # stdout carries the summary line for quick inspection
     assert json.loads(r.stdout)["summary"]["confusion"] == doc["summary"]["confusion"]
+
+
+# sha256 of `iqsense frame` stdout for one seeded 512-subcarrier frame,
+# pinned while the frame still returned tuples of Hypothesis members.
+_FRAME_STDOUT_SHA256 = {
+    "csv": "795798e2441358759ab66fff5f37c4a6d3d6d47f2475165a48b041a93d6481e6",
+    "json": "bca691b1921fa853ddf80e57286a040ef3cc9b8d32d732a6a60e64c14b9e3a18",
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_FRAME_STDOUT_SHA256))
+def test_frame_output_bytes_golden(tmp_path, fmt):
+    active = [1, 2, 3, -3, -7, 40, -40, 100, 255, -256, 256, -128, 17, -17, -200]
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "frame": {"n_subcarriers": 512, "active": active, "snr_db": 5.0},
+        "scenario": {"n_packets": 2},
+    }))
+    r = subprocess.run(
+        [*CMD, "frame", "--config", str(cfgf), "--seed", "31", "--format", fmt],
+        capture_output=True, timeout=300,
+    )
+    assert r.returncode == 0, r.stderr
+    assert hashlib.sha256(r.stdout).hexdigest() == _FRAME_STDOUT_SHA256[fmt]
 
 
 def test_frame_summary_line_serialises_numpy_counters(tmp_path, monkeypatch, capsys):

@@ -1,9 +1,12 @@
 """Whole-frame sensing over an occupancy map."""
 
 import hashlib
+from enum import IntEnum
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import iqsense.frame as frame
 import iqsense.montecarlo as montecarlo
@@ -52,11 +55,78 @@ def test_occupancy_accepts_int_subclasses():
         ({3, 0, -2}, "0 is the DC bin, not a data subcarrier"),
         ({1, 5}, r"subcarrier index 5 outside \[-4, 4\]"),
         ({-5, 4}, r"subcarrier index -5 outside \[-4, 4\]"),
+        ({1, 2**70}, rf"subcarrier index {2**70} outside \[-4, 4\]"),  # beyond int64
+        ({-2**70, 2**70}, rf"subcarrier index {-2**70} outside \[-4, 4\]"),
     ],
 )
 def test_occupancy_error_messages(active, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         OccupancyMap(8, frozenset(active))
+
+
+class _Index(IntEnum):
+    ONE = 1
+    MINUS_TWO = -2
+    THREE = 3
+
+
+def _reference_error(n, active):
+    """The message OccupancyMap(n, active) must raise, or None: the type,
+    DC-bin and range checks, in that order, written out over the set."""
+    half = n // 2
+    if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):
+        k = next(k for k in active if not isinstance(k, int) or isinstance(k, bool))
+        return f"subcarrier indices must be integers, got {k!r}"
+    if 0 in active:
+        return "0 is the DC bin, not a data subcarrier"
+    for k in (min(active, default=1), max(active, default=1)):
+        if not (-half <= k <= half):
+            return f"subcarrier index {k} outside [-{half}, {half}]"
+    return None
+
+
+@st.composite
+def _occupancies(draw):
+    n = draw(st.sampled_from([2, 4, 6, 8, 16]))
+    half = n // 2
+    index = st.one_of(
+        st.integers(-half, half).filter(bool),
+        st.sampled_from(list(_Index)),
+        st.sampled_from([True, np.int64(2), 2.0, 0, half + 1, -half - 1]),
+    )
+    return n, frozenset(draw(st.lists(index, max_size=n)))
+
+
+@given(_occupancies())
+@settings(max_examples=300, deadline=None)
+def test_occupancy_validation_matches_reference(case):
+    """Each index set is accepted or rejected as the detailed checks say,
+    with their message; an accepted map's truth codes are 2*own + mirror."""
+    n, active = case
+    want = _reference_error(n, active)
+    if want is not None:
+        with pytest.raises(ValueError) as err:
+            OccupancyMap(n, active)
+        assert str(err.value) == want
+        return
+    occ = OccupancyMap(n, active)
+    assert occ.active == active
+    assert [occ.truth(k) for k in occ.indices] == [
+        2 * (k in active) + (-k in active) for k in occ.indices
+    ]
+    res = simulate_frame(occ, frame_scenario(n_packets=1), 0)
+    assert np.array_equal(res.truths, [occ.truth(k) for k in occ.indices])
+
+
+def test_truth_rejects_indices_outside_the_frame():
+    m = OccupancyMap(8, {1})
+    with pytest.raises(ValueError, match="^0 is the DC bin, not a data subcarrier$"):
+        m.truth(0)
+    for k in (5, -5):
+        with pytest.raises(ValueError, match=rf"^subcarrier index {k} outside \[-4, 4\]$"):
+            m.truth(k)
+    with pytest.raises(ValueError, match="^subcarrier indices must be integers, got 1.0$"):
+        m.truth(1.0)
 
 
 def test_indices_skip_dc():
@@ -79,8 +149,8 @@ def test_frame_determinism():
     a = simulate_frame(occ, sc, 99)
     b = simulate_frame(occ, sc, 99)
     c = simulate_frame(occ, sc, 100)
-    assert a.decisions == b.decisions
-    assert a.decisions != c.decisions
+    assert np.array_equal(a.decisions, b.decisions)
+    assert not np.array_equal(a.decisions, c.decisions)
     assert a == b
     assert a != c
 
@@ -198,9 +268,11 @@ def test_frame_counts_are_consistent(name, scenario_kw):
     res = simulate_frame(occ, frame_scenario(**scenario_kw), 7)
     n = occ.n_subcarriers
     assert res.subcarriers == occ.indices
-    assert res.truths == tuple(occ.truth(k) for k in occ.indices)
+    assert np.array_equal(res.truths, [occ.truth(k) for k in occ.indices])
+    assert res.truths is occ.truths
     assert len(res.decisions) == n
-    assert all(type(h) is Hypothesis for h in res.truths + res.decisions)
+    for codes in (res.truths, res.decisions):
+        assert codes.dtype == np.int8 and not codes.flags.writeable
     for counter in (res.vacant_mirror_flags, res.unflagged_mirror_risk, res.missed_own):
         assert type(counter) is int
     assert res.confusion.shape == (4, 4)
@@ -220,7 +292,7 @@ def test_frame_counts_are_consistent(name, scenario_kw):
     )
     assert res.missed_own == sum(
         1 for t, d in zip(res.truths, res.decisions)
-        if t.own_active and not d.own_active
+        if Hypothesis(t).own_active and not Hypothesis(d).own_active
     )
 
 
@@ -239,8 +311,8 @@ def test_frame_decisions_golden(model):
     rx = irr_to_mismatch(-15.0) if model == "joint" else None
     sc = frame_scenario(snr_db=5.0, n_packets=2, rx_mismatch=rx)
     res = simulate_frame(occ, sc, 2024)
-    assert " ".join(d.name for d in res.decisions) == _GOLDEN_DECISIONS[model]
-    assert " ".join(t.name for t in res.truths) == (
+    assert " ".join(Hypothesis(d).name for d in res.decisions) == _GOLDEN_DECISIONS[model]
+    assert " ".join(Hypothesis(t).name for t in res.truths) == (
         "H1 H0 H3 H2 H0 H2 H1 H1 H2 H2 H1 H0 H1 H3 H0 H2"
     )
 
@@ -286,7 +358,7 @@ def test_quiet_frame_stays_idle():
     occ = OccupancyMap(256, frozenset())
     sc = frame_scenario(n_packets=32)
     res = simulate_frame(occ, sc, 11)
-    busy = sum(1 for d in res.decisions if d.own_active)
+    busy = sum(1 for d in res.decisions if Hypothesis(d).own_active)
     assert busy <= 2
     assert res.confusion[0, 0] > 128  # H0 still the most common verdict
     assert res.missed_own == 0
@@ -307,7 +379,7 @@ def test_loud_frame_detects_occupants():
     assert all(occ.truth(k) == Hypothesis.H2 for k in range(1, half + 1))
     detected = sum(
         1 for k, d in zip(res.subcarriers, res.decisions)
-        if k > 0 and d.own_active
+        if k > 0 and Hypothesis(d).own_active
     )
     assert detected >= 28
     # The mirror-side warnings can only come from negative indices.

@@ -60,7 +60,7 @@ def pair_counts(sampler, sc, master_seed: int) -> np.ndarray:
     counts = np.zeros((4, 16), dtype=np.int64)
     for i in range(FRAMES):
         res = sampler(_OCCUPANCY, sc, SeedSpec(master_seed, i))
-        assert res.truths[_HALF:] == tuple(_STATES)
+        assert np.array_equal(res.truths[_HALF:], _STATES)
         d_k = np.array(res.decisions[_HALF:], dtype=np.int64)
         d_mk = np.array(res.decisions[_HALF - 1::-1], dtype=np.int64)
         counts += np.bincount(16 * _STATES + 4 * d_k + d_mk, minlength=64).reshape(4, 16)
