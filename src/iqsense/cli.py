@@ -21,7 +21,8 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from contextlib import contextmanager
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -34,6 +35,8 @@ from .config import (
     parse_config,
 )
 from .detection import (
+    CONVENTIONS,
+    METRICS,
     DetectorMode,
     Hypothesis,
     VarianceOrderError,
@@ -59,13 +62,16 @@ from .outage import analytic_outage, mc_outage, outage_paper_literal
 
 _OUTAGE_STREAM = 3
 
-_SWEEP_COLUMNS = [
-    "axis", "value", "mode", "target_pfa",
-    "pfa_analytic_paper", "pfa_paper", "pfa_paper_lo", "pfa_paper_hi",
-    "pfa_analytic_prior", "pfa_prior", "pfa_prior_lo", "pfa_prior_hi",
-    "pd_analytic_paper", "pd_paper", "pd_paper_lo", "pd_paper_hi",
-    "pd_analytic_prior", "pd_prior", "pd_prior_lo", "pd_prior_hi",
-]
+_ANALYTIC = {"p_fa": analytic_false_alarm, "p_d": analytic_detection}
+
+# pfa_analytic_paper, pfa_paper, pfa_paper_lo, pfa_paper_hi, the same four
+# for prior, then all eight for pd
+_SWEEP_COLUMNS = ["axis", "value", "mode", "target_pfa", *(
+    name.format(metric.replace("_", ""), convention.split("-")[0])
+    for metric in METRICS
+    for convention in CONVENTIONS
+    for name in ("{}_analytic_{}", "{}_{}", "{}_{}_lo", "{}_{}_hi")
+)]
 
 
 def main(argv=None) -> int:
@@ -167,6 +173,18 @@ def _resolve_config(args) -> ExperimentConfig:
     if cfg.out is not None:
         _check_writable(cfg.out, "--out" if args.out is not None else "out")
     return cfg
+
+
+@contextmanager
+def _config_key(key: str):
+    """Report a ``ValueError`` of the model, other than variances out of
+    order, as a bad value at config path ``key``."""
+    try:
+        yield
+    except VarianceOrderError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
 
 
 def _check_writable(path: str, key: str):
@@ -319,15 +337,21 @@ def _rule_report(rule) -> dict:
 
 def _metric_block(v, rule) -> dict:
     return {
-        "paper_sum": {
-            "p_fa": analytic_false_alarm(v, rule, "paper-sum"),
-            "p_d": analytic_detection(v, rule, "paper-sum"),
-        },
-        "prior_weighted": {
-            "p_fa": analytic_false_alarm(v, rule, "prior-weighted"),
-            "p_d": analytic_detection(v, rule, "prior-weighted"),
-        },
+        convention.replace("-", "_"): {m: _ANALYTIC[m](v, rule, convention) for m in METRICS}
+        for convention in CONVENTIONS
     }
+
+
+def _metric_cells(v, rule, tally) -> dict:
+    """{(convention, metric): (closed form, estimate)} for every entry of
+    the convention table, convention by convention."""
+    cells = {}
+    for convention in CONVENTIONS:
+        m = empirical_metrics(tally, convention)
+        for metric in METRICS:
+            ana = _ANALYTIC[metric](v, rule, convention)
+            cells[convention, metric] = (ana, getattr(m, metric))
+    return cells
 
 
 def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
@@ -335,12 +359,7 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     v = scenario_variances(sc)
     rule = rule_for_mode(v, sc.n_packets, sc.mode)
     report: dict = {
-        "variances": {
-            "sigma0_sq": v.sigma0_sq,
-            "sigma1_sq": v.sigma1_sq,
-            "sigma2_sq": v.sigma2_sq,
-            "sigma3_sq": v.sigma3_sq,
-        },
+        "variances": asdict(v),
         "mode": sc.mode.kind,
         "rule": _rule_report(rule),
         "metrics": _metric_block(v, rule),
@@ -364,22 +383,11 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
 
 
 def _sense_rows(tally, v, rule):
-    rows = []
-    for i in range(4):
-        for j in range(4):
-            rows.append(
-                ["tally", Hypothesis(i).name, Hypothesis(j).name, int(tally.counts[i, j]),
-                 None, None, None, None, None, None]
-            )
-    for convention, label in (("paper-sum", "paper_sum"), ("prior-weighted", "prior_weighted")):
-        m = empirical_metrics(tally, convention)
-        for metric, est, ana in (
-            ("p_fa", m.p_fa, analytic_false_alarm(v, rule, convention)),
-            ("p_d", m.p_d, analytic_detection(v, rule, convention)),
-        ):
-            rows.append(
-                ["metric", None, None, None, label, metric, ana, est.value, est.lo, est.hi]
-            )
+    rows = [["tally", Hypothesis(i).name, Hypothesis(j).name, int(tally.counts[i, j]), *[None] * 6]
+            for i in range(4) for j in range(4)]
+    for (convention, metric), (ana, est) in _metric_cells(v, rule, tally).items():
+        rows.append(["metric", None, None, None, convention.replace("-", "_"), metric,
+                     ana, est.value, est.lo, est.hi])
     return rows
 
 
@@ -399,7 +407,7 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
                "analytic", "estimate", "lo", "hi"]
     _emit_table(cfg, "sense", columns, _sense_rows(tally, v, rule))
     if cfg.out is not None:
-        for convention in ("paper-sum", "prior-weighted"):
+        for convention in CONVENTIONS:
             m = empirical_metrics(tally, convention)
             print(
                 f"{convention}: p_fa={m.p_fa.value:.6f} "
@@ -442,29 +450,35 @@ def _verify_closure(tally, v, rule) -> int:
 def _sweep_rows(points) -> list[list]:
     rows = []
     for pt in points:
-        rows.append([
-            pt.axis, pt.value, pt.mode.kind, pt.mode.target_pfa,
-            pt.pfa_analytic_paper, pt.paper.p_fa.value, pt.paper.p_fa.lo, pt.paper.p_fa.hi,
-            pt.pfa_analytic_prior, pt.prior.p_fa.value, pt.prior.p_fa.lo, pt.prior.p_fa.hi,
-            pt.pd_analytic_paper, pt.paper.p_d.value, pt.paper.p_d.lo, pt.paper.p_d.hi,
-            pt.pd_analytic_prior, pt.prior.p_d.value, pt.prior.p_d.lo, pt.prior.p_d.hi,
-        ])
+        cells = _metric_cells(pt.variances, pt.rule, pt.tally)
+        row = [pt.axis, pt.value, pt.mode.kind, pt.mode.target_pfa]
+        for metric in METRICS:
+            for convention in CONVENTIONS:
+                ana, est = cells[convention, metric]
+                row += [ana, est.value, est.lo, est.hi]
+        rows.append(row)
     return rows
+
+
+def _curve_points(cfg: ExperimentConfig, curves, grid_key: str) -> list[tuple[str, list]]:
+    """(curve, sweep points) of every (curve, template scenario, axis,
+    grid, modes, stream path).  A bad point on any curve's grid exits,
+    blamed on ``grid_key``, before the first trial runs."""
+    for _, base, axis, grid, _, _ in curves:
+        with _config_key(grid_key):
+            sweep_variances(base, axis, grid)
+    return [
+        (curve, sweep(base, axis, list(grid), cfg.trials, cfg.seed, modes=list(modes),
+                      workers=cfg.workers, chunk_size=cfg.chunk_size, stream_path=path))
+        for curve, base, axis, grid, modes, path in curves
+    ]
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: config section required for the sweep command")
-    points = sweep(
-        cfg.scenario,
-        cfg.sweep.axis,
-        list(cfg.sweep.grid),
-        cfg.trials,
-        cfg.seed,
-        modes=list(cfg.sweep.modes),
-        workers=cfg.workers,
-        chunk_size=cfg.chunk_size,
-    )
+    curve = ("", cfg.scenario, cfg.sweep.axis, cfg.sweep.grid, cfg.sweep.modes, ())
+    [(_, points)] = _curve_points(cfg, [curve], "sweep.grid")
     _emit_table(cfg, "sweep", _SWEEP_COLUMNS, _sweep_rows(points))
     if cfg.out is not None:
         print(f"{len(points)} sweep rows written to {cfg.out}")
@@ -490,16 +504,17 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
             ])
         return columns, rows
 
-    # (curve, template scenario, axis, grid, modes, stream path) per curve
     four = DetectorMode.four_level()
+    grid_key = "figure.snr1_grid" if fig_id == 4 else "figure.irr_grid"
     if fig_id == 3:
         curves = [("", sc, "irr_db", fig.irr_grid, [four, DetectorMode.two_level_bayes()], ())]
     elif fig_id == 4:
-        curves = [
-            (f"delta_snr_db={delta:g}", sc.with_snr(snr2_db=sc.snr1_db - delta),
-             "snr_db_at_delta", fig.snr1_grid, [four], (c,))
-            for c, delta in enumerate(fig.delta_snrs)
-        ]
+        with _config_key("figure.delta_snrs"):
+            curves = [
+                (f"delta_snr_db={delta:g}", sc.with_snr(snr2_db=sc.snr1_db - delta),
+                 "snr_db_at_delta", fig.snr1_grid, [four], (c,))
+                for c, delta in enumerate(fig.delta_snrs)
+            ]
     else:
         bases = (("tx-only", replace(sc, rx_mismatch=None)),
                  ("joint", replace(sc, rx_mismatch=sc.tx_mismatch)))
@@ -507,14 +522,7 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
             (curve, base, "irr_db", fig.irr_grid, [four], (c,))
             for c, (curve, base) in enumerate(bases)
         ]
-    # A bad grid point on any curve exits before the first trial runs.
-    for _, base, axis, grid, _, _ in curves:
-        sweep_variances(base, axis, grid)
-    for curve, base, axis, grid, modes, path in curves:
-        points = sweep(
-            base, axis, list(grid), cfg.trials, cfg.seed, modes=modes,
-            workers=cfg.workers, chunk_size=cfg.chunk_size, stream_path=path,
-        )
+    for curve, points in _curve_points(cfg, curves, grid_key):
         rows.extend([fig_id, curve, *row] for row in _sweep_rows(points))
     return ["figure", "curve", *_SWEEP_COLUMNS], rows
 
@@ -529,7 +537,8 @@ def _cmd_figure(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_frame(cfg: ExperimentConfig, args) -> int:
     frame = cfg.frame
-    scn = cfg.scenario.with_snr(snr1_db=frame.snr_db, snr2_db=frame.snr_db)
+    with _config_key("frame.snr_db"):
+        scn = cfg.scenario.with_snr(snr1_db=frame.snr_db, snr2_db=frame.snr_db)
     result = simulate_frame(frame.occupancy, scn, cfg.seed)
     summary = {
         "confusion": result.confusion.tolist(),

@@ -50,62 +50,72 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending path."""
 
 
+def _join(path: str, key: str) -> str:
+    """Config path of ``key`` under ``path``; top-level keys stand alone."""
+    return f"{path}.{key}" if path else key
+
+
 def _reject_unknown(d: dict, path: str, known: set[str]):
     for key in d:
         if key not in known:
-            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
+            raise ConfigError(f"{_join(path, key)}: unknown key")
 
 
 def _number(d, path, key, default, *, minimum=None, maximum=None, allow_null=False,
             exclusive_min=None, exclusive_max=None):
-    v = d.get(key, default)
+    v, where = d.get(key, default), _join(path, key)
     if v is None:
         if allow_null:
             return None
-        raise ConfigError(f"{path}.{key}: must be a number, got null")
+        raise ConfigError(f"{where}: must be a number, got null")
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{path}.{key}: must be a number, got {v!r}")
+        raise ConfigError(f"{where}: must be a number, got {v!r}")
     v = float(v)
     if not math.isfinite(v):
-        raise ConfigError(f"{path}.{key}: must be finite, got {v}")
+        raise ConfigError(f"{where}: must be finite, got {v}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
+        raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}, got {v}")
+        raise ConfigError(f"{where}: must be <= {maximum}, got {v}")
     if exclusive_min is not None and v <= exclusive_min:
-        raise ConfigError(f"{path}.{key}: must be > {exclusive_min}, got {v}")
+        raise ConfigError(f"{where}: must be > {exclusive_min}, got {v}")
     if exclusive_max is not None and v >= exclusive_max:
-        raise ConfigError(f"{path}.{key}: must be < {exclusive_max}, got {v}")
+        raise ConfigError(f"{where}: must be < {exclusive_max}, got {v}")
     return v
 
 
 def _integer(d, path, key, default, *, minimum=None, maximum=None):
-    v = d.get(key, default)
+    v, where = d.get(key, default), _join(path, key)
     if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{path}.{key}: must be an integer, got {v!r}")
+        raise ConfigError(f"{where}: must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
-        raise ConfigError(f"{path}.{key}: must be >= {minimum}, got {v}")
+        raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
-        raise ConfigError(f"{path}.{key}: must be <= {maximum}, got {v}")
+        raise ConfigError(f"{where}: must be <= {maximum}, got {v}")
     return v
 
 
 def _string(d, path, key, default, *, choices=None):
-    v = d.get(key, default)
+    v, where = d.get(key, default), _join(path, key)
     if not isinstance(v, str):
-        raise ConfigError(f"{path}.{key}: must be a string, got {v!r}")
+        raise ConfigError(f"{where}: must be a string, got {v!r}")
     if choices is not None and v not in choices:
-        raise ConfigError(f"{path}.{key}: must be one of {sorted(choices)}, got {v!r}")
+        raise ConfigError(f"{where}: must be one of {sorted(choices)}, got {v!r}")
     return v
+
+
+def _cfar_mode(d: dict, path: str) -> DetectorMode:
+    if "cfar_pfa" not in d:
+        raise ConfigError(f"{path}.cfar_pfa: required for mode two-cfar")
+    return DetectorMode.two_level_cfar(
+        _number(d, path, "cfar_pfa", None, exclusive_min=0.0, maximum=1.0)
+    )
 
 
 def _mode_from(d: dict, path: str) -> DetectorMode:
     kind = _string(d, path, "mode", "four", choices=set(DetectorMode.KINDS))
     if kind == "two-cfar":
-        if "cfar_pfa" not in d:
-            raise ConfigError(f"{path}.cfar_pfa: required for mode two-cfar")
-        p = _number(d, path, "cfar_pfa", None, exclusive_min=0.0, maximum=1.0)
-        return DetectorMode.two_level_cfar(p)
+        return _cfar_mode(d, path)
     if "cfar_pfa" in d:
         raise ConfigError(f"{path}.cfar_pfa: only valid with mode two-cfar")
     return DetectorMode(kind)
@@ -177,6 +187,20 @@ def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
         raise ConfigError(f"{path}: {e}") from None
 
 
+def _grid_list(d, path, key, default):
+    """A nonempty array of finite numbers at ``key``, or ``default`` (when
+    not None) for a missing or null key."""
+    v = d.get(key)
+    if v is None and default is not None:
+        return tuple(default)
+    if not isinstance(v, list) or not v:
+        raise ConfigError(f"{path}.{key}: must be a nonempty array of numbers")
+    for i, g in enumerate(v):
+        if isinstance(g, bool) or not isinstance(g, (int, float)) or not math.isfinite(g):
+            raise ConfigError(f"{path}.{key}[{i}]: must be a finite number, got {g!r}")
+    return tuple(float(g) for g in v)
+
+
 @dataclass(frozen=True)
 class SweepSection:
     axis: str
@@ -191,12 +215,7 @@ def _sweep_from(d: dict, scenario_mode: DetectorMode, path: str = "sweep") -> Sw
     if "axis" not in d:
         raise ConfigError(f"{path}.axis: required")
     axis = _string(d, path, "axis", None, choices=set(SWEEP_AXES))
-    grid = d.get("grid")
-    if not isinstance(grid, list) or not grid:
-        raise ConfigError(f"{path}.grid: must be a nonempty array of numbers")
-    for i, g in enumerate(grid):
-        if isinstance(g, bool) or not isinstance(g, (int, float)) or not math.isfinite(g):
-            raise ConfigError(f"{path}.grid[{i}]: must be a finite number, got {g!r}")
+    grid = _grid_list(d, path, "grid", None)
     modes_raw = d.get("modes")
     if modes_raw is None:
         modes = (scenario_mode,)
@@ -209,15 +228,9 @@ def _sweep_from(d: dict, scenario_mode: DetectorMode, path: str = "sweep") -> Sw
                 raise ConfigError(
                     f"{path}.modes[{i}]: must be one of {list(DetectorMode.KINDS)}, got {name!r}"
                 )
-            if name == "two-cfar":
-                if "cfar_pfa" not in d:
-                    raise ConfigError(f"{path}.cfar_pfa: required for mode two-cfar")
-                p = _number(d, path, "cfar_pfa", None, exclusive_min=0.0, maximum=1.0)
-                built.append(DetectorMode.two_level_cfar(p))
-            else:
-                built.append(DetectorMode(name))
+            built.append(_cfar_mode(d, path) if name == "two-cfar" else DetectorMode(name))
         modes = tuple(built)
-    return SweepSection(axis=axis, grid=tuple(float(g) for g in grid), modes=modes)
+    return SweepSection(axis=axis, grid=grid, modes=modes)
 
 
 @dataclass(frozen=True)
@@ -278,18 +291,6 @@ class FigureSection:
     irr_grid: tuple[float, ...]
     snr1_grid: tuple[float, ...]
     delta_snrs: tuple[float, ...]
-
-
-def _grid_list(d, path, key, default):
-    v = d.get(key)
-    if v is None:
-        return tuple(default)
-    if not isinstance(v, list) or not v:
-        raise ConfigError(f"{path}.{key}: must be a nonempty array of numbers")
-    for i, g in enumerate(v):
-        if isinstance(g, bool) or not isinstance(g, (int, float)) or not math.isfinite(g):
-            raise ConfigError(f"{path}.{key}[{i}]: must be a finite number, got {g!r}")
-    return tuple(float(g) for g in v)
 
 
 def _figure_from(d: dict, path: str = "figure") -> FigureSection:
@@ -395,7 +396,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _reject_unknown(raw, "", _TOP_KEYS)
     scenario = _scenario_from(raw.get("scenario", {}))
     seed = SeedSpec(
-        _integer(raw, "", "seed", 0, minimum=0),
+        _integer(raw, "", "seed", 0, minimum=0, maximum=2**64 - 1),
         _integer(raw, "", "stream_index", 0, minimum=0),
     )
     sweep_sec = _sweep_from(raw["sweep"], scenario.mode) if "sweep" in raw else None

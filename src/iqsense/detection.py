@@ -58,17 +58,29 @@ __all__ = [
     "false_alarm_paper_literal",
     "detection_paper_literal",
     "CONVENTIONS",
+    "METRICS",
+    "metric_cells",
+    "convention_metric",
 ]
 
 # Relative gap within which two variances coincide: no crossing, one region.
 MERGE_TOL = 1e-9
 
-# False-alarm / detection bookkeeping conventions:
-#   paper-sum      : plain sum of the off-diagonal (resp. diagonal) busy
-#                    conditionals -- can exceed 1 by construction.
-#   prior-weighted : uniform-prior average P(busy | idle states) and
+# False-alarm / detection bookkeeping conventions, as one table: per
+# convention and metric, a weight and the (truth row, decided columns) cells
+# whose conditionals P(decided | truth) it sums.
+#   paper-sum      : plain sums -- p_fa = P(busy|H0) + P(busy|H1) and
+#                    p_d = P(H2|H2) + P(H3|H3); can exceed 1 by construction.
+#   prior-weighted : uniform-prior averages of P(busy | idle states) and
 #                    P(busy | occupied states) -- a probability.
-CONVENTIONS = ("paper-sum", "prior-weighted")
+_BUSY = (2, 3)
+_IDLE_ROWS_BUSY = ((0, _BUSY), (1, _BUSY))
+_CONVENTION_TABLE = {
+    "paper-sum": {"p_fa": (1.0, _IDLE_ROWS_BUSY), "p_d": (1.0, ((2, (2,)), (3, (3,))))},
+    "prior-weighted": {"p_fa": (0.5, _IDLE_ROWS_BUSY), "p_d": (0.5, ((2, _BUSY), (3, _BUSY)))},
+}
+CONVENTIONS = tuple(_CONVENTION_TABLE)
+METRICS = ("p_fa", "p_d")
 
 
 class Hypothesis(IntEnum):
@@ -451,9 +463,25 @@ def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.
     return out
 
 
-def _check_convention(convention: str):
-    if convention not in CONVENTIONS:
+def metric_cells(convention: str, metric: str) -> tuple[float, tuple]:
+    """``(weight, cells)`` of ``metric`` (one of :data:`METRICS`) under
+    ``convention`` (one of :data:`CONVENTIONS`).
+
+    The metric is ``weight`` times the sum of the conditionals
+    P(decided | truth) over ``cells``, a tuple of (truth row, decided
+    columns) pairs.
+    """
+    if convention not in _CONVENTION_TABLE:
         raise ValueError(f"convention must be one of {CONVENTIONS}, got {convention!r}")
+    return _CONVENTION_TABLE[convention][metric]
+
+
+def convention_metric(probs: np.ndarray, convention: str, metric: str) -> float:
+    """``metric`` under ``convention`` of a 4x4 matrix of P(decide col |
+    true row): each row's cells are summed, then the rows in order, then
+    the sum is scaled by the weight."""
+    weight, cells = metric_cells(convention, metric)
+    return weight * float(sum(sum(probs[r, c] for c in cols) for r, cols in cells))
 
 
 def analytic_false_alarm(
@@ -465,11 +493,7 @@ def analytic_false_alarm(
     bookkeeping; reaches 2 in the worst case), ``prior-weighted`` their
     uniform-prior average.
     """
-    _check_convention(convention)
-    m = conditional_probabilities(v, rule)
-    busy = m[:, 2] + m[:, 3]
-    total = float(busy[0] + busy[1])
-    return total if convention == "paper-sum" else 0.5 * total
+    return convention_metric(conditional_probabilities(v, rule), convention, "p_fa")
 
 
 def analytic_detection(
@@ -481,12 +505,7 @@ def analytic_detection(
     the occupied hypotheses, as published); ``prior-weighted`` returns
     the uniform-prior busy probability (P(busy|H2) + P(busy|H3)) / 2.
     """
-    _check_convention(convention)
-    m = conditional_probabilities(v, rule)
-    if convention == "paper-sum":
-        return float(m[2, 2] + m[3, 3])
-    busy = m[:, 2] + m[:, 3]
-    return 0.5 * float(busy[2] + busy[3])
+    return convention_metric(conditional_probabilities(v, rule), convention, "p_d")
 
 
 def thresholds_paper_literal(

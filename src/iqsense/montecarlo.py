@@ -36,16 +36,15 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .detection import (
+    METRICS,
     DecisionRule,
     DetectorMode,
     Hypothesis,
     HypothesisVariances,
-    VarianceOrderError,
-    analytic_detection,
-    analytic_false_alarm,
     decision_counts,
     decision_rule,
     hypothesis_variances,
+    metric_cells,
     two_level_rule,
 )
 from .signal_model import (
@@ -60,8 +59,9 @@ from .signal_model import (
 )
 
 # Not called here (the kernel tallies with decision_counts and folds receive
-# into a symbol table); bound for the trace in bench/job.py.
-from .detection import classify_batch  # noqa: F401
+# into a symbol table; sweep points leave the closed-form metrics to their
+# readers); bound for the trace in bench/job.py.
+from .detection import analytic_detection, analytic_false_alarm, classify_batch  # noqa: F401
 from .signal_model import receive  # noqa: F401
 from .stats import Estimate, Z_95, wilson_interval
 
@@ -132,10 +132,16 @@ def substream(seed: "SeedSpec | int", *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _power_for(snr_db: float, noise_var: float) -> float:
+def _power_for(snr_db: float, noise_var: float, name: str) -> float:
     if snr_db == float("-inf"):
         return 0.0
-    return 10.0 ** (snr_db / 10.0) * noise_var
+    try:
+        power = 10.0 ** (snr_db / 10.0) * noise_var
+    except OverflowError:
+        power = math.inf
+    if power == math.inf:
+        raise ValueError(f"{name}={snr_db:g} dB: the signal power overflows a float")
+    return power
 
 
 @dataclass(frozen=True)
@@ -168,7 +174,7 @@ class SensingScenario:
         ):
             if math.isnan(snr) or snr == float("inf"):
                 raise ValueError(f"{name} must be finite or -inf, got {snr}")
-            expected = _power_for(snr, self.pair.noise_var)
+            expected = _power_for(snr, self.pair.noise_var, name)
             if expected == 0.0:
                 ok = power == 0.0
             else:
@@ -195,8 +201,8 @@ class SensingScenario:
         psk_order: int = 16,
     ) -> "SensingScenario":
         pair = SubcarrierPairConfig(
-            power_k=_power_for(snr1_db, noise_var),
-            power_mk=_power_for(snr2_db, noise_var),
+            power_k=_power_for(snr1_db, noise_var, "snr1_db"),
+            power_mk=_power_for(snr2_db, noise_var, "snr2_db"),
             noise_var=noise_var,
             channel_var=channel_var,
             channel_var_mirror=channel_var_mirror,
@@ -233,8 +239,8 @@ class SensingScenario:
         s2 = self.snr2_db if snr2_db is None else float(snr2_db)
         pair = replace(
             self.pair,
-            power_k=_power_for(s1, self.pair.noise_var),
-            power_mk=_power_for(s2, self.pair.noise_var),
+            power_k=_power_for(s1, self.pair.noise_var, "snr1_db"),
+            power_mk=_power_for(s2, self.pair.noise_var, "snr2_db"),
         )
         return replace(self, pair=pair, snr1_db=s1, snr2_db=s2)
 
@@ -291,10 +297,15 @@ class Metrics:
     p_d: Estimate
 
 
-def _combined_estimate(parts: list[Estimate], weight: float, cap: float) -> Estimate:
+def _combined_estimate(tally: TallyMatrix, convention: str, metric: str) -> Estimate:
+    """One metric from the per-row Wilson intervals of its table cells;
+    the interval is capped at ``weight`` times the number of rows."""
+    weight, cells = metric_cells(convention, metric)
+    n = tally.trials_per_hypothesis
+    parts = [wilson_interval(int(tally.counts[r, cols].sum()), int(n[r])) for r, cols in cells]
     value = weight * sum(p.value for p in parts)
     hw = weight * math.sqrt(sum(p.half_width**2 for p in parts))
-    return Estimate(value, max(0.0, value - hw), min(cap, value + hw))
+    return Estimate(value, max(0.0, value - hw), min(weight * len(cells), value + hw))
 
 
 def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metrics:
@@ -304,29 +315,10 @@ def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metr
     P(H3|H3); ``prior-weighted``: uniform-prior busy averages over the
     idle and the occupied rows respectively.
     """
-    if convention not in ("paper-sum", "prior-weighted"):
-        raise ValueError(f"unknown convention {convention!r}")
     n = tally.trials_per_hypothesis
     if np.any(n < 1):
         raise ValueError(f"every hypothesis row needs trials, have {n.tolist()}")
-    busy = tally.busy_counts
-    fa_parts = [wilson_interval(int(busy[i]), int(n[i])) for i in (0, 1)]
-    if convention == "paper-sum":
-        pd_parts = [
-            wilson_interval(int(tally.counts[2, 2]), int(n[2])),
-            wilson_interval(int(tally.counts[3, 3]), int(n[3])),
-        ]
-        return Metrics(
-            convention,
-            _combined_estimate(fa_parts, 1.0, 2.0),
-            _combined_estimate(pd_parts, 1.0, 2.0),
-        )
-    pd_parts = [wilson_interval(int(busy[i]), int(n[i])) for i in (2, 3)]
-    return Metrics(
-        convention,
-        _combined_estimate(fa_parts, 0.5, 1.0),
-        _combined_estimate(pd_parts, 0.5, 1.0),
-    )
+    return Metrics(convention, *(_combined_estimate(tally, convention, m) for m in METRICS))
 
 
 # --------------------------------------------------------------------------
@@ -600,8 +592,9 @@ class ModeComparison:
         return Estimate(value, value - hw, value + hw)
 
     def p_fa_gap(self, convention: str = "prior-weighted") -> Estimate:
-        w = 1.0 if convention == "paper-sum" else 0.5
-        return self.busy_gap((0, 1), w)
+        """False-alarm gap (mode_b minus mode_a) under ``convention``."""
+        weight, cells = metric_cells(convention, "p_fa")
+        return self.busy_gap(tuple(r for r, _ in cells), weight)
 
 
 def compare_modes(
@@ -638,9 +631,10 @@ def compare_modes(
 class SweepPoint:
     """One (grid value, detector mode) cell of a sweep.
 
-    Analytic columns are closed forms evaluated at the variances the
-    rule was built from, so empirical minus analytic measures Monte
-    Carlo closure directly.
+    ``variances`` are the closed-form variances the rule was built from:
+    the closed-form metrics at them (:func:`analytic_false_alarm`,
+    :func:`analytic_detection`) against :func:`empirical_metrics` of
+    ``tally`` measure Monte Carlo closure directly.
     """
 
     axis: str
@@ -648,12 +642,6 @@ class SweepPoint:
     mode: DetectorMode
     variances: HypothesisVariances
     rule: DecisionRule
-    pfa_analytic_paper: float
-    pfa_analytic_prior: float
-    pd_analytic_paper: float
-    pd_analytic_prior: float
-    paper: Metrics
-    prior: Metrics
     tally: TallyMatrix
 
 
@@ -676,17 +664,19 @@ def sweep_variances(
 ) -> list[tuple[SensingScenario, HypothesisVariances]]:
     """Scenario and closed-form variances at every grid value of ``axis``.
 
-    Raises :class:`VarianceOrderError` naming the first grid value whose
-    variances are out of order, so that a caller can reject a bad grid
-    before running any trial.
+    Raises the error of the first grid value the model cannot take, such
+    as a :class:`VarianceOrderError` for variances out of order or a
+    ``ValueError`` for an IRR that is not negative or an SNR whose power
+    overflows, of the same type and naming the value, so that a caller
+    can reject a bad grid before running any trial.
     """
     out = []
     for value in grid:
-        scn = _apply_axis(sc, axis, value)
         try:
+            scn = _apply_axis(sc, axis, value)
             out.append((scn, scenario_variances(scn)))
-        except VarianceOrderError as e:
-            raise VarianceOrderError(f"{axis}={value:g}: {e}") from None
+        except ValueError as e:
+            raise type(e)(f"{axis}={value:g}: {e}") from None
     return out
 
 
@@ -726,20 +716,7 @@ def sweep(
     jobs = [(scn, r, (*stream_path, i)) for i, ((scn, _), r) in enumerate(zip(cells, rules))]
     tallies = _tally_jobs(jobs, per_hypothesis, seed, workers, chunk_size)
     return [
-        SweepPoint(
-            axis=axis,
-            value=value,
-            mode=mode,
-            variances=v,
-            rule=rule,
-            pfa_analytic_paper=analytic_false_alarm(v, rule, "paper-sum"),
-            pfa_analytic_prior=analytic_false_alarm(v, rule, "prior-weighted"),
-            pd_analytic_paper=analytic_detection(v, rule, "paper-sum"),
-            pd_analytic_prior=analytic_detection(v, rule, "prior-weighted"),
-            paper=empirical_metrics(tally, "paper-sum"),
-            prior=empirical_metrics(tally, "prior-weighted"),
-            tally=tally,
-        )
+        SweepPoint(axis, value, mode, v, rule, tally)
         for value, (_, v), point_rules, point_tallies in zip(grid, cells, rules, tallies)
         for mode, rule, tally in zip(modes, point_rules, point_tallies)
     ]

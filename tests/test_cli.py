@@ -167,6 +167,66 @@ def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fi
     assert err.startswith(f"error: figure: {point}: variances must be nondecreasing")
 
 
+def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
+    """Exit code and stderr of an in-process call that must stop before the
+    trial engine (or the frame simulator) runs."""
+    import iqsense.cli as cli
+    import iqsense.montecarlo as montecarlo
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({**config, "trials": 100}))
+    calls = []
+    monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "simulate_frame", lambda *a: calls.append(a))
+    code = cli.main([*command, "--config", str(cfgf)])
+    assert calls == []
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, config, where", [
+    (["sweep"], {"sweep": {"axis": "irr_db", "grid": [-10.0, 0.0]}}, "sweep.grid: irr_db=0"),
+    (["figure", "3"], {"figure": {"irr_grid": [-10.0, 1.0]}}, "figure.irr_grid: irr_db=1"),
+    (["figure", "5"], {"figure": {"irr_grid": [-30.0, 2.5]}}, "figure.irr_grid: irr_db=2.5"),
+])
+def test_nonnegative_irr_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                          command, config, where):
+    code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
+    assert code == 2
+    assert err.startswith(f"error: {where}: irr_db must be negative")
+
+
+@pytest.mark.parametrize("command, config, where", [
+    (["sense"], {"scenario": {"snr1_db": 4000}}, "scenario: snr1_db=4000 dB"),
+    (["analytic"], {"scenario": {"snr2_db": 4000}}, "scenario: snr2_db=4000 dB"),
+    (["sense"], {"scenario": {"snr1_db": 100, "noise_var": 1e300}}, "scenario: snr1_db=100 dB"),
+    (["sweep"], {"sweep": {"axis": "snr1_db", "grid": [0.0, 4000.0]}},
+     "sweep.grid: snr1_db=4000: snr1_db=4000 dB"),
+    (["sweep"], {"sweep": {"axis": "delta_snr_db", "grid": [4000.0]}},
+     "sweep.grid: delta_snr_db=4000: snr1_db=3990 dB"),
+    (["sweep"], {"sweep": {"axis": "snr_db_at_delta", "grid": [4000.0]}},
+     "sweep.grid: snr_db_at_delta=4000: snr1_db=4000 dB"),
+    (["figure", "4"], {"figure": {"snr1_grid": [0.0, 4000.0]}},
+     "figure.snr1_grid: snr_db_at_delta=4000: snr1_db=4000 dB"),
+    (["figure", "4"], {"figure": {"delta_snrs": [0.0, -4000.0]}},
+     "figure.delta_snrs: snr2_db=4000 dB"),
+    (["frame"], {"frame": {"snr_db": 4000}}, "frame.snr_db: snr1_db=4000 dB"),
+])
+def test_overflowing_snr_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                               command, config, where):
+    code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
+    assert code == 2
+    assert err == f"error: {where}: the signal power overflows a float\n"
+
+
+def test_seed_beyond_64_bits_exit_code(tmp_path):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"seed": 2**64}))
+    r = run_cli("analytic", "--config", str(cfgf))
+    assert r.returncode == 2
+    assert r.stderr.startswith("error: seed: must be <= ")
+    assert "Traceback" not in r.stderr
+
+
 def _count_executors(monkeypatch) -> tuple[list, list]:
     """Record the worker count of every thread pool montecarlo builds and
     the job count of every trial-engine batch; both still run."""
@@ -345,6 +405,39 @@ def test_sweep_runs(tmp_path):
     lines = [l for l in out.read_text().splitlines() if not l.startswith("#")]
     assert lines[0].startswith("axis,value,mode,")
     assert len(lines) == 1 + 4  # header + 2 grid points x 2 modes
+
+
+def test_sweep_analytic_columns_are_the_closed_forms(tmp_path):
+    """Each row's analytic columns are analytic_false_alarm and
+    analytic_detection at that row's variances and rule, to the last bit."""
+    import csv
+
+    from iqsense.config import load_config
+    from iqsense.detection import CONVENTIONS, analytic_detection, analytic_false_alarm
+    from iqsense.montecarlo import rule_for_mode, sweep_variances
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "scenario": {"n_packets": 2, "rx_irr_db": -20.0},
+        "sweep": {"axis": "irr_db", "grid": [-25.0, -12.0],
+                  "modes": ["four", "two-bayes", "two-cfar"], "cfar_pfa": 0.1},
+        "trials": 500,
+    }))
+    r = run_cli("sweep", "--config", str(cfgf))
+    assert r.returncode == 0
+    rows = list(csv.DictReader(l for l in r.stdout.splitlines() if not l.startswith("#")))
+    cfg = load_config(str(cfgf))
+    expected = [(scn, v, mode)
+                for scn, v in sweep_variances(cfg.scenario, cfg.sweep.axis, cfg.sweep.grid)
+                for mode in cfg.sweep.modes]
+    assert len(rows) == len(expected) == 6
+    for row, (scn, v, mode) in zip(rows, expected):
+        assert row["mode"] == mode.kind
+        rule = rule_for_mode(v, scn.n_packets, mode)
+        for convention in CONVENTIONS:
+            short = convention.split("-")[0]
+            assert float(row[f"pfa_analytic_{short}"]) == analytic_false_alarm(v, rule, convention)
+            assert float(row[f"pd_analytic_{short}"]) == analytic_detection(v, rule, convention)
 
 
 def test_mode_override_flags():

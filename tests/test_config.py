@@ -155,6 +155,26 @@ def test_type_checks():
         parse_config({"format": "yaml"})
 
 
+@pytest.mark.parametrize("raw, message", [
+    ({"trials": 0}, "trials: must be >= 1, got 0"),
+    ({"workers": True}, "workers: must be an integer, got True"),
+    ({"seed": 2**64}, f"seed: must be <= {2**64 - 1}, got {2**64}"),
+    ({"stream_index": 1.5}, "stream_index: must be an integer, got 1.5"),
+    ({"format": "yaml"}, "format: must be one of ['csv', 'json'], got 'yaml'"),
+    ({"bogus": 1}, "bogus: unknown key"),
+    ({"scenario": {"n_packets": 0}}, "scenario.n_packets: must be >= 1, got 0"),
+])
+def test_error_paths_join_like_unknown_keys(raw, message):
+    """A top-level key is named bare; a nested one by its dotted path."""
+    with pytest.raises(ConfigError) as e:
+        parse_config(raw)
+    assert str(e.value) == message
+
+
+def test_seed_spans_64_bits():
+    assert parse_config({"seed": 2**64 - 1}).seed.master_seed == 2**64 - 1
+
+
 def test_canonical_hash_stability_and_sensitivity():
     base = parse_config({})
     same = parse_config({"scenario": {"snr1_db": 0.0}, "workers": 8, "out": "x.csv"})

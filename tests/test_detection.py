@@ -10,6 +10,8 @@ from scipy.optimize import brentq
 
 from gamma_density import gamma_pdf
 from iqsense.detection import (
+    CONVENTIONS,
+    METRICS,
     DecisionRule,
     DetectorMode,
     Hypothesis,
@@ -20,11 +22,13 @@ from iqsense.detection import (
     analytic_false_alarm,
     classify_batch,
     conditional_probabilities,
+    convention_metric,
     decision_counts,
     decision_rule,
     detection_paper_literal,
     false_alarm_paper_literal,
     hypothesis_variances,
+    metric_cells,
     pair_table,
     pairwise_threshold,
     pairwise_threshold_paper,
@@ -314,6 +318,23 @@ def test_metric_conventions():
     )
     with pytest.raises(ValueError):
         analytic_false_alarm(v, r, "other")
+    with pytest.raises(ValueError, match="convention must be one of"):
+        analytic_detection(v, r, "paper_sum")
+
+
+def test_convention_table():
+    """paper-sum P_D reads the diagonal cells (2,2) and (3,3); every other
+    metric reads the busy columns {2, 3}, of the idle rows for P_FA and of
+    the occupied rows for P_D."""
+    assert CONVENTIONS == ("paper-sum", "prior-weighted")
+    assert METRICS == ("p_fa", "p_d")
+    for convention, weight in zip(CONVENTIONS, (1.0, 0.5)):
+        assert metric_cells(convention, "p_fa") == (weight, ((0, (2, 3)), (1, (2, 3))))
+    assert metric_cells("paper-sum", "p_d") == (1.0, ((2, (2,)), (3, (3,))))
+    assert metric_cells("prior-weighted", "p_d") == (0.5, ((2, (2, 3)), (3, (2, 3))))
+    probs = np.arange(16.0).reshape(4, 4)
+    assert convention_metric(probs, "paper-sum", "p_d") == 10.0 + 15.0
+    assert convention_metric(probs, "prior-weighted", "p_fa") == 0.5 * ((2 + 3) + (6 + 7))
 
 
 def test_variances_validation():

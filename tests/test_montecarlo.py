@@ -6,16 +6,20 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from iqsense.detection import (
+    CONVENTIONS,
+    METRICS,
     DetectorMode,
     VarianceOrderError,
     _component_variances,
-    analytic_detection,
-    analytic_false_alarm,
     conditional_probabilities,
+    convention_metric,
     hypothesis_variances,
+    metric_cells,
 )
 import iqsense.montecarlo as montecarlo
 from iqsense.montecarlo import (
@@ -28,6 +32,7 @@ from iqsense.montecarlo import (
     compare_modes,
     empirical_metrics,
     estimate_component_variances,
+    rule_for_mode,
     run_trials,
     scenario_rule,
     scenario_variances,
@@ -143,6 +148,24 @@ def test_empirical_metrics_math():
         empirical_metrics(TallyMatrix(np.zeros((4, 4))), "paper-sum")
     with pytest.raises(ValueError):
         empirical_metrics(t, "averaged")
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**6), min_size=16, max_size=16))
+def test_empirical_metrics_apply_the_convention_table(flat):
+    """Every estimate is the table's weighted cell sum of the empirical
+    conditionals, for both conventions and both metrics."""
+    counts = np.array(flat).reshape(4, 4)
+    counts[:, 0] += 1  # every row needs trials
+    t = TallyMatrix(counts)
+    rates = t.counts / t.trials_per_hypothesis[:, None]
+    for convention in CONVENTIONS:
+        m = empirical_metrics(t, convention)
+        for metric in METRICS:
+            est = getattr(m, metric)
+            assert abs(est.value - convention_metric(rates, convention, metric)) <= 1e-15
+            weight, cells = metric_cells(convention, metric)
+            assert 0.0 <= est.lo <= est.value <= est.hi <= weight * len(cells)
 
 
 def test_run_trials_deterministic():
@@ -332,6 +355,9 @@ def test_compare_modes_is_paired():
     # Gap therefore equals the one-sided band count and is nonnegative.
     gap = cmp.p_fa_gap("prior-weighted")
     assert gap.value >= 0.0
+    assert cmp.p_fa_gap("paper-sum") == cmp.busy_gap((0, 1), 1.0)
+    with pytest.raises(ValueError, match="convention"):
+        cmp.p_fa_gap("paper_sum")
     # Mode a's busy counts agree with a tally of the same streams.
     tally = run_trials(sc, 20_000, 3)
     assert np.array_equal(cmp.joint_counts[:, 0] + cmp.joint_counts[:, 1], tally.busy_counts)
@@ -395,12 +421,8 @@ def test_sweep_structure_and_pairing():
     assert len(pts) == 4
     assert [p.mode.kind for p in pts] == ["four", "two-bayes", "four", "two-bayes"]
     for p in pts:
-        assert p.pfa_analytic_prior == pytest.approx(
-            analytic_false_alarm(p.variances, p.rule, "prior-weighted"), rel=1e-12
-        )
-        assert p.pd_analytic_paper == pytest.approx(
-            analytic_detection(p.variances, p.rule, "paper-sum"), rel=1e-12
-        )
+        assert p.variances == scenario_variances(sc.with_irr(p.value))
+        assert p.rule == rule_for_mode(p.variances, sc.n_packets, p.mode)
         assert p.tally.trials_per_hypothesis.tolist() == [8_000] * 4
     # Common random numbers: within each grid point the four-level busy
     # count never exceeds the two-level one on any truth row.
