@@ -59,6 +59,7 @@ from .montecarlo import (
     sweep_variances,
 )
 from .outage import analytic_outage, mc_outage, outage_paper_literal
+from .signal_model import irr_to_mismatch
 
 _OUTAGE_STREAM = 3
 
@@ -163,7 +164,7 @@ def _resolve_config(args) -> ExperimentConfig:
             if args.cfar_pfa is not None:
                 raise ConfigError("--cfar-pfa only applies to --mode two-cfar")
             mode = DetectorMode(args.mode)
-        cfg = replace(cfg, scenario=cfg.scenario.with_mode(mode))
+        cfg = replace(cfg, scenario=replace(cfg.scenario, mode=mode))
     elif args.cfar_pfa is not None:
         raise ConfigError("--cfar-pfa requires --mode two-cfar")
     if args.out is not None:
@@ -356,7 +357,8 @@ def _metric_cells(v, rule, tally) -> dict:
 
 def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    v = scenario_variances(sc)
+    with _config_key("scenario"):
+        v = scenario_variances(sc)
     rule = rule_for_mode(v, sc.n_packets, sc.mode)
     report: dict = {
         "variances": asdict(v),
@@ -393,7 +395,8 @@ def _sense_rows(tally, v, rule):
 
 def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    v = scenario_variances(sc)
+    with _config_key("scenario"):
+        v = scenario_variances(sc)
     rule = rule_for_mode(v, sc.n_packets, sc.mode)
     tally = run_trials(
         sc,
@@ -493,6 +496,9 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
         columns = ["figure", "curve", "axis", "value", "beta_sq_sec",
                    "outage_analytic", "outage_mc", "outage_lo", "outage_hi",
                    "outage_paper_literal"]
+        for irr in fig.irr_grid:
+            with _config_key(f"figure.irr_grid: irr_db={irr:g}"):
+                irr_to_mismatch(irr)
         base = cfg.outage
         for i, irr in enumerate(fig.irr_grid):
             scn = replace(base, beta_sq_sec=10.0 ** (irr / 10.0))
@@ -511,7 +517,7 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
     elif fig_id == 4:
         with _config_key("figure.delta_snrs"):
             curves = [
-                (f"delta_snr_db={delta:g}", sc.with_snr(snr2_db=sc.snr1_db - delta),
+                (f"delta_snr_db={delta:g}", replace(sc, snr2_db=sc.snr1_db - delta),
                  "snr_db_at_delta", fig.snr1_grid, [four], (c,))
                 for c, delta in enumerate(fig.delta_snrs)
             ]
@@ -538,7 +544,8 @@ def _cmd_figure(cfg: ExperimentConfig, args) -> int:
 def _cmd_frame(cfg: ExperimentConfig, args) -> int:
     frame = cfg.frame
     with _config_key("frame.snr_db"):
-        scn = cfg.scenario.with_snr(snr1_db=frame.snr_db, snr2_db=frame.snr_db)
+        scn = replace(cfg.scenario, snr1_db=frame.snr_db, snr2_db=frame.snr_db)
+        scenario_variances(scn)  # variances that overflow exit here, before the frame runs
     result = simulate_frame(frame.occupancy, scn, cfg.seed)
     summary = {
         "confusion": result.confusion.tolist(),

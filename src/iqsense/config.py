@@ -169,7 +169,7 @@ def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
         tx = irr_to_mismatch(-15.0)
     rx = _mismatch_from(d, path, "rx")
     try:
-        return SensingScenario.from_snr(
+        return SensingScenario(
             _snr_value(d, path, "snr1_db", 0.0),
             _snr_value(d, path, "snr2_db", -10.0),
             tx_mismatch=tx,
@@ -337,10 +337,10 @@ class ExperimentConfig:
             "scenario": {
                 "snr1_db": _json_num(sc.snr1_db),
                 "snr2_db": _json_num(sc.snr2_db),
-                "noise_var": sc.pair.noise_var,
-                "channel_var": sc.pair.channel_var,
-                "channel_var_mirror": sc.pair.channel_var_mirror,
-                "psk_order": sc.pair.psk_order,
+                "noise_var": sc.noise_var,
+                "channel_var": sc.channel_var,
+                "channel_var_mirror": sc.channel_var_mirror,
+                "psk_order": sc.psk_order,
                 "n_packets": sc.n_packets,
                 "mode": sc.mode.kind,
                 "tx_epsilon": sc.tx_mismatch.epsilon,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -132,18 +132,6 @@ def substream(seed: "SeedSpec | int", *path: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _power_for(snr_db: float, noise_var: float, name: str) -> float:
-    if snr_db == float("-inf"):
-        return 0.0
-    try:
-        power = 10.0 ** (snr_db / 10.0) * noise_var
-    except OverflowError:
-        power = math.inf
-    if power == math.inf:
-        raise ValueError(f"{name}={snr_db:g} dB: the signal power overflows a float")
-    return power
-
-
 @dataclass(frozen=True)
 class SensingScenario:
     """One operating point of the sensing problem.
@@ -155,94 +143,61 @@ class SensingScenario:
     switches between the transmitter-only model (None) and the joint
     model in which the sensing receiver's own front end folds the
     mirror observation into the statistic.
+
+    The inputs are the only fields.  ``pair`` (the subcarrier powers the
+    SNRs imply) and ``coefficients`` (the transmitter's and receiver's
+    mismatch coefficients, the receiver's None for the transmitter-only
+    model) are derived from them once, at construction, and take no part
+    in ``==`` or ``hash``.  Variants come from :func:`dataclasses.replace`,
+    which derives them again, or from :meth:`with_irr`.
     """
 
-    pair: SubcarrierPairConfig
-    tx_mismatch: IqMismatch
-    rx_mismatch: IqMismatch | None
-    n_packets: int
-    mode: DetectorMode
     snr1_db: float
     snr2_db: float
+    _: KW_ONLY
+    tx_mismatch: IqMismatch
+    rx_mismatch: IqMismatch | None = None
+    n_packets: int = 1
+    mode: DetectorMode = DetectorMode.four_level()
+    noise_var: float = 1.0
+    channel_var: float = 1.0
+    channel_var_mirror: float = 1.0
+    psk_order: int = 16
+    pair: SubcarrierPairConfig = field(init=False, repr=False, compare=False)
+    coefficients: tuple[MismatchCoefficients, MismatchCoefficients | None] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if not isinstance(self.n_packets, int) or self.n_packets < 1:
             raise ValueError(f"n_packets must be an int >= 1, got {self.n_packets!r}")
-        for name, snr, power in (
-            ("snr1_db", self.snr1_db, self.pair.power_k),
-            ("snr2_db", self.snr2_db, self.pair.power_mk),
-        ):
+        powers = []
+        for name in ("snr1_db", "snr2_db"):
+            snr = float(getattr(self, name))
             if math.isnan(snr) or snr == float("inf"):
                 raise ValueError(f"{name} must be finite or -inf, got {snr}")
-            expected = _power_for(snr, self.pair.noise_var, name)
-            if expected == 0.0:
-                ok = power == 0.0
-            else:
-                ok = abs(power - expected) <= 1e-9 * expected
-            if not ok:
-                raise ValueError(
-                    f"{name}={snr} inconsistent with configured power {power} "
-                    f"(expected {expected})"
-                )
-
-    @classmethod
-    def from_snr(
-        cls,
-        snr1_db: float,
-        snr2_db: float,
-        *,
-        tx_mismatch: IqMismatch,
-        rx_mismatch: IqMismatch | None = None,
-        n_packets: int = 1,
-        mode: DetectorMode | None = None,
-        noise_var: float = 1.0,
-        channel_var: float = 1.0,
-        channel_var_mirror: float = 1.0,
-        psk_order: int = 16,
-    ) -> "SensingScenario":
+            object.__setattr__(self, name, snr)
+            try:
+                power = 10.0 ** (snr / 10.0) * self.noise_var  # 0 at -inf
+            except OverflowError:
+                power = math.inf
+            if power == math.inf:
+                raise ValueError(f"{name}={snr:g} dB: the signal power overflows a float")
+            powers.append(power)
         pair = SubcarrierPairConfig(
-            power_k=_power_for(snr1_db, noise_var, "snr1_db"),
-            power_mk=_power_for(snr2_db, noise_var, "snr2_db"),
-            noise_var=noise_var,
-            channel_var=channel_var,
-            channel_var_mirror=channel_var_mirror,
-            psk_order=psk_order,
+            *powers, self.noise_var, self.channel_var, self.channel_var_mirror, self.psk_order
         )
-        return cls(
-            pair=pair,
-            tx_mismatch=tx_mismatch,
-            rx_mismatch=rx_mismatch,
-            n_packets=n_packets,
-            mode=mode if mode is not None else DetectorMode.four_level(),
-            snr1_db=float(snr1_db),
-            snr2_db=float(snr2_db),
-        )
+        object.__setattr__(self, "pair", pair)
+        rx_c = mismatch_coefficients(self.rx_mismatch) if self.is_joint else None
+        object.__setattr__(self, "coefficients", (mismatch_coefficients(self.tx_mismatch), rx_c))
 
     @property
     def is_joint(self) -> bool:
         return self.rx_mismatch is not None
 
     @property
-    def coefficients(self) -> tuple[MismatchCoefficients, MismatchCoefficients | None]:
-        """(transmitter, receiver) mismatch coefficients; the receiver's
-        are None for the transmitter-only model."""
-        tx_c = mismatch_coefficients(self.tx_mismatch)
-        rx_c = mismatch_coefficients(self.rx_mismatch) if self.is_joint else None
-        return tx_c, rx_c
-
-    @property
     def delta_snr_db(self) -> float:
         return self.snr1_db - self.snr2_db
-
-    def with_snr(self, snr1_db: float | None = None, snr2_db: float | None = None):
-        s1 = self.snr1_db if snr1_db is None else float(snr1_db)
-        s2 = self.snr2_db if snr2_db is None else float(snr2_db)
-        pair = replace(
-            self.pair,
-            power_k=_power_for(s1, self.pair.noise_var, "snr1_db"),
-            power_mk=_power_for(s2, self.pair.noise_var, "snr2_db"),
-        )
-        return replace(self, pair=pair, snr1_db=s1, snr2_db=s2)
 
     def with_irr(self, irr_db: float):
         """Same scenario with both front ends retuned to ``irr_db``
@@ -250,9 +205,6 @@ class SensingScenario:
         tx = irr_to_mismatch(irr_db)
         rx = irr_to_mismatch(irr_db) if self.is_joint else None
         return replace(self, tx_mismatch=tx, rx_mismatch=rx)
-
-    def with_mode(self, mode: DetectorMode):
-        return replace(self, mode=mode)
 
 
 @dataclass(eq=False)
@@ -649,13 +601,13 @@ def _apply_axis(sc: SensingScenario, axis: str, value: float) -> SensingScenario
     if axis == "irr_db":
         return sc.with_irr(value)
     if axis == "snr1_db":
-        return sc.with_snr(snr1_db=value)
+        return replace(sc, snr1_db=value)
     if axis == "delta_snr_db":
-        return sc.with_snr(snr1_db=sc.snr2_db + value)
+        return replace(sc, snr1_db=sc.snr2_db + value)
     if axis == "snr_db_at_delta":
         # Move the whole operating point, preserving the template's
         # SNR1 - SNR2 offset: value is the new SNR1.
-        return sc.with_snr(snr1_db=value, snr2_db=value - sc.delta_snr_db)
+        return replace(sc, snr1_db=value, snr2_db=value - sc.delta_snr_db)
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 

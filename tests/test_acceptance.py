@@ -77,7 +77,7 @@ def test_criterion_02_statistic_distribution():
     worst = 0.0
     detail = []
     for n_packets in (1, 4):
-        sc = SensingScenario.from_snr(0.0, **{**PAPER_POINT, "n_packets": n_packets})
+        sc = SensingScenario(0.0, **{**PAPER_POINT, "n_packets": n_packets})
         v = scenario_variances(sc)
         tx_c, rx_c = sc.coefficients
         for hyp, s in enumerate(v.as_tuple()):
@@ -174,7 +174,7 @@ def test_criterion_05_closure():
     forms at 1e6 trials/hypothesis: headline point + 19 random ones."""
     t0 = time.perf_counter()
     trials = 1_000_000
-    scenarios = [SensingScenario.from_snr(0.0, **PAPER_POINT)]
+    scenarios = [SensingScenario(0.0, **PAPER_POINT)]
     # The random box spans the strong-mismatch regime (IRR <= -12 dB).
     # The occupied-plus-image law is a symbol-averaged Gamma; for weaker
     # rejection its symbol-mixture spread biases small tail cells past
@@ -183,7 +183,7 @@ def test_criterion_05_closure():
     rng = np.random.default_rng(505)
     while len(scenarios) < 20:
         scenarios.append(
-            SensingScenario.from_snr(
+            SensingScenario(
                 float(rng.uniform(-10.0, 10.0)),
                 -10.0,
                 tx_mismatch=irr_to_mismatch(float(rng.uniform(-30.0, -12.0))),
@@ -206,7 +206,7 @@ def test_criterion_06_four_vs_two_level():
     two-level Bayes baseline at every IRR, by more than the paired 95%
     interval of the gap on common random numbers."""
     t0 = time.perf_counter()
-    base = SensingScenario.from_snr(0.0, **PAPER_POINT)
+    base = SensingScenario(0.0, **PAPER_POINT)
     details = []
     ok = True
     for i, irr in enumerate((-25.0, -20.0, -15.0, -10.0)):
@@ -235,10 +235,10 @@ def test_criterion_07_delta_snr_sensitivity():
     more than five baseline CI half-widths."""
     t0 = time.perf_counter()
     trials = 1_000_000
-    dirty = SensingScenario.from_snr(
+    dirty = SensingScenario(
         10.0, 20.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=1
     )
-    ideal = SensingScenario.from_snr(
+    ideal = SensingScenario(
         10.0, 20.0, tx_mismatch=IqMismatch.ideal(), n_packets=1
     )
     m_dirty = empirical_metrics(
@@ -262,11 +262,11 @@ def test_criterion_08_joint_rx_degradation():
     t0 = time.perf_counter()
     trials = 1_000_000
     seed = SeedSpec(880)
-    tx_only = SensingScenario.from_snr(0.0, **PAPER_POINT)
-    joint = SensingScenario.from_snr(
+    tx_only = SensingScenario(0.0, **PAPER_POINT)
+    joint = SensingScenario(
         0.0, **{**PAPER_POINT, "rx_mismatch": irr_to_mismatch(-15.0)}
     )
-    rx_ideal = SensingScenario.from_snr(
+    rx_ideal = SensingScenario(
         0.0, **{**PAPER_POINT, "rx_mismatch": IqMismatch.ideal()}
     )
     # Common random numbers: the same trial substreams drive all three,

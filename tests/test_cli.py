@@ -169,7 +169,7 @@ def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fi
 
 def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
     """Exit code and stderr of an in-process call that must stop before the
-    trial engine (or the frame simulator) runs."""
+    trial engine, the frame simulator or an outage trial runs."""
     import iqsense.cli as cli
     import iqsense.montecarlo as montecarlo
 
@@ -178,6 +178,7 @@ def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
     calls = []
     monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
     monkeypatch.setattr(cli, "simulate_frame", lambda *a: calls.append(a))
+    monkeypatch.setattr(cli, "mc_outage", lambda *a: calls.append(a))
     code = cli.main([*command, "--config", str(cfgf)])
     assert calls == []
     return code, capsys.readouterr().err
@@ -187,6 +188,7 @@ def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
     (["sweep"], {"sweep": {"axis": "irr_db", "grid": [-10.0, 0.0]}}, "sweep.grid: irr_db=0"),
     (["figure", "3"], {"figure": {"irr_grid": [-10.0, 1.0]}}, "figure.irr_grid: irr_db=1"),
     (["figure", "5"], {"figure": {"irr_grid": [-30.0, 2.5]}}, "figure.irr_grid: irr_db=2.5"),
+    (["figure", "6"], {"figure": {"irr_grid": [3.0]}}, "figure.irr_grid: irr_db=3"),
 ])
 def test_nonnegative_irr_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys,
                                                           command, config, where):
@@ -216,6 +218,18 @@ def test_overflowing_snr_exits_2_naming_the_key(tmp_path, monkeypatch, capsys,
     code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
     assert code == 2
     assert err == f"error: {where}: the signal power overflows a float\n"
+
+
+@pytest.mark.parametrize("command, config, where", [
+    (["sense"], {"scenario": {"snr1_db": 3080, "channel_var": 100}}, "scenario"),
+    (["analytic"], {"scenario": {"snr1_db": 3080, "channel_var": 100}}, "scenario"),
+    (["frame"], {"scenario": {"channel_var": 100}, "frame": {"snr_db": 3080}}, "frame.snr_db"),
+])
+def test_overflowing_variances_exit_2_naming_the_key(tmp_path, monkeypatch, capsys,
+                                                     command, config, where):
+    code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
+    assert code == 2
+    assert err.startswith(f"error: {where}: variances must be finite and > 0, got (")
 
 
 def test_seed_beyond_64_bits_exit_code(tmp_path):

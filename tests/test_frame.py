@@ -1,6 +1,7 @@
 """Whole-frame sensing over an occupancy map."""
 
 import hashlib
+from dataclasses import replace
 from enum import IntEnum
 
 import numpy as np
@@ -18,7 +19,7 @@ from iqsense.signal_model import IqMismatch, irr_to_mismatch, mismatch_coefficie
 
 def frame_scenario(snr_db=10.0, n_packets=8, **kw):
     kw.setdefault("tx_mismatch", irr_to_mismatch(-15.0))
-    return SensingScenario.from_snr(snr_db, snr_db, n_packets=n_packets, **kw)
+    return SensingScenario(snr_db, snr_db, n_packets=n_packets, **kw)
 
 
 def test_occupancy_validation():
@@ -183,8 +184,8 @@ def test_frame_builds_rule_once_per_scenario(monkeypatch):
     variants = [
         sc,
         sc.with_irr(-20.0),
-        sc.with_mode(DetectorMode.two_level_bayes()),
-        sc.with_mode(DetectorMode.two_level_cfar(0.1)),
+        replace(sc, mode=DetectorMode.two_level_bayes()),
+        replace(sc, mode=DetectorMode.two_level_cfar(0.1)),
         frame_scenario(n_packets=4),
     ]
     got = [simulate_frame(occ, v, 1).rule for v in variants]
@@ -223,7 +224,7 @@ def test_joint_power_is_power_of_receive_joint():
 
 def test_frame_requires_uniform_power():
     occ = OccupancyMap(8, frozenset())
-    sc = SensingScenario.from_snr(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0))
+    sc = SensingScenario(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0))
     with pytest.raises(ValueError):
         simulate_frame(occ, sc, 1)
 

@@ -46,7 +46,7 @@ MODELS = ("tx-only", "joint")
 def gate_scenario(model: str) -> SensingScenario:
     """Tx IRR -5 dB, 5/5 dB, two packets and unequal channel variances:
     a strong cross term that reaches both sides' statistics."""
-    return SensingScenario.from_snr(
+    return SensingScenario(
         5.0, 5.0,
         tx_mismatch=irr_to_mismatch(-5.0),
         rx_mismatch=IqMismatch(0.3, 0.2) if model == "joint" else None,

@@ -42,7 +42,7 @@ def _cases():
         silent = (None, "k", "mk")[i % 3]
         snr1 = float("-inf") if silent == "k" else float(rng.uniform(-5.0, 15.0))
         snr2 = float("-inf") if silent == "mk" else float(rng.uniform(-20.0, 10.0))
-        sc = SensingScenario.from_snr(
+        sc = SensingScenario(
             snr1, snr2,
             tx_mismatch=IqMismatch(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)),
             rx_mismatch=(
@@ -58,7 +58,7 @@ def _cases():
     # Right at the switch: one sample short of it, and on it.
     for joint in (False, True):
         m = IqMismatch(0.3, -0.2)
-        sc = SensingScenario.from_snr(
+        sc = SensingScenario(
             4.0, 1.0, tx_mismatch=m, rx_mismatch=m if joint else None,
             n_packets=1, channel_var_mirror=2.5,
         )
@@ -98,7 +98,7 @@ def test_statistic_equals_sample_oracle(case):
 @pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
 def test_component_variance_estimates_equal_sample_oracle(joint, samples):
     m = IqMismatch(0.25, 0.1)
-    sc = SensingScenario.from_snr(
+    sc = SensingScenario(
         6.0, -1.0, tx_mismatch=m, rx_mismatch=m if joint else None,
         channel_var=0.8, channel_var_mirror=1.7,
     )

@@ -2,6 +2,7 @@
 
 import math
 import threading
+from dataclasses import replace
 import time
 
 import numpy as np
@@ -49,7 +50,7 @@ from iqsense.signal_model import (
 
 def scenario(**kw):
     kw.setdefault("tx_mismatch", irr_to_mismatch(-15.0))
-    return SensingScenario.from_snr(
+    return SensingScenario(
         kw.pop("snr1_db", 0.0), kw.pop("snr2_db", -10.0), **kw
     )
 
@@ -80,11 +81,6 @@ def test_scenario_consistency_validation():
     assert sc.pair.power_mk == pytest.approx(0.1)
     assert sc.delta_snr_db == 10.0
     with pytest.raises(ValueError):
-        SensingScenario(
-            pair=sc.pair, tx_mismatch=sc.tx_mismatch, rx_mismatch=None,
-            n_packets=1, mode=sc.mode, snr1_db=3.0, snr2_db=-10.0,
-        )
-    with pytest.raises(ValueError):
         scenario(snr1_db=math.nan)
 
 
@@ -97,7 +93,7 @@ def test_scenario_silent_subcarrier():
 
 def test_scenario_helpers():
     sc = scenario()
-    moved = sc.with_snr(snr1_db=5.0)
+    moved = replace(sc, snr1_db=5.0)
     assert moved.snr1_db == 5.0 and moved.snr2_db == -10.0
     assert moved.pair.power_k == pytest.approx(10.0 ** 0.5)
     retuned = sc.with_irr(-20.0)
@@ -106,8 +102,29 @@ def test_scenario_helpers():
     joint = scenario(rx_mismatch=irr_to_mismatch(-15.0))
     assert joint.is_joint
     assert joint.with_irr(-20.0).rx_mismatch.epsilon == pytest.approx(0.1)
-    two = sc.with_mode(DetectorMode.two_level_bayes())
+    two = replace(sc, mode=DetectorMode.two_level_bayes())
     assert two.mode.kind == "two-bayes"
+
+
+def test_scenario_derives_pair_and_coefficients_once():
+    """``pair`` and ``coefficients`` follow the inputs, at construction and
+    through ``replace``, and take no part in ``==`` or ``hash``."""
+    sc = SensingScenario(0, -10, tx_mismatch=irr_to_mismatch(-15.0))
+    assert type(sc.snr1_db) is float and type(sc.snr2_db) is float
+    assert (sc.snr1_db, sc.snr2_db) == (0.0, -10.0)
+    assert sc.pair.power_k == 1.0 and sc.pair.power_mk == pytest.approx(0.1)
+    assert sc.coefficients == (mismatch_coefficients(sc.tx_mismatch), None)
+    moved = replace(sc, snr1_db=5.0, noise_var=2.0, psk_order=8)
+    assert moved.pair.power_k == pytest.approx(2.0 * 10.0 ** 0.5)
+    assert (moved.pair.noise_var, moved.pair.psk_order) == (2.0, 8)
+    assert replace(sc, snr1_db=5.0).pair.power_k == 10.0 ** 0.5
+    joint = replace(sc, rx_mismatch=irr_to_mismatch(-20.0))
+    assert joint.coefficients[1] == mismatch_coefficients(irr_to_mismatch(-20.0))
+    same = scenario()
+    object.__setattr__(same, "pair", moved.pair)
+    object.__setattr__(same, "coefficients", joint.coefficients)
+    assert same == sc and hash(same) == hash(sc)
+    assert sc != moved and sc != joint
 
 
 def test_chunk_layout():
@@ -191,13 +208,13 @@ def test_run_trials_worker_invariance():
 # order of some products (see montecarlo._ELISION_BYTES), the last fewer.
 _GOLDEN = {
     "tx-only": (
-        SensingScenario.from_snr(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),
+        SensingScenario(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),
         4096, 2 * 4096 + 1001,
         [[5212, 2148, 1427, 406], [5264, 2110, 1428, 391],
          [1323, 1484, 2421, 3965], [1270, 1461, 2406, 4056]],
     ),
     "joint": (
-        SensingScenario.from_snr(
+        SensingScenario(
             3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
             n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
         ),
@@ -381,7 +398,7 @@ _COMPARE_GOLDEN = {
          [3937, 1518, 0, 3738]],
     ),
     "joint": (
-        SensingScenario.from_snr(
+        SensingScenario(
             3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
             n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
         ),
