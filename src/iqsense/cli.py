@@ -465,13 +465,14 @@ def _sweep_rows(points) -> list[list]:
 
 def _curve_points(cfg: ExperimentConfig, curves, grid_key: str) -> list[tuple[str, list]]:
     """(curve, sweep points) of every (curve, template scenario, axis,
-    grid, modes, stream path).  A bad point on any curve's grid exits,
-    blamed on ``grid_key``, before the first trial runs."""
+    grid, modes, stream path); modes None runs the template's mode.  A
+    bad point on any curve's grid exits, blamed on ``grid_key``, before
+    the first trial runs."""
     for _, base, axis, grid, _, _ in curves:
         with _config_key(grid_key):
             sweep_variances(base, axis, grid)
     return [
-        (curve, sweep(base, axis, list(grid), cfg.trials, cfg.seed, modes=list(modes),
+        (curve, sweep(base, axis, list(grid), cfg.trials, cfg.seed, modes=modes,
                       workers=cfg.workers, chunk_size=cfg.chunk_size, stream_path=path))
         for curve, base, axis, grid, modes, path in curves
     ]

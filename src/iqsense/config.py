@@ -203,12 +203,15 @@ def _grid_list(d, path, key, default):
 
 @dataclass(frozen=True)
 class SweepSection:
+    """One sweep axis and grid; ``modes`` None sweeps the scenario's mode,
+    as it stands after any command-line override."""
+
     axis: str
     grid: tuple[float, ...]
-    modes: tuple[DetectorMode, ...]
+    modes: tuple[DetectorMode, ...] | None
 
 
-def _sweep_from(d: dict, scenario_mode: DetectorMode, path: str = "sweep") -> SweepSection:
+def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: must be an object")
     _reject_unknown(d, path, {"axis", "grid", "modes", "cfar_pfa"})
@@ -218,19 +221,17 @@ def _sweep_from(d: dict, scenario_mode: DetectorMode, path: str = "sweep") -> Sw
     grid = _grid_list(d, path, "grid", None)
     modes_raw = d.get("modes")
     if modes_raw is None:
-        modes = (scenario_mode,)
-    else:
-        if not isinstance(modes_raw, list) or not modes_raw:
-            raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
-        built = []
-        for i, name in enumerate(modes_raw):
-            if name not in DetectorMode.KINDS:
-                raise ConfigError(
-                    f"{path}.modes[{i}]: must be one of {list(DetectorMode.KINDS)}, got {name!r}"
-                )
-            built.append(_cfar_mode(d, path) if name == "two-cfar" else DetectorMode(name))
-        modes = tuple(built)
-    return SweepSection(axis=axis, grid=grid, modes=modes)
+        return SweepSection(axis=axis, grid=grid, modes=None)
+    if not isinstance(modes_raw, list) or not modes_raw:
+        raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
+    built = []
+    for i, name in enumerate(modes_raw):
+        if name not in DetectorMode.KINDS:
+            raise ConfigError(
+                f"{path}.modes[{i}]: must be one of {list(DetectorMode.KINDS)}, got {name!r}"
+            )
+        built.append(_cfar_mode(d, path) if name == "two-cfar" else DetectorMode(name))
+    return SweepSection(axis=axis, grid=grid, modes=tuple(built))
 
 
 @dataclass(frozen=True)
@@ -360,8 +361,11 @@ class ExperimentConfig:
             d["sweep"] = {
                 "axis": self.sweep.axis,
                 "grid": list(self.sweep.grid),
-                "modes": [m.kind for m in self.sweep.modes],
+                "modes": [m.kind for m in self.sweep.modes or (sc.mode,)],
             }
+            cfar = [m.target_pfa for m in self.sweep.modes or () if m.kind == "two-cfar"]
+            if cfar:
+                d["sweep"]["cfar_pfa"] = cfar[0]
         o = self.outage
         d["outage"] = {
             "p_mk": o.p_mk, "p0": o.p0, "beta_sq_sec": o.beta_sq_sec,
@@ -399,7 +403,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
         _integer(raw, "", "seed", 0, minimum=0, maximum=2**64 - 1),
         _integer(raw, "", "stream_index", 0, minimum=0),
     )
-    sweep_sec = _sweep_from(raw["sweep"], scenario.mode) if "sweep" in raw else None
+    sweep_sec = _sweep_from(raw["sweep"]) if "sweep" in raw else None
     outage_sec = _outage_from(raw.get("outage", {}))
     frame_sec = _frame_from(raw.get("frame", {}))
     figure_sec = _figure_from(raw.get("figure", {}))

@@ -29,12 +29,7 @@ from enum import IntEnum
 import numpy as np
 
 from .numerics import gamma_sf, inverse_gamma_sf
-from .signal_model import (
-    IqMismatch,
-    MismatchCoefficients,
-    SubcarrierPairConfig,
-    mismatch_coefficients,
-)
+from .signal_model import MismatchCoefficients, SubcarrierPairConfig
 
 __all__ = [
     "Hypothesis",
@@ -180,59 +175,47 @@ def scale_of(variance: float, n_packets: int) -> float:
 
 def hypothesis_variances(
     cfg: SubcarrierPairConfig,
-    tx: MismatchCoefficients | IqMismatch,
-    rx: MismatchCoefficients | IqMismatch | None = None,
+    tx: MismatchCoefficients,
+    rx: MismatchCoefficients | None = None,
 ) -> HypothesisVariances:
-    """Per-component variances of the received sample under H0..H3.
+    """Per-component variances of the received sample under H0..H3: the
+    phase average of :func:`pair_table` seen through the receiver.
 
     Parameters
     ----------
     cfg : SubcarrierPairConfig
         Pair powers, channel variances and noise variance.
-    tx : MismatchCoefficients or IqMismatch
-        Transmitter front-end gains (alpha_t, beta_t), or the mismatch
-        parameters they derive from.
-    rx : MismatchCoefficients or IqMismatch, optional
+    tx : MismatchCoefficients
+        Transmitter front-end gains (alpha_t, beta_t).
+    rx : MismatchCoefficients, optional
         Sensing-receiver gains (alpha_r, beta_r) of the joint model,
         which observes r_k = alpha_r*y_k + beta_r*conj(y_-k).  None is
         the transmitter-only model, i.e. the ideal receiver (1, 0).
 
     Notes
     -----
-    The two sides' channels and noises are independent, so given the
-    symbols r_k is circular Gaussian with 2*sigma^2 = E|r_k|^2 =
-    |alpha_r|^2*E|y_k|^2 + |beta_r|^2*E|y_-k|^2, where E|y_k|^2 =
-    (|alpha_t|^2*P_k*[own] + |beta_t|^2*P_mk*[mirror])*cv + N0 and
-    E|y_-k|^2 is its mirror-swapped form.  A configuration whose image
-    outpowers the wanted signal raises :class:`VarianceOrderError`.
-
-    These average over uniform PSK symbols; :func:`pair_table` gives
-    the H3 cross term per phase of s_k*s_-k, whose average is zero.
+    Given the symbol phase, y_k and y_-k are independent circular
+    Gaussians, so 2*sigma^2 = E|r_k|^2 = |alpha_r|^2*E|y_k|^2 +
+    |beta_r|^2*E|y_-k|^2, averaged over the phase.  Rows H0..H2 of the
+    table carry no cross term and are the same at every phase; the H3
+    cross term averages to zero, which leaves sigma3^2 = sigma2^2 +
+    (sigma1^2 - sigma0^2).  Taking that difference instead of the
+    table's rounded phase mean keeps sigma2^2 <= sigma3^2 exact.  A
+    configuration whose image outpowers the wanted signal raises
+    :class:`VarianceOrderError`.
     """
-    return HypothesisVariances(*_component_variances(cfg, tx, rx))
+    # Powers that overflow leave inf or nan in the table, which
+    # HypothesisVariances rejects with the values it got.
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = pair_table(cfg, tx)[:3, 0].tolist()
+    ar2, br2 = (1.0, 0.0) if rx is None else (abs(rx.alpha) ** 2, abs(rx.beta) ** 2)
+    # A zero weight reads nothing of the mirror side, which may overflow
+    # where the k side does not.
+    s0, s1, s2 = (0.5 * (ar2 * k + br2 * mk if br2 else ar2 * k) for k, mk in rows)
+    return HypothesisVariances(s0, s1, s2, s2 + (s1 - s0))
 
 
-def _component_variances(cfg, tx, rx) -> tuple[float, float, float, float]:
-    """The four variances of :func:`hypothesis_variances`, unordered."""
-    tx = _coefficients(tx)
-    rx = MismatchCoefficients(1.0, 0.0) if rx is None else _coefficients(rx)
-    at2, bt2 = abs(tx.alpha) ** 2, abs(tx.beta) ** 2
-    ar2, br2 = abs(rx.alpha) ** 2, abs(rx.beta) ** 2
-    # weights of the k-side and the mirror-side channel in E|r_k|^2
-    g = ar2 * cfg.channel_var
-    gm = br2 * cfg.channel_var_mirror
-    s0 = 0.5 * (ar2 + br2) * cfg.noise_var
-    s1 = 0.5 * (bt2 * cfg.power_mk * g + at2 * cfg.power_mk * gm) + s0
-    s2 = 0.5 * (at2 * cfg.power_k * g + bt2 * cfg.power_k * gm) + s0
-    s3 = s2 + (s1 - s0)
-    return s0, s1, s2, s3
-
-
-def _coefficients(c: MismatchCoefficients | IqMismatch) -> MismatchCoefficients:
-    return mismatch_coefficients(c) if isinstance(c, IqMismatch) else c
-
-
-def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients | IqMismatch) -> np.ndarray:
+def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients) -> np.ndarray:
     """(4, M, 2) means (E|y_k|^2, E|y_-k|^2) per truth state and symbol phase.
 
     Entry [t, u] is conditioned on t = 2*own_k + own_-k and on
@@ -243,7 +226,6 @@ def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients | IqMismatch)
     independent circular Gaussians; X_u averages to zero over the M equally
     likely phases, which gives :func:`hypothesis_variances`.
     """
-    tx = _coefficients(tx)
     m = cfg.psk_order
     c = tx.alpha * tx.beta.conjugate()
     phase = [2.0 * math.pi * u / m for u in range(m)]

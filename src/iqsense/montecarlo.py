@@ -171,6 +171,9 @@ class SensingScenario:
     def __post_init__(self):
         if not isinstance(self.n_packets, int) or self.n_packets < 1:
             raise ValueError(f"n_packets must be an int >= 1, got {self.n_packets!r}")
+        # the SNRs' powers scale with it, so it is checked before they are formed
+        if not isinstance(self.noise_var, (int, float)) or not 0.0 < self.noise_var < math.inf:
+            raise ValueError(f"noise_var must be finite and > 0, got {self.noise_var!r}")
         powers = []
         for name in ("snr1_db", "snr2_db"):
             snr = float(getattr(self, name))
@@ -397,9 +400,11 @@ def estimate_component_variances(
     return tuple(est)
 
 
+@lru_cache
 def scenario_variances(sc: SensingScenario) -> HypothesisVariances:
     """Closed-form variances the detector uses for this scenario, for
-    the transmitter-only and the joint model alike."""
+    the transmitter-only and the joint model alike, computed once per
+    distinct scenario."""
     return hypothesis_variances(sc.pair, *sc.coefficients)
 
 

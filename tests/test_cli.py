@@ -232,6 +232,15 @@ def test_overflowing_variances_exit_2_naming_the_key(tmp_path, monkeypatch, caps
     assert err.startswith(f"error: {where}: variances must be finite and > 0, got (")
 
 
+def test_overflowing_variances_stderr_is_the_error_line(tmp_path):
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scenario": {"snr1_db": 3080, "channel_var": 100}}))
+    r = run_cli("analytic", "--config", str(cfgf))
+    assert r.returncode == 2
+    assert r.stderr == ("error: scenario: variances must be finite and > 0, "
+                        "got (0.5, 0.658113883008419, inf, inf)\n")
+
+
 def test_seed_beyond_64_bits_exit_code(tmp_path):
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({"seed": 2**64}))
@@ -280,6 +289,27 @@ def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id
     assert cli.main(argv) == 0
     assert batches == [2, 2]  # two curves of two grid points each
     assert made == [2, 2]
+
+
+def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
+    """The grid check before the trials and the sweep share one
+    computation of each point's variances."""
+    import iqsense.cli as cli
+    import iqsense.montecarlo as montecarlo
+
+    calls = []
+    real = montecarlo.hypothesis_variances
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(montecarlo, "hypothesis_variances", counting)
+    montecarlo.scenario_variances.cache_clear()
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"figure": {"irr_grid": [-30.0, -20.0, -10.0]}, "trials": 100}))
+    assert cli.main(["figure", "5", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(calls) == 3 * 2  # grid points x curves
 
 
 @pytest.mark.parametrize("command", [["sense", "--trials", "20000"], ["figure", "5"]],
@@ -452,6 +482,24 @@ def test_sweep_analytic_columns_are_the_closed_forms(tmp_path):
             short = convention.split("-")[0]
             assert float(row[f"pfa_analytic_{short}"]) == analytic_false_alarm(v, rule, convention)
             assert float(row[f"pd_analytic_{short}"]) == analytic_detection(v, rule, convention)
+
+
+def test_sweep_mode_override_without_sweep_modes(tmp_path, capsys):
+    """A sweep with no ``modes`` runs the scenario's mode as --mode left it,
+    and prints the hash of the config that states that mode."""
+    import iqsense.cli as cli
+
+    sweep_cfg = {"sweep": {"axis": "irr_db", "grid": [-20.0, -10.0]}, "trials": 200}
+    outputs = []
+    for config, flags in ((sweep_cfg, ["--mode", "two-bayes"]),
+                          ({**sweep_cfg, "scenario": {"mode": "two-bayes"}}, [])):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps(config))
+        assert cli.main(["sweep", "--config", str(cfgf), "--format", "json", *flags]) == 0
+        outputs.append(capsys.readouterr().out)
+    doc = json.loads(outputs[0])
+    assert [row["mode"] for row in doc["rows"]] == ["two-bayes", "two-bayes"]
+    assert outputs[0] == outputs[1]
 
 
 def test_mode_override_flags():

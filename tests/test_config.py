@@ -111,9 +111,11 @@ def test_sweep_section():
     with pytest.raises(ConfigError, match="cfar_pfa"):
         parse_config({"sweep": {"axis": "irr_db", "grid": [-10.0],
                                 "modes": ["two-cfar"]}})
-    # Without explicit modes the scenario's own mode sweeps.
+    # Without explicit modes the scenario's own mode sweeps, resolved
+    # where it is used, after any --mode override.
     d = parse_config({"sweep": {"axis": "snr1_db", "grid": [0.0]}})
-    assert [m.kind for m in d.sweep.modes] == ["four"]
+    assert d.sweep.modes is None
+    assert d.canonical_dict()["sweep"]["modes"] == ["four"]
 
 
 def test_frame_section():
@@ -190,6 +192,19 @@ def test_canonical_hash_stability_and_sensitivity():
         {"outage": {"p0": 5.0}},
     ):
         assert canonical_hash(parse_config(raw)) != canonical_hash(base)
+
+
+def test_sweep_hash_covers_its_modes():
+    sweep = {"axis": "irr_db", "grid": [-20.0, -10.0]}
+    # A sweep without modes keeps the hash it had when modes were
+    # resolved at parse time.
+    assert canonical_hash(parse_config({"sweep": sweep})) == (
+        "830509a2269636dc3e661e118ece91151a738488c40c3fef1f9082511e35de78"
+    )
+    # The sweep's own two-cfar target is part of the math.
+    a, b = (parse_config({"sweep": {**sweep, "modes": ["four", "two-cfar"], "cfar_pfa": p}})
+            for p in (0.1, 0.2))
+    assert canonical_hash(a) != canonical_hash(b)
 
 
 def test_canonical_dict_roundtrips_through_json():

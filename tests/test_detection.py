@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from gamma_density import gamma_pdf
+from variance_reference import component_variances
 from iqsense.detection import (
     CONVENTIONS,
     METRICS,
@@ -17,7 +18,6 @@ from iqsense.detection import (
     Hypothesis,
     HypothesisVariances,
     VarianceOrderError,
-    _component_variances,
     analytic_detection,
     analytic_false_alarm,
     classify_batch,
@@ -67,7 +67,7 @@ def crossing_oracle(var_i, var_j, n):
 
 def test_reference_variances():
     cfg = SubcarrierPairConfig(power_k=1.0, power_mk=1.0)
-    v = hypothesis_variances(cfg, irr_to_mismatch(-15.0))
+    v = hypothesis_variances(cfg, mismatch_coefficients(irr_to_mismatch(-15.0)))
     for got, want in zip(v.as_tuple(), REF_VARIANCES.as_tuple()):
         assert got == pytest.approx(want, rel=1e-14)
 
@@ -151,7 +151,7 @@ def test_ordering_chains_random():
 
 def test_merge_ideal_front_end():
     cfg = SubcarrierPairConfig(power_k=1.0, power_mk=1.0)
-    v = hypothesis_variances(cfg, irr_to_mismatch(None))
+    v = hypothesis_variances(cfg, mismatch_coefficients(irr_to_mismatch(None)))
     r = decision_rule(v, 1)
     assert r.boundaries == pytest.approx((2.0 * math.log(2.0),), rel=1e-14)
     assert r.levels == (Hypothesis.H0, Hypothesis.H2)
@@ -162,7 +162,7 @@ def test_merge_ideal_front_end():
 def test_merge_silent_mirror():
     # P_mk = 0 makes H0 == H1 and H2 == H3 even with a dirty front end.
     cfg = SubcarrierPairConfig(power_k=1.0, power_mk=0.0)
-    v = hypothesis_variances(cfg, irr_to_mismatch(-15.0))
+    v = hypothesis_variances(cfg, mismatch_coefficients(irr_to_mismatch(-15.0)))
     r = decision_rule(v, 1)
     assert len(r.boundaries) == 1
     assert r.levels == (Hypothesis.H0, Hypothesis.H2)
@@ -367,7 +367,7 @@ def test_conditioned_variances_cross_term():
     mm = IqMismatch(0.3, 0.2)
     c = mismatch_coefficients(mm)
     at2, bt2 = abs(c.alpha) ** 2, abs(c.beta) ** 2
-    table = pair_table(cfg, mm)
+    table = pair_table(cfg, c)
     assert table.shape == (4, 16, 2)
     psk16 = np.exp(2j * np.pi * np.arange(16) / 16)
     cross = 2.0 * math.sqrt(0.5) * (c.alpha * np.conjugate(c.beta) * psk16).real
@@ -399,13 +399,45 @@ def test_pair_table_phase_average_is_hypothesis_variances(joint):
             channel_var_mirror=float(rng.uniform(0.3, 3.0)),
             psk_order=2 ** int(rng.integers(1, 7)),
         )
-        tx = IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
-        rx = IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)) if joint else None
+        tx = mismatch_coefficients(IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5)))
+        rx = mismatch_coefficients(
+            IqMismatch(rng.uniform(-0.5, 0.5), rng.uniform(-0.5, 0.5))
+        ) if joint else None
         # fsum: a correctly rounded phase average, so the comparison
         # measures the two forms, not the summation order
         table = pair_table(cfg, tx)
         mean = np.array([[math.fsum(col) for col in t.T] for t in table]) / cfg.psk_order
-        r = mismatch_coefficients(rx) if joint else MismatchCoefficients(1.0, 0.0)
+        r = rx or MismatchCoefficients(1.0, 0.0)
         got = 0.5 * (abs(r.alpha) ** 2 * mean[:, 0] + abs(r.beta) ** 2 * mean[:, 1])
-        want = _component_variances(cfg, tx, rx)
+        want = component_variances(cfg, tx, rx)
         np.testing.assert_allclose(got, want, rtol=1e-15, atol=0.0)
+        np.testing.assert_allclose(
+            hypothesis_variances(cfg, tx, rx).as_tuple(), want, rtol=1e-15, atol=0.0
+        )
+
+
+def test_tiny_image_keeps_h2_h3_ordered_and_merged():
+    """At IRR -60 dB and SNR 30/-100 dB the H3 cross term is below the
+    rounding of sigma2^2: the variances stay ordered, H0/H1 and H2/H3
+    merge.  The table's rounded phase mean would put sigma3^2 one ulp
+    below sigma2^2."""
+    cfg = SubcarrierPairConfig(power_k=1e3, power_mk=1e-10)
+    tx = mismatch_coefficients(irr_to_mismatch(-60.0))
+    v = hypothesis_variances(cfg, tx)
+    assert v.as_tuple() == (0.5, 0.5, 500.5, 500.5)
+    assert decision_rule(v, 1).merged == ((Hypothesis.H0, Hypothesis.H1),
+                                          (Hypothesis.H2, Hypothesis.H3))
+    naive = pair_table(cfg, tx).mean(axis=1)[:, 0] / 2.0
+    assert naive[3] < naive[2]
+
+
+def test_zero_receiver_weight_ignores_an_overflowing_mirror_side():
+    """Only the mirror side's means overflow; the transmitter-only model
+    and an ideal receiver never read them."""
+    cfg = SubcarrierPairConfig(power_k=1e10, power_mk=1.0, channel_var_mirror=1e300)
+    tx = mismatch_coefficients(irr_to_mismatch(-15.0))
+    with np.errstate(over="ignore"):
+        assert np.isinf(pair_table(cfg, tx)[2, 0, 1])
+    v = hypothesis_variances(cfg, tx)
+    assert all(math.isfinite(x) for x in v.as_tuple())
+    assert hypothesis_variances(cfg, tx, mismatch_coefficients(IqMismatch.ideal())) == v

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
+from variance_reference import component_variances
 
 from iqsense.detection import (
     CONVENTIONS,
     METRICS,
     DetectorMode,
     VarianceOrderError,
-    _component_variances,
     conditional_probabilities,
     convention_metric,
     hypothesis_variances,
@@ -82,6 +82,13 @@ def test_scenario_consistency_validation():
     assert sc.delta_snr_db == 10.0
     with pytest.raises(ValueError):
         scenario(snr1_db=math.nan)
+
+
+@pytest.mark.parametrize("noise_var", [-1.0, 0.0, math.nan, math.inf, "x", None])
+def test_scenario_bad_noise_var_is_named(noise_var):
+    """noise_var is checked before the SNR powers it scales are formed."""
+    with pytest.raises(ValueError, match="^noise_var must be finite and > 0"):
+        scenario(snr1_db=0.0, snr2_db=0.0, noise_var=noise_var)
 
 
 def test_scenario_silent_subcarrier():
@@ -275,9 +282,10 @@ def test_joint_variances_closed_form():
             snr1_db=rng.uniform(0.0, 20.0), snr2_db=rng.uniform(-20.0, 0.0),
             channel_var=rng.uniform(0.5, 2.0), channel_var_mirror=rng.uniform(0.5, 2.0),
         )
-        assert hypothesis_variances(sc.pair, sc.tx_mismatch, IqMismatch.ideal()) == (
-            hypothesis_variances(sc.pair, sc.tx_mismatch)
-        )
+        tx = sc.coefficients[0]
+        assert hypothesis_variances(
+            sc.pair, tx, mismatch_coefficients(IqMismatch.ideal())
+        ) == hypothesis_variances(sc.pair, tx)
 
 
 def joint_scenario(irr_db, snr1_db, snr2_db):
@@ -331,12 +339,10 @@ def test_closed_form_variances_match_estimator():
     worst, worst_dropped = 0.0, 0.0
     for i, sc in enumerate(_ORACLE_POINTS):
         est = estimate_component_variances(sc, _ORACLE_SAMPLES, 600, (i,))
-        exact = np.array(_component_variances(sc.pair, sc.tx_mismatch, sc.rx_mismatch))
+        tx, rx = sc.coefficients
+        exact = np.array(component_variances(sc.pair, tx, rx))
         worst = max(worst, _oracle_z(exact, est).max())
-        rx = mismatch_coefficients(sc.rx_mismatch)
-        dropped = np.array(_component_variances(
-            sc.pair, sc.tx_mismatch, MismatchCoefficients(rx.alpha, 0j)
-        ))
+        dropped = np.array(component_variances(sc.pair, tx, MismatchCoefficients(rx.alpha, 0j)))
         worst_dropped = max(worst_dropped, _oracle_z(dropped, est).max())
     assert worst <= z_crit, f"closed form off by {worst:.2f} SE (limit {z_crit:.2f})"
     assert worst_dropped > z_crit, f"dropped |beta_r|^2 only {worst_dropped:.2f} SE off"
