@@ -49,6 +49,7 @@ from .detection import (
 )
 from .frame import simulate_frame
 from .montecarlo import (
+    OUTAGE_STREAM,
     SeedSpec,
     empirical_metrics,
     rule_for_mode,
@@ -56,12 +57,9 @@ from .montecarlo import (
     scenario_variances,
     substream,
     sweep,
-    sweep_variances,
 )
 from .outage import analytic_outage, mc_outage, outage_paper_literal
 from .signal_model import irr_to_mismatch
-
-_OUTAGE_STREAM = 3
 
 _ANALYTIC = {"p_fa": analytic_false_alarm, "p_d": analytic_detection}
 
@@ -450,50 +448,45 @@ def _verify_closure(tally, v, rule) -> int:
     return 0
 
 
-def _sweep_rows(points) -> list[list]:
-    rows = []
-    for pt in points:
-        cells = _metric_cells(pt.variances, pt.rule, pt.tally)
-        row = [pt.axis, pt.value, pt.mode.kind, pt.mode.target_pfa]
-        for metric in METRICS:
-            for convention in CONVENTIONS:
-                ana, est = cells[convention, metric]
-                row += [ana, est.value, est.lo, est.hi]
-        rows.append(row)
-    return rows
+def _sweep_row(pt) -> list:
+    cells = _metric_cells(pt.variances, pt.rule, pt.tally)
+    row = [pt.axis, pt.value, pt.mode.kind, pt.mode.target_pfa]
+    for metric in METRICS:
+        for convention in CONVENTIONS:
+            ana, est = cells[convention, metric]
+            row += [ana, est.value, est.lo, est.hi]
+    return row
 
 
-def _curve_points(cfg: ExperimentConfig, curves, grid_key: str) -> list[tuple[str, list]]:
-    """(curve, sweep points) of every (curve, template scenario, axis,
-    grid, modes, stream path); modes None runs the template's mode.  A
-    bad point on any curve's grid exits, blamed on ``grid_key``, before
-    the first trial runs."""
-    for _, base, axis, grid, _, _ in curves:
-        with _config_key(grid_key):
-            sweep_variances(base, axis, grid)
-    return [
-        (curve, sweep(base, axis, list(grid), cfg.trials, cfg.seed, modes=modes,
-                      workers=cfg.workers, chunk_size=cfg.chunk_size, stream_path=path))
-        for curve, base, axis, grid, modes, path in curves
-    ]
+def _curve_rows(cfg: ExperimentConfig, curves, grid_key: str) -> list[tuple[str, list]]:
+    """(curve, sweep row) of every point of every (curve, template
+    scenario, axis, grid, modes, stream path), in row order.  All curves
+    run as one sweep, so a bad point on any curve's grid exits, blamed on
+    ``grid_key``, before the first trial runs."""
+    with _config_key(grid_key):
+        points = sweep([c[1:] for c in curves], cfg.trials, cfg.seed,
+                       workers=cfg.workers, chunk_size=cfg.chunk_size)
+    labels = [curve for curve, _, _, grid, modes, _ in curves for _ in grid for _ in modes]
+    return [(curve, _sweep_row(pt)) for curve, pt in zip(labels, points)]
 
 
 def _cmd_sweep(cfg: ExperimentConfig, args) -> int:
     if cfg.sweep is None:
         raise ConfigError("sweep: config section required for the sweep command")
-    curve = ("", cfg.scenario, cfg.sweep.axis, cfg.sweep.grid, cfg.sweep.modes, ())
-    [(_, points)] = _curve_points(cfg, [curve], "sweep.grid")
-    _emit_table(cfg, "sweep", _SWEEP_COLUMNS, _sweep_rows(points))
+    modes = cfg.sweep.modes or (cfg.scenario.mode,)
+    curve = ("", cfg.scenario, cfg.sweep.axis, cfg.sweep.grid, modes, ())
+    rows = [row for _, row in _curve_rows(cfg, [curve], "sweep.grid")]
+    _emit_table(cfg, "sweep", _SWEEP_COLUMNS, rows)
     if cfg.out is not None:
-        print(f"{len(points)} sweep rows written to {cfg.out}")
+        print(f"{len(rows)} sweep rows written to {cfg.out}")
     return 0
 
 
 def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[list]]:
     sc = cfg.scenario
     fig = cfg.figure
-    rows: list[list] = []
     if fig_id == 6:
+        rows = []
         columns = ["figure", "curve", "axis", "value", "beta_sq_sec",
                    "outage_analytic", "outage_mc", "outage_lo", "outage_hi",
                    "outage_paper_literal"]
@@ -503,7 +496,7 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
         base = cfg.outage
         for i, irr in enumerate(fig.irr_grid):
             scn = replace(base, beta_sq_sec=10.0 ** (irr / 10.0))
-            est = mc_outage(scn, cfg.trials, substream(cfg.seed, _OUTAGE_STREAM, i))
+            est = mc_outage(scn, cfg.trials, substream(cfg.seed, OUTAGE_STREAM, i))
             rows.append([
                 fig_id, "", "irr_db", irr, scn.beta_sq_sec,
                 analytic_outage(scn), est.value, est.lo, est.hi,
@@ -529,8 +522,7 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
             (curve, base, "irr_db", fig.irr_grid, [four], (c,))
             for c, (curve, base) in enumerate(bases)
         ]
-    for curve, points in _curve_points(cfg, curves, grid_key):
-        rows.extend([fig_id, curve, *row] for row in _sweep_rows(points))
+    rows = [[fig_id, curve, *row] for curve, row in _curve_rows(cfg, curves, grid_key)]
     return ["figure", "curve", *_SWEEP_COLUMNS], rows
 
 
@@ -579,7 +571,7 @@ def _cmd_frame(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_outage(cfg: ExperimentConfig, args) -> int:
     scn = cfg.outage
-    est = mc_outage(scn, cfg.trials, substream(cfg.seed, _OUTAGE_STREAM))
+    est = mc_outage(scn, cfg.trials, substream(cfg.seed, OUTAGE_STREAM))
     report = {
         "scenario": {
             "p_mk": scn.p_mk, "p0": scn.p0, "beta_sq_sec": scn.beta_sq_sec,

@@ -33,6 +33,10 @@ from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint  # n
 
 __all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
 
+# A frame holds several arrays of n_subcarriers x n_packets values; at
+# this size a one-packet frame takes about 100 MB.
+_MAX_SUBCARRIERS = 2**20
+
 
 @lru_cache
 def _frame_indices(n_subcarriers: int) -> tuple[int, ...]:
@@ -56,6 +60,8 @@ class OccupancyMap:
         n = self.n_subcarriers
         if not isinstance(n, int) or n < 2 or n % 2:
             raise ValueError(f"n_subcarriers must be a positive even integer, got {n!r}")
+        if n > _MAX_SUBCARRIERS:
+            raise ValueError(f"n_subcarriers must be <= {_MAX_SUBCARRIERS}, got {n}")
         active = frozenset(self.active)
         object.__setattr__(self, "active", active)
         if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):

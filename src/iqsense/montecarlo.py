@@ -8,8 +8,9 @@ results are a pure function of (scenario, seed, trial count,
 chunk size) -- bit-identical across runs and worker counts.
 
 One engine runs every trial: :func:`run_trials` hands it one job and
-:func:`sweep` one job per grid point, and it maps all their chunks over
-``workers`` threads in a single batch, with a thread pool of its own.
+:func:`sweep` one job per grid point of every curve, and it maps all
+their chunks over ``workers`` threads in a single batch, with a thread
+pool of its own.
 A chunk spends nearly all its time in numpy calls that release the
 interpreter lock (the generator fills and the passes over its arrays),
 so threads run chunks in parallel without a child process.
@@ -81,19 +82,21 @@ __all__ = [
     "empirical_metrics",
     "compare_modes",
     "sweep",
-    "sweep_variances",
     "SWEEP_AXES",
     "FRAME_STREAM",
+    "OUTAGE_STREAM",
     "DEFAULT_CHUNK_SIZE",
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
 # Purpose tags keeping independent uses of a seed on disjoint streams;
-# the frame simulator draws from FRAME_STREAM.
+# the frame simulator draws from FRAME_STREAM, the CLI's outage Monte
+# Carlo from OUTAGE_STREAM.
 _TRIAL_STREAM = 0
 _ESTIMATOR_STREAM = 1
 FRAME_STREAM = 2
+OUTAGE_STREAM = 3
 
 SWEEP_AXES = ("irr_db", "snr1_db", "delta_snr_db", "snr_db_at_delta")
 
@@ -616,64 +619,55 @@ def _apply_axis(sc: SensingScenario, axis: str, value: float) -> SensingScenario
     raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
 
 
-def sweep_variances(
-    sc: SensingScenario, axis: str, grid
-) -> list[tuple[SensingScenario, HypothesisVariances]]:
-    """Scenario and closed-form variances at every grid value of ``axis``.
-
-    Raises the error of the first grid value the model cannot take, such
-    as a :class:`VarianceOrderError` for variances out of order or a
-    ``ValueError`` for an IRR that is not negative or an SNR whose power
-    overflows, of the same type and naming the value, so that a caller
-    can reject a bad grid before running any trial.
-    """
-    out = []
-    for value in grid:
-        try:
-            scn = _apply_axis(sc, axis, value)
-            out.append((scn, scenario_variances(scn)))
-        except ValueError as e:
-            raise type(e)(f"{axis}={value:g}: {e}") from None
-    return out
-
-
 def sweep(
-    sc: SensingScenario,
-    axis: str,
-    grid,
+    curves,
     per_hypothesis: int,
     seed: "SeedSpec | int",
     *,
-    modes: list[DetectorMode] | None = None,
     workers: int = 1,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-    stream_path: tuple[int, ...] = (),
 ) -> list[SweepPoint]:
-    """Evaluate the detector(s) along one parameter axis.
+    """Evaluate the detector(s) along the parameter axis of every curve.
 
-    Returns one :class:`SweepPoint` per (grid value, mode), modes
-    paired on common random numbers within each grid point.  Every grid
-    point's variances are checked before any trial runs.  Grid point
-    i draws from stream path ``(*stream_path, i)``, so results for a
-    given point do not depend on the rest of the grid, and callers
-    running several sweeps under one seed can keep them independent by
-    passing distinct ``stream_path`` prefixes.  The chunks of all grid
-    points run as one batch of the trial engine.
+    Each curve is ``(scenario, axis, grid, modes, stream_path)``.
+    Returns one :class:`SweepPoint` per (curve, grid value, mode), in
+    that order, modes paired on common random numbers within each grid
+    point.
+
+    Every grid point of every curve is checked before any trial runs: the
+    first one the model cannot take raises its error (a
+    :class:`VarianceOrderError` for variances out of order, a
+    ``ValueError`` for an IRR that is not negative or an SNR whose power
+    overflows), of the same type and naming the point.  Grid point i of a
+    curve draws from stream path ``(*stream_path, i)``, so its results do
+    not depend on the rest of the grid or on the other curves, and curves
+    with distinct ``stream_path`` prefixes are independent.  The chunks of
+    all points of all curves run as one batch of the trial engine.
     """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-    grid = [float(g) for g in grid]
-    if not grid:
-        raise ValueError("grid must be nonempty")
-    modes = list(modes) if modes is not None else [sc.mode]
-    if not modes:
-        raise ValueError("modes must be nonempty")
-    cells = sweep_variances(sc, axis, grid)
-    rules = [[rule_for_mode(v, scn.n_packets, m) for m in modes] for scn, v in cells]
-    jobs = [(scn, r, (*stream_path, i)) for i, ((scn, _), r) in enumerate(zip(cells, rules))]
+    points, jobs = [], []  # (axis, value, modes, variances, rules), engine jobs
+    for sc, axis, grid, modes, stream_path in curves:
+        if axis not in SWEEP_AXES:
+            raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+        grid = [float(g) for g in grid]
+        if not grid:
+            raise ValueError("grid must be nonempty")
+        modes = list(modes)
+        if not modes:
+            raise ValueError("modes must be nonempty")
+        for i, value in enumerate(grid):
+            try:
+                scn = _apply_axis(sc, axis, value)
+                v = scenario_variances(scn)
+            except ValueError as e:
+                raise type(e)(f"{axis}={value:g}: {e}") from None
+            rules = [rule_for_mode(v, scn.n_packets, m) for m in modes]
+            points.append((axis, value, modes, v, rules))
+            jobs.append((scn, rules, (*stream_path, i)))
+    if not jobs:
+        raise ValueError("curves must be nonempty")
     tallies = _tally_jobs(jobs, per_hypothesis, seed, workers, chunk_size)
     return [
         SweepPoint(axis, value, mode, v, rule, tally)
-        for value, (_, v), point_rules, point_tallies in zip(grid, cells, rules, tallies)
-        for mode, rule, tally in zip(modes, point_rules, point_tallies)
+        for (axis, value, modes, v, rules), point_tallies in zip(points, tallies)
+        for mode, rule, tally in zip(modes, rules, point_tallies)
     ]

@@ -33,6 +33,10 @@ __all__ = [
     "draw_noise",
 ]
 
+# The trial engine tabulates every (k, -k) symbol pair, an m x m complex
+# table per chunk: 16 MiB at this order.
+_MAX_PSK_ORDER = 1024
+
 
 @dataclass(frozen=True)
 class IqMismatch:
@@ -122,7 +126,7 @@ class SubcarrierPairConfig:
     two subcarriers, ``channel_var`` / ``channel_var_mirror`` the mean
     square magnitudes of their Rayleigh channel gains, ``noise_var``
     the total variance of the circular complex receiver noise and
-    ``psk_order`` the PSK constellation size, a power of 2.
+    ``psk_order`` the PSK constellation size, a power of 2 up to 1024.
     """
 
     power_k: float
@@ -146,6 +150,8 @@ class SubcarrierPairConfig:
             raise ValueError(f"psk_order must be an integer >= 2, got {m!r}")
         if m & (m - 1):
             raise ValueError(f"psk_order must be a power of 2, got {m}")
+        if m > _MAX_PSK_ORDER:
+            raise ValueError(f"psk_order must be <= {_MAX_PSK_ORDER}, got {m}")
 
     def mirrored(self) -> "SubcarrierPairConfig":
         """The same pair seen from -k: the two sides' powers and channel

@@ -232,6 +232,31 @@ def test_overflowing_variances_exit_2_naming_the_key(tmp_path, monkeypatch, caps
     assert err.startswith(f"error: {where}: variances must be finite and > 0, got (")
 
 
+@pytest.mark.parametrize("command, config, where", [
+    (["sense"], {"scenario": {"psk_order": 2048}}, "scenario: psk_order must be <= 1024, got 2048"),
+    (["analytic"], {"scenario": {"psk_order": 2048}},
+     "scenario: psk_order must be <= 1024, got 2048"),
+    (["analytic"], {"frame": {"n_subcarriers": 2**62}},
+     f"frame: n_subcarriers must be <= 1048576, got {2**62}"),
+])
+def test_size_bounds_exit_2_naming_the_section(tmp_path, monkeypatch, capsys,
+                                               command, config, where):
+    """A constellation or a frame too large to tabulate is refused before
+    anything is allocated for it: 2**62 subcarriers would fail at once."""
+    code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
+    assert code == 2
+    assert err == f"error: {where}\n"
+
+
+def test_largest_constellation_runs(tmp_path, capsys):
+    import iqsense.cli as cli
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scenario": {"psk_order": 1024}, "trials": 10}))
+    assert cli.main(["sense", "--config", str(cfgf)]) == 0
+    assert "tally,H3,H3," in capsys.readouterr().out
+
+
 def test_overflowing_variances_stderr_is_the_error_line(tmp_path):
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({"scenario": {"snr1_db": 3080, "channel_var": 100}}))
@@ -273,8 +298,8 @@ def _count_executors(monkeypatch) -> tuple[list, list]:
 
 @pytest.mark.parametrize("fig_id", ["4", "5"])
 def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id):
-    """Each curve's grid points run as one engine batch on one executor,
-    not one executor per grid point."""
+    """All the figure's curves run as one engine batch on one executor,
+    not one batch per curve or one executor per grid point."""
     import iqsense.cli as cli
 
     made, batches = _count_executors(monkeypatch)
@@ -287,13 +312,31 @@ def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id
     argv = ["figure", fig_id, "--config", str(cfgf), "--workers", "2",
             "--out", str(tmp_path / "f.csv")]
     assert cli.main(argv) == 0
-    assert batches == [2, 2]  # two curves of two grid points each
-    assert made == [2, 2]
+    assert batches == [4]  # two curves of two grid points each
+    assert made == [2]
+
+
+def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
+    """A sweep's grid points and modes run as one engine batch on one
+    executor."""
+    import iqsense.cli as cli
+
+    made, batches = _count_executors(monkeypatch)
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({
+        "sweep": {"axis": "irr_db", "grid": [-30.0, -20.0, -10.0],
+                  "modes": ["four", "two-bayes"]},
+        "trials": 300, "chunk_size": 128,
+    }))
+    argv = ["sweep", "--config", str(cfgf), "--workers", "2", "--out", str(tmp_path / "s.csv")]
+    assert cli.main(argv) == 0
+    assert batches == [3]
+    assert made == [2]
 
 
 def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
-    """The grid check before the trials and the sweep share one
-    computation of each point's variances."""
+    """The sweep computes each grid point's variances once, for the
+    grid check before the trials and for the points' rules."""
     import iqsense.cli as cli
     import iqsense.montecarlo as montecarlo
 
@@ -458,7 +501,7 @@ def test_sweep_analytic_columns_are_the_closed_forms(tmp_path):
 
     from iqsense.config import load_config
     from iqsense.detection import CONVENTIONS, analytic_detection, analytic_false_alarm
-    from iqsense.montecarlo import rule_for_mode, sweep_variances
+    from iqsense.montecarlo import rule_for_mode, scenario_variances
 
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
@@ -471,9 +514,9 @@ def test_sweep_analytic_columns_are_the_closed_forms(tmp_path):
     assert r.returncode == 0
     rows = list(csv.DictReader(l for l in r.stdout.splitlines() if not l.startswith("#")))
     cfg = load_config(str(cfgf))
-    expected = [(scn, v, mode)
-                for scn, v in sweep_variances(cfg.scenario, cfg.sweep.axis, cfg.sweep.grid)
-                for mode in cfg.sweep.modes]
+    scenarios = [cfg.scenario.with_irr(irr) for irr in cfg.sweep.grid]
+    expected = [(scn, scenario_variances(scn), mode)
+                for scn in scenarios for mode in cfg.sweep.modes]
     assert len(rows) == len(expected) == 6
     for row, (scn, v, mode) in zip(rows, expected):
         assert row["mode"] == mode.kind

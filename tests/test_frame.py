@@ -37,6 +37,12 @@ def test_occupancy_validation():
     assert m.active == frozenset({1, -4})
 
 
+def test_occupancy_bounds_frame_size():
+    assert OccupancyMap(2**20, {1, -2**19}).truths.size == 2**20
+    with pytest.raises(ValueError, match="^n_subcarriers must be <= 1048576, got 2097152$"):
+        OccupancyMap(2**21, frozenset())
+
+
 def test_occupancy_accepts_int_subclasses():
     class Index(int):
         pass

@@ -440,7 +440,7 @@ def test_sweep_axes_cover_model_knobs():
 def test_sweep_structure_and_pairing():
     sc = scenario()
     modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
-    pts = sweep(sc, "irr_db", [-20.0, -10.0], 8_000, 11, modes=modes)
+    pts = sweep([(sc, "irr_db", [-20.0, -10.0], modes, ())], 8_000, 11)
     assert len(pts) == 4
     assert [p.mode.kind for p in pts] == ["four", "two-bayes", "four", "two-bayes"]
     for p in pts:
@@ -456,17 +456,17 @@ def test_sweep_structure_and_pairing():
 
 def test_sweep_stream_path_isolates_curves():
     sc = scenario()
-    base = sweep(sc, "irr_db", [-15.0], 4_000, 2)
-    same = sweep(sc, "irr_db", [-15.0], 4_000, 2)
-    moved = sweep(sc, "irr_db", [-15.0], 4_000, 2, stream_path=(1,))
+    base = sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 4_000, 2)
+    same = sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 4_000, 2)
+    moved = sweep([(sc, "irr_db", [-15.0], [sc.mode], (1,))], 4_000, 2)
     assert base[0].tally == same[0].tally
     assert base[0].tally != moved[0].tally
 
 
 def test_sweep_point_independent_of_grid():
     sc = scenario()
-    alone = sweep(sc, "snr1_db", [2.0], 4_000, 21)
-    grid = sweep(sc, "snr1_db", [2.0, 4.0], 4_000, 21)
+    alone = sweep([(sc, "snr1_db", [2.0], [sc.mode], ())], 4_000, 21)
+    grid = sweep([(sc, "snr1_db", [2.0, 4.0], [sc.mode], ())], 4_000, 21)
     assert alone[0].tally == grid[0].tally
 
 
@@ -476,7 +476,7 @@ def test_sweep_worker_invariance():
     sc = scenario()
     modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
     runs = [
-        sweep(sc, "irr_db", [-30.0, -20.0, -10.0], 1_500, 17, modes=modes,
+        sweep([(sc, "irr_db", [-30.0, -20.0, -10.0], modes, ())], 1_500, 17,
               workers=workers, chunk_size=64)
         for workers in (1, 2, 3)
     ]
@@ -484,6 +484,36 @@ def test_sweep_worker_invariance():
     for run in runs[1:]:
         assert [(p.value, p.mode) for p in run] == [(p.value, p.mode) for p in runs[0]]
         assert [p.tally for p in run] == [p.tally for p in runs[0]]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_multi_curve_sweep_matches_one_curve_sweeps(workers):
+    """A sweep of two curves, one transmitter-only and one joint, gives
+    each curve's points exactly as a sweep of that curve alone: tallies,
+    rules and variances, point for point, in curve order."""
+    tx_only = (scenario(n_packets=2), "irr_db", [-25.0, -12.0],
+               [DetectorMode.four_level(), DetectorMode.two_level_bayes()], (0,))
+    m = irr_to_mismatch(-20.0)
+    joint = (scenario(snr2_db=-5.0, tx_mismatch=m, rx_mismatch=m), "snr_db_at_delta",
+             [-3.0, 4.0, 9.0], [DetectorMode.four_level()], (1,))
+    both = sweep([tx_only, joint], 1_200, 31, workers=workers, chunk_size=256)
+    alone = [pt for curve in (tx_only, joint)
+             for pt in sweep([curve], 1_200, 31, workers=workers, chunk_size=256)]
+    assert len(both) == len(alone) == 2 * 2 + 3
+    for a, b in zip(both, alone):
+        assert (a.axis, a.value, a.mode) == (b.axis, b.value, b.mode)
+        assert a.variances == b.variances
+        assert a.rule == b.rule
+        assert a.tally == b.tally
+
+
+def test_stream_purpose_tags_are_distinct():
+    """Trials, the variance estimator, the frame and the outage Monte
+    Carlo draw from disjoint streams of one seed."""
+    tags = [montecarlo._TRIAL_STREAM, montecarlo._ESTIMATOR_STREAM,
+            montecarlo.FRAME_STREAM, montecarlo.OUTAGE_STREAM]
+    assert montecarlo.OUTAGE_STREAM == 3
+    assert len(set(tags)) == len(tags)
 
 
 def test_two_workers_run_chunks_at_once(monkeypatch):
@@ -536,7 +566,11 @@ def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):
     calls = []
     monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
     with pytest.raises(VarianceOrderError, match="^irr_db=-15: variances must be"):
-        sweep(sc, "irr_db", [-30.0, -15.0], 100, 1)
+        sweep([(sc, "irr_db", [-30.0, -15.0], [sc.mode], ())], 100, 1)
+    # on a later curve's grid, after a curve that is in order
+    with pytest.raises(VarianceOrderError, match="^irr_db=-15: variances must be"):
+        sweep([(scenario(), "irr_db", [-15.0], [sc.mode], ()),
+               (sc, "irr_db", [-30.0, -15.0], [sc.mode], (1,))], 100, 1)
     assert calls == []
 
 
@@ -548,15 +582,19 @@ def test_run_trials_argument_validation():
         run_trials(sc, 10, 1, chunk_size=0)
     with pytest.raises(ValueError):
         run_trials(sc, 10, 1, workers=0)
-    with pytest.raises(ValueError):
-        sweep(sc, "irr_db", [], 10, 1)
-    with pytest.raises(ValueError):
-        sweep(sc, "irr_db", [-15.0], 10, 1, modes=[])
+    with pytest.raises(ValueError, match="^curves must be nonempty$"):
+        sweep([], 10, 1)
+    with pytest.raises(ValueError, match="^grid must be nonempty$"):
+        sweep([(sc, "irr_db", [], [sc.mode], ())], 10, 1)
+    with pytest.raises(ValueError, match="^modes must be nonempty$"):
+        sweep([(sc, "irr_db", [-15.0], [], ())], 10, 1)
+    with pytest.raises(ValueError, match="^axis must be one of"):
+        sweep([(sc, "noise_var", [1.0], [sc.mode], ())], 10, 1)
     # The trial engine checks its arguments for every caller.
     with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-        sweep(sc, "irr_db", [-15.0], 10, 1, chunk_size=0)
+        sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, chunk_size=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
-        sweep(sc, "irr_db", [-15.0], 10, 1, workers=0)
+        sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
     with pytest.raises(ValueError, match="chunk_size must be >= 1"):
         compare_modes(sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 10, 1,
                       chunk_size=0)

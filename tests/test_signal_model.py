@@ -99,6 +99,13 @@ def test_pair_config_validation():
         SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=12)
 
 
+def test_pair_config_bounds_psk_order():
+    """The trial engine tabulates m x m symbol pairs, so m stops at 1024."""
+    assert SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=1024).psk_order == 1024
+    with pytest.raises(ValueError, match="^psk_order must be <= 1024, got 2048$"):
+        SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=2048)
+
+
 def test_transmit_leakage_structure():
     cfg = SubcarrierPairConfig(power_k=4.0, power_mk=1.0)
     tx = mismatch_coefficients(IqMismatch(0.1, 0.05))
