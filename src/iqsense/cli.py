@@ -21,7 +21,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -31,6 +30,7 @@ from .config import (
     ConfigError,
     ExperimentConfig,
     canonical_hash,
+    config_key,
     load_config,
     parse_config,
 )
@@ -39,7 +39,6 @@ from .detection import (
     METRICS,
     DetectorMode,
     Hypothesis,
-    VarianceOrderError,
     analytic_detection,
     analytic_false_alarm,
     conditional_probabilities,
@@ -58,8 +57,7 @@ from .montecarlo import (
     substream,
     sweep,
 )
-from .outage import analytic_outage, mc_outage, outage_paper_literal
-from .signal_model import irr_to_mismatch
+from .outage import analytic_outage, irr_to_beta_sq, mc_outage, outage_paper_literal
 
 _ANALYTIC = {"p_fa": analytic_false_alarm, "p_d": analytic_detection}
 
@@ -82,10 +80,6 @@ def main(argv=None) -> int:
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except VarianceOrderError as e:  # the image outpowers the wanted signal
-        section = "scenario" if args.command in ("analytic", "sense") else args.command
-        print(f"error: {section}: {e}", file=sys.stderr)
-        return 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -98,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--config", metavar="PATH", help="JSON experiment config")
-        sp.add_argument("--seed", type=_u64, help="master seed (overrides config)")
+        sp.add_argument("--seed", type=int, help="master seed (overrides config)")
         sp.add_argument("--trials", type=_positive_int, help="trials per hypothesis per point")
         sp.add_argument("--mode", choices=DetectorMode.KINDS, help="detector mode override")
         sp.add_argument("--cfar-pfa", type=float, help="design false alarm for --mode two-cfar")
@@ -129,13 +123,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _u64(text: str) -> int:
-    v = int(text)
-    if not (0 <= v < 2**64):
-        raise argparse.ArgumentTypeError("seed must be in [0, 2**64)")
-    return v
-
-
 def _positive_int(text: str) -> int:
     v = int(text)
     if v < 1:
@@ -146,7 +133,8 @@ def _positive_int(text: str) -> int:
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else parse_config({})
     if args.seed is not None:
-        cfg = replace(cfg, seed=SeedSpec(args.seed, cfg.seed.stream_index))
+        with config_key("--seed"):
+            cfg = replace(cfg, seed=SeedSpec(args.seed, cfg.seed.stream_index))
     if args.trials is not None:
         cfg = replace(cfg, trials=args.trials)
     if args.workers is not None:
@@ -155,9 +143,8 @@ def _resolve_config(args) -> ExperimentConfig:
         if args.mode == "two-cfar":
             if args.cfar_pfa is None:
                 raise ConfigError("--mode two-cfar requires --cfar-pfa")
-            if not 0.0 < args.cfar_pfa <= 1.0:  # also NaN
-                raise ConfigError(f"--cfar-pfa: must be in (0, 1], got {args.cfar_pfa}")
-            mode = DetectorMode.two_level_cfar(args.cfar_pfa)
+            with config_key("--cfar-pfa"):
+                mode = DetectorMode.two_level_cfar(args.cfar_pfa)
         else:
             if args.cfar_pfa is not None:
                 raise ConfigError("--cfar-pfa only applies to --mode two-cfar")
@@ -172,18 +159,6 @@ def _resolve_config(args) -> ExperimentConfig:
     if cfg.out is not None:
         _check_writable(cfg.out, "--out" if args.out is not None else "out")
     return cfg
-
-
-@contextmanager
-def _config_key(key: str):
-    """Report a ``ValueError`` of the model, other than variances out of
-    order, as a bad value at config path ``key``."""
-    try:
-        yield
-    except VarianceOrderError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{key}: {e}") from None
 
 
 def _check_writable(path: str, key: str):
@@ -355,7 +330,7 @@ def _metric_cells(v, rule, tally) -> dict:
 
 def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    with _config_key("scenario"):
+    with config_key("scenario"):
         v = scenario_variances(sc)
     rule = rule_for_mode(v, sc.n_packets, sc.mode)
     report: dict = {
@@ -393,7 +368,7 @@ def _sense_rows(tally, v, rule):
 
 def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    with _config_key("scenario"):
+    with config_key("scenario"):
         v = scenario_variances(sc)
     rule = rule_for_mode(v, sc.n_packets, sc.mode)
     tally = run_trials(
@@ -463,7 +438,7 @@ def _curve_rows(cfg: ExperimentConfig, curves, grid_key: str) -> list[tuple[str,
     scenario, axis, grid, modes, stream path), in row order.  All curves
     run as one sweep, so a bad point on any curve's grid exits, blamed on
     ``grid_key``, before the first trial runs."""
-    with _config_key(grid_key):
+    with config_key(grid_key):
         points = sweep([c[1:] for c in curves], cfg.trials, cfg.seed,
                        workers=cfg.workers, chunk_size=cfg.chunk_size)
     labels = [curve for curve, _, _, grid, modes, _ in curves for _ in grid for _ in modes]
@@ -490,12 +465,11 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
         columns = ["figure", "curve", "axis", "value", "beta_sq_sec",
                    "outage_analytic", "outage_mc", "outage_lo", "outage_hi",
                    "outage_paper_literal"]
+        scenarios = []
         for irr in fig.irr_grid:
-            with _config_key(f"figure.irr_grid: irr_db={irr:g}"):
-                irr_to_mismatch(irr)
-        base = cfg.outage
-        for i, irr in enumerate(fig.irr_grid):
-            scn = replace(base, beta_sq_sec=10.0 ** (irr / 10.0))
+            with config_key(f"figure.irr_grid: irr_db={irr:g}"):
+                scenarios.append(replace(cfg.outage, beta_sq_sec=irr_to_beta_sq(irr)))
+        for i, (irr, scn) in enumerate(zip(fig.irr_grid, scenarios)):
             est = mc_outage(scn, cfg.trials, substream(cfg.seed, OUTAGE_STREAM, i))
             rows.append([
                 fig_id, "", "irr_db", irr, scn.beta_sq_sec,
@@ -509,7 +483,7 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
     if fig_id == 3:
         curves = [("", sc, "irr_db", fig.irr_grid, [four, DetectorMode.two_level_bayes()], ())]
     elif fig_id == 4:
-        with _config_key("figure.delta_snrs"):
+        with config_key("figure.delta_snrs"):
             curves = [
                 (f"delta_snr_db={delta:g}", replace(sc, snr2_db=sc.snr1_db - delta),
                  "snr_db_at_delta", fig.snr1_grid, [four], (c,))
@@ -536,7 +510,7 @@ def _cmd_figure(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_frame(cfg: ExperimentConfig, args) -> int:
     frame = cfg.frame
-    with _config_key("frame.snr_db"):
+    with config_key("frame.snr_db"):
         scn = replace(cfg.scenario, snr1_db=frame.snr_db, snr2_db=frame.snr_db)
         scenario_variances(scn)  # variances that overflow exit here, before the frame runs
     result = simulate_frame(frame.occupancy, scn, cfg.seed)

@@ -1,10 +1,14 @@
 """JSON experiment configuration: strict parsing and canonical hashing.
 
 Unknown keys are rejected with their full path so that typos fail loudly
-instead of silently running a default.  The canonical dictionary (the
-resolved, math-relevant portion of a configuration) is hashed into the
-output provenance; execution details that cannot change results
-(worker count, output path, format) stay out of the hash.
+instead of silently running a default.  Values are checked here for type
+(and ``trials``, ``chunk_size`` and ``workers`` for ``>= 1``); every
+other range is checked by the model type that takes the value, and
+:func:`config_key` reports its error under the key the user wrote.  The
+canonical dictionary (the resolved, math-relevant portion of a
+configuration) is hashed into the output provenance; execution details
+that cannot change results (worker count, output path, format) stay out
+of the hash.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 from .detection import DetectorMode
@@ -22,11 +27,12 @@ from .montecarlo import (
     SeedSpec,
     SensingScenario,
 )
-from .outage import OutageScenario
+from .outage import OutageScenario, irr_to_beta_sq
 from .signal_model import IqMismatch, irr_to_mismatch
 
 __all__ = [
     "ConfigError",
+    "config_key",
     "ExperimentConfig",
     "SweepSection",
     "FrameSection",
@@ -61,37 +67,33 @@ def _reject_unknown(d: dict, path: str, known: set[str]):
             raise ConfigError(f"{_join(path, key)}: unknown key")
 
 
-def _number(d, path, key, default, *, minimum=None, maximum=None, allow_null=False,
-            exclusive_min=None, exclusive_max=None):
+def _finite(v, where: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{where}: must be a number, got {v!r}")
+    try:
+        v = float(v)
+    except OverflowError:  # a JSON integer beyond the largest double
+        v = math.inf if v > 0 else -math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: must be finite, got {v}")
+    return v
+
+
+def _number(d, path, key, default, *, allow_null=False):
     v, where = d.get(key, default), _join(path, key)
     if v is None:
         if allow_null:
             return None
         raise ConfigError(f"{where}: must be a number, got null")
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: must be a number, got {v!r}")
-    v = float(v)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}: must be finite, got {v}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{where}: must be <= {maximum}, got {v}")
-    if exclusive_min is not None and v <= exclusive_min:
-        raise ConfigError(f"{where}: must be > {exclusive_min}, got {v}")
-    if exclusive_max is not None and v >= exclusive_max:
-        raise ConfigError(f"{where}: must be < {exclusive_max}, got {v}")
-    return v
+    return _finite(v, where)
 
 
-def _integer(d, path, key, default, *, minimum=None, maximum=None):
+def _integer(d, path, key, default, *, minimum=None):
     v, where = d.get(key, default), _join(path, key)
     if isinstance(v, bool) or not isinstance(v, int):
         raise ConfigError(f"{where}: must be an integer, got {v!r}")
     if minimum is not None and v < minimum:
         raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
-    if maximum is not None and v > maximum:
-        raise ConfigError(f"{where}: must be <= {maximum}, got {v}")
     return v
 
 
@@ -104,21 +106,34 @@ def _string(d, path, key, default, *, choices=None):
     return v
 
 
+@contextmanager
+def config_key(key: str):
+    """Report a ``ValueError`` of the model as a bad value at config path
+    (or command-line flag) ``key``; a ``ConfigError`` already names its own."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from None
+
+
 def _cfar_mode(d: dict, path: str) -> DetectorMode:
     if "cfar_pfa" not in d:
         raise ConfigError(f"{path}.cfar_pfa: required for mode two-cfar")
-    return DetectorMode.two_level_cfar(
-        _number(d, path, "cfar_pfa", None, exclusive_min=0.0, maximum=1.0)
-    )
+    pfa = _number(d, path, "cfar_pfa", None)
+    with config_key(f"{path}.cfar_pfa"):
+        return DetectorMode.two_level_cfar(pfa)
 
 
 def _mode_from(d: dict, path: str) -> DetectorMode:
-    kind = _string(d, path, "mode", "four", choices=set(DetectorMode.KINDS))
+    kind = _string(d, path, "mode", "four")
     if kind == "two-cfar":
         return _cfar_mode(d, path)
     if "cfar_pfa" in d:
         raise ConfigError(f"{path}.cfar_pfa: only valid with mode two-cfar")
-    return DetectorMode(kind)
+    with config_key(f"{path}.mode"):
+        return DetectorMode(kind)
 
 
 def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
@@ -131,17 +146,13 @@ def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
     if has_irr and has_explicit:
         raise ConfigError(f"{path}.{irr_key}: conflicts with {eps_key}/{theta_key}")
     if has_irr:
-        irr = _number(d, path, irr_key, None, exclusive_max=0.0)
-        return irr_to_mismatch(irr)
+        irr = _number(d, path, irr_key, None)
+        with config_key(f"{path}.{irr_key}"):
+            return irr_to_mismatch(irr)
     if has_explicit:
-        eps = _number(d, path, eps_key, 0.0, exclusive_min=-1.0, exclusive_max=1.0)
-        theta = _number(
-            d, path, theta_key, 0.0, exclusive_min=-math.pi / 2, exclusive_max=math.pi / 2
-        )
-        try:
+        eps, theta = _number(d, path, eps_key, 0.0), _number(d, path, theta_key, 0.0)
+        with config_key(f"{path}.{eps_key}/{theta_key}"):
             return IqMismatch(eps, theta)
-        except ValueError as e:
-            raise ConfigError(f"{path}.{eps_key}/{theta_key}: {e}") from None
     if irr_key in d:  # explicit null -> ideal front end
         return IqMismatch.ideal()
     return None
@@ -168,23 +179,19 @@ def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
     if tx is None:
         tx = irr_to_mismatch(-15.0)
     rx = _mismatch_from(d, path, "rx")
-    try:
+    with config_key(path):
         return SensingScenario(
             _snr_value(d, path, "snr1_db", 0.0),
             _snr_value(d, path, "snr2_db", -10.0),
             tx_mismatch=tx,
             rx_mismatch=rx,
-            n_packets=_integer(d, path, "n_packets", 1, minimum=1),
+            n_packets=_integer(d, path, "n_packets", 1),
             mode=_mode_from(d, path),
-            noise_var=_number(d, path, "noise_var", 1.0, exclusive_min=0.0),
-            channel_var=_number(d, path, "channel_var", 1.0, exclusive_min=0.0),
-            channel_var_mirror=_number(d, path, "channel_var_mirror", 1.0, exclusive_min=0.0),
-            psk_order=_integer(d, path, "psk_order", 16, minimum=2),
+            noise_var=_number(d, path, "noise_var", 1.0),
+            channel_var=_number(d, path, "channel_var", 1.0),
+            channel_var_mirror=_number(d, path, "channel_var_mirror", 1.0),
+            psk_order=_integer(d, path, "psk_order", 16),
         )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
 
 
 def _grid_list(d, path, key, default):
@@ -195,10 +202,7 @@ def _grid_list(d, path, key, default):
         return tuple(default)
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{path}.{key}: must be a nonempty array of numbers")
-    for i, g in enumerate(v):
-        if isinstance(g, bool) or not isinstance(g, (int, float)) or not math.isfinite(g):
-            raise ConfigError(f"{path}.{key}[{i}]: must be a finite number, got {g!r}")
-    return tuple(float(g) for g in v)
+    return tuple(_finite(g, f"{path}.{key}[{i}]") for i, g in enumerate(v))
 
 
 @dataclass(frozen=True)
@@ -226,11 +230,11 @@ def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
         raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
     built = []
     for i, name in enumerate(modes_raw):
-        if name not in DetectorMode.KINDS:
-            raise ConfigError(
-                f"{path}.modes[{i}]: must be one of {list(DetectorMode.KINDS)}, got {name!r}"
-            )
-        built.append(_cfar_mode(d, path) if name == "two-cfar" else DetectorMode(name))
+        if name == "two-cfar":
+            built.append(_cfar_mode(d, path))
+            continue
+        with config_key(f"{path}.modes[{i}]"):
+            built.append(DetectorMode(name))
     return SweepSection(axis=axis, grid=grid, modes=tuple(built))
 
 
@@ -244,17 +248,17 @@ def _frame_from(d: dict, path: str = "frame") -> FrameSection:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: must be an object")
     _reject_unknown(d, path, {"n_subcarriers", "active", "snr_db"})
-    n = _integer(d, path, "n_subcarriers", 512, minimum=2)
+    n = _integer(d, path, "n_subcarriers", 512)
     active = d.get("active", [])
     if not isinstance(active, list):
         raise ConfigError(f"{path}.active: must be an array of subcarrier indices")
     for i, k in enumerate(active):
         if isinstance(k, bool) or not isinstance(k, int):
             raise ConfigError(f"{path}.active[{i}]: must be an integer, got {k!r}")
-    try:
+    with config_key(path):
+        OccupancyMap(n, frozenset())  # the frame size alone: its errors name n_subcarriers
+    with config_key(f"{path}.active"):
         occ = OccupancyMap(n, frozenset(active))
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
     return FrameSection(occ, _number(d, path, "snr_db", 0.0))
 
 
@@ -266,25 +270,20 @@ def _outage_from(d: dict, path: str = "outage") -> OutageScenario:
     )
     if "irr_db" in d and "beta_sq_sec" in d:
         raise ConfigError(f"{path}.irr_db: conflicts with beta_sq_sec")
-    if "beta_sq_sec" in d:
-        beta_sq = _number(d, path, "beta_sq_sec", None, minimum=0.0)
-    else:
-        irr = _number(d, path, "irr_db", -15.0, exclusive_max=0.0, allow_null=True)
-        beta_sq = 0.0 if irr is None else 10.0 ** (irr / 10.0)
-    try:
+    with config_key(path):
+        if "beta_sq_sec" in d:
+            beta_sq = _number(d, path, "beta_sq_sec", None)
+        else:
+            beta_sq = irr_to_beta_sq(_number(d, path, "irr_db", -15.0, allow_null=True))
         return OutageScenario(
-            p_mk=_number(d, path, "p_mk", 1.0, minimum=0.0),
-            p0=_number(d, path, "p0", 10.0, minimum=0.0),
+            p_mk=_number(d, path, "p_mk", 1.0),
+            p0=_number(d, path, "p0", 10.0),
             beta_sq_sec=beta_sq,
-            noise_p=_number(d, path, "noise_p", 1.0, exclusive_min=0.0),
-            var_g=_number(d, path, "var_g", 1.0, exclusive_min=0.0),
-            var_h=_number(d, path, "var_h", 1.0, exclusive_min=0.0),
-            rate_p=_number(d, path, "rate_p", 1.0, minimum=0.0),
+            noise_p=_number(d, path, "noise_p", 1.0),
+            var_g=_number(d, path, "var_g", 1.0),
+            var_h=_number(d, path, "var_h", 1.0),
+            rate_p=_number(d, path, "rate_p", 1.0),
         )
-    except ConfigError:
-        raise
-    except ValueError as e:
-        raise ConfigError(f"{path}: {e}") from None
 
 
 @dataclass(frozen=True)
@@ -399,10 +398,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
                           "now computed in closed form, so delete it from the config")
     _reject_unknown(raw, "", _TOP_KEYS)
     scenario = _scenario_from(raw.get("scenario", {}))
-    seed = SeedSpec(
-        _integer(raw, "", "seed", 0, minimum=0, maximum=2**64 - 1),
-        _integer(raw, "", "stream_index", 0, minimum=0),
-    )
+    with config_key("seed"):
+        seed = SeedSpec(_integer(raw, "", "seed", 0), _integer(raw, "", "stream_index", 0))
     sweep_sec = _sweep_from(raw["sweep"]) if "sweep" in raw else None
     outage_sec = _outage_from(raw.get("outage", {}))
     frame_sec = _frame_from(raw.get("frame", {}))

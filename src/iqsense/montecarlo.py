@@ -90,6 +90,13 @@ __all__ = [
 
 DEFAULT_CHUNK_SIZE = 1 << 16
 
+# The statistic averages n_packets draws, so a trial-engine chunk holds
+# chunk_size x n_packets complex samples (1 GiB at the default chunk size
+# and this count), and the closed forms' Erlang sums lengthen with
+# n_packets (one `analytic` call takes 2 s at 10**9); the documented runs
+# use at most 32.
+_MAX_PACKETS = 1024
+
 # Purpose tags keeping independent uses of a seed on disjoint streams;
 # the frame simulator draws from FRAME_STREAM, the CLI's outage Monte
 # Carlo from OUTAGE_STREAM.
@@ -174,6 +181,8 @@ class SensingScenario:
     def __post_init__(self):
         if not isinstance(self.n_packets, int) or self.n_packets < 1:
             raise ValueError(f"n_packets must be an int >= 1, got {self.n_packets!r}")
+        if self.n_packets > _MAX_PACKETS:
+            raise ValueError(f"n_packets must be <= {_MAX_PACKETS}, got {self.n_packets}")
         # the SNRs' powers scale with it, so it is checked before they are formed
         if not isinstance(self.noise_var, (int, float)) or not 0.0 < self.noise_var < math.inf:
             raise ValueError(f"noise_var must be finite and > 0, got {self.noise_var!r}")

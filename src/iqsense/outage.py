@@ -15,9 +15,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signal_model import irr_to_mismatch
 from .stats import Estimate, wilson_interval
 
-__all__ = ["OutageScenario", "analytic_outage", "outage_paper_literal", "mc_outage"]
+__all__ = [
+    "OutageScenario", "irr_to_beta_sq", "analytic_outage", "outage_paper_literal", "mc_outage",
+]
+
+
+def irr_to_beta_sq(irr_db: float | None) -> float:
+    """``beta_sq_sec`` of the canonical amplitude-only mismatch at image-
+    rejection ratio ``irr_db`` dB: 10**(irr_db / 10), 0 for ``None`` or
+    ``-inf``.  The IRR must be negative, as :func:`irr_to_mismatch` checks."""
+    irr_to_mismatch(irr_db)
+    return 0.0 if irr_db is None else 10.0 ** (irr_db / 10.0)
 
 
 @dataclass(frozen=True)

@@ -142,7 +142,8 @@ def test_out_of_order_grid_point_exit_code(tmp_path):
     }))
     r = run_cli("figure", "5", "--config", str(cfgf))
     assert r.returncode == 2
-    assert r.stderr.startswith("error: figure: irr_db=-15: variances must be nondecreasing")
+    assert r.stderr.startswith(
+        "error: figure.irr_grid: irr_db=-15: variances must be nondecreasing")
 
 
 @pytest.mark.parametrize("fig_id, point", [("4", "snr_db_at_delta=0"), ("5", "irr_db=-15")])
@@ -164,7 +165,8 @@ def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fi
     assert cli.main(["figure", fig_id, "--config", str(cfgf)]) == 2
     assert calls == []
     err = capsys.readouterr().err
-    assert err.startswith(f"error: figure: {point}: variances must be nondecreasing")
+    grid = {"4": "figure.snr1_grid", "5": "figure.irr_grid"}[fig_id]
+    assert err.startswith(f"error: {grid}: {point}: variances must be nondecreasing")
 
 
 def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
@@ -248,6 +250,93 @@ def test_size_bounds_exit_2_naming_the_section(tmp_path, monkeypatch, capsys,
     assert err == f"error: {where}\n"
 
 
+def _range_case(key, config, where, command=("analytic",)):
+    return pytest.param(list(command), config, where, id=key)
+
+
+@pytest.mark.parametrize("command, config, where", [
+    _range_case("scenario.snr1_db", {"scenario": {"snr1_db": 4000}}, "scenario: snr1_db="),
+    _range_case("scenario.snr2_db", {"scenario": {"snr2_db": 4000}}, "scenario: snr2_db="),
+    _range_case("scenario.noise_var", {"scenario": {"noise_var": 0}}, "scenario: noise_var "),
+    _range_case("scenario.channel_var", {"scenario": {"channel_var": 0}},
+                "scenario: channel_var "),
+    _range_case("scenario.channel_var_mirror", {"scenario": {"channel_var_mirror": -1}},
+                "scenario: channel_var_mirror "),
+    _range_case("scenario.psk_order-1", {"scenario": {"psk_order": 1}}, "scenario: psk_order "),
+    _range_case("scenario.psk_order-12", {"scenario": {"psk_order": 12}}, "scenario: psk_order "),
+    _range_case("scenario.psk_order-2048", {"scenario": {"psk_order": 2048}},
+                "scenario: psk_order "),
+    _range_case("scenario.n_packets-0", {"scenario": {"n_packets": 0}}, "scenario: n_packets "),
+    _range_case("scenario.n_packets-1025", {"scenario": {"n_packets": 1025}},
+                "scenario: n_packets must be <= 1024, got 1025"),
+    _range_case("scenario.n_packets-huge", {"scenario": {"n_packets": 10**400}},
+                "scenario: n_packets must be <= 1024, got 1000"),
+    _range_case("scenario.mode", {"scenario": {"mode": "three-level"}}, "scenario.mode: "),
+    _range_case("scenario.cfar_pfa-0", {"scenario": {"mode": "two-cfar", "cfar_pfa": 0}},
+                "scenario.cfar_pfa: "),
+    _range_case("scenario.cfar_pfa-1.5", {"scenario": {"mode": "two-cfar", "cfar_pfa": 1.5}},
+                "scenario.cfar_pfa: "),
+    _range_case("scenario.tx_irr_db", {"scenario": {"tx_irr_db": 0}}, "scenario.tx_irr_db: "),
+    _range_case("scenario.tx_epsilon", {"scenario": {"tx_epsilon": 1.0}},
+                "scenario.tx_epsilon/tx_theta: "),
+    _range_case("scenario.tx_theta", {"scenario": {"tx_theta": 2.0}},
+                "scenario.tx_epsilon/tx_theta: "),
+    _range_case("scenario.rx_irr_db", {"scenario": {"rx_irr_db": 0.5}}, "scenario.rx_irr_db: "),
+    _range_case("scenario.rx_epsilon", {"scenario": {"rx_epsilon": -1.0}},
+                "scenario.rx_epsilon/rx_theta: "),
+    _range_case("scenario.rx_theta", {"scenario": {"rx_theta": -2.0}},
+                "scenario.rx_epsilon/rx_theta: "),
+    *(_range_case(f"outage.{key}", {"outage": {key: value}}, f"outage: {key} ")
+      for key, value in (("p_mk", -1), ("p0", -1), ("beta_sq_sec", -1), ("noise_p", 0),
+                         ("var_g", 0), ("var_h", -1), ("rate_p", -1), ("irr_db", 0))),
+    *(_range_case(f"frame.n_subcarriers-{n}", {"frame": {"n_subcarriers": n}},
+                  "frame: n_subcarriers ") for n in (0, 7, 2**21)),
+    _range_case("frame.active-dc", {"frame": {"active": [0]}}, "frame.active: "),
+    _range_case("frame.active-outside", {"frame": {"n_subcarriers": 8, "active": [5]}},
+                "frame.active: "),
+    _range_case("frame.snr_db", {"frame": {"snr_db": 4000}}, "frame.snr_db: ", ["frame"]),
+    _range_case("sweep.modes", {"sweep": {"axis": "irr_db", "grid": [-10], "modes": ["x"]}},
+                "sweep.modes[0]: "),
+    _range_case("sweep.cfar_pfa",
+                {"sweep": {"axis": "irr_db", "grid": [-10], "modes": ["four", "two-cfar"],
+                           "cfar_pfa": 0}},
+                "sweep.cfar_pfa: "),
+    _range_case("seed-negative", {"seed": -1}, "seed: master_seed "),
+    _range_case("seed-65-bits", {"seed": 2**64}, "seed: master_seed "),
+    _range_case("stream_index", {"stream_index": -1}, "seed: stream_index "),
+    *(_range_case(key, {key: 0}, f"{key}: ") for key in ("chunk_size", "workers")),
+    _range_case("--seed-negative", {}, "--seed: ", ["analytic", "--seed", "-1"]),
+    _range_case("--seed-65-bits", {}, "--seed: ", ["analytic", "--seed", str(2**64)]),
+    *(_range_case(f"--cfar-pfa-{pfa}", {}, "--cfar-pfa: ",
+                  ["analytic", "--mode", "two-cfar", "--cfar-pfa", pfa])
+      for pfa in ("0", "1.5", "nan")),
+])
+def test_every_range_error_names_its_key(tmp_path, monkeypatch, capsys, command, config, where):
+    """Each model type states its own ranges; its error reads behind the
+    section, or behind the dotted key (or flag) where the model names
+    another field, and always exits 2 before any trial."""
+    code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
+    assert code == 2
+    assert err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("command, config, message", [
+    (["analytic"], {"scenario": {"snr1_db": 10**400}},
+     "scenario.snr1_db: must be finite, got inf"),
+    (["frame"], {"frame": {"snr_db": 10**400}}, "frame.snr_db: must be finite, got inf"),
+    (["analytic"], {"outage": {"p0": 10**400}}, "outage.p0: must be finite, got inf"),
+    (["figure", "3"], {"figure": {"irr_grid": [-10.0, -(10**400)]}},
+     "figure.irr_grid[1]: must be finite, got -inf"),
+])
+def test_integer_beyond_a_double_is_not_finite(tmp_path, monkeypatch, capsys,
+                                               command, config, message):
+    """A JSON integer too large for a double is refused like 1e400, not
+    raised as an OverflowError."""
+    code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_largest_constellation_runs(tmp_path, capsys):
     import iqsense.cli as cli
 
@@ -271,7 +360,7 @@ def test_seed_beyond_64_bits_exit_code(tmp_path):
     cfgf.write_text(json.dumps({"seed": 2**64}))
     r = run_cli("analytic", "--config", str(cfgf))
     assert r.returncode == 2
-    assert r.stderr.startswith("error: seed: must be <= ")
+    assert r.stderr.startswith("error: seed: master_seed must be an int in [0, 2**64)")
     assert "Traceback" not in r.stderr
 
 
@@ -412,7 +501,7 @@ def test_figure_bytes_independent_of_workers(tmp_path):
 def test_cfar_pfa_out_of_range_exit_code(pfa):
     r = run_cli("analytic", "--mode", "two-cfar", "--cfar-pfa", pfa)
     assert r.returncode == 2
-    assert r.stderr.startswith("error: --cfar-pfa: must be in (0, 1]")
+    assert r.stderr.startswith("error: --cfar-pfa: two-cfar requires target_pfa in (0, 1]")
     assert "Traceback" not in r.stderr
 
 

@@ -160,11 +160,11 @@ def test_type_checks():
 @pytest.mark.parametrize("raw, message", [
     ({"trials": 0}, "trials: must be >= 1, got 0"),
     ({"workers": True}, "workers: must be an integer, got True"),
-    ({"seed": 2**64}, f"seed: must be <= {2**64 - 1}, got {2**64}"),
+    ({"seed": 2**64}, f"seed: master_seed must be an int in [0, 2**64), got {2**64}"),
     ({"stream_index": 1.5}, "stream_index: must be an integer, got 1.5"),
     ({"format": "yaml"}, "format: must be one of ['csv', 'json'], got 'yaml'"),
     ({"bogus": 1}, "bogus: unknown key"),
-    ({"scenario": {"n_packets": 0}}, "scenario.n_packets: must be >= 1, got 0"),
+    ({"scenario": {"n_packets": 0}}, "scenario: n_packets must be an int >= 1, got 0"),
 ])
 def test_error_paths_join_like_unknown_keys(raw, message):
     """A top-level key is named bare; a nested one by its dotted path."""
