@@ -17,7 +17,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .detection import DetectorMode
 from .frame import OccupancyMap
@@ -26,6 +26,7 @@ from .montecarlo import (
     SWEEP_AXES,
     SeedSpec,
     SensingScenario,
+    scenario_variances,
 )
 from .outage import OutageScenario, irr_to_beta_sq
 from .signal_model import IqMismatch, irr_to_mismatch
@@ -224,10 +225,12 @@ def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
     axis = _string(d, path, "axis", None, choices=set(SWEEP_AXES))
     grid = _grid_list(d, path, "grid", None)
     modes_raw = d.get("modes")
+    if modes_raw is not None and (not isinstance(modes_raw, list) or not modes_raw):
+        raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
+    if "cfar_pfa" in d and "two-cfar" not in (modes_raw or ()):
+        raise ConfigError(f"{path}.cfar_pfa: only valid when {path}.modes has two-cfar")
     if modes_raw is None:
         return SweepSection(axis=axis, grid=grid, modes=None)
-    if not isinstance(modes_raw, list) or not modes_raw:
-        raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
     built = []
     for i, name in enumerate(modes_raw):
         if name == "two-cfar":
@@ -403,6 +406,9 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep_sec = _sweep_from(raw["sweep"]) if "sweep" in raw else None
     outage_sec = _outage_from(raw.get("outage", {}))
     frame_sec = _frame_from(raw.get("frame", {}))
+    with config_key("frame.snr_db"):  # --mode cannot change the frame's variances
+        snr = frame_sec.snr_db
+        scenario_variances(replace(scenario, snr1_db=snr, snr2_db=snr))
     figure_sec = _figure_from(raw.get("figure", {}))
     out = raw.get("out")
     if out is not None and not isinstance(out, str):

@@ -57,6 +57,7 @@ from .signal_model import (
     irr_to_mismatch,
     mismatch_coefficients,
     receive_joint,
+    transmit,
 )
 
 # Not called here (the kernel tallies with decision_counts and folds receive
@@ -292,36 +293,32 @@ def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metr
 # sample generation
 
 
-def _received_batch(
-    sc: SensingScenario,
-    tx_c: MismatchCoefficients,
-    rx_c: MismatchCoefficients | None,
-    hyp: int,
-    count: int,
-    n_packets: int,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """(count, n_packets) received samples under one true hypothesis.
+def _statistic_batch(sc: SensingScenario, hyp: int, count: int, rng) -> np.ndarray:
+    """Average periodogram |r|^2 over the ``sc.n_packets`` packets of each
+    of ``count`` trials under one true hypothesis.
 
     Draw order is fixed: symbol indices on k, symbol indices on -k,
     channel, noise, then the mirror-side channel and noise for the joint
     model.  Both index arrays are always drawn, so a given substream
     yields the same draws for every hypothesis.
 
-    The samples equal, bit for bit, those of the sample-level reference
-    in ``tests/sample_oracle.py``, which looks the symbols up one side at
-    a time and applies :func:`~iqsense.signal_model.receive` and
-    :func:`~iqsense.signal_model.receive_joint`.  Here the two indices
-    fold into one, ``ik*m + imk``, into an m x m table of transmitted
-    samples (a silent side contributes a zero row or column).  Channel
-    and noise are applied in place, with the reference's operands in the
-    reference's order, and the joint model combines the two sides with
-    ``receive_joint`` as the reference does.
+    The statistics equal, bit for bit, those of the sample-level
+    reference in ``tests/sample_oracle.py``, which looks the symbols up
+    one side at a time and applies :func:`~iqsense.signal_model.receive`
+    and :func:`~iqsense.signal_model.receive_joint`.  Here the two indices
+    fold into one, ``ik*m + imk``, into an m x m table that
+    :func:`~iqsense.signal_model.transmit` fills from a column of k-side
+    and a row of mirror-side symbols (a silent side contributes a zero
+    row or column).  Channel and noise are applied in place, with the
+    reference's operands in the reference's order.  ``abs(r)`` squared
+    rounds as the reference's ``abs(r) ** 2`` does; ``re**2 + im**2``
+    would round differently.
     """
     pair = sc.pair
+    tx_c, rx_c = sc.coefficients
     h = Hypothesis(hyp)
     m = pair.psk_order
-    size = (count, n_packets)
+    size = (count, sc.n_packets)
     idx = rng.integers(0, m, size)
     idx *= m
     idx += rng.integers(0, m, size)
@@ -330,32 +327,15 @@ def _received_batch(
     s_k = (table if h.own_active else silent)[:, None]
     s_mk = (table if h.mirror_active else silent)[None, :]
     sent = h != Hypothesis.H0
-    image_first = count * n_packets * np.dtype(complex).itemsize >= _ELISION_BYTES
-    tab = _transmit_table(s_k, s_mk, pair, tx_c, image_first) if sent else None
-    y = _faded(tab, idx, rng, pair.channel_var, pair.noise_var)
-    if rx_c is None:
-        return y
-    tab_m = _transmit_table(s_mk, s_k, pair.mirrored(), tx_c, image_first) if sent else None
-    y_m = _faded(tab_m, idx, rng, pair.channel_var_mirror, pair.noise_var)
-    return receive_joint(y, y_m, rx_c)
-
-
-# numpy runs ``c * t`` as ``t *= c`` when ``t`` is a temporary of at least
-# 256 KiB, and where its SIMD complex product uses fused multiply-add, the
-# swapped product can differ in the last bit of the imaginary part.  The
-# sample-level model formed the image term of ``transmit`` on (count,
-# n_packets) arrays, so the table takes the operand order that size gave it.
-_ELISION_BYTES = 256 * 1024
-
-
-def _transmit_table(s_k, s_mk, pair, tx_c, image_first: bool) -> np.ndarray:
-    """:func:`~iqsense.signal_model.transmit` over the grid of a column of
-    k-side and a row of mirror-side symbols; ``image_first`` puts the
-    conjugated symbols first in the image term's product."""
-    c = tx_c.beta * math.sqrt(pair.power_mk)
-    conj = np.conjugate(s_mk)
-    image = conj * c if image_first else c * conj
-    return tx_c.alpha * math.sqrt(pair.power_k) * s_k + image
+    tab = transmit(s_k, s_mk, pair, tx_c) if sent else None
+    r = _faded(tab, idx, rng, pair.channel_var, pair.noise_var)
+    if rx_c is not None:
+        tab_m = transmit(s_mk, s_k, pair.mirrored(), tx_c) if sent else None
+        y_m = _faded(tab_m, idx, rng, pair.channel_var_mirror, pair.noise_var)
+        r = receive_joint(r, y_m, rx_c)
+    a = np.abs(r)
+    a *= a
+    return a.mean(axis=1)
 
 
 def _faded(tab, idx, rng, channel_var, noise_var) -> np.ndarray:
@@ -370,17 +350,6 @@ def _faded(tab, idx, rng, channel_var, noise_var) -> np.ndarray:
     y *= ch
     y += w
     return y
-
-
-def _statistic_batch(sc, tx_c, rx_c, hyp, count, rng) -> np.ndarray:
-    """Average periodogram |r|^2 over each trial's packets.
-
-    ``abs(r)`` squared rounds as the reference's ``abs(r) ** 2`` does;
-    ``re**2 + im**2`` would round differently.
-    """
-    a = np.abs(_received_batch(sc, tx_c, rx_c, hyp, count, sc.n_packets, rng))
-    a *= a
-    return a.mean(axis=1)
 
 
 # --------------------------------------------------------------------------
@@ -403,12 +372,12 @@ def estimate_component_variances(
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    tx_c, rx_c = sc.coefficients
+    one_packet = replace(sc, n_packets=1)
     est = []
     for hyp in range(4):
         rng = substream(seed, _ESTIMATOR_STREAM, *stream_path, hyp)
-        r = _received_batch(sc, tx_c, rx_c, hyp, samples, 1, rng)
-        est.append(float(np.mean(np.abs(r) ** 2)) / 2.0)
+        z = _statistic_batch(one_packet, hyp, samples, rng)
+        est.append(float(np.mean(z)) / 2.0)
     return tuple(est)
 
 
@@ -450,9 +419,8 @@ def _chunk_task(args) -> tuple[int, np.ndarray]:
     """Simulate one chunk under one hypothesis and classify it with
     every rule; returns (hypothesis, per-rule decision bincounts)."""
     sc, rules, hyp, chunk_idx, count, seed, stream_path = args
-    tx_c, rx_c = sc.coefficients
     rng = substream(seed, _TRIAL_STREAM, *stream_path, hyp, chunk_idx)
-    z = _statistic_batch(sc, tx_c, rx_c, hyp, count, rng)
+    z = _statistic_batch(sc, hyp, count, rng)
     return hyp, np.array([decision_counts(z, rule) for rule in rules])
 
 

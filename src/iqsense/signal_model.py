@@ -169,10 +169,17 @@ def transmit(s_k, s_mk, cfg: SubcarrierPairConfig, tx: MismatchCoefficients):
     """Transmitted sample on subcarrier k with mirror leakage.
 
     x_k = alpha*sqrt(P_k)*s_k + beta*sqrt(P_mk)*conj(s_mk)
+
+    The image term puts the array first, as :func:`receive_joint` does:
+    numpy computes ``scalar * temporary`` as ``temporary *= scalar`` once
+    the temporary reaches 256 KiB, and where its complex product uses
+    fused multiply-add, a scalar-first product can differ from an
+    array-first one in the last bit.  Array first, a sample's bits do not
+    depend on how many samples share the call.
     """
     return (
         tx.alpha * math.sqrt(cfg.power_k) * s_k
-        + tx.beta * math.sqrt(cfg.power_mk) * np.conjugate(s_mk)
+        + np.conjugate(s_mk) * (tx.beta * math.sqrt(cfg.power_mk))
     )
 
 
@@ -188,8 +195,10 @@ def receive_joint(y_k, y_mk, rx: MismatchCoefficients):
     the conjugated mirror observation.
 
     r_k = alpha_r*y_k + beta_r*conj(y_mk)
+
+    The image term puts the array first, as in :func:`transmit`.
     """
-    return rx.alpha * y_k + rx.beta * np.conjugate(y_mk)
+    return rx.alpha * y_k + np.conjugate(y_mk) * rx.beta
 
 
 def _circular_gaussian(var: float, rng: np.random.Generator, size=None):

@@ -79,10 +79,9 @@ def test_criterion_02_statistic_distribution():
     for n_packets in (1, 4):
         sc = SensingScenario(0.0, **{**PAPER_POINT, "n_packets": n_packets})
         v = scenario_variances(sc)
-        tx_c, rx_c = sc.coefficients
         for hyp, s in enumerate(v.as_tuple()):
             rng = substream(SeedSpec(202), 9, n_packets, hyp)
-            z = _statistic_batch(sc, tx_c, rx_c, hyp, 100_000, rng)
+            z = _statistic_batch(sc, hyp, 100_000, rng)
             law = gamma_dist(a=n_packets, scale=2.0 * s / n_packets)
             ks = kstest(z, law.cdf).statistic
             worst = max(worst, ks)

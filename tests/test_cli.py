@@ -295,6 +295,10 @@ def _range_case(key, config, where, command=("analytic",)):
     _range_case("frame.active-outside", {"frame": {"n_subcarriers": 8, "active": [5]}},
                 "frame.active: "),
     _range_case("frame.snr_db", {"frame": {"snr_db": 4000}}, "frame.snr_db: ", ["frame"]),
+    _range_case("frame.snr_db-analytic", {"frame": {"snr_db": 4000}}, "frame.snr_db: "),
+    _range_case("sweep.cfar_pfa-unused",
+                {"sweep": {"axis": "irr_db", "grid": [-10], "modes": ["four"], "cfar_pfa": 5}},
+                "sweep.cfar_pfa: only valid when", ["sweep"]),
     _range_case("sweep.modes", {"sweep": {"axis": "irr_db", "grid": [-10], "modes": ["x"]}},
                 "sweep.modes[0]: "),
     _range_case("sweep.cfar_pfa",
@@ -425,7 +429,8 @@ def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
 
 def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
     """The sweep computes each grid point's variances once, for the
-    grid check before the trials and for the points' rules."""
+    grid check before the trials and for the points' rules.  The config
+    check adds one more: the frame's, at ``frame.snr_db``."""
     import iqsense.cli as cli
     import iqsense.montecarlo as montecarlo
 
@@ -441,7 +446,7 @@ def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({"figure": {"irr_grid": [-30.0, -20.0, -10.0]}, "trials": 100}))
     assert cli.main(["figure", "5", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]) == 0
-    assert len(calls) == 3 * 2  # grid points x curves
+    assert len(calls) == 3 * 2 + 1  # grid points x curves, and the frame
 
 
 @pytest.mark.parametrize("command", [["sense", "--trials", "20000"], ["figure", "5"]],

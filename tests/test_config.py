@@ -111,6 +111,11 @@ def test_sweep_section():
     with pytest.raises(ConfigError, match="cfar_pfa"):
         parse_config({"sweep": {"axis": "irr_db", "grid": [-10.0],
                                 "modes": ["two-cfar"]}})
+    # A target no sweep mode reads is refused, as scenario.cfar_pfa is.
+    for extra in ({"modes": ["four", "two-bayes"]}, {}):
+        with pytest.raises(ConfigError, match=r"^sweep\.cfar_pfa: only valid when"):
+            parse_config({"sweep": {"axis": "irr_db", "grid": [-10.0],
+                                    "cfar_pfa": 0.1, **extra}})
     # Without explicit modes the scenario's own mode sweeps, resolved
     # where it is used, after any --mode override.
     d = parse_config({"sweep": {"axis": "snr1_db", "grid": [0.0]}})

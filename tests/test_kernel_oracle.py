@@ -18,8 +18,10 @@ from iqsense.montecarlo import (
 )
 from iqsense.signal_model import IqMismatch, draw_noise, draw_rayleigh
 
-# numpy switches the operand order of some products at 16384 complex
-# samples per array (see montecarlo._ELISION_BYTES); cases sit on both sides.
+# From 256 KiB, 16384 complex samples, numpy computes ``scalar * temporary``
+# as ``temporary *= scalar``, which under fused multiply-add can change the
+# last bit of a product written scalar-first.  Cases sit on both sides, so a
+# sample-model product whose bits depend on array size fails here.
 _ELISION_SAMPLES = 16384
 
 
@@ -86,7 +88,7 @@ def test_statistic_equals_sample_oracle(case):
     sc, count = CASES[case]
     tx_c, rx_c = sc.coefficients
     for hyp in range(4):
-        got = _statistic_batch(sc, tx_c, rx_c, hyp, count, substream(5, 0, case, hyp))
+        got = _statistic_batch(sc, hyp, count, substream(5, 0, case, hyp))
         want = sample_oracle.statistic_batch(
             sc, tx_c, rx_c, hyp, count, substream(5, 0, case, hyp)
         )

@@ -211,8 +211,9 @@ def test_run_trials_worker_invariance():
 
 # Tallies of the sample-level kernel (symbols looked up per side, receive
 # and receive_joint on full arrays).  Three chunks with a short last one;
-# the full chunks hold 16384 samples, where numpy switches the operand
-# order of some products (see montecarlo._ELISION_BYTES), the last fewer.
+# the full chunks hold 16384 samples, where numpy starts to elide
+# temporaries, the last fewer, so a chunk whose bits depend on its size
+# moves a tally here.
 _GOLDEN = {
     "tx-only": (
         SensingScenario(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),

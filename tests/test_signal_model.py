@@ -133,6 +133,34 @@ def test_receive_and_joint_shapes():
     assert z == pytest.approx(rx.alpha * y + rx.beta * y)
 
 
+@pytest.mark.parametrize("model", ["transmit", "receive_joint"])
+def test_sample_model_bits_do_not_depend_on_array_size(model):
+    """A sample's bits are the same in a call of 1,000 samples and in one
+    of 40,000 whose first 1,000 samples are those.
+
+    numpy computes ``scalar * temporary`` as ``temporary *= scalar`` once
+    the temporary reaches 256 KiB, and where its complex product uses
+    fused multiply-add, a scalar-first product can differ from an
+    array-first one in the last bit.  An image term written scalar-first
+    fails here on such a CPU; on a CPU without fused multiply-add both
+    orders round alike and it passes.
+    """
+    cfg = SubcarrierPairConfig(power_k=2.5, power_mk=0.7)
+    c = mismatch_coefficients(IqMismatch(0.3, -0.2))
+    rng = np.random.default_rng(23)
+    u = draw_noise(1.0, rng, size=40_000)
+    v = draw_noise(1.0, rng, size=40_000)
+
+    def model_fn(a, b):
+        return transmit(a, b, cfg, c) if model == "transmit" else receive_joint(a, b, c)
+
+    small = model_fn(u[:1000].copy(), v[:1000].copy())
+    large = model_fn(u, v)[:1000]
+    assert np.array_equal(small.view(np.float64), large.view(np.float64)), (
+        f"{np.count_nonzero(small != large)} of 1000 samples differ"
+    )
+
+
 def test_draw_moments():
     rng = np.random.default_rng(42)
     h = draw_rayleigh(2.0, rng, size=200_000)
