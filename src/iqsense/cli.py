@@ -39,27 +39,29 @@ from .detection import (
     METRICS,
     DetectorMode,
     Hypothesis,
-    analytic_detection,
-    analytic_false_alarm,
     conditional_probabilities,
+    convention_metric,
     detection_paper_literal,
     false_alarm_paper_literal,
     thresholds_paper_literal,
 )
 from .frame import simulate_frame
 from .montecarlo import (
+    MAX_WORKERS,
     OUTAGE_STREAM,
     SeedSpec,
     empirical_metrics,
-    rule_for_mode,
     run_trials,
+    scenario_rule,
     scenario_variances,
     substream,
     sweep,
 )
 from .outage import analytic_outage, irr_to_beta_sq, mc_outage, outage_paper_literal
 
-_ANALYTIC = {"p_fa": analytic_false_alarm, "p_d": analytic_detection}
+# Not called here (every closed-form column reads the point's one
+# conditional_probabilities matrix); bound for the trace in bench/job.py.
+from .detection import analytic_detection, analytic_false_alarm  # noqa: F401
 
 # pfa_analytic_paper, pfa_paper, pfa_paper_lo, pfa_paper_hi, the same four
 # for prior, then all eight for pd
@@ -139,6 +141,9 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, trials=args.trials)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
+    if cfg.workers > MAX_WORKERS:
+        key = "--workers" if args.workers is not None else "workers"
+        raise ConfigError(f"{key}: must be <= {MAX_WORKERS}, got {cfg.workers}")
     if args.mode is not None:
         if args.mode == "two-cfar":
             if args.cfar_pfa is None:
@@ -309,22 +314,23 @@ def _rule_report(rule) -> dict:
     }
 
 
-def _metric_block(v, rule) -> dict:
+def _metric_block(probs) -> dict:
     return {
-        convention.replace("-", "_"): {m: _ANALYTIC[m](v, rule, convention) for m in METRICS}
+        convention.replace("-", "_"): {m: convention_metric(probs, convention, m) for m in METRICS}
         for convention in CONVENTIONS
     }
 
 
-def _metric_cells(v, rule, tally) -> dict:
+def _metric_cells(probs, tally) -> dict:
     """{(convention, metric): (closed form, estimate)} for every entry of
-    the convention table, convention by convention."""
+    the convention table, convention by convention; the closed forms read
+    ``probs``, the point's matrix of P(decide col | true row)."""
     cells = {}
     for convention in CONVENTIONS:
         m = empirical_metrics(tally, convention)
         for metric in METRICS:
-            ana = _ANALYTIC[metric](v, rule, convention)
-            cells[convention, metric] = (ana, getattr(m, metric))
+            cells[convention, metric] = (convention_metric(probs, convention, metric),
+                                         getattr(m, metric))
     return cells
 
 
@@ -332,12 +338,12 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
     with config_key("scenario"):
         v = scenario_variances(sc)
-    rule = rule_for_mode(v, sc.n_packets, sc.mode)
+    rule = scenario_rule(sc)
     report: dict = {
         "variances": asdict(v),
         "mode": sc.mode.kind,
         "rule": _rule_report(rule),
-        "metrics": _metric_block(v, rule),
+        "metrics": _metric_block(conditional_probabilities(v, rule)),
     }
     if sc.mode.kind == "four" and not rule.merged:
         report["thresholds"] = {"s01": rule.s01, "s12": rule.s12, "s23": rule.s23}
@@ -357,10 +363,10 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _sense_rows(tally, v, rule):
+def _sense_rows(tally, probs):
     rows = [["tally", Hypothesis(i).name, Hypothesis(j).name, int(tally.counts[i, j]), *[None] * 6]
             for i in range(4) for j in range(4)]
-    for (convention, metric), (ana, est) in _metric_cells(v, rule, tally).items():
+    for (convention, metric), (ana, est) in _metric_cells(probs, tally).items():
         rows.append(["metric", None, None, None, convention.replace("-", "_"), metric,
                      ana, est.value, est.lo, est.hi])
     return rows
@@ -370,7 +376,7 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
     with config_key("scenario"):
         v = scenario_variances(sc)
-    rule = rule_for_mode(v, sc.n_packets, sc.mode)
+    rule = scenario_rule(sc)
     tally = run_trials(
         sc,
         cfg.trials,
@@ -381,7 +387,8 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     )
     columns = ["record", "truth", "decided", "count", "convention", "metric",
                "analytic", "estimate", "lo", "hi"]
-    _emit_table(cfg, "sense", columns, _sense_rows(tally, v, rule))
+    probs = conditional_probabilities(v, rule)
+    _emit_table(cfg, "sense", columns, _sense_rows(tally, probs))
     if cfg.out is not None:
         for convention in CONVENTIONS:
             m = empirical_metrics(tally, convention)
@@ -391,14 +398,14 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
                 f"p_d={m.p_d.value:.6f} [{m.p_d.lo:.6f}, {m.p_d.hi:.6f}]"
             )
     if args.verify:
-        return _verify_closure(tally, v, rule)
+        return _verify_closure(tally, probs)
     return 0
 
 
-def _verify_closure(tally, v, rule) -> int:
-    """Check every conditional frequency against its closed form within
-    3 binomial standard errors (computed at the analytic rate)."""
-    probs = conditional_probabilities(v, rule)
+def _verify_closure(tally, probs) -> int:
+    """Check every conditional frequency against its closed form in
+    ``probs`` within 3 binomial standard errors (computed at the analytic
+    rate)."""
     rates = tally.conditional_rates()
     n = tally.trials_per_hypothesis
     worst = 0.0
@@ -424,7 +431,7 @@ def _verify_closure(tally, v, rule) -> int:
 
 
 def _sweep_row(pt) -> list:
-    cells = _metric_cells(pt.variances, pt.rule, pt.tally)
+    cells = _metric_cells(conditional_probabilities(pt.variances, pt.rule), pt.tally)
     row = [pt.axis, pt.value, pt.mode.kind, pt.mode.target_pfa]
     for metric in METRICS:
         for convention in CONVENTIONS:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,6 @@ __all__ = [
     "HypothesisVariances",
     "VarianceOrderError",
     "DecisionRule",
-    "scale_of",
     "hypothesis_variances",
     "pair_table",
     "pairwise_threshold",
@@ -164,15 +164,6 @@ class HypothesisVariances:
         return (self.sigma0_sq, self.sigma1_sq, self.sigma2_sq, self.sigma3_sq)
 
 
-def scale_of(variance: float, n_packets: int) -> float:
-    """Gamma scale of the n-packet average periodogram: 2*variance/n."""
-    if n_packets < 1:
-        raise ValueError(f"n_packets must be >= 1, got {n_packets}")
-    if not (variance > 0 and math.isfinite(variance)):
-        raise ValueError(f"variance must be finite and > 0, got {variance}")
-    return 2.0 * variance / n_packets
-
-
 def hypothesis_variances(
     cfg: SubcarrierPairConfig,
     tx: MismatchCoefficients,
@@ -215,6 +206,7 @@ def hypothesis_variances(
     return HypothesisVariances(s0, s1, s2, s2 + (s1 - s0))
 
 
+@lru_cache
 def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients) -> np.ndarray:
     """(4, M, 2) means (E|y_k|^2, E|y_-k|^2) per truth state and symbol phase.
 
@@ -225,6 +217,9 @@ def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients) -> np.ndarra
     E|y_-k|^2 swaps the sides but keeps X_u.  Given u, y_k and y_-k are
     independent circular Gaussians; X_u averages to zero over the M equally
     likely phases, which gives :func:`hypothesis_variances`.
+
+    The table is built once per distinct ``(cfg, tx)`` and returned
+    read-only, so :func:`hypothesis_variances` and the frame share it.
     """
     m = cfg.psk_order
     c = tx.alpha * tx.beta.conjugate()
@@ -240,6 +235,7 @@ def pair_table(cfg: SubcarrierPairConfig, tx: MismatchCoefficients) -> np.ndarra
         mk_side = at2 * cfg.power_mk * mirror + bt2 * cfg.power_k * own + both
         table[t, :, 0] = cfg.channel_var * k_side + cfg.noise_var
         table[t, :, 1] = cfg.channel_var_mirror * mk_side + cfg.noise_var
+    table.flags.writeable = False
     return table
 
 
@@ -402,7 +398,7 @@ def two_level_rule(
     if mode.kind == "two-bayes":
         t = pairwise_threshold(v.sigma2_sq, v.sigma0_sq)
     else:
-        t = inverse_gamma_sf(n_packets, scale_of(v.sigma0_sq, n_packets), mode.target_pfa)
+        t = inverse_gamma_sf(n_packets, 2.0 * v.sigma0_sq / n_packets, mode.target_pfa)
     boundaries = (t,) if t > 0 else ()
     levels = (Hypothesis.H0, Hypothesis.H2) if t > 0 else (Hypothesis.H2,)
     return DecisionRule(boundaries, levels, (), n_packets)
@@ -435,8 +431,8 @@ def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.
     """4x4 matrix of P(decide H_col | true H_row) under the Gamma laws."""
     out = np.zeros((4, 4))
     for i, var in enumerate(v.as_tuple()):
-        sc = scale_of(var, rule.n_packets)
-        tails = [gamma_sf(rule.n_packets, sc, b) for b in rule.boundaries]
+        scale = 2.0 * var / rule.n_packets
+        tails = [gamma_sf(rule.n_packets, scale, b) for b in rule.boundaries]
         # The tail falls with the threshold; its rounding need not, and a
         # rise of one ulp would leave a cell at -1e-16.
         edges = np.minimum.accumulate([1.0, *tails, 0.0])

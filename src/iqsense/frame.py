@@ -113,11 +113,7 @@ class FrameResult:
 
 
 def simulate_frame(
-    occupancy: OccupancyMap,
-    sc: SensingScenario,
-    seed: "SeedSpec | int",
-    *,
-    rule: DecisionRule | None = None,
+    occupancy: OccupancyMap, sc: SensingScenario, seed: "SeedSpec | int"
 ) -> FrameResult:
     """Sense every subcarrier of one frame.
 
@@ -131,13 +127,7 @@ def simulate_frame(
             "frame simulation uses one nominal subcarrier power: "
             f"power_k={pair.power_k} != power_mk={pair.power_mk}"
         )
-    if rule is None:
-        rule = scenario_rule(sc)
-    elif rule.n_packets != sc.n_packets:
-        raise ValueError(
-            f"rule was built for n_packets={rule.n_packets}, "
-            f"but the scenario has n_packets={sc.n_packets}"
-        )
+    rule = scenario_rule(sc)
     half = occupancy.n_subcarriers // 2
     # Row k-1 of the "pos" side is subcarrier k, of the "neg" side -k.  Draw
     # order: one phase index of s_k*s_-k per pair and packet, then the pos
@@ -147,7 +137,9 @@ def simulate_frame(
     size = (half, sc.n_packets)
     cell = rng.integers(0, pair.psk_order, size)
     cell += pair.psk_order * occupancy.truths[half:, None].astype(np.int64)  # pair state
-    scale = _pair_scales(sc).take(cell, axis=1)
+    # Scales per (side, M*state + phase), read from the shared pair table.
+    table = pair_table(pair, sc.coefficients[0])
+    scale = (np.sqrt(table / 2.0) if sc.is_joint else table).reshape(-1, 2).T.take(cell, axis=1)
     if sc.is_joint:
         y = rng.standard_normal((2, 2, *size))
         y *= scale[:, None]
@@ -172,14 +164,6 @@ def simulate_frame(
         missed_own=int(confusion[Hypothesis.H2:, :Hypothesis.H2].sum()),
         rule=rule,
     )
-
-
-@lru_cache
-def _pair_scales(sc: SensingScenario) -> np.ndarray:
-    """(side, M*state + phase) scales from the pair table: the mean of |y|^2
-    (Tx-only model) or the sd of each part of y (joint model)."""
-    table = pair_table(sc.pair, sc.coefficients[0])
-    return np.ascontiguousarray((np.sqrt(table / 2.0) if sc.is_joint else table).reshape(-1, 2).T)
 
 
 def _joint_power(y: np.ndarray, rx) -> np.ndarray:

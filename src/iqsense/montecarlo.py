@@ -87,9 +87,15 @@ __all__ = [
     "FRAME_STREAM",
     "OUTAGE_STREAM",
     "DEFAULT_CHUNK_SIZE",
+    "MAX_WORKERS",
 ]
 
 DEFAULT_CHUNK_SIZE = 1 << 16
+
+# Each worker is a thread, and the pool starts up to one per queued chunk
+# (a default `figure 4` queues 4,032), so an unbounded count could ask for
+# thousands of threads; chunks gain nothing from more threads than cores.
+MAX_WORKERS = 256
 
 # The statistic averages n_packets draws, so a trial-engine chunk holds
 # chunk_size x n_packets complex samples (1 GiB at the default chunk size
@@ -444,6 +450,8 @@ def _tally_jobs(
                         ("workers", workers)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
+    if workers > MAX_WORKERS:
+        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     seed = _as_seed(seed)
     layout = _chunk_layout(per_hypothesis, chunk_size)
     tasks = [
@@ -452,14 +460,11 @@ def _tally_jobs(
         for hyp in range(4)
         for idx, count in layout
     ]
-    if workers == 1:
-        results = list(map(_chunk_task, tasks))
-    else:
-        pool = ThreadPoolExecutor(max_workers=workers)
-        try:
-            results = list(pool.map(_chunk_task, tasks))
-        finally:
-            pool.shutdown(cancel_futures=True)
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        results = list(pool.map(_chunk_task, tasks))
+    finally:
+        pool.shutdown(cancel_futures=True)
     counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
     tasks_per_job = 4 * len(layout)
     for t, (hyp, arr) in enumerate(results):

@@ -309,6 +309,10 @@ def _range_case(key, config, where, command=("analytic",)):
     _range_case("seed-65-bits", {"seed": 2**64}, "seed: master_seed "),
     _range_case("stream_index", {"stream_index": -1}, "seed: stream_index "),
     *(_range_case(key, {key: 0}, f"{key}: ") for key in ("chunk_size", "workers")),
+    _range_case("workers-max", {"workers": 10**6}, "workers: must be <= 256, got 1000000",
+                ["sense"]),
+    _range_case("--workers-max", {}, "--workers: must be <= 256, got 1000000",
+                ["sense", "--workers", str(10**6)]),
     _range_case("--seed-negative", {}, "--seed: ", ["analytic", "--seed", "-1"]),
     _range_case("--seed-65-bits", {}, "--seed: ", ["analytic", "--seed", str(2**64)]),
     *(_range_case(f"--cfar-pfa-{pfa}", {}, "--cfar-pfa: ",
@@ -447,6 +451,32 @@ def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
     cfgf.write_text(json.dumps({"figure": {"irr_grid": [-30.0, -20.0, -10.0]}, "trials": 100}))
     assert cli.main(["figure", "5", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]) == 0
     assert len(calls) == 3 * 2 + 1  # grid points x curves, and the frame
+
+
+@pytest.mark.parametrize("command, points", [
+    (["sense", "--verify"], 1),
+    (["figure", "3"], 4),  # two grid points x two modes
+], ids=["sense-verify", "figure-3"])
+def test_each_printed_point_evaluates_one_conditional_matrix(tmp_path, monkeypatch, command,
+                                                             points):
+    """Every closed-form column of a printed point, and the closure
+    check, read one matrix of P(decide | truth)."""
+    import iqsense.cli as cli
+    import iqsense.detection as detection
+
+    calls = []
+    real = detection.conditional_probabilities
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cli, "conditional_probabilities", counting)
+    monkeypatch.setattr(detection, "conditional_probabilities", counting)
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"figure": {"irr_grid": [-30.0, -20.0]}, "trials": 2000}))
+    assert cli.main([*command, "--config", str(cfgf), "--out", str(tmp_path / "o.csv")]) == 0
+    assert len(calls) == points
 
 
 @pytest.mark.parametrize("command", [["sense", "--trials", "20000"], ["figure", "5"]],
@@ -776,7 +806,6 @@ def test_runs_never_import_scipy(tmp_path):
     the one computed in this process.  A fresh interpreter is needed
     because the tests load scipy into this one as an oracle."""
     from iqsense.config import parse_config
-    from iqsense.detection import scale_of
     from iqsense.montecarlo import scenario_variances
     from iqsense.numerics import inverse_gamma_sf
 
@@ -802,7 +831,7 @@ def test_runs_never_import_scipy(tmp_path):
     }
     assert doc["random_at_import"]
     sc = parse_config({}).scenario
-    t = inverse_gamma_sf(sc.n_packets, scale_of(scenario_variances(sc).sigma0_sq, sc.n_packets), 0.1)
+    t = inverse_gamma_sf(sc.n_packets, 2.0 * scenario_variances(sc).sigma0_sq / sc.n_packets, 0.1)
     assert doc["boundaries"][1] == [t.hex()]
 
 

@@ -386,6 +386,19 @@ def test_conditioned_variances_cross_term():
         HypothesisVariances(*(table[:, u, 0] / 2.0))
 
 
+def test_pair_table_is_built_once_per_pair_and_read_only():
+    """Equal (pair, tx) arguments share one table, which no reader can
+    change under the others."""
+    table, again = (
+        pair_table(SubcarrierPairConfig(2.0, 0.5), mismatch_coefficients(IqMismatch(0.1, 0.05)))
+        for _ in range(2)
+    )
+    assert again is table
+    assert not table.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        table[3, 0, 0] = 0.0
+
+
 @pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
 def test_pair_table_phase_average_is_hypothesis_variances(joint):
     rng = np.random.default_rng(47 + joint)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import iqsense.frame as frame
 import iqsense.montecarlo as montecarlo
-from iqsense.detection import DetectorMode, Hypothesis
+from iqsense.detection import DetectorMode, Hypothesis, pair_table
 from iqsense.frame import OccupancyMap, simulate_frame
 from iqsense.montecarlo import SensingScenario, rule_for_mode, scenario_rule, scenario_variances
 from iqsense.signal_model import IqMismatch, irr_to_mismatch, mismatch_coefficients, receive_joint
@@ -162,15 +162,6 @@ def test_frame_determinism():
     assert a != c
 
 
-def test_frame_rejects_rule_for_other_packet_count():
-    occ = OccupancyMap(8, {1})
-    rule = scenario_rule(frame_scenario(n_packets=4))
-    with pytest.raises(
-        ValueError, match="^rule was built for n_packets=4, but the scenario has n_packets=8$"
-    ):
-        simulate_frame(occ, frame_scenario(n_packets=8), 1, rule=rule)
-
-
 def test_frame_builds_rule_once_per_scenario(monkeypatch):
     calls = []
 
@@ -200,21 +191,16 @@ def test_frame_builds_rule_once_per_scenario(monkeypatch):
     assert len(set(got)) == len(variants)
 
 
-def test_frame_builds_pair_table_once_per_scenario(monkeypatch):
-    calls = []
-
-    def counting_table(*args):
-        calls.append(args)
-        return real_table(*args)
-
-    real_table = frame.pair_table
-    monkeypatch.setattr(frame, "pair_table", counting_table)
-    frame._pair_scales.cache_clear()
+def test_frame_builds_pair_table_once_per_scenario():
+    """The Tx-only and the joint scenario share one (pair, tx), so their
+    frames and their variances read one table."""
+    for cached in (pair_table, scenario_rule, scenario_variances):
+        cached.cache_clear()
     occ = OccupancyMap(16, {1, -2, 3})
     for sc in (frame_scenario(), frame_scenario(rx_mismatch=irr_to_mismatch(-15.0))):
         for seed in range(20):
             simulate_frame(occ, sc, seed)
-    assert len(calls) == 2
+    assert pair_table.cache_info().misses == 1
 
 
 def test_joint_power_is_power_of_receive_joint():

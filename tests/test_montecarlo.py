@@ -24,6 +24,7 @@ from iqsense.detection import (
 )
 import iqsense.montecarlo as montecarlo
 from iqsense.montecarlo import (
+    MAX_WORKERS,
     SWEEP_AXES,
     SeedSpec,
     SensingScenario,
@@ -596,6 +597,8 @@ def test_run_trials_argument_validation():
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, chunk_size=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
+    with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
+        run_trials(sc, 10, 1, workers=10**6)
     with pytest.raises(ValueError, match="chunk_size must be >= 1"):
         compare_modes(sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 10, 1,
                       chunk_size=0)

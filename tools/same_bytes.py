@@ -1,0 +1,118 @@
+"""Check that two source trees of iqsense print the same bytes.
+
+Runs one fixed list of ``iqsense`` commands under each tree, each in a
+fresh interpreter with ``PYTHONPATH=<tree>/src`` and in a temporary
+working directory of its own, and compares the sha256 of stdout, of
+stderr and of the ``--out`` file, and the exit codes.  Every output embeds
+its ``config_sha256``, so the hash is compared too.  Trial counts are
+small and ``--workers`` is at most 2.
+
+Usage::
+
+    python tools/same_bytes.py PARENT_TREE CHANGE_TREE
+
+Prints one line per command and exits 1 if any command differs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+_JOINT = {"rx_irr_db": -20.0}
+_CFAR = {"mode": "two-cfar", "cfar_pfa": 0.1}
+_FIGURE = {"trials": 2000, "figure": {"irr_grid": [-30.0, -20.0, -10.0],
+                                      "snr1_grid": [-10.0, 0.0, 10.0],
+                                      "delta_snrs": [-5.0, 0.0]}}
+_FRAME = {"n_subcarriers": 64, "active": [1, 2, -3, 7, -20, 31], "snr_db": 8.0}
+_MODES = {"modes": ["four", "two-bayes", "two-cfar"], "cfar_pfa": 0.1}
+
+
+def _sweep(axis, grid, **scenario):
+    # chunks of 3000 trials x 8 packets: 24,000 samples, past the 256 KiB
+    # from which numpy reuses temporaries
+    return {"trials": 5000, "chunk_size": 3000, "scenario": {"n_packets": 8, **scenario},
+            "sweep": {"axis": axis, "grid": grid, **_MODES}}
+
+
+# (name, config or None, argv); an "--out" path is relative to the
+# working directory.
+COMMANDS = [
+    ("sense", {"trials": 5000}, ["sense"]),
+    ("sense-verify", {"trials": 5000}, ["sense", "--verify", "--workers", "2"]),
+    ("sense-joint", {"trials": 5000, "scenario": _JOINT},
+     ["sense", "--format", "json", "--out", "o.json"]),
+    ("sense-trials", None, ["sense", "--trials", "3000"]),
+    ("sense-two-cfar", {"trials": 5000, "scenario": _CFAR}, ["sense", "--out", "o.csv"]),
+    ("sweep-irr_db", _sweep("irr_db", [-25.0, -15.0], psk_order=2), ["sweep", "--workers", "2"]),
+    ("sweep-snr1_db", _sweep("snr1_db", [0.0, 5.0], psk_order=1024),
+     ["sweep", "--format", "json"]),
+    ("sweep-delta_snr_db", _sweep("delta_snr_db", [4.0, 9.0], rx_epsilon=0.1, rx_theta=-0.1),
+     ["sweep", "--out", "o.csv"]),
+    ("sweep-snr_db_at_delta", _sweep("snr_db_at_delta", [-2.0, 4.0, 10.0], **_JOINT),
+     ["sweep", "--workers", "2"]),
+    ("figure-3", _FIGURE, ["figure", "3"]),
+    ("figure-4", _FIGURE, ["figure", "4", "--workers", "2", "--out", "o.csv"]),
+    ("figure-5", _FIGURE, ["figure", "5", "--format", "json"]),
+    ("figure-6", _FIGURE, ["figure", "6"]),
+    ("analytic", None, ["analytic"]),
+    ("analytic-json", None, ["analytic", "--format", "json"]),
+    ("analytic-joint", {"scenario": {**_JOINT, "n_packets": 3}}, ["analytic", "--out", "o.csv"]),
+    ("analytic-mode-two-cfar", None, ["analytic", "--mode", "two-cfar", "--cfar-pfa", "0.05"]),
+    ("analytic-two-cfar", {"scenario": _CFAR}, ["analytic", "--format", "json"]),
+    ("frame-csv", {"frame": _FRAME}, ["frame"]),
+    ("frame-json", {"frame": _FRAME}, ["frame", "--format", "json", "--out", "o.json"]),
+    ("frame-joint", {"frame": _FRAME, "scenario": {**_JOINT, "n_packets": 4}},
+     ["frame", "--format", "json"]),
+    ("frame-default", None, ["frame"]),
+    ("outage-csv", {"trials": 20000}, ["outage"]),
+    ("outage-json", {"trials": 20000}, ["outage", "--format", "json", "--out", "o.json"]),
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def run(tree: Path, config, argv: list[str]) -> dict:
+    """sha256 of stdout, stderr and the ``--out`` file, and the exit code,
+    of one command run under ``tree``."""
+    env = {**os.environ, "PYTHONPATH": str(tree.resolve() / "src")}
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            Path(tmp, "c.json").write_text(json.dumps(config))
+            argv = [*argv, "--config", "c.json"]
+        r = subprocess.run([sys.executable, "-m", "iqsense", *argv], cwd=tmp, env=env,
+                           capture_output=True, timeout=600)
+        out = Path(tmp, argv[argv.index("--out") + 1]) if "--out" in argv else None
+        return {
+            "stdout": _sha(r.stdout),
+            "stderr": _sha(r.stderr),
+            "exit": r.returncode,
+            "out": _sha(out.read_bytes()) if out is not None and out.exists() else None,
+        }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all(Path(t, "src", "iqsense").is_dir() for t in argv):
+        print("usage: python tools/same_bytes.py PARENT_TREE CHANGE_TREE", file=sys.stderr)
+        return 2
+    parent, change = map(Path, argv)
+    differ = 0
+    for name, config, command in COMMANDS:
+        a, b = run(parent, config, command), run(change, config, command)
+        parts = [k for k in ("stdout", "stderr", "exit", "out") if a[k] != b[k]]
+        differ += bool(parts)
+        verdict = f"DIFF in {', '.join(parts)}" if parts else "same"
+        print(f"{name:<24} exit {a['exit']}/{b['exit']}  {verdict}", flush=True)
+    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
