@@ -58,10 +58,14 @@ from .montecarlo import (
     sweep,
 )
 from .outage import analytic_outage, irr_to_beta_sq, mc_outage, outage_paper_literal
+from .stats import row_pvalue, worst_z
 
 # Not called here (every closed-form column reads the point's one
 # conditional_probabilities matrix); bound for the trace in bench/job.py.
 from .detection import analytic_detection, analytic_false_alarm  # noqa: F401
+
+# Familywise level of ``sense --verify``, Bonferroni over the tally's rows.
+_VERIFY_ALPHA = 1e-3
 
 # pfa_analytic_paper, pfa_paper, pfa_paper_lo, pfa_paper_hi, the same four
 # for prior, then all eight for pd
@@ -116,8 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(
                 "--verify",
                 action="store_true",
-                help="exit 1 unless every conditional frequency closes with its "
-                "closed form within 3 binomial standard errors",
+                help="exit 1 unless every tally row closes with its closed form "
+                "(chi-square per row, familywise level 1e-3)",
             )
         if name == "figure":
             sp.add_argument("figure_id", type=int, choices=(3, 4, 5, 6), metavar="ID")
@@ -403,30 +407,22 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
 
 
 def _verify_closure(tally, probs) -> int:
-    """Check every conditional frequency against its closed form in
-    ``probs`` within 3 binomial standard errors (computed at the analytic
-    rate)."""
-    rates = tally.conditional_rates()
-    n = tally.trials_per_hypothesis
-    worst = 0.0
-    failures = 0
-    for i in range(4):
-        for j in range(4):
-            p = probs[i, j]
-            se3 = 3.0 * np.sqrt(p * (1.0 - p) / n[i])
-            gap = abs(rates[i, j] - p)
-            if se3 > 0:
-                worst = max(worst, gap / (se3 / 3.0))
-            if gap > se3:
-                failures += 1
-                print(
-                    f"verify FAIL P({Hypothesis(j).name}|{Hypothesis(i).name}): "
-                    f"analytic={p:.6g} empirical={rates[i, j]:.6g} (3SE={se3:.3g})"
-                )
-    if failures:
-        print(f"verify: {failures} conditional(s) out of tolerance")
+    """Test each tally row against its closed form in ``probs`` by a
+    Pearson chi-square test, Bonferroni over the four rows at familywise
+    level :data:`_VERIFY_ALPHA`; print the worst cell's z-score and the
+    smallest p-value."""
+    rows = list(zip(tally.counts.tolist(), probs))
+    pvalues = [row_pvalue(c, p) for c, p in rows]
+    gate = _VERIFY_ALPHA / len(rows)
+    for h, p in enumerate(pvalues):
+        if p < gate:
+            print(f"verify FAIL row {Hypothesis(h).name}: chi-square p={p:.3g} < {gate:.3g}")
+    detail = (f"smallest row p-value {min(pvalues):.3g}, "
+              f"worst cell {max(worst_z(c, p) for c, p in rows):.2f} SE")
+    if min(pvalues) < gate:
+        print(f"verify: {sum(p < gate for p in pvalues)} row(s) out of tolerance ({detail})")
         return 1
-    print(f"verify OK: all 16 conditionals within 3 binomial SE (worst {worst:.2f} SE)")
+    print(f"verify OK: all 4 rows close at familywise level {_VERIFY_ALPHA:g} ({detail})")
     return 0
 
 

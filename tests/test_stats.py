@@ -1,10 +1,13 @@
-"""Wilson interval behaviour, including the boundary corners."""
+"""Wilson interval behaviour, including the boundary corners, and the
+row test against scipy's chi-square law."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2
 
-from iqsense.stats import Estimate, wilson_interval
+from iqsense.stats import Estimate, chi2_sf, row_pvalue, wilson_interval, worst_z
 
 
 def test_basic_interval():
@@ -40,3 +43,64 @@ def test_domain():
         wilson_interval(5, 4)
     with pytest.raises(ValueError):
         Estimate(0.5, 0.6, 0.7)
+
+
+@pytest.mark.parametrize("dof", [1, 2, 3])
+def test_chi2_tail_matches_scipy(dof):
+    x = np.concatenate([[0.0], np.geomspace(1e-6, 200.0, 400)])
+    got = np.array([chi2_sf(float(v), dof) for v in x])
+    want = chi2.sf(x, dof)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-300)
+    with pytest.raises(ValueError, match="dof"):
+        chi2_sf(1.0, 4)
+
+
+def _scipy_row_pvalue(observed, probs):
+    """The row test written with scipy, pooling as ``row_pvalue`` does."""
+    n = sum(observed)
+    bins, o, e = [], 0, 0.0
+    for oi, pi in zip(observed, probs):
+        if pi <= 0.0 and oi > 0:
+            return 0.0
+        o, e = o + oi, e + n * pi
+        if e >= 5.0:
+            bins.append([o, e])
+            o, e = 0, 0.0
+    if bins:
+        bins[-1][0] += o
+        bins[-1][1] += e
+    if len(bins) < 2:
+        return 1.0
+    obs, exp = np.array(bins, dtype=float).T
+    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), len(bins) - 1))
+
+
+def test_row_pvalue_matches_scipy_on_random_rows():
+    rng = np.random.default_rng(7)
+    for _ in range(500):
+        probs = rng.dirichlet(np.full(4, 0.3))
+        probs[rng.random(4) < 0.15] = 0.0
+        if probs.sum() == 0.0:
+            continue
+        probs /= probs.sum()
+        n = int(rng.integers(1, 5000))
+        observed = rng.multinomial(n, probs).tolist()
+        if rng.random() < 0.3:  # off the law
+            observed = rng.multinomial(n, rng.dirichlet(np.ones(4))).tolist()
+        want = _scipy_row_pvalue(observed, probs)
+        got = row_pvalue(observed, probs)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
+
+
+def test_row_pvalue_pools_and_refuses_impossible_counts():
+    assert row_pvalue([10, 0, 0, 0], [1.0, 0.0, 0.0, 0.0]) == 1.0  # one pooled cell
+    assert row_pvalue([9, 1, 0, 0], [1.0, 0.0, 0.0, 0.0]) == 0.0  # a count where p = 0
+    # 3 and 2 expected counts pool into the first cell with the 95 expected
+    assert row_pvalue([3, 2, 95, 0], [0.03, 0.02, 0.95, 0.0]) == 1.0
+    assert row_pvalue([500, 500, 0, 0], [0.5, 0.5, 0.0, 0.0]) == 1.0
+    assert row_pvalue([600, 400, 0, 0], [0.5, 0.5, 0.0, 0.0]) < 1e-9
+
+
+def test_worst_z_skips_certain_cells():
+    assert worst_z([100, 0, 0, 0], [1.0, 0.0, 0.0, 0.0]) == 0.0
+    assert worst_z([60, 40, 0, 0], [0.5, 0.5, 0.0, 0.0]) == pytest.approx(2.0)
