@@ -102,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=_positive_int, help="trials per hypothesis per point")
         sp.add_argument("--mode", choices=DetectorMode.KINDS, help="detector mode override")
         sp.add_argument("--cfar-pfa", type=float, help="design false alarm for --mode two-cfar")
-        sp.add_argument("--workers", type=_positive_int, help="threads that run trial chunks")
+        sp.add_argument("--workers", type=_positive_int, help="threads that run trial blocks")
         sp.add_argument("--out", metavar="PATH", help="write results to this file")
         sp.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
 
@@ -197,7 +197,6 @@ def _provenance(cfg: ExperimentConfig, command: str) -> dict:
         "seed": cfg.seed.master_seed,
         "stream_index": cfg.seed.stream_index,
         "trials": cfg.trials,
-        "chunk_size": cfg.chunk_size,
     }
 
 
@@ -381,14 +380,7 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     with config_key("scenario"):
         v = scenario_variances(sc)
     rule = scenario_rule(sc)
-    tally = run_trials(
-        sc,
-        cfg.trials,
-        cfg.seed,
-        rule=rule,
-        workers=cfg.workers,
-        chunk_size=cfg.chunk_size,
-    )
+    tally = run_trials(sc, cfg.trials, cfg.seed, rule=rule, workers=cfg.workers)
     columns = ["record", "truth", "decided", "count", "convention", "metric",
                "analytic", "estimate", "lo", "hi"]
     probs = conditional_probabilities(v, rule)
@@ -442,8 +434,7 @@ def _curve_rows(cfg: ExperimentConfig, curves, grid_key: str) -> list[tuple[str,
     run as one sweep, so a bad point on any curve's grid exits, blamed on
     ``grid_key``, before the first trial runs."""
     with config_key(grid_key):
-        points = sweep([c[1:] for c in curves], cfg.trials, cfg.seed,
-                       workers=cfg.workers, chunk_size=cfg.chunk_size)
+        points = sweep([c[1:] for c in curves], cfg.trials, cfg.seed, workers=cfg.workers)
     labels = [curve for curve, _, _, grid, modes, _ in curves for _ in grid for _ in modes]
     return [(curve, _sweep_row(pt)) for curve, pt in zip(labels, points)]
 

@@ -2,7 +2,7 @@
 
 Unknown keys are rejected with their full path so that typos fail loudly
 instead of silently running a default.  Values are checked here for type
-(and ``trials``, ``chunk_size`` and ``workers`` for ``>= 1``); every
+(and ``trials`` and ``workers`` for ``>= 1``); every
 other range is checked by the model type that takes the value, and
 :func:`config_key` reports its error under the key the user wrote.  The
 canonical dictionary (the resolved, math-relevant portion of a
@@ -20,9 +20,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .detection import DetectorMode
-from .frame import OccupancyMap
+from .frame import OccupancyMap, frame_table
 from .montecarlo import (
-    DEFAULT_CHUNK_SIZE,
     SWEEP_AXES,
     SeedSpec,
     SensingScenario,
@@ -308,7 +307,7 @@ def _figure_from(d: dict, path: str = "figure") -> FigureSection:
 
 
 _TOP_KEYS = {
-    "scenario", "trials", "seed", "stream_index", "chunk_size", "workers",
+    "scenario", "trials", "seed", "stream_index", "workers",
     "sweep", "outage", "frame", "figure", "out", "format",
 }
 
@@ -320,7 +319,6 @@ class ExperimentConfig:
     scenario: SensingScenario
     trials: int
     seed: SeedSpec
-    chunk_size: int
     workers: int
     sweep: SweepSection | None
     outage: OutageScenario
@@ -352,7 +350,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "seed": self.seed.master_seed,
             "stream_index": self.seed.stream_index,
-            "chunk_size": self.chunk_size,
         }
         if self.scenario.mode.target_pfa is not None:
             d["scenario"]["cfar_pfa"] = self.scenario.mode.target_pfa
@@ -408,7 +405,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
     frame_sec = _frame_from(raw.get("frame", {}))
     with config_key("frame.snr_db"):  # --mode cannot change the frame's variances
         snr = frame_sec.snr_db
-        scenario_variances(replace(scenario, snr1_db=snr, snr2_db=snr))
+        frame_sc = replace(scenario, snr1_db=snr, snr2_db=snr)
+        scenario_variances(frame_sc)
+    with config_key("frame"):
+        frame_table(frame_sec.occupancy.n_subcarriers, frame_sc)
     figure_sec = _figure_from(raw.get("figure", {}))
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
@@ -417,7 +417,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
         scenario=scenario,
         trials=_integer(raw, "", "trials", DEFAULT_TRIALS, minimum=1),
         seed=seed,
-        chunk_size=_integer(raw, "", "chunk_size", DEFAULT_CHUNK_SIZE, minimum=1),
         workers=_integer(raw, "", "workers", 1, minimum=1),
         sweep=sweep_sec,
         outage=outage_sec,

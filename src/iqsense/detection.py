@@ -40,6 +40,7 @@ __all__ = [
     "DecisionRule",
     "hypothesis_variances",
     "pair_table",
+    "statistic_means",
     "pairwise_threshold",
     "pairwise_threshold_paper",
     "decision_rule",
@@ -198,12 +199,29 @@ def hypothesis_variances(
     # Powers that overflow leave inf or nan in the table, which
     # HypothesisVariances rejects with the values it got.
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = pair_table(cfg, tx)[:3, 0].tolist()
-    ar2, br2 = (1.0, 0.0) if rx is None else (abs(rx.alpha) ** 2, abs(rx.beta) ** 2)
-    # A zero weight reads nothing of the mirror side, which may overflow
-    # where the k side does not.
-    s0, s1, s2 = (0.5 * (ar2 * k + br2 * mk if br2 else ar2 * k) for k, mk in rows)
+        s0, s1, s2 = (0.5 * statistic_means(cfg, tx, rx)[:3, 0]).tolist()
     return HypothesisVariances(s0, s1, s2, s2 + (s1 - s0))
+
+
+def statistic_means(
+    cfg: SubcarrierPairConfig,
+    tx: MismatchCoefficients,
+    rx: MismatchCoefficients | None = None,
+) -> np.ndarray:
+    """(4, M) means E|r_k|^2 per truth state and symbol phase.
+
+    Given the phase of s_k*s_-k, r_k = alpha_r*y_k + beta_r*conj(y_-k) is a
+    circular Gaussian, so |r_k|^2 is exponential with mean
+    |alpha_r|^2*E|y_k|^2 + |beta_r|^2*E|y_-k|^2 (the two columns of
+    :func:`pair_table`); the transmitter-only model (``rx`` None) is
+    column 0.  A zero receiver weight reads nothing of the mirror column,
+    which may overflow where the k side does not.
+    """
+    table = pair_table(cfg, tx)
+    if rx is None:
+        return table[:, :, 0]
+    ar2, br2 = abs(rx.alpha) ** 2, abs(rx.beta) ** 2
+    return ar2 * table[:, :, 0] + br2 * table[:, :, 1] if br2 else ar2 * table[:, :, 0]
 
 
 @lru_cache

@@ -31,10 +31,11 @@ from .montecarlo import FRAME_STREAM, SeedSpec, SensingScenario, scenario_rule, 
 # Not called here (the frame draws from pair_table); bound for the trace in bench/job.py.
 from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint  # noqa: F401
 
-__all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
+__all__ = ["OccupancyMap", "FrameResult", "simulate_frame", "frame_table"]
 
 # A frame holds several arrays of n_subcarriers x n_packets values; at
-# this size a one-packet frame takes about 100 MB.
+# this many a frame takes about 100 MB, so the bound holds for the
+# subcarrier count and for its product with n_packets.
 _MAX_SUBCARRIERS = 2**20
 
 
@@ -112,6 +113,21 @@ class FrameResult:
         )
 
 
+def frame_table(n_subcarriers: int, sc: SensingScenario) -> np.ndarray:
+    """The :func:`~iqsense.detection.pair_table` a frame of
+    ``n_subcarriers`` draws from at ``sc``.  Raises ValueError for a frame
+    of more than 2**20 values per side, or for means that overflow a
+    float (both sides' means scale the draws)."""
+    if n_subcarriers * sc.n_packets > _MAX_SUBCARRIERS:
+        raise ValueError(f"n_subcarriers x n_packets must be <= {_MAX_SUBCARRIERS}, "
+                         f"got {n_subcarriers} x {sc.n_packets}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = pair_table(sc.pair, sc.coefficients[0])
+    if not np.isfinite(table).all():
+        raise ValueError(f"snr_db={sc.snr1_db:g}: the pair's mean powers overflow a float")
+    return table
+
+
 def simulate_frame(
     occupancy: OccupancyMap, sc: SensingScenario, seed: "SeedSpec | int"
 ) -> FrameResult:
@@ -128,6 +144,7 @@ def simulate_frame(
             f"power_k={pair.power_k} != power_mk={pair.power_mk}"
         )
     rule = scenario_rule(sc)
+    table = frame_table(occupancy.n_subcarriers, sc)
     half = occupancy.n_subcarriers // 2
     # Row k-1 of the "pos" side is subcarrier k, of the "neg" side -k.  Draw
     # order: one phase index of s_k*s_-k per pair and packet, then the pos
@@ -138,7 +155,6 @@ def simulate_frame(
     cell = rng.integers(0, pair.psk_order, size)
     cell += pair.psk_order * occupancy.truths[half:, None].astype(np.int64)  # pair state
     # Scales per (side, M*state + phase), read from the shared pair table.
-    table = pair_table(pair, sc.coefficients[0])
     scale = (np.sqrt(table / 2.0) if sc.is_joint else table).reshape(-1, 2).T.take(cell, axis=1)
     if sc.is_joint:
         y = rng.standard_normal((2, 2, *size))

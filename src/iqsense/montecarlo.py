@@ -1,19 +1,38 @@
 """Seeded Monte Carlo harness for the pair-sensing detectors.
 
-Reproducibility contract: every random draw comes from a
-``numpy.random.SeedSequence`` keyed by ``(stream_index, purpose, *path,
-hypothesis, chunk)`` under a single master seed.  Work is partitioned
-into fixed-size chunks whose tallies merge by integer addition, so
-results are a pure function of (scenario, seed, trial count,
-chunk size) -- bit-identical across runs and worker counts.
+Each trial draws its statistic Z, the average periodogram over
+``n_packets`` packets, straight from its exact law.  Given the phase u of
+s_k*s_-k, every packet's |r_k|^2 is exponential with the mean m_h(u) of
+:func:`~iqsense.detection.statistic_means`, and the M phases are equally
+likely.  A hypothesis whose means do not depend on u (H0-H2, and H3
+without a cross term) has Z ~ Gamma(n, m/n): one ``standard_gamma`` per
+trial.  Otherwise each packet draws one int64 phase index and one
+``standard_exponential``, scaled by m_h(u).  The sample-level model in
+:mod:`~iqsense.signal_model` stays behind
+:func:`estimate_component_variances`, an oracle for the closed forms
+that does not read the pair table.
 
-One engine runs every trial: :func:`run_trials` hands it one job and
-:func:`sweep` one job per grid point of every curve, and it maps all
-their chunks over ``workers`` threads in a single batch, with a thread
-pool of its own.
-A chunk spends nearly all its time in numpy calls that release the
-interpreter lock (the generator fills and the passes over its arrays),
-so threads run chunks in parallel without a child process.
+Reproducibility contract: trials are drawn in fixed blocks of
+:data:`_BLOCK_TRIALS`, and block b of hypothesis h draws from the
+``numpy.random.SeedSequence`` keyed by ``(stream_index, purpose, *path, h,
+b, kind)`` under a single master seed, one ``kind`` per kind of variate
+(0: gamma or phase index, 1: exponential).  A block is filled in slices
+of at most :data:`_SLICE_VALUES` per-packet values, so a worker's arrays
+stay within a fixed budget at any ``n_packets``; numpy's
+``standard_gamma``, ``standard_exponential`` and int64 ``integers`` give
+the same values when one call is split in two, so the slicing moves no
+draw.  Block tallies merge by integer addition, so results are a pure
+function of (scenario, seed, trial count) -- bit-identical across runs,
+worker counts and slice budgets.  The engine's arithmetic is real-valued,
+so no result depends on fused multiply-add.
+
+One engine runs every trial: :func:`run_trials` and
+:func:`compare_modes` hand it one job and :func:`sweep` one job per grid
+point of every curve, and it maps all their blocks over ``workers``
+threads in a single batch, with a thread pool of its own.  A block spends
+nearly all its time in numpy calls that release the interpreter lock (the
+generator fills and the passes over its arrays), so threads run blocks
+in parallel without a child process.
 
 Detector modes evaluated at the same sweep point share the generation
 streams (common random numbers): every mode classifies the same
@@ -46,6 +65,7 @@ from .detection import (
     decision_rule,
     hypothesis_variances,
     metric_cells,
+    statistic_means,
     two_level_rule,
 )
 from .signal_model import (
@@ -86,22 +106,24 @@ __all__ = [
     "SWEEP_AXES",
     "FRAME_STREAM",
     "OUTAGE_STREAM",
-    "DEFAULT_CHUNK_SIZE",
     "MAX_WORKERS",
 ]
 
-DEFAULT_CHUNK_SIZE = 1 << 16
+# Trials per block: the unit of the stream address and of a pool task.
+_BLOCK_TRIALS = 1 << 16
 
-# Each worker is a thread, and the pool starts up to one per queued chunk
+# Per-packet values in one slice of a block; a worker holds three float64
+# or int64 arrays of this size (512 KiB each) at any n_packets.
+_SLICE_VALUES = 1 << 16
+
+# Each worker is a thread, and the pool starts up to one per queued block
 # (a default `figure 4` queues 4,032), so an unbounded count could ask for
-# thousands of threads; chunks gain nothing from more threads than cores.
+# thousands of threads; blocks gain nothing from more threads than cores.
 MAX_WORKERS = 256
 
-# The statistic averages n_packets draws, so a trial-engine chunk holds
-# chunk_size x n_packets complex samples (1 GiB at the default chunk size
-# and this count), and the closed forms' Erlang sums lengthen with
-# n_packets (one `analytic` call takes 2 s at 10**9); the documented runs
-# use at most 32.
+# A trial costs n_packets draws under H3, and the closed forms' Erlang
+# sums lengthen with n_packets (one `analytic` call takes 2 s at 10**9);
+# the documented runs use at most 32.
 _MAX_PACKETS = 1024
 
 # Purpose tags keeping independent uses of a seed on disjoint streams;
@@ -249,13 +271,6 @@ class TallyMatrix:
     def busy_counts(self) -> np.ndarray:
         return self.counts[:, 2] + self.counts[:, 3]
 
-    def conditional_rates(self) -> np.ndarray:
-        """Empirical P(decide col | true row); rows need trials."""
-        n = self.trials_per_hypothesis
-        if np.any(n < 1):
-            raise ValueError(f"every hypothesis row needs trials, have {n.tolist()}")
-        return self.counts / n[:, None]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TallyMatrix) and np.array_equal(self.counts, other.counts)
 
@@ -301,7 +316,8 @@ def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metr
 
 def _statistic_batch(sc: SensingScenario, hyp: int, count: int, rng) -> np.ndarray:
     """Average periodogram |r|^2 over the ``sc.n_packets`` packets of each
-    of ``count`` trials under one true hypothesis.
+    of ``count`` trials under one true hypothesis, from the sample-level
+    model: the kernel of :func:`estimate_component_variances`.
 
     Draw order is fixed: symbol indices on k, symbol indices on -k,
     channel, noise, then the mirror-side channel and noise for the joint
@@ -315,10 +331,9 @@ def _statistic_batch(sc: SensingScenario, hyp: int, count: int, rng) -> np.ndarr
     fold into one, ``ik*m + imk``, into an m x m table that
     :func:`~iqsense.signal_model.transmit` fills from a column of k-side
     and a row of mirror-side symbols (a silent side contributes a zero
-    row or column).  Channel and noise are applied in place, with the
-    reference's operands in the reference's order.  ``abs(r)`` squared
-    rounds as the reference's ``abs(r) ** 2`` does; ``re**2 + im**2``
-    would round differently.
+    row or column).  Channel and noise are applied with the reference's
+    operands in the reference's order, and ``abs(r) ** 2`` as in the
+    reference; ``re**2 + im**2`` would round differently.
     """
     pair = sc.pair
     tx_c, rx_c = sc.coefficients
@@ -339,9 +354,7 @@ def _statistic_batch(sc: SensingScenario, hyp: int, count: int, rng) -> np.ndarr
         tab_m = transmit(s_mk, s_k, pair.mirrored(), tx_c) if sent else None
         y_m = _faded(tab_m, idx, rng, pair.channel_var_mirror, pair.noise_var)
         r = receive_joint(r, y_m, rx_c)
-    a = np.abs(r)
-    a *= a
-    return a.mean(axis=1)
+    return (np.abs(r) ** 2).mean(axis=1)
 
 
 def _faded(tab, idx, rng, channel_var, noise_var) -> np.ndarray:
@@ -350,12 +363,7 @@ def _faded(tab, idx, rng, channel_var, noise_var) -> np.ndarray:
     means nothing is sent (H0): the samples are the noise itself."""
     ch = draw_rayleigh(channel_var, rng, idx.shape)
     w = draw_noise(noise_var, rng, idx.shape)
-    if tab is None:
-        return w
-    y = tab.ravel().take(idx)
-    y *= ch
-    y += w
-    return y
+    return w if tab is None else tab.ravel().take(idx) * ch + w
 
 
 # --------------------------------------------------------------------------
@@ -414,20 +422,36 @@ def scenario_rule(sc: SensingScenario) -> DecisionRule:
 # trial running
 
 
-def _chunk_layout(total: int, chunk_size: int) -> list[tuple[int, int]]:
-    return [
-        (idx, min(chunk_size, total - idx * chunk_size))
-        for idx in range((total + chunk_size - 1) // chunk_size)
-    ]
+def _chunk_layout(total: int, size: int) -> list[tuple[int, int]]:
+    """(index, count) of the blocks that hold ``total`` trials."""
+    return [(idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size)]
+
+
+def _exact_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> np.ndarray:
+    """``size`` statistics Z under one hypothesis, drawn from their exact
+    law: ``means`` holds the mean of |r_k|^2 at each of the M phases.
+    ``streams`` are the generators of kinds 0 and 1."""
+    if means.min() == means.max():
+        z = streams[0].standard_gamma(n_packets, size)
+        z *= means[0] / n_packets
+        return z
+    power = streams[1].standard_exponential((size, n_packets))
+    power *= means.take(streams[0].integers(0, means.size, (size, n_packets)))
+    return power.mean(axis=1)
 
 
 def _chunk_task(args) -> tuple[int, np.ndarray]:
-    """Simulate one chunk under one hypothesis and classify it with
-    every rule; returns (hypothesis, per-rule decision bincounts)."""
-    sc, rules, hyp, chunk_idx, count, seed, stream_path = args
-    rng = substream(seed, _TRIAL_STREAM, *stream_path, hyp, chunk_idx)
-    z = _statistic_batch(sc, hyp, count, rng)
-    return hyp, np.array([decision_counts(z, rule) for rule in rules])
+    """Draw one block under one hypothesis, slice by slice, and classify
+    it with every rule; returns (hypothesis, per-rule decision counts)."""
+    sc, rules, hyp, block, count, seed, stream_path = args
+    means = statistic_means(sc.pair, *sc.coefficients)[hyp]
+    streams = substream(seed, _TRIAL_STREAM, *stream_path, hyp, block).spawn(2)
+    rows = max(1, _SLICE_VALUES // sc.n_packets)
+    counts = np.zeros((len(rules), 4), dtype=np.int64)
+    for start in range(0, count, rows):
+        z = _exact_statistics(means, sc.n_packets, streams, min(rows, count - start))
+        counts += [decision_counts(z, rule) for rule in rules]
+    return hyp, counts
 
 
 def _tally_jobs(
@@ -435,25 +459,23 @@ def _tally_jobs(
     per_hypothesis: int,
     seed: "SeedSpec | int",
     workers: int,
-    chunk_size: int,
 ) -> list[list[TallyMatrix]]:
     """The trial engine: per-rule tallies for each (scenario, rules,
     stream path) job.
 
-    Every chunk of every job is one task of a single map over
-    ``workers`` threads; chunk counts merge into their job by integer
-    addition, so the result does not depend on ``workers``.  When a chunk
-    raises, the chunks still queued are cancelled and the exception
-    propagates unchanged once the running ones finish.
+    Every block of every job is one task of a single map over ``workers``
+    threads; block counts merge into their job by integer addition, so
+    the result does not depend on ``workers``.  When a block raises, the
+    blocks still queued are cancelled and the exception propagates
+    unchanged once the running ones finish.
     """
-    for name, value in (("per_hypothesis", per_hypothesis), ("chunk_size", chunk_size),
-                        ("workers", workers)):
+    for name, value in (("per_hypothesis", per_hypothesis), ("workers", workers)):
         if value < 1:
             raise ValueError(f"{name} must be >= 1, got {value}")
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     seed = _as_seed(seed)
-    layout = _chunk_layout(per_hypothesis, chunk_size)
+    layout = _chunk_layout(per_hypothesis, _BLOCK_TRIALS)
     tasks = [
         (sc, rules, hyp, idx, count, seed, path)
         for sc, rules, path in jobs
@@ -479,15 +501,14 @@ def run_trials(
     *,
     rule: DecisionRule | None = None,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
     stream_path: tuple[int, ...] = (),
 ) -> TallyMatrix:
     """Simulate ``per_hypothesis`` trials under each true hypothesis and
     tally the scenario detector's decisions.
 
-    Results depend only on (scenario, seed, per_hypothesis,
-    chunk_size): chunk tallies merge by addition, so any worker count
-    reproduces the serial run bit for bit.
+    Results depend only on (scenario, seed, per_hypothesis, stream path):
+    block tallies merge by addition, so any worker count reproduces the
+    serial run bit for bit.
     """
     if rule is None:
         rule = scenario_rule(sc)
@@ -496,7 +517,7 @@ def run_trials(
             f"rule was built for n_packets={rule.n_packets}, "
             f"but the scenario has n_packets={sc.n_packets}"
         )
-    return _tally_jobs([(sc, [rule], stream_path)], per_hypothesis, seed, workers, chunk_size)[0][0]
+    return _tally_jobs([(sc, [rule], stream_path)], per_hypothesis, seed, workers)[0][0]
 
 
 # --------------------------------------------------------------------------
@@ -546,11 +567,11 @@ def compare_modes(
     per_hypothesis: int,
     seed: "SeedSpec | int",
     *,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    workers: int = 1,
     stream_path: tuple[int, ...] = (),
 ) -> ModeComparison:
     """Joint busy decisions of two modes per true hypothesis, on the
-    trials of one serial trial-engine job.
+    trials of one trial-engine job run on ``workers`` threads.
 
     Every rule :func:`rule_for_mode` builds has increasing levels, so a
     mode's busy set is ``z >= t``: one mode's set contains the other's,
@@ -558,7 +579,7 @@ def compare_modes(
     """
     v = scenario_variances(sc)
     job = (sc, [rule_for_mode(v, sc.n_packets, m) for m in (mode_a, mode_b)], stream_path)
-    [[tally_a, tally_b]] = _tally_jobs([job], per_hypothesis, seed, 1, chunk_size)
+    [[tally_a, tally_b]] = _tally_jobs([job], per_hypothesis, seed, workers)
     a, b = tally_a.busy_counts, tally_b.busy_counts
     both = np.minimum(a, b)
     joint = np.stack([both, a - both, b - both, per_hypothesis - a - b + both], axis=1)
@@ -607,7 +628,6 @@ def sweep(
     seed: "SeedSpec | int",
     *,
     workers: int = 1,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
 ) -> list[SweepPoint]:
     """Evaluate the detector(s) along the parameter axis of every curve.
 
@@ -623,7 +643,7 @@ def sweep(
     overflows), of the same type and naming the point.  Grid point i of a
     curve draws from stream path ``(*stream_path, i)``, so its results do
     not depend on the rest of the grid or on the other curves, and curves
-    with distinct ``stream_path`` prefixes are independent.  The chunks of
+    with distinct ``stream_path`` prefixes are independent.  The blocks of
     all points of all curves run as one batch of the trial engine.
     """
     points, jobs = [], []  # (axis, value, modes, variances, rules), engine jobs
@@ -647,7 +667,7 @@ def sweep(
             jobs.append((scn, rules, (*stream_path, i)))
     if not jobs:
         raise ValueError("curves must be nonempty")
-    tallies = _tally_jobs(jobs, per_hypothesis, seed, workers, chunk_size)
+    tallies = _tally_jobs(jobs, per_hypothesis, seed, workers)
     return [
         SweepPoint(axis, value, mode, v, rule, tally)
         for (axis, value, modes, v, rules), point_tallies in zip(points, tallies)

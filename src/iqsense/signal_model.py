@@ -33,8 +33,9 @@ __all__ = [
     "draw_noise",
 ]
 
-# The trial engine tabulates every (k, -k) symbol pair, an m x m complex
-# table per chunk: 16 MiB at this order.
+# The sample-level kernel behind estimate_component_variances tabulates
+# every (k, -k) symbol pair, an m x m complex table per call: 16 MiB at
+# this order.  The trial engine's exact law holds 4 x m x 2 means.
 _MAX_PSK_ORDER = 1024
 
 

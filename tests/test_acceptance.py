@@ -23,11 +23,12 @@ from iqsense.detection import (
     conditional_probabilities,
     decision_rule,
     pairwise_threshold,
+    statistic_means,
 )
 from iqsense.montecarlo import (
     SeedSpec,
     SensingScenario,
-    _statistic_batch,
+    _exact_statistics,
     compare_modes,
     empirical_metrics,
     run_trials,
@@ -73,16 +74,18 @@ def test_criterion_01_gamma_tail_oracle():
 
 
 def test_criterion_02_statistic_distribution():
-    """Simulated Z follows the per-hypothesis Gamma law (KS < 0.006)."""
+    """Z drawn by the trial engine follows the per-hypothesis Gamma law
+    (KS < 0.006)."""
     t0 = time.perf_counter()
     worst = 0.0
     detail = []
     for n_packets in (1, 4):
         sc = SensingScenario(0.0, **{**PAPER_POINT, "n_packets": n_packets})
         v = scenario_variances(sc)
+        means = statistic_means(sc.pair, *sc.coefficients)
         for hyp, s in enumerate(v.as_tuple()):
-            rng = substream(SeedSpec(202), 9, n_packets, hyp)
-            z = _statistic_batch(sc, hyp, 100_000, rng)
+            streams = substream(SeedSpec(202), 9, n_packets, hyp).spawn(2)
+            z = _exact_statistics(means[hyp], n_packets, streams, 100_000)
             law = gamma_dist(a=n_packets, scale=2.0 * s / n_packets)
             ks = kstest(z, law.cdf).statistic
             worst = max(worst, ks)

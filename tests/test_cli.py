@@ -94,6 +94,29 @@ def test_sense_verify_near_certain_cells_warn_nothing(tmp_path):
     assert r.stderr == ""
 
 
+# Peak RSS of `sense` at n_packets 1024.  The interpreter, numpy and
+# iqsense take about 38 MB; the engine's slices add under 2 MB per worker.
+# One 4096-trial block held whole would need 32 MiB per array.
+_SENSE_RSS_BUDGET_MB = 64
+
+
+def test_sense_memory_stays_within_budget_at_1024_packets(tmp_path):
+    """The child is started from a small interpreter, because Linux
+    carries the peak RSS of the process that forks across ``exec``."""
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scenario": {"n_packets": 1024}, "trials": 4096}))
+    probe = ("import resource, subprocess, sys; r = subprocess.run(sys.argv[1:]); "
+             "print(r.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    r = subprocess.run(
+        [sys.executable, "-c", probe, *CMD, "sense", "--config", str(cfgf), "--workers", "2",
+         "--out", os.devnull],
+        capture_output=True, text=True, timeout=300,
+    )
+    code, peak_kib = map(int, r.stdout.split()[-2:])
+    assert code == 0, r.stderr
+    assert peak_kib / 1024 < _SENSE_RSS_BUDGET_MB
+
+
 def test_sense_json(tmp_path):
     out = tmp_path / "s.json"
     r = run_cli("sense", "--trials", "5000", "--format", "json",
@@ -296,6 +319,15 @@ def _range_case(key, config, where, command=("analytic",)):
                 "frame.active: "),
     _range_case("frame.snr_db", {"frame": {"snr_db": 4000}}, "frame.snr_db: ", ["frame"]),
     _range_case("frame.snr_db-analytic", {"frame": {"snr_db": 4000}}, "frame.snr_db: "),
+    *(_range_case(f"frame.table-overflow-{cmd}",
+                  {"scenario": {"channel_var_mirror": 1e300},
+                   "frame": {"n_subcarriers": 8, "active": [1, -2], "snr_db": 100}},
+                  "frame: snr_db=100: the pair's mean powers overflow a float", [cmd])
+      for cmd in ("frame", "sense")),
+    _range_case("frame.n_subcarriers-x-n_packets",
+                {"scenario": {"n_packets": 2}, "frame": {"n_subcarriers": 2**20}},
+                "frame: n_subcarriers x n_packets must be <= 1048576, got 1048576 x 2",
+                ["frame"]),
     _range_case("sweep.cfar_pfa-unused",
                 {"sweep": {"axis": "irr_db", "grid": [-10], "modes": ["four"], "cfar_pfa": 5}},
                 "sweep.cfar_pfa: only valid when", ["sweep"]),
@@ -309,6 +341,9 @@ def _range_case(key, config, where, command=("analytic",)):
     _range_case("seed-65-bits", {"seed": 2**64}, "seed: master_seed "),
     _range_case("stream_index", {"stream_index": -1}, "seed: stream_index "),
     *(_range_case(key, {key: 0}, f"{key}: ") for key in ("chunk_size", "workers")),
+    # the key left the config with the block-addressed streams
+    _range_case("chunk_size-removed", {"chunk_size": 65536}, "chunk_size: unknown key",
+                ["sense"]),
     _range_case("workers-max", {"workers": 10**6}, "workers: must be <= 256, got 1000000",
                 ["sense"]),
     _range_case("--workers-max", {}, "--workers: must be <= 256, got 1000000",
@@ -404,7 +439,7 @@ def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id
     cfgf.write_text(json.dumps({
         "figure": {"irr_grid": [-30.0, -20.0], "snr1_grid": [0.0, 5.0],
                    "delta_snrs": [0.0, 10.0]},
-        "trials": 300, "chunk_size": 128,
+        "trials": 300,
     }))
     argv = ["figure", fig_id, "--config", str(cfgf), "--workers", "2",
             "--out", str(tmp_path / "f.csv")]
@@ -423,7 +458,7 @@ def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
     cfgf.write_text(json.dumps({
         "sweep": {"axis": "irr_db", "grid": [-30.0, -20.0, -10.0],
                   "modes": ["four", "two-bayes"]},
-        "trials": 300, "chunk_size": 128,
+        "trials": 300,
     }))
     argv = ["sweep", "--config", str(cfgf), "--workers", "2", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
@@ -492,7 +527,7 @@ def test_parallel_calls_start_no_child_process(tmp_path, monkeypatch, command):
     monkeypatch.setattr(os, "fork", no_fork)
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
-        "figure": {"irr_grid": [-30.0, -20.0]}, "trials": 2000, "chunk_size": 512,
+        "figure": {"irr_grid": [-30.0, -20.0]}, "trials": 2000,
     }))
     argv = [*command, "--config", str(cfgf), "--workers", "2", "--out", str(tmp_path / "o.csv")]
     assert cli.main(argv) == 0
@@ -519,7 +554,7 @@ def test_figure_bytes_independent_of_workers(tmp_path):
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
         "figure": {"irr_grid": [-30.0, -20.0, -10.0]},
-        "trials": 2000, "chunk_size": 512,
+        "trials": 2000,
     }))
     outs = []
     for workers in ("1", "2"):
@@ -710,10 +745,11 @@ def test_frame_command(tmp_path):
 
 
 # sha256 of `iqsense frame` stdout for one seeded 512-subcarrier frame,
-# pinned while the frame still returned tuples of Hypothesis members.
+# pinned while the frame still returned tuples of Hypothesis members; the
+# provenance has since lost its chunk_size line, and its config_sha256 the key.
 _FRAME_STDOUT_SHA256 = {
-    "csv": "795798e2441358759ab66fff5f37c4a6d3d6d47f2475165a48b041a93d6481e6",
-    "json": "bca691b1921fa853ddf80e57286a040ef3cc9b8d32d732a6a60e64c14b9e3a18",
+    "csv": "554b8491413a040a58e67d089d3d3f1825ddeaadaa853a8acea2b1af902f08f7",
+    "json": "a1fec4dff2e7aeacc6bfffa409403ac561f357fe0e3e7957b76138b954fc05a0",
 }
 
 

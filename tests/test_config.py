@@ -193,7 +193,6 @@ def test_canonical_hash_stability_and_sensitivity():
         {"scenario": {"snr1_db": 1.0}},
         {"scenario": {"tx_irr_db": -16.0}},
         {"scenario": {"mode": "two-bayes"}},
-        {"chunk_size": 1024},
         {"outage": {"p0": 5.0}},
     ):
         assert canonical_hash(parse_config(raw)) != canonical_hash(base)
@@ -202,9 +201,9 @@ def test_canonical_hash_stability_and_sensitivity():
 def test_sweep_hash_covers_its_modes():
     sweep = {"axis": "irr_db", "grid": [-20.0, -10.0]}
     # A sweep without modes keeps the hash it had when modes were
-    # resolved at parse time.
+    # resolved at parse time (re-pinned when chunk_size left the config).
     assert canonical_hash(parse_config({"sweep": sweep})) == (
-        "830509a2269636dc3e661e118ece91151a738488c40c3fef1f9082511e35de78"
+        "c0d11f7aa30773f8e2540bfcc5dd892d21737b217f2da937eebc3570b3fe9561"
     )
     # The sweep's own two-cfar target is part of the math.
     a, b = (parse_config({"sweep": {**sweep, "modes": ["four", "two-cfar"], "cfar_pfa": p}})

@@ -43,6 +43,16 @@ def test_occupancy_bounds_frame_size():
         OccupancyMap(2**21, frozenset())
 
 
+def test_frame_refuses_oversized_or_overflowing_frames():
+    sc = frame_scenario(n_packets=2)
+    with pytest.raises(ValueError, match="^n_subcarriers x n_packets must be <= 1048576, "
+                                         "got 1048576 x 2$"):
+        simulate_frame(OccupancyMap(2**20, frozenset()), sc, 1)
+    loud = frame_scenario(snr_db=100.0, channel_var_mirror=1e300)
+    with pytest.raises(ValueError, match="^snr_db=100: the pair's mean powers overflow"):
+        simulate_frame(OccupancyMap(8, {1, -2}), loud, 1)
+
+
 def test_occupancy_accepts_int_subclasses():
     class Index(int):
         pass

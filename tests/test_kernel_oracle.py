@@ -1,22 +1,84 @@
-"""The trial kernel against its sample-level reference, bit for bit.
+"""The trial engine and the variance estimator against the sample-level
+reference in ``sample_oracle``.
 
-``sample_oracle`` holds the straightforward form of the kernel.  The
-kernel folds the symbols into one table lookup and works in place; these
-tests hold it to the reference's exact output on the same substreams.
+The trial engine draws each statistic from its exact law, so it must
+agree with the reference in law: ``test_engine_matches_sample_oracle``
+compares their decision counts per model and per true hypothesis.
+False-fail rate: each of the 8 rows gets a two-sample Pearson chi-square
+test at level ALPHA / 8 (Bonferroni), so the gate fails correct code with
+probability at most ALPHA = 1e-6, under the chi-square approximation with
+at least 5 expected counts per pooled cell and sample.  Power: the same
+gate rejects an engine that draws H3 from the Gamma law of its mean, the
+closed forms' stand-in, at tx IRR -5 dB
+(``test_gate_rejects_the_gamma_stand_in_for_h3``).
+
+The sample-level kernel behind ``estimate_component_variances`` folds
+the symbols into one table lookup; the remaining tests hold it to the
+reference's exact output on the same substreams, bit for bit.
 """
 
 import numpy as np
 import pytest
 
+import iqsense.montecarlo as montecarlo
 import sample_oracle
+from iqsense.detection import decision_counts, statistic_means
 from iqsense.montecarlo import (
     _ESTIMATOR_STREAM,
+    SeedSpec,
     SensingScenario,
     _statistic_batch,
     estimate_component_variances,
+    run_trials,
+    scenario_rule,
     substream,
 )
 from iqsense.signal_model import IqMismatch, draw_noise, draw_rayleigh
+from test_frame_oracle import MODELS, gate_scenario, two_sample_pvalue
+
+ALPHA = 1e-6
+TRIALS = 200_000
+
+
+@pytest.fixture(scope="module")
+def oracle_tallies():
+    """(4, 4) decision counts of the sample-level reference per model."""
+    out = {}
+    for model in MODELS:
+        sc = gate_scenario(model)
+        tx_c, rx_c = sc.coefficients
+        rule = scenario_rule(sc)
+        out[model] = np.array([
+            decision_counts(sample_oracle.statistic_batch(
+                sc, tx_c, rx_c, hyp, TRIALS, substream(11, 0, hyp)), rule)
+            for hyp in range(4)
+        ])
+    return out
+
+
+def _gate_pvalues(model, oracle_tallies) -> list[float]:
+    tally = run_trials(gate_scenario(model), TRIALS, SeedSpec(12))
+    return [two_sample_pvalue(tally.counts[h], oracle_tallies[model][h]) for h in range(4)]
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_engine_matches_sample_oracle(model, oracle_tallies):
+    p = _gate_pvalues(model, oracle_tallies)
+    assert min(p) >= ALPHA / 8, f"per-hypothesis p-values {p}"
+
+
+@pytest.mark.parametrize("model", MODELS)
+def test_gate_rejects_the_gamma_stand_in_for_h3(model, oracle_tallies, monkeypatch):
+    """An engine whose H3 row draws Gamma(n, m/n) at the phase mean m fails
+    the H3 row alone."""
+    def gamma_h3(*args):
+        means = statistic_means(*args).copy()
+        means[3] = means[3].mean()
+        return means
+
+    monkeypatch.setattr(montecarlo, "statistic_means", gamma_h3)
+    p = _gate_pvalues(model, oracle_tallies)
+    assert [x >= ALPHA / 8 for x in p] == [True, True, True, False], p
 
 # From 256 KiB, 16384 complex samples, numpy computes ``scalar * temporary``
 # as ``temporary *= scalar``, which under fused multiply-add can change the

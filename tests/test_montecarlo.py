@@ -21,6 +21,7 @@ from iqsense.detection import (
     convention_metric,
     hypothesis_variances,
     metric_cells,
+    statistic_means,
 )
 import iqsense.montecarlo as montecarlo
 from iqsense.montecarlo import (
@@ -47,6 +48,7 @@ from iqsense.signal_model import (
     irr_to_mismatch,
     mismatch_coefficients,
 )
+from iqsense.stats import row_pvalue
 
 
 def scenario(**kw):
@@ -203,59 +205,60 @@ def test_run_trials_deterministic():
     assert a.trials_per_hypothesis.tolist() == [10_000] * 4
 
 
-def test_run_trials_worker_invariance():
-    sc = scenario()
-    serial = run_trials(sc, 9_000, 5, chunk_size=2_048)
-    parallel = run_trials(sc, 9_000, 5, chunk_size=2_048, workers=4)
-    assert serial == parallel
+def test_run_trials_worker_invariance(monkeypatch):
+    """Tallies are byte-identical across worker counts and slice budgets:
+    three blocks with a short last one, filled one slice per block, in
+    slices of seven trials, and in slices that split the packets of a
+    trial, for rows drawn from Gamma laws and from phase mixtures alike."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 2_048)
+    m = IqMismatch(0.2, 0.15)
+    for sc in (scenario(n_packets=3), scenario(n_packets=2, tx_mismatch=m, rx_mismatch=m)):
+        means = statistic_means(sc.pair, *sc.coefficients)
+        assert not np.ptp(means[:3], axis=1).any() and np.ptp(means[3]) > 0
+        want = run_trials(sc, 5_000, 5)
+        for workers in (1, 2, 4):
+            for slice_values in (1 << 16, 7 * sc.n_packets, 1_000):
+                monkeypatch.setattr(montecarlo, "_SLICE_VALUES", slice_values)
+                assert run_trials(sc, 5_000, 5, workers=workers) == want
 
 
-# Tallies of the sample-level kernel (symbols looked up per side, receive
-# and receive_joint on full arrays).  Three chunks with a short last one;
-# the full chunks hold 16384 samples, where numpy starts to elide
-# temporaries, the last fewer, so a chunk whose bits depend on its size
-# moves a tally here.
+# Tallies of the exact-law engine: three blocks with a short last one.
 _GOLDEN = {
     "tx-only": (
         SensingScenario(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),
-        4096, 2 * 4096 + 1001,
-        [[5212, 2148, 1427, 406], [5264, 2110, 1428, 391],
-         [1323, 1484, 2421, 3965], [1270, 1461, 2406, 4056]],
+        2 * 65_536 + 1001,
+        [[75164, 31184, 20097, 5628], [74690, 31160, 20440, 5783],
+         [19084, 20874, 34863, 57252], [19191, 20843, 34640, 57399]],
     ),
     "joint": (
         SensingScenario(
             3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
             n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
         ),
-        8192, 2 * 8192 + 777,
-        [[10596, 3338, 2300, 927], [9979, 3425, 2616, 1141],
-         [3936, 2753, 3711, 6761], [3803, 2578, 3606, 7174]],
+        2 * 65_536 + 777,
+        [[81242, 26001, 17686, 6920], [75550, 26912, 20132, 9255],
+         [29975, 20866, 28651, 52357], [28856, 20337, 28178, 54478]],
     ),
 }
 
 
 @pytest.mark.parametrize("model", list(_GOLDEN))
 def test_run_trials_golden(model):
-    sc, chunk, per_hypothesis, counts = _GOLDEN[model]
+    sc, per_hypothesis, counts = _GOLDEN[model]
     for workers in (1, 2):
-        got = run_trials(sc, per_hypothesis, SeedSpec(2024, 3), workers=workers, chunk_size=chunk)
+        got = run_trials(sc, per_hypothesis, SeedSpec(2024, 3), workers=workers)
         assert got.counts.tolist() == counts, f"workers={workers}"
 
 
 def test_run_trials_closure():
-    """Empirical conditional rates sit within 5 binomial SE of the
-    closed forms (unit check; acceptance tightens this to 3 SE at 1e6)."""
+    """Every tally row closes with its closed form by the chi-square row
+    test (unit check at familywise level 1e-6; acceptance runs 1e6
+    trials)."""
     sc = scenario()
-    n = 40_000
-    tally = run_trials(sc, n, 9)
-    v = scenario_variances(sc)
-    rule = scenario_rule(sc)
-    probs = conditional_probabilities(v, rule)
-    rates = tally.conditional_rates()
-    for i in range(4):
-        for j in range(4):
-            se = math.sqrt(probs[i, j] * (1 - probs[i, j]) / n)
-            assert abs(rates[i, j] - probs[i, j]) <= max(5 * se, 1e-4)
+    tally = run_trials(sc, 40_000, 9)
+    probs = conditional_probabilities(scenario_variances(sc), scenario_rule(sc))
+    p = [row_pvalue(c, q) for c, q in zip(tally.counts.tolist(), probs)]
+    assert min(p) >= 1e-6 / 4, p
 
 
 def test_estimated_variances_match_analytic_for_tx_only():
@@ -388,42 +391,50 @@ def test_compare_modes_is_paired():
     assert np.array_equal(cmp.joint_counts[:, 0] + cmp.joint_counts[:, 1], tally.busy_counts)
 
 
-# Joint counts (both, only_a, only_b, neither) per true hypothesis, computed
-# from per-trial busy masks of both rules on every chunk's statistics.  Three
-# chunks with a short last one.  Four-level vs two-bayes has only_b > 0 and
+# Joint counts (both, only_a, only_b, neither) per true hypothesis.  Three
+# blocks with a short last one.  Four-level vs two-bayes has only_b > 0 and
 # four-level vs two-cfar 0.1 at IRR -5 dB only_a > 0; the joint model puts
 # the CFAR rule first.
 _COMPARE_GOLDEN = {
     "four-vs-bayes": (
         scenario(n_packets=4), DetectorMode.four_level(), DetectorMode.two_level_bayes(),
-        4096, 2 * 4096 + 1001, 7,
-        [[1738, 0, 8, 7447], [1793, 0, 10, 7390], [6505, 0, 8, 2680], [6385, 0, 12, 2796]],
+        2 * 65_536 + 1001, 7,
+        [[25921, 0, 136, 106016], [26149, 0, 132, 105792], [91980, 0, 141, 39952],
+         [92183, 0, 113, 39777]],
     ),
     "four-vs-cfar": (
         scenario(n_packets=2, tx_mismatch=irr_to_mismatch(-5.0)),
-        DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1), 4096, 2 * 4096 + 1001, 8,
-        [[907, 1154, 0, 7132], [1061, 1180, 0, 6952], [3864, 1519, 0, 3810],
-         [3937, 1518, 0, 3738]],
+        DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1), 2 * 65_536 + 1001, 8,
+        [[13043, 16845, 0, 102185], [14510, 17375, 0, 100188], [55998, 22013, 0, 54062],
+         [55786, 22179, 0, 54108]],
     ),
     "joint": (
         SensingScenario(
             3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
             n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
         ),
-        DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 8192, 2 * 8192 + 777, 9,
-        [[1762, 0, 1529, 13870], [2133, 0, 1661, 13367], [8445, 0, 1988, 6728],
-         [8818, 0, 1897, 6446]],
+        DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 2 * 65_536 + 777, 9,
+        [[13385, 0, 11438, 107026], [16473, 0, 12773, 102603], [65721, 0, 15547, 50581],
+         [68028, 0, 14905, 48916]],
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(_COMPARE_GOLDEN))
 def test_compare_modes_golden(name):
-    sc, mode_a, mode_b, chunk, per_hypothesis, seed, counts = _COMPARE_GOLDEN[name]
-    cmp = compare_modes(sc, mode_a, mode_b, per_hypothesis, SeedSpec(seed),
-                        chunk_size=chunk, stream_path=(2,))
+    sc, mode_a, mode_b, per_hypothesis, seed, counts = _COMPARE_GOLDEN[name]
+    cmp = compare_modes(sc, mode_a, mode_b, per_hypothesis, SeedSpec(seed), stream_path=(2,))
     assert cmp.joint_counts.dtype == np.int64
     assert cmp.joint_counts.tolist() == counts
+
+
+def test_compare_modes_counts_do_not_depend_on_workers(monkeypatch):
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 1_000)
+    sc, mode_a, mode_b, _, seed, _ = _COMPARE_GOLDEN["four-vs-cfar"]
+    runs = [compare_modes(sc, mode_a, mode_b, 3_500, seed, workers=w, stream_path=(2,))
+            for w in (1, 2, 4)]
+    for cmp in runs[1:]:
+        assert np.array_equal(cmp.joint_counts, runs[0].joint_counts)
 
 
 def test_sweep_axes_cover_model_knobs():
@@ -472,14 +483,15 @@ def test_sweep_point_independent_of_grid():
     assert alone[0].tally == grid[0].tally
 
 
-def test_sweep_worker_invariance():
-    """All grid points' chunks run in one map; how the 288 chunk tasks
+def test_sweep_worker_invariance(monkeypatch):
+    """All grid points' blocks run in one map; how the 288 block tasks
     spread over the workers never changes a tally."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 64)
     sc = scenario()
     modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
     runs = [
         sweep([(sc, "irr_db", [-30.0, -20.0, -10.0], modes, ())], 1_500, 17,
-              workers=workers, chunk_size=64)
+              workers=workers)
         for workers in (1, 2, 3)
     ]
     assert len(runs[0]) == 6
@@ -489,7 +501,7 @@ def test_sweep_worker_invariance():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_multi_curve_sweep_matches_one_curve_sweeps(workers):
+def test_multi_curve_sweep_matches_one_curve_sweeps(workers, monkeypatch):
     """A sweep of two curves, one transmitter-only and one joint, gives
     each curve's points exactly as a sweep of that curve alone: tallies,
     rules and variances, point for point, in curve order."""
@@ -498,9 +510,10 @@ def test_multi_curve_sweep_matches_one_curve_sweeps(workers):
     m = irr_to_mismatch(-20.0)
     joint = (scenario(snr2_db=-5.0, tx_mismatch=m, rx_mismatch=m), "snr_db_at_delta",
              [-3.0, 4.0, 9.0], [DetectorMode.four_level()], (1,))
-    both = sweep([tx_only, joint], 1_200, 31, workers=workers, chunk_size=256)
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 256)
+    both = sweep([tx_only, joint], 1_200, 31, workers=workers)
     alone = [pt for curve in (tx_only, joint)
-             for pt in sweep([curve], 1_200, 31, workers=workers, chunk_size=256)]
+             for pt in sweep([curve], 1_200, 31, workers=workers)]
     assert len(both) == len(alone) == 2 * 2 + 3
     for a, b in zip(both, alone):
         assert (a.axis, a.value, a.mode) == (b.axis, b.value, b.mode)
@@ -519,10 +532,10 @@ def test_stream_purpose_tags_are_distinct():
 
 
 def test_two_workers_run_chunks_at_once(monkeypatch):
-    """With workers=2 two chunks are in flight together: each chunk waits
+    """With workers=2 two blocks are in flight together: each block waits
     at a two-party barrier, which a serial engine never passes."""
     sc = scenario()
-    serial = run_trials(sc, 2_000, 5, chunk_size=500)
+    serial = run_trials(sc, 2_000, 5)
     real = montecarlo._chunk_task
     barrier = threading.Barrier(2, timeout=10)
     threads = set()
@@ -533,28 +546,29 @@ def test_two_workers_run_chunks_at_once(monkeypatch):
         return real(task)
 
     monkeypatch.setattr(montecarlo, "_chunk_task", paired)
-    assert run_trials(sc, 2_000, 5, chunk_size=500, workers=2) == serial
+    assert run_trials(sc, 2_000, 5, workers=2) == serial
     assert len(threads) == 2
 
 
 def test_failed_chunk_cancels_queued_chunks(monkeypatch):
-    """The first of 64 chunks raises: the caller gets that exception
-    itself, and the chunks still queued never run."""
+    """The first of 64 blocks raises: the caller gets that exception
+    itself, and the blocks still queued never run."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 64)
     real = montecarlo._chunk_task
-    err = RuntimeError("chunk failed")
+    err = RuntimeError("block failed")
     ran = []
 
     def failing(task):
         ran.append(task)
-        _, _, hyp, chunk_idx, *_ = task
-        if (hyp, chunk_idx) == (0, 0):
+        _, _, hyp, block, *_ = task
+        if (hyp, block) == (0, 0):
             raise err
-        time.sleep(0.02)  # keep later chunks queued when the failure surfaces
+        time.sleep(0.02)  # keep later blocks queued when the failure surfaces
         return real(task)
 
     monkeypatch.setattr(montecarlo, "_chunk_task", failing)
     with pytest.raises(RuntimeError) as excinfo:
-        run_trials(scenario(), 16 * 64, 1, chunk_size=64, workers=2)
+        run_trials(scenario(), 16 * 64, 1, workers=2)
     assert excinfo.value is err
     assert 1 <= len(ran) < 64
 
@@ -581,8 +595,6 @@ def test_run_trials_argument_validation():
     with pytest.raises(ValueError):
         run_trials(sc, 0, 1)
     with pytest.raises(ValueError):
-        run_trials(sc, 10, 1, chunk_size=0)
-    with pytest.raises(ValueError):
         run_trials(sc, 10, 1, workers=0)
     with pytest.raises(ValueError, match="^curves must be nonempty$"):
         sweep([], 10, 1)
@@ -593,15 +605,13 @@ def test_run_trials_argument_validation():
     with pytest.raises(ValueError, match="^axis must be one of"):
         sweep([(sc, "noise_var", [1.0], [sc.mode], ())], 10, 1)
     # The trial engine checks its arguments for every caller.
-    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
-        sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, chunk_size=0)
     with pytest.raises(ValueError, match="workers must be >= 1"):
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
     with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
         run_trials(sc, 10, 1, workers=10**6)
-    with pytest.raises(ValueError, match="chunk_size must be >= 1"):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
         compare_modes(sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 10, 1,
-                      chunk_size=0)
+                      workers=0)
     # A rule must be built for the scenario's packet count.
     for mode in (DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1)):
         rule = scenario_rule(scenario(n_packets=4, mode=mode))

@@ -34,9 +34,7 @@ _MODES = {"modes": ["four", "two-bayes", "two-cfar"], "cfar_pfa": 0.1}
 
 
 def _sweep(axis, grid, **scenario):
-    # chunks of 3000 trials x 8 packets: 24,000 samples, past the 256 KiB
-    # from which numpy reuses temporaries
-    return {"trials": 5000, "chunk_size": 3000, "scenario": {"n_packets": 8, **scenario},
+    return {"trials": 5000, "scenario": {"n_packets": 8, **scenario},
             "sweep": {"axis": axis, "grid": grid, **_MODES}}
 
 
