@@ -117,12 +117,12 @@ def frame_table(n_subcarriers: int, sc: SensingScenario) -> np.ndarray:
     """The :func:`~iqsense.detection.pair_table` a frame of
     ``n_subcarriers`` draws from at ``sc``.  Raises ValueError for a frame
     of more than 2**20 values per side, or for means that overflow a
-    float (both sides' means scale the draws)."""
+    float (both sides' means scale the draws).  The scenario's variances
+    build the table first, under their own overflow guard."""
     if n_subcarriers * sc.n_packets > _MAX_SUBCARRIERS:
         raise ValueError(f"n_subcarriers x n_packets must be <= {_MAX_SUBCARRIERS}, "
                          f"got {n_subcarriers} x {sc.n_packets}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        table = pair_table(sc.pair, sc.coefficients[0])
+    table = pair_table(sc.pair, sc.coefficients[0])
     if not np.isfinite(table).all():
         raise ValueError(f"snr_db={sc.snr1_db:g}: the pair's mean powers overflow a float")
     return table

@@ -80,9 +80,9 @@ from .signal_model import (
     transmit,
 )
 
-# Not called here (the kernel tallies with decision_counts and folds receive
-# into a symbol table; sweep points leave the closed-form metrics to their
-# readers); bound for the trace in bench/job.py.
+# Not called here (the engine tallies with decision_counts, the estimator's
+# kernel folds receive into a symbol table, and sweep points leave the
+# closed-form metrics to their readers); bound for the trace in bench/job.py.
 from .detection import analytic_detection, analytic_false_alarm, classify_batch  # noqa: F401
 from .signal_model import receive  # noqa: F401
 from .stats import Estimate, Z_95, wilson_interval

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["Estimate", "wilson_interval", "Z_95", "MIN_EXPECTED", "chi2_sf", "row_pvalue", "worst_z"]
+__all__ = [
+    "Estimate", "wilson_interval", "Z_95", "MIN_EXPECTED", "chi2_sf", "row_pvalue", "worst_z",
+]
 
 # Two-sided 95% normal quantile.
 Z_95 = 1.959963984540054
@@ -68,8 +70,8 @@ def chi2_sf(stat: float, dof: int) -> float:
 
 
 def row_pvalue(observed, probs) -> float:
-    """Pearson chi-square p-value of one row of decision counts against
-    its closed-form probabilities.
+    """Pearson chi-square p-value of one row of a 4x4 tally, its decision
+    counts, against its closed-form probabilities.
 
     Cells are pooled in order until each pooled cell expects at least
     :data:`MIN_EXPECTED` counts (the remainder joins the last one); a count

@@ -80,6 +80,7 @@ def test_gate_rejects_the_gamma_stand_in_for_h3(model, oracle_tallies, monkeypat
     p = _gate_pvalues(model, oracle_tallies)
     assert [x >= ALPHA / 8 for x in p] == [True, True, True, False], p
 
+
 # From 256 KiB, 16384 complex samples, numpy computes ``scalar * temporary``
 # as ``temporary *= scalar``, which under fused multiply-add can change the
 # last bit of a product written scalar-first.  Cases sit on both sides, so a

@@ -1,6 +1,9 @@
 """Wilson interval behaviour, including the boundary corners, and the
 row test against scipy's chi-square law."""
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,10 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from iqsense.stats import Estimate, chi2_sf, row_pvalue, wilson_interval, worst_z
+
+# The benchmark's checks hold the same row test written with scipy.
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import checks  # noqa: E402
 
 
 def test_basic_interval():
@@ -55,26 +62,6 @@ def test_chi2_tail_matches_scipy(dof):
         chi2_sf(1.0, 4)
 
 
-def _scipy_row_pvalue(observed, probs):
-    """The row test written with scipy, pooling as ``row_pvalue`` does."""
-    n = sum(observed)
-    bins, o, e = [], 0, 0.0
-    for oi, pi in zip(observed, probs):
-        if pi <= 0.0 and oi > 0:
-            return 0.0
-        o, e = o + oi, e + n * pi
-        if e >= 5.0:
-            bins.append([o, e])
-            o, e = 0, 0.0
-    if bins:
-        bins[-1][0] += o
-        bins[-1][1] += e
-    if len(bins) < 2:
-        return 1.0
-    obs, exp = np.array(bins, dtype=float).T
-    return float(chi2.sf(((obs - exp) ** 2 / exp).sum(), len(bins) - 1))
-
-
 def test_row_pvalue_matches_scipy_on_random_rows():
     rng = np.random.default_rng(7)
     for _ in range(500):
@@ -87,7 +74,7 @@ def test_row_pvalue_matches_scipy_on_random_rows():
         observed = rng.multinomial(n, probs).tolist()
         if rng.random() < 0.3:  # off the law
             observed = rng.multinomial(n, rng.dirichlet(np.ones(4))).tolist()
-        want = _scipy_row_pvalue(observed, probs)
+        want = checks.row_pvalue(observed, probs)
         got = row_pvalue(observed, probs)
         assert got == pytest.approx(want, rel=1e-10, abs=1e-300)
 
