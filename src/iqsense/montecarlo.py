@@ -445,7 +445,7 @@ def _chunk_task(args) -> tuple[int, np.ndarray]:
     it with every rule; returns (hypothesis, per-rule decision counts)."""
     sc, rules, hyp, block, count, seed, stream_path = args
     means = statistic_means(sc.pair, *sc.coefficients)[hyp]
-    streams = substream(seed, _TRIAL_STREAM, *stream_path, hyp, block).spawn(2)
+    streams = [substream(seed, _TRIAL_STREAM, *stream_path, hyp, block, kind) for kind in (0, 1)]
     rows = max(1, _SLICE_VALUES // sc.n_packets)
     counts = np.zeros((len(rules), 4), dtype=np.int64)
     for start in range(0, count, rows):

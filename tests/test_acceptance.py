@@ -84,7 +84,7 @@ def test_criterion_02_statistic_distribution():
         v = scenario_variances(sc)
         means = statistic_means(sc.pair, *sc.coefficients)
         for hyp, s in enumerate(v.as_tuple()):
-            streams = substream(SeedSpec(202), 9, n_packets, hyp).spawn(2)
+            streams = [substream(SeedSpec(202), 9, n_packets, hyp, kind) for kind in (0, 1)]
             z = _exact_statistics(means[hyp], n_packets, streams, 100_000)
             law = gamma_dist(a=n_packets, scale=2.0 * s / n_packets)
             ks = kstest(z, law.cdf).statistic
@@ -217,6 +217,7 @@ def test_criterion_06_four_vs_two_level():
             DetectorMode.two_level_bayes(),
             1_000_000,
             SeedSpec(660),
+            workers=2,
             stream_path=(i,),
         )
         gap = cmp.p_fa_gap("prior-weighted")  # two-level minus four-level

@@ -251,12 +251,18 @@ def test_run_trials_golden(model):
 
 
 def test_run_trials_closure():
-    """Every tally row closes with its closed form by the chi-square row
-    test (unit check at familywise level 1e-6; acceptance runs 1e6
-    trials)."""
+    """Empirical conditional rates sit within 5 binomial SE of the
+    closed forms, and every tally row closes by the chi-square row test
+    at familywise level 1e-6 (unit check; acceptance runs 1e6 trials)."""
     sc = scenario()
-    tally = run_trials(sc, 40_000, 9)
+    n = 40_000
+    tally = run_trials(sc, n, 9)
     probs = conditional_probabilities(scenario_variances(sc), scenario_rule(sc))
+    rates = tally.counts / n
+    for i in range(4):
+        for j in range(4):
+            se = math.sqrt(probs[i, j] * (1 - probs[i, j]) / n)
+            assert abs(rates[i, j] - probs[i, j]) <= max(5 * se, 1e-4)
     p = [row_pvalue(c, q) for c, q in zip(tally.counts.tolist(), probs)]
     assert min(p) >= 1e-6 / 4, p
 
