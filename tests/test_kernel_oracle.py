@@ -159,14 +159,35 @@ def test_statistic_equals_sample_oracle(case):
         assert np.array_equal(got, want), f"H{hyp}: {np.count_nonzero(got != want)} differ"
 
 
-@pytest.mark.parametrize("samples", [4097, 20001])
-@pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
-def test_component_variance_estimates_equal_sample_oracle(joint, samples):
+def _estimator_scenario(joint: bool) -> SensingScenario:
     m = IqMismatch(0.25, 0.1)
-    sc = SensingScenario(
+    return SensingScenario(
         6.0, -1.0, tx_mismatch=m, rx_mismatch=m if joint else None,
         channel_var=0.8, channel_var_mirror=1.7,
     )
+
+
+# estimate_component_variances(scenario, 20001, 17, (2, 9)) as float.hex.
+# The estimator and the reference share receive and receive_joint, so the
+# equality below cannot see a change to them; these bytes can.
+_ESTIMATOR_GOLDEN = {
+    "tx-only": ("0x1.faca2547162ddp-2", "0x1.0da5b56716752p-1",
+                "0x1.0de88f5f73eb4p+1", "0x1.0c3a0014aa6bfp+1"),
+    "joint": ("0x1.0df95dc8df385p-1", "0x1.357180f74d645p-1",
+              "0x1.122fc4ba75429p+1", "0x1.160a0b897c6a2p+1"),
+}
+
+
+@pytest.mark.parametrize("model", list(_ESTIMATOR_GOLDEN))
+def test_component_variance_estimates_are_pinned(model):
+    got = estimate_component_variances(_estimator_scenario(model == "joint"), 20001, 17, (2, 9))
+    assert tuple(v.hex() for v in got) == _ESTIMATOR_GOLDEN[model]
+
+
+@pytest.mark.parametrize("samples", [4097, 20001])
+@pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
+def test_component_variance_estimates_equal_sample_oracle(joint, samples):
+    sc = _estimator_scenario(joint)
     seed, path = 17, (2, 9)
     got = estimate_component_variances(sc, samples, seed, path)
     want = sample_oracle.component_variances(
