@@ -459,11 +459,8 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
         columns = ["figure", "curve", "axis", "value", "beta_sq_sec",
                    "outage_analytic", "outage_mc", "outage_lo", "outage_hi",
                    "outage_paper_literal"]
-        scenarios = []
-        for irr in fig.irr_grid:
-            with config_key(f"figure.irr_grid: irr_db={irr:g}"):
-                scenarios.append(replace(cfg.outage, beta_sq_sec=irr_to_beta_sq(irr)))
-        for i, (irr, scn) in enumerate(zip(fig.irr_grid, scenarios)):
+        for i, irr in enumerate(fig.irr_grid):
+            scn = replace(cfg.outage, beta_sq_sec=irr_to_beta_sq(irr))
             est = mc_outage(scn, cfg.trials, substream(cfg.seed, OUTAGE_STREAM, i))
             rows.append([
                 fig_id, "", "irr_db", irr, scn.beta_sq_sec,
@@ -539,11 +536,7 @@ def _cmd_outage(cfg: ExperimentConfig, args) -> int:
     scn = cfg.outage
     est = mc_outage(scn, cfg.trials, substream(cfg.seed, OUTAGE_STREAM))
     report = {
-        "scenario": {
-            "p_mk": scn.p_mk, "p0": scn.p0, "beta_sq_sec": scn.beta_sq_sec,
-            "noise_p": scn.noise_p, "var_g": scn.var_g, "var_h": scn.var_h,
-            "rate_p": scn.rate_p, "gamma_threshold": scn.gamma_threshold,
-        },
+        "scenario": {**asdict(scn), "gamma_threshold": scn.gamma_threshold},
         "analytic": analytic_outage(scn),
         "paper_literal": outage_paper_literal(scn),
         "monte_carlo": {"estimate": est.value, "lo": est.lo, "hi": est.hi,

@@ -4,7 +4,9 @@ Unknown keys are rejected with their full path so that typos fail loudly
 instead of silently running a default.  Values are checked here for type
 (and ``trials`` and ``workers`` for ``>= 1``); every
 other range is checked by the model type that takes the value, and
-:func:`config_key` reports its error under the key the user wrote.  The
+:func:`config_key` reports its error under the key the user wrote.  An
+IRR grid point is checked when the config is read, so every command
+refuses one that is not negative, not only the commands that run it.  The
 canonical dictionary (the resolved, math-relevant portion of a
 configuration) is hashed into the output provenance; execution details
 that cannot change results (worker count, output path, format) stay out
@@ -17,7 +19,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .detection import DetectorMode
 from .frame import OccupancyMap, frame_table
@@ -205,6 +207,14 @@ def _grid_list(d, path, key, default):
     return tuple(_finite(g, f"{path}.{key}[{i}]") for i, g in enumerate(v))
 
 
+def _check_irr_grid(grid, path, key):
+    """Refuse an IRR grid point no front end can take, under every command;
+    the error names the point as the sweep that would run it does."""
+    for v in grid:
+        with config_key(f"{path}.{key}: irr_db={v:g}"):
+            irr_to_mismatch(v)
+
+
 @dataclass(frozen=True)
 class SweepSection:
     """One sweep axis and grid; ``modes`` None sweeps the scenario's mode,
@@ -223,6 +233,8 @@ def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
         raise ConfigError(f"{path}.axis: required")
     axis = _string(d, path, "axis", None, choices=set(SWEEP_AXES))
     grid = _grid_list(d, path, "grid", None)
+    if axis == "irr_db":
+        _check_irr_grid(grid, path, "grid")
     modes_raw = d.get("modes")
     if modes_raw is not None and (not isinstance(modes_raw, list) or not modes_raw):
         raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
@@ -299,8 +311,10 @@ def _figure_from(d: dict, path: str = "figure") -> FigureSection:
     if not isinstance(d, dict):
         raise ConfigError(f"{path}: must be an object")
     _reject_unknown(d, path, {"irr_grid", "snr1_grid", "delta_snrs"})
+    irr_grid = _grid_list(d, path, "irr_grid", DEFAULT_IRR_GRID)
+    _check_irr_grid(irr_grid, path, "irr_grid")
     return FigureSection(
-        irr_grid=_grid_list(d, path, "irr_grid", DEFAULT_IRR_GRID),
+        irr_grid=irr_grid,
         snr1_grid=_grid_list(d, path, "snr1_grid", DEFAULT_SNR1_GRID),
         delta_snrs=_grid_list(d, path, "delta_snrs", DEFAULT_DELTA_SNRS),
     )
@@ -365,12 +379,7 @@ class ExperimentConfig:
             cfar = [m.target_pfa for m in self.sweep.modes or () if m.kind == "two-cfar"]
             if cfar:
                 d["sweep"]["cfar_pfa"] = cfar[0]
-        o = self.outage
-        d["outage"] = {
-            "p_mk": o.p_mk, "p0": o.p0, "beta_sq_sec": o.beta_sq_sec,
-            "noise_p": o.noise_p, "var_g": o.var_g, "var_h": o.var_h,
-            "rate_p": o.rate_p,
-        }
+        d["outage"] = asdict(self.outage)
         d["frame"] = {
             "n_subcarriers": self.frame.occupancy.n_subcarriers,
             "active": sorted(self.frame.occupancy.active),

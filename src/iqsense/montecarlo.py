@@ -7,10 +7,12 @@ s_k*s_-k, every packet's |r_k|^2 is exponential with the mean m_h(u) of
 likely.  A hypothesis whose means do not depend on u (H0-H2, and H3
 without a cross term) has Z ~ Gamma(n, m/n): one ``standard_gamma`` per
 trial.  Otherwise each packet draws one int64 phase index and one
-``standard_exponential``, scaled by m_h(u).  The sample-level model in
-:mod:`~iqsense.signal_model` stays behind
+``standard_exponential``, scaled by m_h(u).  Only
 :func:`estimate_component_variances`, an oracle for the closed forms
-that does not read the pair table.
+that does not read the pair table, runs the sample-level model of
+:mod:`~iqsense.signal_model`: it draws symbols, channel and noise and
+applies :func:`~iqsense.signal_model.receive` and
+:func:`~iqsense.signal_model.receive_joint`.
 
 Reproducibility contract: trials are drawn in fixed blocks of
 :data:`_BLOCK_TRIALS`, and block b of hypothesis h draws from the
@@ -76,15 +78,14 @@ from .signal_model import (
     draw_rayleigh,
     irr_to_mismatch,
     mismatch_coefficients,
+    receive,
     receive_joint,
-    transmit,
 )
 
-# Not called here (the engine tallies with decision_counts, the estimator's
-# kernel folds receive into a symbol table, and sweep points leave the
-# closed-form metrics to their readers); bound for the trace in bench/job.py.
+# Not called here (the engine tallies with decision_counts, and sweep points
+# leave the closed-form metrics to their readers); bound for the trace in
+# bench/job.py.
 from .detection import analytic_detection, analytic_false_alarm, classify_batch  # noqa: F401
-from .signal_model import receive  # noqa: F401
 from .stats import Estimate, Z_95, wilson_interval
 
 __all__ = [
@@ -311,62 +312,6 @@ def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metr
 
 
 # --------------------------------------------------------------------------
-# sample generation
-
-
-def _statistic_batch(sc: SensingScenario, hyp: int, count: int, rng) -> np.ndarray:
-    """Average periodogram |r|^2 over the ``sc.n_packets`` packets of each
-    of ``count`` trials under one true hypothesis, from the sample-level
-    model: the kernel of :func:`estimate_component_variances`.
-
-    Draw order is fixed: symbol indices on k, symbol indices on -k,
-    channel, noise, then the mirror-side channel and noise for the joint
-    model.  Both index arrays are always drawn, so a given substream
-    yields the same draws for every hypothesis.
-
-    The statistics equal, bit for bit, those of the sample-level
-    reference in ``tests/sample_oracle.py``, which looks the symbols up
-    one side at a time and applies :func:`~iqsense.signal_model.receive`
-    and :func:`~iqsense.signal_model.receive_joint`.  Here the two indices
-    fold into one, ``ik*m + imk``, into an m x m table that
-    :func:`~iqsense.signal_model.transmit` fills from a column of k-side
-    and a row of mirror-side symbols (a silent side contributes a zero
-    row or column).  Channel and noise are applied with the reference's
-    operands in the reference's order, and ``abs(r) ** 2`` as in the
-    reference; ``re**2 + im**2`` would round differently.
-    """
-    pair = sc.pair
-    tx_c, rx_c = sc.coefficients
-    h = Hypothesis(hyp)
-    m = pair.psk_order
-    size = (count, sc.n_packets)
-    idx = rng.integers(0, m, size)
-    idx *= m
-    idx += rng.integers(0, m, size)
-    table = np.exp(2j * np.pi * np.arange(m) / m)
-    silent = np.zeros(m, dtype=complex)
-    s_k = (table if h.own_active else silent)[:, None]
-    s_mk = (table if h.mirror_active else silent)[None, :]
-    sent = h != Hypothesis.H0
-    tab = transmit(s_k, s_mk, pair, tx_c) if sent else None
-    r = _faded(tab, idx, rng, pair.channel_var, pair.noise_var)
-    if rx_c is not None:
-        tab_m = transmit(s_mk, s_k, pair.mirrored(), tx_c) if sent else None
-        y_m = _faded(tab_m, idx, rng, pair.channel_var_mirror, pair.noise_var)
-        r = receive_joint(r, y_m, rx_c)
-    return (np.abs(r) ** 2).mean(axis=1)
-
-
-def _faded(tab, idx, rng, channel_var, noise_var) -> np.ndarray:
-    """One side's received samples ``tab[idx]*ch + w``, as
-    :func:`~iqsense.signal_model.receive` computes them.  ``tab`` None
-    means nothing is sent (H0): the samples are the noise itself."""
-    ch = draw_rayleigh(channel_var, rng, idx.shape)
-    w = draw_noise(noise_var, rng, idx.shape)
-    return w if tab is None else tab.ravel().take(idx) * ch + w
-
-
-# --------------------------------------------------------------------------
 # variances and rules
 
 
@@ -383,15 +328,32 @@ def estimate_component_variances(
     the trial streams.  The estimates are returned raw (sampling noise
     can leave them out of order); they serve as an oracle for the closed
     form of :func:`scenario_variances`.
+
+    Draw order is fixed: symbol indices on k, symbol indices on -k,
+    channel, noise, then the mirror side's channel and noise for the
+    joint model (each :func:`~iqsense.signal_model.receive` call draws
+    its arguments left to right).  Both index arrays are always drawn,
+    so a given substream yields the same draws for every hypothesis.
     """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
-    one_packet = replace(sc, n_packets=1)
+    pair, m = sc.pair, sc.psk_order
+    tx_c, rx_c = sc.coefficients
+    table = np.exp(2j * np.pi * np.arange(m) / m)
+    silent = np.zeros(samples, dtype=complex)
     est = []
-    for hyp in range(4):
-        rng = substream(seed, _ESTIMATOR_STREAM, *stream_path, hyp)
-        z = _statistic_batch(one_packet, hyp, samples, rng)
-        est.append(float(np.mean(z)) / 2.0)
+    for h in Hypothesis:
+        rng = substream(seed, _ESTIMATOR_STREAM, *stream_path, h)
+        idx_k, idx_mk = rng.integers(0, m, samples), rng.integers(0, m, samples)
+        s_k = table.take(idx_k) if h.own_active else silent
+        s_mk = table.take(idx_mk) if h.mirror_active else silent
+        r = receive(s_k, s_mk, draw_rayleigh(pair.channel_var, rng, samples),
+                    draw_noise(pair.noise_var, rng, samples), pair, tx_c)
+        if rx_c is not None:
+            y_m = receive(s_mk, s_k, draw_rayleigh(pair.channel_var_mirror, rng, samples),
+                          draw_noise(pair.noise_var, rng, samples), pair.mirrored(), tx_c)
+            r = receive_joint(r, y_m, rx_c)
+        est.append(float(np.mean(np.abs(r) ** 2)) / 2.0)
     return tuple(est)
 
 

@@ -33,9 +33,8 @@ __all__ = [
     "draw_noise",
 ]
 
-# The sample-level kernel behind estimate_component_variances tabulates
-# every (k, -k) symbol pair, an m x m complex table per call: 16 MiB at
-# this order.  The trial engine's exact law holds 4 x m x 2 means.
+# The documented input range: detection.pair_table builds its 4 x m x 2
+# means in a Python loop over the m phases, once per distinct pair.
 _MAX_PSK_ORDER = 1024
 
 

@@ -1,10 +1,11 @@
 """Sample-level references for ``iqsense.montecarlo`` and ``iqsense.frame``.
 
-The trial kernel's reference is its straightforward form: look the
-symbols up one side at a time, draw every Gaussian as two
-``Generator.normal`` calls, apply ``receive`` / ``receive_joint`` and
-average ``|r| ** 2``.  The kernel must reproduce it bit for bit from the
-same substream.
+The sample-level model in its straightforward form: look the symbols up
+one side at a time, draw every Gaussian as two ``Generator.normal``
+calls, apply ``receive`` / ``receive_joint`` and average ``|r| ** 2``.
+``estimate_component_variances`` must reproduce it bit for bit from the
+same substream; the trial engine, which draws from the exact law, must
+agree with it in law.
 
 The frame's reference, :func:`simulate_frame`, draws every symbol,
 channel and noise sample of a frame.  The frame itself draws each pair

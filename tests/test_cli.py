@@ -214,6 +214,11 @@ def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
     (["figure", "3"], {"figure": {"irr_grid": [-10.0, 1.0]}}, "figure.irr_grid: irr_db=1"),
     (["figure", "5"], {"figure": {"irr_grid": [-30.0, 2.5]}}, "figure.irr_grid: irr_db=2.5"),
     (["figure", "6"], {"figure": {"irr_grid": [3.0]}}, "figure.irr_grid: irr_db=3"),
+    # Commands that never run the grid refuse it too.
+    (["analytic"], {"sweep": {"axis": "irr_db", "grid": [5.0]}}, "sweep.grid: irr_db=5"),
+    (["analytic"], {"figure": {"irr_grid": [-10.0, 3.0]}}, "figure.irr_grid: irr_db=3"),
+    (["sense"], {"sweep": {"axis": "irr_db", "grid": [0.0]}, "figure": {"irr_grid": [3.0]}},
+     "sweep.grid: irr_db=0"),
 ])
 def test_nonnegative_irr_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys,
                                                           command, config, where):

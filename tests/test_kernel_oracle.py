@@ -12,10 +12,15 @@ gate rejects an engine that draws H3 from the Gamma law of its mean, the
 closed forms' stand-in, at tx IRR -5 dB
 (``test_gate_rejects_the_gamma_stand_in_for_h3``).
 
-The sample-level kernel behind ``estimate_component_variances`` folds
-the symbols into one table lookup; the remaining tests hold it to the
-reference's exact output on the same substreams, bit for bit.
+``estimate_component_variances`` runs the sample-level model through the
+reference's own ``receive`` and ``receive_joint``, so the remaining tests
+hold it to the reference's exact output on the same substreams, bit for
+bit, and pin its bytes, which a change to those shared functions would
+move on both sides at once.
 """
+
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,7 +32,6 @@ from iqsense.montecarlo import (
     _ESTIMATOR_STREAM,
     SeedSpec,
     SensingScenario,
-    _statistic_batch,
     estimate_component_variances,
     run_trials,
     scenario_rule,
@@ -81,84 +85,6 @@ def test_gate_rejects_the_gamma_stand_in_for_h3(model, oracle_tallies, monkeypat
     assert [x >= ALPHA / 8 for x in p] == [True, True, True, False], p
 
 
-# From 256 KiB, 16384 complex samples, numpy computes ``scalar * temporary``
-# as ``temporary *= scalar``, which under fused multiply-add can change the
-# last bit of a product written scalar-first.  Cases sit on both sides, so a
-# sample-model product whose bits depend on array size fails here.
-_ELISION_SAMPLES = 16384
-
-
-def _odd_count(rng, n_packets: int, large: bool) -> int:
-    if not large:
-        return 2 * int(rng.integers(0, 500)) + 1
-    base = -(-_ELISION_SAMPLES // n_packets)
-    return base + 2 * int(rng.integers(0, 100)) + (1 - base % 2)
-
-
-def _cases():
-    """(scenario, count) pairs over both models, n_packets 1-8, psk_order
-    2-64, unequal channel variances, silent sides and odd counts."""
-    rng = np.random.default_rng(61)
-    cases = []
-    for i in range(24):
-        joint = i % 2 == 1
-        j = i // 2
-        n_packets = 1 + j % 8
-        silent = (None, "k", "mk")[i % 3]
-        snr1 = float("-inf") if silent == "k" else float(rng.uniform(-5.0, 15.0))
-        snr2 = float("-inf") if silent == "mk" else float(rng.uniform(-20.0, 10.0))
-        sc = SensingScenario(
-            snr1, snr2,
-            tx_mismatch=IqMismatch(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)),
-            rx_mismatch=(
-                IqMismatch(rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4)) if joint else None
-            ),
-            n_packets=n_packets,
-            psk_order=2 ** (1 + j % 6),
-            noise_var=float(rng.uniform(0.5, 2.0)),
-            channel_var=float(rng.uniform(0.3, 3.0)),
-            channel_var_mirror=float(rng.uniform(0.3, 3.0)),
-        )
-        cases.append((sc, _odd_count(rng, n_packets, large=i % 4 >= 2)))
-    # Right at the switch: one sample short of it, and on it.
-    for joint in (False, True):
-        m = IqMismatch(0.3, -0.2)
-        sc = SensingScenario(
-            4.0, 1.0, tx_mismatch=m, rx_mismatch=m if joint else None,
-            n_packets=1, channel_var_mirror=2.5,
-        )
-        cases += [(sc, _ELISION_SAMPLES - 1), (sc, _ELISION_SAMPLES)]
-    return cases
-
-
-CASES = _cases()
-
-
-def test_cases_cover_the_grid():
-    for joint in (False, True):
-        sub = [(sc, c) for sc, c in CASES if sc.is_joint == joint]
-        assert {sc.n_packets for sc, _ in sub} == set(range(1, 9))
-        assert {sc.pair.psk_order for sc, _ in sub} == {2, 4, 8, 16, 32, 64}
-        assert any(sc.pair.power_k == 0.0 for sc, _ in sub)
-        assert any(sc.pair.power_mk == 0.0 for sc, _ in sub)
-        assert any(c % 2 == 1 for _, c in sub)
-        sizes = [c * sc.n_packets for sc, c in sub]
-        assert min(sizes) < _ELISION_SAMPLES <= max(sizes)
-
-
-@pytest.mark.parametrize("case", range(len(CASES)))
-def test_statistic_equals_sample_oracle(case):
-    sc, count = CASES[case]
-    tx_c, rx_c = sc.coefficients
-    for hyp in range(4):
-        got = _statistic_batch(sc, hyp, count, substream(5, 0, case, hyp))
-        want = sample_oracle.statistic_batch(
-            sc, tx_c, rx_c, hyp, count, substream(5, 0, case, hyp)
-        )
-        assert got.shape == (count,)
-        assert np.array_equal(got, want), f"H{hyp}: {np.count_nonzero(got != want)} differ"
-
-
 def _estimator_scenario(joint: bool) -> SensingScenario:
     m = IqMismatch(0.25, 0.1)
     return SensingScenario(
@@ -184,10 +110,28 @@ def test_component_variance_estimates_are_pinned(model):
     assert tuple(v.hex() for v in got) == _ESTIMATOR_GOLDEN[model]
 
 
+# Both models, each also with a silent side and at the extreme PSK orders.
+_ORACLE_CASES = {
+    f"{variant}{model}": replace(_estimator_scenario(model == "joint"), **changes)
+    for variant, changes in (
+        ("", {}),
+        ("silent-k-", {"snr1_db": -math.inf}),
+        ("silent-mirror-", {"snr2_db": -math.inf}),
+        ("psk2-", {"psk_order": 2}),
+        ("psk1024-", {"psk_order": 1024}),
+    )
+    for model in ("tx-only", "joint")
+}
+
+
+# The sample counts sit on either side of 16,384 complex samples (256 KiB),
+# from which numpy computes ``scalar * temporary`` as ``temporary *= scalar``;
+# under fused multiply-add a product written scalar-first could then change
+# its last bit with the array size.
 @pytest.mark.parametrize("samples", [4097, 20001])
-@pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
-def test_component_variance_estimates_equal_sample_oracle(joint, samples):
-    sc = _estimator_scenario(joint)
+@pytest.mark.parametrize("case", list(_ORACLE_CASES))
+def test_component_variance_estimates_equal_sample_oracle(case, samples):
+    sc = _ORACLE_CASES[case]
     seed, path = 17, (2, 9)
     got = estimate_component_variances(sc, samples, seed, path)
     want = sample_oracle.component_variances(

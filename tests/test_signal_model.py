@@ -100,7 +100,8 @@ def test_pair_config_validation():
 
 
 def test_pair_config_bounds_psk_order():
-    """The trial engine tabulates m x m symbol pairs, so m stops at 1024."""
+    """m stops at 1024, the documented range: the pair table loops over
+    the m phases in Python."""
     assert SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=1024).psk_order == 1024
     with pytest.raises(ValueError, match="^psk_order must be <= 1024, got 2048$"):
         SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=2048)
