@@ -125,9 +125,9 @@ _ORACLE_CASES = {
 
 
 # The sample counts sit on either side of 16,384 complex samples (256 KiB),
-# from which numpy computes ``scalar * temporary`` as ``temporary *= scalar``;
-# under fused multiply-add a product written scalar-first could then change
-# its last bit with the array size.
+# from which numpy computes ``scalar * temporary`` as ``temporary *= scalar``:
+# an estimator whose own arithmetic rounded differently there, under fused
+# multiply-add, would fail at one of them.
 @pytest.mark.parametrize("samples", [4097, 20001])
 @pytest.mark.parametrize("case", list(_ORACLE_CASES))
 def test_component_variance_estimates_equal_sample_oracle(case, samples):
