@@ -29,14 +29,13 @@ from .detection import (
 )
 from .frame import FrameResult, OccupancyMap, simulate_frame
 from .montecarlo import (
-    ModeComparison,
     SeedSpec,
     SensingScenario,
     SweepPoint,
     TallyMatrix,
-    compare_modes,
     empirical_metrics,
     estimate_component_variances,
+    p_fa_gap,
     run_trials,
     scenario_rule,
     scenario_variances,
@@ -68,7 +67,6 @@ __all__ = [
     "HypothesisVariances",
     "IqMismatch",
     "MismatchCoefficients",
-    "ModeComparison",
     "OccupancyMap",
     "OutageScenario",
     "SeedSpec",
@@ -81,7 +79,6 @@ __all__ = [
     "analytic_false_alarm",
     "analytic_outage",
     "classify_batch",
-    "compare_modes",
     "conditional_probabilities",
     "decision_rule",
     "detection_paper_literal",
@@ -97,6 +94,7 @@ __all__ = [
     "mc_outage",
     "mismatch_coefficients",
     "outage_paper_literal",
+    "p_fa_gap",
     "pairwise_threshold",
     "pairwise_threshold_paper",
     "regularized_upper_gamma",

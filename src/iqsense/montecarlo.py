@@ -28,19 +28,19 @@ function of (scenario, seed, trial count) -- bit-identical across runs,
 worker counts and slice budgets.  The engine's arithmetic is real-valued,
 so no result depends on fused multiply-add.
 
-One engine runs every trial: :func:`run_trials` and
-:func:`compare_modes` hand it one job and :func:`sweep` one job per grid
-point of every curve, and it maps all their blocks over ``workers``
-threads in a single batch, with a thread pool of its own.  A block spends
-nearly all its time in numpy calls that release the interpreter lock (the
-generator fills and the passes over its arrays), so threads run blocks
-in parallel without a child process.
+One engine runs every trial: :func:`run_trials` hands it one job and
+:func:`sweep` one job per grid point of every curve, and it maps all
+their blocks over ``workers`` threads in a single batch, with a thread
+pool of its own.  A block spends nearly all its time in numpy calls that
+release the interpreter lock (the generator fills and the passes over
+its arrays), so threads run blocks in parallel without a child process.
 
-Detector modes evaluated at the same sweep point share the generation
-streams (common random numbers): every mode classifies the same
-simulated statistics, which makes mode-vs-mode gaps directly
-comparable and lets :func:`compare_modes` attach paired-difference
-confidence intervals that are much tighter than independent ones.
+Streams are addressed by path, not by rule, so detector modes evaluated
+at the same sweep point, or by :func:`run_trials` calls with one seed and
+stream path, classify the same simulated statistics (common random
+numbers).  That makes mode-vs-mode gaps directly comparable and lets
+:func:`p_fa_gap` attach paired-difference confidence intervals that are
+much tighter than independent ones.
 """
 
 from __future__ import annotations
@@ -94,7 +94,6 @@ __all__ = [
     "TallyMatrix",
     "Metrics",
     "SweepPoint",
-    "ModeComparison",
     "substream",
     "scenario_variances",
     "scenario_rule",
@@ -102,7 +101,7 @@ __all__ = [
     "estimate_component_variances",
     "run_trials",
     "empirical_metrics",
-    "compare_modes",
+    "p_fa_gap",
     "sweep",
     "SWEEP_AXES",
     "FRAME_STREAM",
@@ -486,66 +485,26 @@ def run_trials(
 # paired mode comparison
 
 
-@dataclass(frozen=True)
-class ModeComparison:
-    """Joint busy/busy counts of two detector modes on common trials.
+def p_fa_gap(a: TallyMatrix, b: TallyMatrix, convention: str = "prior-weighted") -> Estimate:
+    """False-alarm gap (b minus a) under ``convention``, with a paired 95%
+    interval.
 
-    ``joint_counts[h] = (both, only_a, only_b, neither)`` for true
-    hypothesis h.  Because both modes classified the same statistics,
-    gap estimates carry paired-difference intervals.
+    ``a`` and ``b`` must tally the same trials: two modes of one
+    :func:`sweep` grid point, or two :func:`run_trials` calls with one
+    seed and stream path and different rules.  Every rule
+    :func:`rule_for_mode` builds has increasing levels, so a mode's busy
+    set is ``z >= t`` and one mode's set contains the other's; a row's
+    paired difference d then has variance (|d| - d^2) / n.
     """
-
-    mode_a: DetectorMode
-    mode_b: DetectorMode
-    joint_counts: np.ndarray  # (4, 4) int64
-    per_hypothesis: int
-
-    def _row_gap(self, hyp: int) -> tuple[float, float]:
-        """Paired difference P_b(busy|h) - P_a(busy|h) and its SE."""
-        n = self.per_hypothesis
-        _, only_a, only_b, _ = self.joint_counts[hyp]
-        p10, p01 = only_a / n, only_b / n
-        d = p01 - p10
-        var = max(p01 + p10 - d * d, 0.0) / n
-        return d, math.sqrt(var)
-
-    def busy_gap(self, rows: tuple[int, ...], weight: float) -> Estimate:
-        """Weighted busy-rate gap (mode_b minus mode_a) over truth rows."""
-        gaps = [self._row_gap(h) for h in rows]
-        value = weight * sum(g for g, _ in gaps)
-        hw = weight * Z_95 * math.sqrt(sum(se**2 for _, se in gaps))
-        return Estimate(value, value - hw, value + hw)
-
-    def p_fa_gap(self, convention: str = "prior-weighted") -> Estimate:
-        """False-alarm gap (mode_b minus mode_a) under ``convention``."""
-        weight, cells = metric_cells(convention, "p_fa")
-        return self.busy_gap(tuple(r for r, _ in cells), weight)
-
-
-def compare_modes(
-    sc: SensingScenario,
-    mode_a: DetectorMode,
-    mode_b: DetectorMode,
-    per_hypothesis: int,
-    seed: "SeedSpec | int",
-    *,
-    workers: int = 1,
-    stream_path: tuple[int, ...] = (),
-) -> ModeComparison:
-    """Joint busy decisions of two modes per true hypothesis, on the
-    trials of one trial-engine job run on ``workers`` threads.
-
-    Every rule :func:`rule_for_mode` builds has increasing levels, so a
-    mode's busy set is ``z >= t``: one mode's set contains the other's,
-    and both modes flag as many trials as the smaller busy count.
-    """
-    v = scenario_variances(sc)
-    job = (sc, [rule_for_mode(v, sc.n_packets, m) for m in (mode_a, mode_b)], stream_path)
-    [[tally_a, tally_b]] = _tally_jobs([job], per_hypothesis, seed, workers)
-    a, b = tally_a.busy_counts, tally_b.busy_counts
-    both = np.minimum(a, b)
-    joint = np.stack([both, a - both, b - both, per_hypothesis - a - b + both], axis=1)
-    return ModeComparison(mode_a, mode_b, joint, per_hypothesis)
+    n, nb = a.trials_per_hypothesis, b.trials_per_hypothesis
+    if not np.array_equal(n, nb):
+        raise ValueError(f"tallies must count the same trials, got {n.tolist()} and {nb.tolist()}")
+    weight, cells = metric_cells(convention, "p_fa")
+    rows = [r for r, _ in cells]
+    d = (b.busy_counts - a.busy_counts)[rows] / n[rows]
+    value = weight * float(d.sum())
+    hw = weight * Z_95 * math.sqrt(float(np.sum((np.abs(d) - d * d) / n[rows])))
+    return Estimate(value, value - hw, value + hw)
 
 
 # --------------------------------------------------------------------------

@@ -32,9 +32,9 @@ from iqsense.montecarlo import (
     TallyMatrix,
     _apply_axis,
     _chunk_layout,
-    compare_modes,
     empirical_metrics,
     estimate_component_variances,
+    p_fa_gap,
     rule_for_mode,
     run_trials,
     scenario_rule,
@@ -48,7 +48,7 @@ from iqsense.signal_model import (
     irr_to_mismatch,
     mismatch_coefficients,
 )
-from iqsense.stats import row_pvalue
+from iqsense.stats import Z_95, Estimate, row_pvalue
 
 
 def scenario(**kw):
@@ -375,26 +375,31 @@ def test_out_of_order_joint_variances_are_rejected():
     assert len(scenario_rule(_CLOSE_H2_H3).levels) == 4
 
 
-def test_compare_modes_is_paired():
+def test_p_fa_gap_is_paired():
     """The four-level busy region is a subset of the two-level Bayes
     one (its busy threshold crosses against sigma1 >= sigma0), so on
-    common trials mode a=four never flags busy alone."""
+    the common trials of one sweep point the four-level rule never flags
+    busy alone, and the gap is the band between the two thresholds."""
     sc = scenario()
-    cmp = compare_modes(
-        sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 20_000, 3
-    )
-    only_a = cmp.joint_counts[:, 1]
-    assert np.all(only_a == 0)
-    assert cmp.joint_counts.sum() == 4 * 20_000
-    # Gap therefore equals the one-sided band count and is nonnegative.
-    gap = cmp.p_fa_gap("prior-weighted")
-    assert gap.value >= 0.0
-    assert cmp.p_fa_gap("paper-sum") == cmp.busy_gap((0, 1), 1.0)
+    modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
+    four, two = sweep([(sc, "irr_db", [-15.0], modes, ())], 20_000, 3)
+    a, b = four.tally, two.tally
+    assert np.all(a.busy_counts <= b.busy_counts)
+    gap = p_fa_gap(a, b, "prior-weighted")
+    band = (b.busy_counts - a.busy_counts)[:2] / 20_000
+    assert gap.value == pytest.approx(band.mean())
+    assert gap.hi - gap.value == pytest.approx(
+        Z_95 * math.sqrt(np.sum(band - band**2) / 20_000) / 2)
+    assert 0.0 <= gap.lo < gap.value < gap.hi
+    # paper-sum weighs the same rows by 1 instead of 1/2
+    assert p_fa_gap(a, b, "paper-sum") == Estimate(2 * gap.value, 2 * gap.lo, 2 * gap.hi)
+    assert p_fa_gap(b, a).value == -gap.value
     with pytest.raises(ValueError, match="convention"):
-        cmp.p_fa_gap("paper_sum")
-    # Mode a's busy counts agree with a tally of the same streams.
-    tally = run_trials(sc, 20_000, 3)
-    assert np.array_equal(cmp.joint_counts[:, 0] + cmp.joint_counts[:, 1], tally.busy_counts)
+        p_fa_gap(a, b, "paper_sum")
+    # Mode a's tally is the one run_trials draws at the point's stream path.
+    assert a == run_trials(sc, 20_000, 3, stream_path=(0,))
+    with pytest.raises(ValueError, match="^tallies must count the same trials"):
+        p_fa_gap(a, run_trials(sc, 20_001, 3))
 
 
 # Joint counts (both, only_a, only_b, neither) per true hypothesis.  Three
@@ -428,19 +433,17 @@ _COMPARE_GOLDEN = {
 
 @pytest.mark.parametrize("name", list(_COMPARE_GOLDEN))
 def test_compare_modes_golden(name):
+    """Two run_trials calls with one seed and stream path tally the same
+    trials, whatever their rules."""
     sc, mode_a, mode_b, per_hypothesis, seed, counts = _COMPARE_GOLDEN[name]
-    cmp = compare_modes(sc, mode_a, mode_b, per_hypothesis, SeedSpec(seed), stream_path=(2,))
-    assert cmp.joint_counts.dtype == np.int64
-    assert cmp.joint_counts.tolist() == counts
-
-
-def test_compare_modes_counts_do_not_depend_on_workers(monkeypatch):
-    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 1_000)
-    sc, mode_a, mode_b, _, seed, _ = _COMPARE_GOLDEN["four-vs-cfar"]
-    runs = [compare_modes(sc, mode_a, mode_b, 3_500, seed, workers=w, stream_path=(2,))
-            for w in (1, 2, 4)]
-    for cmp in runs[1:]:
-        assert np.array_equal(cmp.joint_counts, runs[0].joint_counts)
+    a, b = (
+        run_trials(sc, per_hypothesis, SeedSpec(seed), stream_path=(2,),
+                   rule=rule_for_mode(scenario_variances(sc), sc.n_packets, mode)).busy_counts
+        for mode in (mode_a, mode_b)
+    )
+    both = np.minimum(a, b)
+    joint = np.stack([both, a - both, b - both, per_hypothesis - a - b + both], axis=1)
+    assert joint.tolist() == counts
 
 
 def test_sweep_axes_cover_model_knobs():
@@ -615,9 +618,6 @@ def test_run_trials_argument_validation():
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
     with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
         run_trials(sc, 10, 1, workers=10**6)
-    with pytest.raises(ValueError, match="workers must be >= 1"):
-        compare_modes(sc, DetectorMode.four_level(), DetectorMode.two_level_bayes(), 10, 1,
-                      workers=0)
     # A rule must be built for the scenario's packet count.
     for mode in (DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1)):
         rule = scenario_rule(scenario(n_packets=4, mode=mode))
