@@ -149,18 +149,11 @@ def _resolve_config(args) -> ExperimentConfig:
         key = "--workers" if args.workers is not None else "workers"
         raise ConfigError(f"{key}: must be <= {MAX_WORKERS}, got {cfg.workers}")
     if args.mode is not None:
-        if args.mode == "two-cfar":
-            if args.cfar_pfa is None:
-                raise ConfigError("--mode two-cfar requires --cfar-pfa")
-            with config_key("--cfar-pfa"):
-                mode = DetectorMode.two_level_cfar(args.cfar_pfa)
-        else:
-            if args.cfar_pfa is not None:
-                raise ConfigError("--cfar-pfa only applies to --mode two-cfar")
-            mode = DetectorMode(args.mode)
+        with config_key("--cfar-pfa"):
+            mode = DetectorMode(args.mode, args.cfar_pfa)
         cfg = replace(cfg, scenario=replace(cfg.scenario, mode=mode))
     elif args.cfar_pfa is not None:
-        raise ConfigError("--cfar-pfa requires --mode two-cfar")
+        raise ConfigError("--cfar-pfa: requires --mode two-cfar")
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     if args.fmt is not None:

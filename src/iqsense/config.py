@@ -120,22 +120,16 @@ def config_key(key: str):
         raise ConfigError(f"{key}: {e}") from None
 
 
-def _cfar_mode(d: dict, path: str) -> DetectorMode:
-    if "cfar_pfa" not in d:
-        raise ConfigError(f"{path}.cfar_pfa: required for mode two-cfar")
-    pfa = _number(d, path, "cfar_pfa", None)
-    with config_key(f"{path}.cfar_pfa"):
-        return DetectorMode.two_level_cfar(pfa)
+def _cfar_pfa(d: dict, path: str) -> float | None:
+    """The CFAR target at ``path``, None when absent; :class:`DetectorMode`
+    states which kinds take one."""
+    return _number(d, path, "cfar_pfa", None) if "cfar_pfa" in d else None
 
 
 def _mode_from(d: dict, path: str) -> DetectorMode:
-    kind = _string(d, path, "mode", "four")
-    if kind == "two-cfar":
-        return _cfar_mode(d, path)
-    if "cfar_pfa" in d:
-        raise ConfigError(f"{path}.cfar_pfa: only valid with mode two-cfar")
-    with config_key(f"{path}.mode"):
-        return DetectorMode(kind)
+    kind = _string(d, path, "mode", "four", choices=DetectorMode.KINDS)
+    with config_key(f"{path}.cfar_pfa"):
+        return DetectorMode(kind, _cfar_pfa(d, path))
 
 
 def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
@@ -245,7 +239,8 @@ def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
     built = []
     for i, name in enumerate(modes_raw):
         if name == "two-cfar":
-            built.append(_cfar_mode(d, path))
+            with config_key(f"{path}.cfar_pfa"):
+                built.append(DetectorMode(name, _cfar_pfa(d, path)))
             continue
         with config_key(f"{path}.modes[{i}]"):
             built.append(DetectorMode(name))
@@ -402,9 +397,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an :class:`ExperimentConfig`."""
     if not isinstance(raw, dict):
         raise ConfigError("top level: must be an object")
-    if "calibration_samples" in raw:
-        raise ConfigError("calibration_samples: key removed; joint-model variances are "
-                          "now computed in closed form, so delete it from the config")
     _reject_unknown(raw, "", _TOP_KEYS)
     scenario = _scenario_from(raw.get("scenario", {}))
     with config_key("seed"):

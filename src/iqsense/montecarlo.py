@@ -159,6 +159,8 @@ class SeedSpec:
 def _as_seed(seed: "SeedSpec | int") -> SeedSpec:
     if isinstance(seed, SeedSpec):
         return seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValueError(f"seed must be an int or a SeedSpec, got {seed!r}")
     return SeedSpec(int(seed))
 
 

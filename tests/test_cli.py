@@ -304,6 +304,8 @@ def _range_case(key, config, where, command=("analytic",)):
                 "scenario.cfar_pfa: "),
     _range_case("scenario.cfar_pfa-1.5", {"scenario": {"mode": "two-cfar", "cfar_pfa": 1.5}},
                 "scenario.cfar_pfa: "),
+    _range_case("scenario.cfar_pfa-missing", {"scenario": {"mode": "two-cfar"}},
+                "scenario.cfar_pfa: "),
     _range_case("scenario.tx_irr_db", {"scenario": {"tx_irr_db": 0}}, "scenario.tx_irr_db: "),
     _range_case("scenario.tx_epsilon", {"scenario": {"tx_epsilon": 1.0}},
                 "scenario.tx_epsilon/tx_theta: "),
@@ -358,6 +360,11 @@ def _range_case(key, config, where, command=("analytic",)):
     *(_range_case(f"--cfar-pfa-{pfa}", {}, "--cfar-pfa: ",
                   ["analytic", "--mode", "two-cfar", "--cfar-pfa", pfa])
       for pfa in ("0", "1.5", "nan")),
+    _range_case("--mode-two-cfar-alone", {}, "--cfar-pfa: ", ["analytic", "--mode", "two-cfar"]),
+    _range_case("--cfar-pfa-with-four", {}, "--cfar-pfa: ",
+                ["analytic", "--mode", "four", "--cfar-pfa", "0.1"]),
+    _range_case("--cfar-pfa-alone", {}, "--cfar-pfa: requires --mode two-cfar",
+                ["analytic", "--cfar-pfa", "0.1"]),
 ])
 def test_every_range_error_names_its_key(tmp_path, monkeypatch, capsys, command, config, where):
     """Each model type states its own ranges; its error reads behind the
@@ -614,8 +621,7 @@ def test_removed_calibration_key_exit_code(tmp_path):
     cfgf.write_text(json.dumps({"calibration_samples": 1000000}))
     r = run_cli("analytic", "--config", str(cfgf))
     assert r.returncode == 2
-    assert "calibration_samples: key removed" in r.stderr
-    assert "closed form" in r.stderr
+    assert "calibration_samples: unknown key" in r.stderr
 
 
 def test_out_leaves_foreign_tmp_file_alone(tmp_path):

@@ -618,6 +618,11 @@ def test_run_trials_argument_validation():
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
     with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
         run_trials(sc, 10, 1, workers=10**6)
+    # No float, string or bool stands in for a seed; a numpy integer does.
+    for seed in (3.9, "7", True):
+        with pytest.raises(ValueError, match="^seed must be an int or a SeedSpec, got "):
+            run_trials(sc, 10, seed)
+    assert run_trials(sc, 10, np.int64(3)) == run_trials(sc, 10, 3)
     # A rule must be built for the scenario's packet count.
     for mode in (DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1)):
         rule = scenario_rule(scenario(n_packets=4, mode=mode))
