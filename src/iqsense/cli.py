@@ -359,10 +359,10 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     return 0
 
 
-def _sense_rows(tally, probs):
+def _sense_rows(tally, cells):
     rows = [["tally", Hypothesis(i).name, Hypothesis(j).name, int(tally.counts[i, j]), *[None] * 6]
             for i in range(4) for j in range(4)]
-    for (convention, metric), (ana, est) in _metric_cells(probs, tally).items():
+    for (convention, metric), (ana, est) in cells.items():
         rows.append(["metric", None, None, None, convention.replace("-", "_"), metric,
                      ana, est.value, est.lo, est.hi])
     return rows
@@ -377,14 +377,14 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     columns = ["record", "truth", "decided", "count", "convention", "metric",
                "analytic", "estimate", "lo", "hi"]
     probs = conditional_probabilities(v, rule)
-    _emit_table(cfg, "sense", columns, _sense_rows(tally, probs))
+    cells = _metric_cells(probs, tally)
+    _emit_table(cfg, "sense", columns, _sense_rows(tally, cells))
     if cfg.out is not None:
         for convention in CONVENTIONS:
-            m = empirical_metrics(tally, convention)
+            p_fa, p_d = (cells[convention, metric][1] for metric in METRICS)
             print(
-                f"{convention}: p_fa={m.p_fa.value:.6f} "
-                f"[{m.p_fa.lo:.6f}, {m.p_fa.hi:.6f}]  "
-                f"p_d={m.p_d.value:.6f} [{m.p_d.lo:.6f}, {m.p_d.hi:.6f}]"
+                f"{convention}: p_fa={p_fa.value:.6f} [{p_fa.lo:.6f}, {p_fa.hi:.6f}]  "
+                f"p_d={p_d.value:.6f} [{p_d.lo:.6f}, {p_d.hi:.6f}]"
             )
     if args.verify:
         return _verify_closure(tally, probs)

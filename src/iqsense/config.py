@@ -63,7 +63,11 @@ def _join(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
 
 
-def _reject_unknown(d: dict, path: str, known: set[str]):
+def _section(d, path: str, known: set[str]):
+    """Refuse a section at ``path`` that is not an object or that holds a
+    key outside ``known``."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{path or 'top level'}: must be an object")
     for key in d:
         if key not in known:
             raise ConfigError(f"{_join(path, key)}: unknown key")
@@ -120,16 +124,12 @@ def config_key(key: str):
         raise ConfigError(f"{key}: {e}") from None
 
 
-def _cfar_pfa(d: dict, path: str) -> float | None:
-    """The CFAR target at ``path``, None when absent; :class:`DetectorMode`
-    states which kinds take one."""
-    return _number(d, path, "cfar_pfa", None) if "cfar_pfa" in d else None
-
-
-def _mode_from(d: dict, path: str) -> DetectorMode:
-    kind = _string(d, path, "mode", "four", choices=DetectorMode.KINDS)
+def _mode(kind: str, d: dict, path: str) -> DetectorMode:
+    """Detector mode ``kind`` with the CFAR target at ``<path>.cfar_pfa``
+    (None when absent); :class:`DetectorMode` states which kinds take one."""
+    pfa = _number(d, path, "cfar_pfa", None) if "cfar_pfa" in d else None
     with config_key(f"{path}.cfar_pfa"):
-        return DetectorMode(kind, _cfar_pfa(d, path))
+        return DetectorMode(kind, pfa)
 
 
 def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
@@ -168,9 +168,7 @@ def _snr_value(d, path, key, default):
 
 
 def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _reject_unknown(d, path, _SCENARIO_KEYS)
+    _section(d, path, _SCENARIO_KEYS)
     tx = _mismatch_from(d, path, "tx")
     if tx is None:
         tx = irr_to_mismatch(-15.0)
@@ -182,7 +180,7 @@ def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
             tx_mismatch=tx,
             rx_mismatch=rx,
             n_packets=_integer(d, path, "n_packets", 1),
-            mode=_mode_from(d, path),
+            mode=_mode(_string(d, path, "mode", "four", choices=DetectorMode.KINDS), d, path),
             noise_var=_number(d, path, "noise_var", 1.0),
             channel_var=_number(d, path, "channel_var", 1.0),
             channel_var_mirror=_number(d, path, "channel_var_mirror", 1.0),
@@ -220,31 +218,26 @@ class SweepSection:
 
 
 def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _reject_unknown(d, path, {"axis", "grid", "modes", "cfar_pfa"})
+    _section(d, path, {"axis", "grid", "modes", "cfar_pfa"})
     if "axis" not in d:
         raise ConfigError(f"{path}.axis: required")
     axis = _string(d, path, "axis", None, choices=set(SWEEP_AXES))
     grid = _grid_list(d, path, "grid", None)
     if axis == "irr_db":
         _check_irr_grid(grid, path, "grid")
-    modes_raw = d.get("modes")
-    if modes_raw is not None and (not isinstance(modes_raw, list) or not modes_raw):
+    modes = d.get("modes")
+    if modes is not None and (not isinstance(modes, list) or not modes):
         raise ConfigError(f"{path}.modes: must be a nonempty array of mode names")
-    if "cfar_pfa" in d and "two-cfar" not in (modes_raw or ()):
+    if "cfar_pfa" in d and "two-cfar" not in (modes or ()):
         raise ConfigError(f"{path}.cfar_pfa: only valid when {path}.modes has two-cfar")
-    if modes_raw is None:
-        return SweepSection(axis=axis, grid=grid, modes=None)
-    built = []
-    for i, name in enumerate(modes_raw):
-        if name == "two-cfar":
-            with config_key(f"{path}.cfar_pfa"):
-                built.append(DetectorMode(name, _cfar_pfa(d, path)))
-            continue
-        with config_key(f"{path}.modes[{i}]"):
-            built.append(DetectorMode(name))
-    return SweepSection(axis=axis, grid=grid, modes=tuple(built))
+    if modes is not None:
+        for i, kind in enumerate(modes):
+            if kind not in DetectorMode.KINDS:
+                raise ConfigError(f"{path}.modes[{i}]: must be one of "
+                                  f"{sorted(DetectorMode.KINDS)}, got {kind!r}")
+        # the sweep's one CFAR target belongs to its two-cfar entry
+        modes = tuple(_mode(kind, d if kind == "two-cfar" else {}, path) for kind in modes)
+    return SweepSection(axis=axis, grid=grid, modes=modes)
 
 
 @dataclass(frozen=True)
@@ -254,9 +247,7 @@ class FrameSection:
 
 
 def _frame_from(d: dict, path: str = "frame") -> FrameSection:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _reject_unknown(d, path, {"n_subcarriers", "active", "snr_db"})
+    _section(d, path, {"n_subcarriers", "active", "snr_db"})
     n = _integer(d, path, "n_subcarriers", 512)
     active = d.get("active", [])
     if not isinstance(active, list):
@@ -272,9 +263,7 @@ def _frame_from(d: dict, path: str = "frame") -> FrameSection:
 
 
 def _outage_from(d: dict, path: str = "outage") -> OutageScenario:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _reject_unknown(
+    _section(
         d, path, {"p_mk", "p0", "noise_p", "var_g", "var_h", "rate_p", "irr_db", "beta_sq_sec"}
     )
     if "irr_db" in d and "beta_sq_sec" in d:
@@ -303,9 +292,7 @@ class FigureSection:
 
 
 def _figure_from(d: dict, path: str = "figure") -> FigureSection:
-    if not isinstance(d, dict):
-        raise ConfigError(f"{path}: must be an object")
-    _reject_unknown(d, path, {"irr_grid", "snr1_grid", "delta_snrs"})
+    _section(d, path, {"irr_grid", "snr1_grid", "delta_snrs"})
     irr_grid = _grid_list(d, path, "irr_grid", DEFAULT_IRR_GRID)
     _check_irr_grid(irr_grid, path, "irr_grid")
     return FigureSection(
@@ -395,9 +382,7 @@ def _json_num(x: float):
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an :class:`ExperimentConfig`."""
-    if not isinstance(raw, dict):
-        raise ConfigError("top level: must be an object")
-    _reject_unknown(raw, "", _TOP_KEYS)
+    _section(raw, "", _TOP_KEYS)
     scenario = _scenario_from(raw.get("scenario", {}))
     with config_key("seed"):
         seed = SeedSpec(_integer(raw, "", "seed", 0), _integer(raw, "", "stream_index", 0))

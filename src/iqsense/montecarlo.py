@@ -14,19 +14,38 @@ that does not read the pair table, runs the sample-level model of
 applies :func:`~iqsense.signal_model.receive` and
 :func:`~iqsense.signal_model.receive_joint`.
 
-Reproducibility contract: trials are drawn in fixed blocks of
-:data:`_BLOCK_TRIALS`, and block b of hypothesis h draws from the
-``numpy.random.SeedSequence`` keyed by ``(stream_index, purpose, *path, h,
-b, kind)`` under a single master seed, one ``kind`` per kind of variate
-(0: gamma or phase index, 1: exponential).  A block is filled in slices
-of at most :data:`_SLICE_VALUES` per-packet values, so a worker's arrays
-stay within a fixed budget at any ``n_packets``; numpy's
-``standard_gamma``, ``standard_exponential`` and int64 ``integers`` give
-the same values when one call is split in two, so the slicing moves no
-draw.  Block tallies merge by integer addition, so results are a pure
-function of (scenario, seed, trial count) -- bit-identical across runs,
-worker counts and slice budgets.  The engine's arithmetic is real-valued,
-so no result depends on fused multiply-add.
+Reproducibility contract.  Every sampler draws from generators that
+:func:`substream` derives from one :class:`SeedSpec`: the
+``numpy.random.SeedSequence`` with entropy ``master_seed`` and spawn key
+``(stream_index, purpose, ...)``, whose purpose tag keeps each use of a
+seed on a stream of its own.  A bare integer seed means
+``SeedSpec(seed)``; :class:`SeedSpec` alone decides what a seed is.
+
+- Trials (:func:`run_trials` and :func:`sweep`, purpose 0) are drawn in
+  fixed blocks of :data:`_BLOCK_TRIALS`, and block b of hypothesis h
+  draws from ``(stream_index, 0, *path, h, b, kind)``, one ``kind`` per
+  kind of variate (0: gamma or phase index, 1: exponential).  A block is
+  filled in slices of at most :data:`_SLICE_VALUES` per-packet values, so
+  a worker's arrays stay within a fixed budget at any ``n_packets``;
+  numpy's ``standard_gamma``, ``standard_exponential`` and int64
+  ``integers`` give the same values when one call is split in two, so
+  the slicing moves no draw.  Block tallies merge by integer addition, so
+  results are a pure function of (scenario, seed, trial count, path) --
+  bit-identical across runs, worker counts and slice budgets.  The
+  engine's arithmetic is real-valued, so no result depends on fused
+  multiply-add.
+- Variance estimates (:func:`estimate_component_variances`, purpose 1):
+  hypothesis h draws from ``(stream_index, 1, *path, h)`` in the fixed
+  order its docstring states, a pure function of (scenario, samples,
+  seed, path).
+- Frames (:func:`~iqsense.frame.simulate_frame`, :data:`FRAME_STREAM`)
+  draw from ``(stream_index, 2)``, a pure function of (occupancy,
+  scenario, seed).
+- Outage (:func:`~iqsense.outage.mc_outage`, :data:`OUTAGE_STREAM`)
+  draws from the generator its caller passes, addressed as
+  ``substream(seed, OUTAGE_STREAM, *path)``: ``(stream_index, 3)`` for
+  the ``outage`` command and ``(stream_index, 3, i)`` for grid point i of
+  figure 6.
 
 One engine runs every trial: :func:`run_trials` hands it one job and
 :func:`sweep` one job per grid point of every curve, and it maps all
@@ -143,25 +162,35 @@ class SeedSpec:
 
     Distinct (master_seed, stream_index) pairs yield statistically
     independent random streams; equal pairs reproduce each other
-    exactly.
+    exactly.  This is the one place a seed is checked: each field takes a
+    Python or numpy integer in range and is stored as a plain ``int``; a
+    ``bool``, a float or a string raises ``ValueError`` rather than run
+    another seed.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.master_seed, int) or not (0 <= self.master_seed < 2**64):
-            raise ValueError(f"master_seed must be an int in [0, 2**64), got {self.master_seed!r}")
-        if not isinstance(self.stream_index, int) or self.stream_index < 0:
-            raise ValueError(f"stream_index must be a nonnegative int, got {self.stream_index!r}")
+        given = seed, index = self.master_seed, self.stream_index
+        if type(seed) is not int or type(index) is not int:  # plain ints skip the conversion
+            seed, index = _plain_int(seed), _plain_int(index)
+            object.__setattr__(self, "master_seed", seed)
+            object.__setattr__(self, "stream_index", index)
+        if seed is None or not 0 <= seed < 2**64:
+            raise ValueError(f"master_seed must be an int in [0, 2**64), got {given[0]!r}")
+        if index is None or index < 0:
+            raise ValueError(f"stream_index must be a nonnegative int, got {given[1]!r}")
+
+
+def _plain_int(v) -> int | None:
+    """``v`` as a plain int when it is a Python or numpy integer other
+    than a ``bool``, else None."""
+    return int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else None
 
 
 def _as_seed(seed: "SeedSpec | int") -> SeedSpec:
-    if isinstance(seed, SeedSpec):
-        return seed
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an int or a SeedSpec, got {seed!r}")
-    return SeedSpec(int(seed))
+    return seed if isinstance(seed, SeedSpec) else SeedSpec(seed)
 
 
 def substream(seed: "SeedSpec | int", *path: int) -> np.random.Generator:

@@ -119,17 +119,19 @@ def outage_paper_literal(sc: OutageScenario) -> float:
     return 1.0 - (m1 / (m1 + m2)) * math.exp(-sc.noise_p * g / m1)
 
 
-def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator | int) -> Estimate:
+def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Estimate:
     """Monte Carlo outage frequency with a Wilson 95% interval.
 
     Draws the two exponential channel powers directly and counts
     gamma < threshold via the equivalent linear event
-    X1 < g * (1 + X2).
+    X1 < g * (1 + X2).  ``rng`` is the stream to draw from, as
+    ``substream(seed, OUTAGE_STREAM, ...)`` addresses it; the estimate
+    is a pure function of (scenario, trials, that stream).
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     g = sc.gamma_threshold
     m1 = sc.signal_mean
     m2 = sc.interference_mean

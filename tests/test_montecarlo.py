@@ -66,6 +66,17 @@ def test_seed_spec_validation():
     with pytest.raises(ValueError):
         SeedSpec(0, -3)
     assert SeedSpec(5).stream_index == 0
+    # Both fields take a Python or numpy integer and store a plain int; a
+    # bool, a float or a string raises rather than run another seed.
+    spec = SeedSpec(np.int64(3), np.int64(1))
+    assert spec == SeedSpec(3, 1) and hash(spec) == hash(SeedSpec(3, 1))
+    assert type(spec.master_seed) is int and type(spec.stream_index) is int
+    assert SeedSpec(np.uint64(2**64 - 1)).master_seed == 2**64 - 1
+    for args, field in (((True,), "master_seed"), ((1, True), "stream_index"),
+                        ((3.0,), "master_seed"), (("7",), "master_seed"),
+                        ((np.int64(-1),), "master_seed")):
+        with pytest.raises(ValueError, match=f"^{field} must be "):
+            SeedSpec(*args)
 
 
 def test_substreams_are_addressed():
@@ -619,10 +630,12 @@ def test_run_trials_argument_validation():
     with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
         run_trials(sc, 10, 1, workers=10**6)
     # No float, string or bool stands in for a seed; a numpy integer does.
+    message = r"^master_seed must be an int in \[0, 2\*\*64\), got "
     for seed in (3.9, "7", True):
-        with pytest.raises(ValueError, match="^seed must be an int or a SeedSpec, got "):
+        with pytest.raises(ValueError, match=message):
             run_trials(sc, 10, seed)
     assert run_trials(sc, 10, np.int64(3)) == run_trials(sc, 10, 3)
+    assert run_trials(sc, 10, SeedSpec(np.int64(3))) == run_trials(sc, 10, 3)
     # A rule must be built for the scenario's packet count.
     for mode in (DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1)):
         rule = scenario_rule(scenario(n_packets=4, mode=mode))

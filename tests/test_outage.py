@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from iqsense.montecarlo import OUTAGE_STREAM, SeedSpec, substream
 from iqsense.outage import (
     OutageScenario,
     analytic_outage,
@@ -108,8 +109,12 @@ def test_mc_closes_with_analytic():
 
 def test_mc_seed_behaviour():
     sc = OutageScenario(p_mk=3.0, p0=1.0, beta_sq_sec=0.3)
-    a = mc_outage(sc, 10_000, 55)
-    b = mc_outage(sc, 10_000, 55)
-    c = mc_outage(sc, 10_000, 56)
+    a = mc_outage(sc, 10_000, substream(SeedSpec(55), OUTAGE_STREAM))
+    b = mc_outage(sc, 10_000, substream(SeedSpec(55), OUTAGE_STREAM))
+    c = mc_outage(sc, 10_000, substream(SeedSpec(56), OUTAGE_STREAM))
     assert a == b
     assert a != c
+    # An int or a bool is not seeded into a stream of its own.
+    for seed in (55, True):
+        with pytest.raises(ValueError, match="^rng must be a numpy.random.Generator, got "):
+            mc_outage(sc, 10, seed)

@@ -46,6 +46,7 @@ COMMANDS = [
     ("sense-joint", {"trials": 5000, "scenario": _JOINT},
      ["sense", "--format", "json", "--out", "o.json"]),
     ("sense-trials", None, ["sense", "--trials", "3000"]),
+    ("sense-stream-index", {"trials": 5000, "stream_index": 2}, ["sense", "--seed", "7"]),
     ("sense-two-cfar", {"trials": 5000, "scenario": _CFAR}, ["sense", "--out", "o.csv"]),
     ("sweep-irr_db", _sweep("irr_db", [-25.0, -15.0], psk_order=2), ["sweep", "--workers", "2"]),
     ("sweep-snr1_db", _sweep("snr1_db", [0.0, 5.0], psk_order=1024),
