@@ -6,8 +6,16 @@ s_k*s_-k, every packet's |r_k|^2 is exponential with the mean m_h(u) of
 :func:`~iqsense.detection.statistic_means`, and the M phases are equally
 likely.  A hypothesis whose means do not depend on u (H0-H2, and H3
 without a cross term) has Z ~ Gamma(n, m/n): one ``standard_gamma`` per
-trial.  Otherwise each packet draws one int64 phase index and one
-``standard_exponential``, scaled by m_h(u).  Only
+trial.  H3 with a cross term has Z = v*Gamma(K, 1)/n, v = min_u m_3(u), by
+uniformization (:func:`~iqsense.detection.h3_packet_count_law`): one
+uniform picks K - n from its table by inversion and one
+``standard_gamma(K)`` follows, so a trial costs two draws at any
+``n_packets``.  The table leaves out at most
+:data:`~iqsense.detection.H3_TABLE_CUT` of the mass of K, so this draw's
+law differs from the exact law by at most that mass (plus the table's
+rounding).  At one packet, and where the table would pass its length
+cap, each packet draws one int64 phase index and one
+``standard_exponential``, scaled by m_3(u).  Only
 :func:`estimate_component_variances`, an oracle for the closed forms
 that does not read the pair table, runs the sample-level model of
 :mod:`~iqsense.signal_model`: it draws symbols, channel and noise and
@@ -24,16 +32,23 @@ seed on a stream of its own.  A bare integer seed means
 - Trials (:func:`run_trials` and :func:`sweep`, purpose 0) are drawn in
   fixed blocks of :data:`_BLOCK_TRIALS`, and block b of hypothesis h
   draws from ``(stream_index, 0, *path, h, b, kind)``, one ``kind`` per
-  kind of variate (0: gamma or phase index, 1: exponential).  A block is
-  filled in slices of at most :data:`_SLICE_VALUES` per-packet values, so
-  a worker's arrays stay within a fixed budget at any ``n_packets``;
-  numpy's ``standard_gamma``, ``standard_exponential`` and int64
-  ``integers`` give the same values when one call is split in two, so
-  the slicing moves no draw.  Block tallies merge by integer addition, so
-  results are a pure function of (scenario, seed, trial count, path) --
-  bit-identical across runs, worker counts and slice budgets.  The
-  engine's arithmetic is real-valued, so no result depends on fused
-  multiply-add.
+  kind of variate.  A Gamma row draws its gammas on kind 0.  H3 with a
+  packet-count table draws its uniforms on kind 0 and its gammas on
+  kind 1; packet by packet, its phase indices are kind 0 and its
+  exponentials kind 1.  A block is filled in slices of at most
+  :data:`_SLICE_VALUES` values (per packet for the per-packet draw, per
+  trial otherwise), so a worker's arrays stay within a fixed budget at
+  any ``n_packets``; numpy's ``random``, ``standard_gamma``,
+  ``standard_exponential`` and int64 ``integers`` give the same values
+  when one call is split in two, so the slicing moves no draw.  Block
+  tallies merge by integer addition, so results are a pure function of
+  (scenario, seed, trial count, path) -- bit-identical across runs,
+  worker counts and slice budgets.  The engine's arithmetic is
+  real-valued, so no result depends on fused multiply-add.  The H3
+  packet-count table comes from numpy's ``power`` and ``convolve``,
+  whose last bits may differ between numpy builds and CPUs; a trial's K
+  moves only when its uniform falls between two roundings of one CDF
+  entry, about 1e-16 per trial.
 - Variance estimates (:func:`estimate_component_variances`, purpose 1):
   hypothesis h draws from ``(stream_index, 1, *path, h)`` in the fixed
   order its docstring states, a pure function of (scenario, samples,
@@ -67,7 +82,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -80,10 +95,12 @@ from .detection import (
     METRICS,
     DecisionRule,
     DetectorMode,
+    H3PacketCountLaw,
     Hypothesis,
     HypothesisVariances,
     decision_counts,
     decision_rule,
+    h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
     statistic_means,
@@ -131,8 +148,9 @@ __all__ = [
 # Trials per block: the unit of the stream address and of a pool task.
 _BLOCK_TRIALS = 1 << 16
 
-# Per-packet values in one slice of a block; a worker holds three float64
-# or int64 arrays of this size (512 KiB each) at any n_packets.
+# Values in one slice of a block, per packet for the per-packet H3 draw
+# and per trial for the others; a worker holds three float64 or int64
+# arrays of this size (512 KiB each) at any n_packets.
 _SLICE_VALUES = 1 << 16
 
 # Each worker is a thread, and the pool starts up to one per queued block
@@ -140,9 +158,10 @@ _SLICE_VALUES = 1 << 16
 # thousands of threads; blocks gain nothing from more threads than cores.
 MAX_WORKERS = 256
 
-# A trial costs n_packets draws under H3, and the closed forms' Erlang
-# sums lengthen with n_packets (one `analytic` call takes 2 s at 10**9);
-# the documented runs use at most 32.
+# An H3 trial drawn packet by packet (at one packet, or past the
+# packet-count table's length cap) costs 2*n_packets draws, and the closed
+# forms' Erlang sums lengthen with n_packets (one `analytic` call takes
+# 2 s at 10**9); the documented runs use at most 32.
 _MAX_PACKETS = 1024
 
 # Purpose tags keeping independent uses of a seed on disjoint streams;
@@ -420,9 +439,9 @@ def _chunk_layout(total: int, size: int) -> list[tuple[int, int]]:
 
 
 def _exact_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> np.ndarray:
-    """``size`` statistics Z under one hypothesis, drawn from their exact
-    law: ``means`` holds the mean of |r_k|^2 at each of the M phases.
-    ``streams`` are the generators of kinds 0 and 1."""
+    """``size`` statistics Z under one hypothesis, drawn packet by packet
+    from their exact law: ``means`` holds the mean of |r_k|^2 at each of
+    the M phases.  ``streams`` are the generators of kinds 0 and 1."""
     if means.min() == means.max():
         z = streams[0].standard_gamma(n_packets, size)
         z *= means[0] / n_packets
@@ -432,16 +451,45 @@ def _exact_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> 
     return power.mean(axis=1)
 
 
+def _uniformized_statistics(
+    law: H3PacketCountLaw, n_packets: int, streams, size: int
+) -> np.ndarray:
+    """``size`` H3 statistics Z = v_min*Gamma(K, 1)/n: K - n by inversion
+    of the table from one uniform of kind 0, the gamma from kind 1."""
+    # a float K spares standard_gamma its own conversion pass
+    k = law.cdf.searchsorted(streams[0].random(size), side="right") + float(n_packets)
+    z = streams[1].standard_gamma(k)
+    z *= law.v_min / n_packets
+    return z
+
+
+def _statistic_draws(sc: SensingScenario) -> list[tuple]:
+    """Per hypothesis, ``(draw, trials per slice)``, where ``draw(streams,
+    size)`` returns ``size`` statistics from the generators of kinds 0
+    and 1.  A row whose means depend on the phase draws from its packet-
+    count table when there is one, else packet by packet; the other rows
+    draw one gamma per trial."""
+    n = sc.n_packets
+    law = h3_packet_count_law(sc.pair, *sc.coefficients, n)
+    draws = []
+    for means in statistic_means(sc.pair, *sc.coefficients):
+        if means.min() == means.max():
+            draws.append((partial(_exact_statistics, means, n), _SLICE_VALUES))
+        elif law is not None:
+            draws.append((partial(_uniformized_statistics, law, n), _SLICE_VALUES))
+        else:
+            draws.append((partial(_exact_statistics, means, n), max(1, _SLICE_VALUES // n)))
+    return draws
+
+
 def _chunk_task(args) -> tuple[int, np.ndarray]:
     """Draw one block under one hypothesis, slice by slice, and classify
     it with every rule; returns (hypothesis, per-rule decision counts)."""
-    sc, rules, hyp, block, count, seed, stream_path = args
-    means = statistic_means(sc.pair, *sc.coefficients)[hyp]
+    (draw, rows), rules, hyp, block, count, seed, stream_path = args
     streams = [substream(seed, _TRIAL_STREAM, *stream_path, hyp, block, kind) for kind in (0, 1)]
-    rows = max(1, _SLICE_VALUES // sc.n_packets)
     counts = np.zeros((len(rules), 4), dtype=np.int64)
     for start in range(0, count, rows):
-        z = _exact_statistics(means, sc.n_packets, streams, min(rows, count - start))
+        z = draw(streams, min(rows, count - start))
         counts += [decision_counts(z, rule) for rule in rules]
     return hyp, counts
 
@@ -469,9 +517,9 @@ def _tally_jobs(
     seed = _as_seed(seed)
     layout = _chunk_layout(per_hypothesis, _BLOCK_TRIALS)
     tasks = [
-        (sc, rules, hyp, idx, count, seed, path)
+        (draw, rules, hyp, idx, count, seed, path)
         for sc, rules, path in jobs
-        for hyp in range(4)
+        for hyp, draw in enumerate(_statistic_draws(sc))
         for idx, count in layout
     ]
     pool = ThreadPoolExecutor(max_workers=workers)

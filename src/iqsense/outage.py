@@ -20,7 +20,12 @@ from .stats import Estimate, wilson_interval
 
 __all__ = [
     "OutageScenario", "irr_to_beta_sq", "analytic_outage", "outage_paper_literal", "mc_outage",
+    "MAX_OUTAGE_TRIALS",
 ]
+
+# mc_outage holds all its draws at once, about 33 bytes per trial (two
+# float64 draws, one float64 temporary and a bool mask): 330 MB at the cap.
+MAX_OUTAGE_TRIALS = 10**7
 
 
 def irr_to_beta_sq(irr_db: float | None) -> float:
@@ -126,10 +131,11 @@ def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Esti
     gamma < threshold via the equivalent linear event
     X1 < g * (1 + X2).  ``rng`` is the stream to draw from, as
     ``substream(seed, OUTAGE_STREAM, ...)`` addresses it; the estimate
-    is a pure function of (scenario, trials, that stream).
+    is a pure function of (scenario, trials, that stream).  ``trials``
+    above :data:`MAX_OUTAGE_TRIALS` raises ``ValueError`` before any draw.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 1 <= trials <= MAX_OUTAGE_TRIALS:
+        raise ValueError(f"trials must be in [1, {MAX_OUTAGE_TRIALS}], got {trials}")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     g = sc.gamma_threshold

@@ -375,6 +375,26 @@ def test_every_range_error_names_its_key(tmp_path, monkeypatch, capsys, command,
     assert err.startswith(f"error: {where}")
 
 
+@pytest.mark.parametrize("command", [["outage"], ["figure", "6"]], ids=["outage", "figure-6"])
+@pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
+def test_outage_trials_are_bounded(tmp_path, monkeypatch, capsys, command, flag):
+    """The outage Monte Carlo holds all its draws at once, so ``outage`` and
+    ``figure 6`` refuse 10**10 trials, naming the key or flag, and exit 2
+    before any draw."""
+    import iqsense.cli as cli
+
+    calls = []
+    monkeypatch.setattr(cli, "mc_outage", lambda *a: calls.append(a))
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({} if flag else {"trials": 10**10}))
+    argv = [*command, "--config", str(cfgf), *(["--trials", str(10**10)] if flag else [])]
+    assert cli.main(argv) == 2
+    key = "--trials" if flag else "trials"
+    assert capsys.readouterr().err == (
+        f"error: {key}: must be <= 10000000 for the outage Monte Carlo, got 10000000000\n")
+    assert calls == []
+
+
 @pytest.mark.parametrize("command, config, message", [
     (["analytic"], {"scenario": {"snr1_db": 10**400}},
      "scenario.snr1_db: must be finite, got inf"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
+from scipy.stats import poisson
 
 from gamma_density import gamma_pdf
 from variance_reference import component_variances
@@ -14,6 +15,7 @@ from iqsense.detection import (
     CONVENTIONS,
     METRICS,
     DecisionRule,
+    H3_TABLE_CUT,
     DetectorMode,
     Hypothesis,
     HypothesisVariances,
@@ -27,11 +29,13 @@ from iqsense.detection import (
     decision_rule,
     detection_paper_literal,
     false_alarm_paper_literal,
+    h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
     pair_table,
     pairwise_threshold,
     pairwise_threshold_paper,
+    statistic_means,
     thresholds_paper_literal,
     two_level_rule,
 )
@@ -454,3 +458,70 @@ def test_zero_receiver_weight_ignores_an_overflowing_mirror_side():
     v = hypothesis_variances(cfg, tx)
     assert all(math.isfinite(x) for x in v.as_tuple())
     assert hypothesis_variances(cfg, tx, mismatch_coefficients(IqMismatch.ideal())) == v
+
+
+# (pair, tx, rx) with an H3 cross term: the kernel gate's point (tx IRR
+# -5 dB, 5/5 dB) in both models, the largest constellation, and a
+# near-cancelling point (tx IRR -15 dB, 10/24.9 dB) whose table runs to
+# about 1,500 entries at four packets.
+_H3_LAWS = {
+    "gate-tx-only": (SubcarrierPairConfig(10**0.5, 10**0.5, channel_var_mirror=1.5),
+                     irr_to_mismatch(-5.0), None),
+    "gate-joint": (SubcarrierPairConfig(10**0.5, 10**0.5, channel_var_mirror=1.5),
+                   irr_to_mismatch(-5.0), IqMismatch(0.3, 0.2)),
+    "psk1024": (SubcarrierPairConfig(4.0, 2.0, psk_order=1024), IqMismatch(0.25, 0.1), None),
+    "near-cancelling": (SubcarrierPairConfig(10.0, 10**2.49), irr_to_mismatch(-15.0), None),
+}
+
+
+def _h3_law_args(case):
+    cfg, tx, rx = _H3_LAWS[case]
+    return cfg, mismatch_coefficients(tx), rx and mismatch_coefficients(rx)
+
+
+@pytest.mark.parametrize("n", [2, 4, 32])
+@pytest.mark.parametrize("case", list(_H3_LAWS))
+def test_h3_packet_count_table_is_the_exact_law(case, n):
+    """The table holds all but H3_TABLE_CUT of the mass of K - n, and
+    its mean is E[K] = n*mean(m)/min(m)."""
+    args = _h3_law_args(case)
+    means = statistic_means(*args)[3]
+    law = h3_packet_count_law(*args, n)
+    assert law.v_min == means.min()
+    assert law.cdf[-1] >= 1.0 - H3_TABLE_CUT and 0.0 <= law.cut <= H3_TABLE_CUT
+    assert np.all(np.diff(law.cdf) >= 0.0) and not law.cdf.flags.writeable
+    mean_k = n + math.fsum(1.0 - law.cdf)
+    assert mean_k == pytest.approx(n * means.mean() / means.min(), rel=1e-9, abs=0.0)
+
+
+def _hypoexponential_sf(a, b, t):
+    """P(X + Y > t) for independent exponentials of rates a <= b (arrays)."""
+    d = b - a
+    spread = np.divide(-np.expm1(-d * t), d, out=np.full(d.shape, t), where=d > 0)
+    return np.exp(-a * t) * (1.0 + a * spread)
+
+
+@pytest.mark.parametrize("case", list(_H3_LAWS))
+def test_h3_packet_count_table_gives_the_two_packet_tail(case):
+    """At two packets, P(Z > z) = sum_j Pois(j; 2z/v)*P(K > j) equals the
+    hypoexponential tail averaged over all M^2 pairs of phases."""
+    args = _h3_law_args(case)
+    means = statistic_means(*args)[3]
+    law = h3_packet_count_law(*args, 2)
+    k_tail = np.concatenate([[1.0, 1.0], 1.0 - law.cdf])  # P(K > j), j = 0, 1, ...
+    rates = 1.0 / means
+    for z in means.mean() * np.array([0.25, 1.0, 2.0, 4.0]):
+        got = float(poisson.pmf(np.arange(k_tail.size), 2.0 * z / law.v_min) @ k_tail)
+        a, b = np.meshgrid(rates, rates)
+        want = math.fsum(_hypoexponential_sf(np.minimum(a, b), np.maximum(a, b), 2.0 * z).ravel())
+        want /= rates.size**2
+        assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+def test_h3_packet_count_law_is_none_at_one_packet_and_without_a_cross_term():
+    """The per-packet draw runs at one packet, and an H3 row without a
+    cross term draws its Gamma law; neither has a table (the cap's case is
+    test_montecarlo's near-cancelling test)."""
+    cfg, tx, _ = _H3_LAWS["gate-tx-only"]
+    assert h3_packet_count_law(cfg, mismatch_coefficients(tx), None, 1) is None
+    assert h3_packet_count_law(cfg, mismatch_coefficients(IqMismatch.ideal()), None, 4) is None

@@ -3,11 +3,12 @@ reference in ``sample_oracle``.
 
 The trial engine draws each statistic from its exact law, so it must
 agree with the reference in law: ``test_engine_matches_sample_oracle``
-compares their decision counts per model and per true hypothesis.
-False-fail rate: each of the 8 rows gets a two-sample Pearson chi-square
-test at level ALPHA / 8 (Bonferroni), so the gate fails correct code with
-probability at most ALPHA = 1e-6, under the chi-square approximation with
-at least 5 expected counts per pooled cell and sample.  Power: the same
+compares their decision counts per model and per true hypothesis, with
+H3 drawn from its packet-count table and packet by packet.
+False-fail rate: each of the 8 rows of one draw gets a two-sample Pearson
+chi-square test at level ALPHA / 8 (Bonferroni), so the gate fails correct
+code with probability at most ALPHA = 1e-6 per draw, under the chi-square
+approximation with at least 5 expected counts per pooled cell and sample.  Power: the same
 gate rejects an engine that draws H3 from the Gamma law of its mean, the
 closed forms' stand-in, at tx IRR -5 dB
 (``test_gate_rejects_the_gamma_stand_in_for_h3``).
@@ -27,7 +28,7 @@ import pytest
 
 import iqsense.montecarlo as montecarlo
 import sample_oracle
-from iqsense.detection import decision_counts, statistic_means
+from iqsense.detection import decision_counts, h3_packet_count_law, statistic_means
 from iqsense.montecarlo import (
     _ESTIMATOR_STREAM,
     SeedSpec,
@@ -65,8 +66,20 @@ def _gate_pvalues(model, oracle_tallies) -> list[float]:
     return [two_sample_pvalue(tally.counts[h], oracle_tallies[model][h]) for h in range(4)]
 
 
-@pytest.mark.parametrize("model", MODELS)
-def test_engine_matches_sample_oracle(model, oracle_tallies):
+# H3 draws from the packet-count table, or packet by packet as it does at
+# one packet and past the table's length cap.
+_ENGINE_CASES = [
+    pytest.param(model, draw, id=model if draw == "table" else f"{model}-per-packet")
+    for draw in ("table", "per-packet")
+    for model in MODELS
+]
+
+
+@pytest.mark.parametrize("model, h3_draw", _ENGINE_CASES, indirect=["h3_draw"])
+def test_engine_matches_sample_oracle(model, h3_draw, oracle_tallies):
+    sc = gate_scenario(model)
+    table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
+    assert (table is None) == (h3_draw == "per-packet")
     p = _gate_pvalues(model, oracle_tallies)
     assert min(p) >= ALPHA / 8, f"per-hypothesis p-values {p}"
 

@@ -114,6 +114,11 @@ def test_mc_seed_behaviour():
     c = mc_outage(sc, 10_000, substream(SeedSpec(56), OUTAGE_STREAM))
     assert a == b
     assert a != c
+    # Past the bound the call raises before it draws.
+    rng = substream(SeedSpec(55), OUTAGE_STREAM)
+    with pytest.raises(ValueError, match=r"^trials must be in \[1, 10000000\], got 10000000000$"):
+        mc_outage(sc, 10**10, rng)
+    assert mc_outage(sc, 10_000, rng) == a
     # An int or a bool is not seeded into a stream of its own.
     for seed in (55, True):
         with pytest.raises(ValueError, match="^rng must be a numpy.random.Generator, got "):

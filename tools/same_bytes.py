@@ -48,6 +48,12 @@ COMMANDS = [
     ("sense-trials", None, ["sense", "--trials", "3000"]),
     ("sense-stream-index", {"trials": 5000, "stream_index": 2}, ["sense", "--seed", "7"]),
     ("sense-two-cfar", {"trials": 5000, "scenario": _CFAR}, ["sense", "--out", "o.csv"]),
+    # H3 from its packet-count table, and packet by packet past the
+    # table's length cap (a cross term that nearly cancels the signal)
+    ("sense-n32", {"trials": 5000, "scenario": {"n_packets": 32}}, ["sense"]),
+    ("sense-past-table-cap", {"trials": 2000, "scenario": {
+        "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}},
+     ["sense", "--workers", "2"]),
     ("sweep-irr_db", _sweep("irr_db", [-25.0, -15.0], psk_order=2), ["sweep", "--workers", "2"]),
     ("sweep-snr1_db", _sweep("snr1_db", [0.0, 5.0], psk_order=1024),
      ["sweep", "--format", "json"]),
