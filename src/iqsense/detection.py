@@ -231,6 +231,12 @@ def statistic_means(
 # Upper bound on the mass of K - n that an H3 packet-count table leaves out.
 H3_TABLE_CUT = 1e-13
 
+# Entries of an H3 packet-count pmf below this are zeroed before each
+# product, so no product runs through subnormal floats (which made a
+# build near the cap 2-3 times slower); the mass lost is at most
+# 2*log2(n)*_MAX_TABLE_LENGTH*1e-150, and the table's cut counts it.
+_PMF_FLOOR = 1e-150
+
 # Longest H3 packet-count table built.  Its n-fold convolution costs
 # about 2*log2(n) products of this length squared (up to 0.1 s at the cap
 # with n_packets 1024); a row whose table would be longer draws per packet.
@@ -240,13 +246,13 @@ _MAX_TABLE_LENGTH = 1 << 12
 class H3PacketCountLaw(NamedTuple):
     """The H3 statistic as Z = v_min*Gamma(K, 1)/n (see :func:`h3_packet_count_law`).
 
-    ``cdf[j]`` is P(K - n <= j); the table leaves out the mass ``cut`` of
-    K - n beyond its end.
+    ``pmf[j]`` is P(K - n = j) below the table's end, and the last entry
+    is the mass the table leaves out, drawn as K - n = ``pmf.size - 1``;
+    so ``pmf`` sums to 1 and its reverse cumulative sum is P(K - n >= j).
     """
 
     v_min: float
-    cdf: np.ndarray
-    cut: float
+    pmf: np.ndarray
 
 
 @lru_cache
@@ -268,16 +274,17 @@ def h3_packet_count_law(
     The table runs to the length past which Chernoff's bound leaves at most
     :data:`H3_TABLE_CUT` of the mass of K - n, and the n-fold pmf is built
     by binary powering, each product cut to that length (which leaves the
-    entries below it exact).  A draw that inverts ``cdf`` thus differs
-    from the exact law by at most ``cut`` plus the rounding of ``cdf``,
-    which grows with ``n_packets`` and the length (at most 1e-13 at 1024
-    packets and 3,274 entries, against a long-double build).
+    entries below it exact) and each factor's entries below
+    :data:`_PMF_FLOOR` zeroed.  A draw from ``pmf`` thus differs from the
+    exact law by at most the cut mass (its last entry) plus the rounding
+    of the table, which grows with ``n_packets`` and the length (at most
+    1e-13 at 1024 packets and 3,274 entries, against a long-double build).
 
     Returns None at ``n_packets`` 1, when the H3 means do not depend on
     the phase, and when the predicted length passes
     :data:`_MAX_TABLE_LENGTH`; the length is checked before any
     convolution runs.  The result is built once per distinct argument
-    tuple, and its ``cdf`` is read-only.
+    tuple, and its ``pmf`` is read-only.
     """
     means = statistic_means(cfg, tx, rx)[3]
     v = float(means.min())
@@ -296,15 +303,17 @@ def h3_packet_count_law(
     factor = (w * p) @ np.power.outer(q, np.arange(size))
     pmf, k = None, n_packets
     while True:
+        factor[factor < _PMF_FLOOR] = 0.0
         if k & 1:
             pmf = factor if pmf is None else np.convolve(pmf, factor)[:size]
+            pmf[pmf < _PMF_FLOOR] = 0.0
         k >>= 1
         if not k:
             break
         factor = np.convolve(factor, factor)[:size]
-    cdf = np.cumsum(pmf)
-    cdf.flags.writeable = False
-    return H3PacketCountLaw(v, cdf, max(0.0, 1.0 - math.fsum(pmf)))
+    pmf = np.append(pmf, max(0.0, 1.0 - math.fsum(pmf)))
+    pmf.flags.writeable = False
+    return H3PacketCountLaw(v, pmf)
 
 
 @lru_cache

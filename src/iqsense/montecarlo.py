@@ -4,18 +4,19 @@ Each trial draws its statistic Z, the average periodogram over
 ``n_packets`` packets, straight from its exact law.  Given the phase u of
 s_k*s_-k, every packet's |r_k|^2 is exponential with the mean m_h(u) of
 :func:`~iqsense.detection.statistic_means`, and the M phases are equally
-likely.  A hypothesis whose means do not depend on u (H0-H2, and H3
-without a cross term) has Z ~ Gamma(n, m/n): one ``standard_gamma`` per
-trial.  H3 with a cross term has Z = v*Gamma(K, 1)/n, v = min_u m_3(u), by
-uniformization (:func:`~iqsense.detection.h3_packet_count_law`): one
-uniform picks K - n from its table by inversion and one
-``standard_gamma(K)`` follows, so a trial costs two draws at any
-``n_packets``.  The table leaves out at most
-:data:`~iqsense.detection.H3_TABLE_CUT` of the mass of K, so this draw's
-law differs from the exact law by at most that mass (plus the table's
-rounding).  At one packet, and where the table would pass its length
-cap, each packet draws one int64 phase index and one
-``standard_exponential``, scaled by m_3(u).  Only
+likely.  Every row is drawn as Z = v*Gamma(K, 1)/n with P(K = n + j) =
+pmf[j].  A hypothesis whose means do not depend on u (H0-H2, and H3
+without a cross term) has a one-entry pmf and v = m: Z ~ Gamma(n, m/n).
+H3 with a cross term takes v = min_u m_3(u) and the pmf of
+:func:`~iqsense.detection.h3_packet_count_law`, by uniformization: one
+``multinomial`` per block tallies how many trials take each K.  A
+Gamma(K) with 2 <= K <= :data:`_ERLANG_MAX` is -log of a product of K
+uniforms, any other one ``standard_gamma(K)``.  The table's last entry
+is the mass :data:`~iqsense.detection.H3_TABLE_CUT` bounds, drawn at the
+table's end, so this draw's law differs from the exact law by at most
+that mass (plus the table's rounding).  At one packet, and where the
+table would pass its length cap, each packet draws one int64 phase index
+and one ``standard_exponential``, scaled by m_3(u).  Only
 :func:`estimate_component_variances`, an oracle for the closed forms
 that does not read the pair table, runs the sample-level model of
 :mod:`~iqsense.signal_model`: it draws symbols, channel and noise and
@@ -32,23 +33,27 @@ seed on a stream of its own.  A bare integer seed means
 - Trials (:func:`run_trials` and :func:`sweep`, purpose 0) are drawn in
   fixed blocks of :data:`_BLOCK_TRIALS`, and block b of hypothesis h
   draws from ``(stream_index, 0, *path, h, b, kind)``, one ``kind`` per
-  kind of variate.  A Gamma row draws its gammas on kind 0.  H3 with a
-  packet-count table draws its uniforms on kind 0 and its gammas on
-  kind 1; packet by packet, its phase indices are kind 0 and its
-  exponentials kind 1.  A block is filled in slices of at most
-  :data:`_SLICE_VALUES` values (per packet for the per-packet draw, per
-  trial otherwise), so a worker's arrays stay within a fixed budget at
-  any ``n_packets``; numpy's ``random``, ``standard_gamma``,
-  ``standard_exponential`` and int64 ``integers`` give the same values
-  when one call is split in two, so the slicing moves no draw.  Block
+  kind of variate.  A one-entry row draws its uniforms or gammas on kind
+  0.  H3 with a packet-count table draws its multinomial on kind 0 and
+  its uniforms and gammas on kind 1, group by group in increasing K;
+  packet by packet, its phase indices are kind 0 and its exponentials
+  kind 1.  The per-packet draw fills a block in slices of at most
+  :data:`_SLICE_VALUES` values, so a worker's arrays stay within a fixed
+  budget at any ``n_packets``; numpy's ``standard_exponential`` and
+  int64 ``integers`` give the same values when one call is split in two,
+  so the slicing moves no draw.  The other draws fill a block in one
+  call, holding at most ``_ERLANG_MAX`` uniforms per trial.  Block
   tallies merge by integer addition, so results are a pure function of
   (scenario, seed, trial count, path) -- bit-identical across runs,
   worker counts and slice budgets.  The engine's arithmetic is
   real-valued, so no result depends on fused multiply-add.  The H3
-  packet-count table comes from numpy's ``power`` and ``convolve``,
-  whose last bits may differ between numpy builds and CPUs; a trial's K
-  moves only when its uniform falls between two roundings of one CDF
-  entry, about 1e-16 per trial.
+  packet-count table comes from numpy's ``power`` and ``convolve``, and
+  a product of uniforms goes through numpy's ``log``; their last bits
+  may differ between numpy builds and CPUs.  Another rounding of the
+  table moves a block's group sizes only when a draw inside the
+  multinomial falls between the two roundings, and another rounding of
+  ``log`` moves a Z by an ulp, which changes a decision only at a
+  threshold.
 - Variance estimates (:func:`estimate_component_variances`, purpose 1):
   hypothesis h draws from ``(stream_index, 1, *path, h)`` in the fixed
   order its docstring states, a pure function of (scenario, samples,
@@ -95,7 +100,6 @@ from .detection import (
     METRICS,
     DecisionRule,
     DetectorMode,
-    H3PacketCountLaw,
     Hypothesis,
     HypothesisVariances,
     decision_counts,
@@ -148,20 +152,30 @@ __all__ = [
 # Trials per block: the unit of the stream address and of a pool task.
 _BLOCK_TRIALS = 1 << 16
 
-# Values in one slice of a block, per packet for the per-packet H3 draw
-# and per trial for the others; a worker holds three float64 or int64
-# arrays of this size (512 KiB each) at any n_packets.
+# Values (one per packet) in one slice of a block of the per-packet H3
+# draw; a worker holds three float64 or int64 arrays of this size
+# (512 KiB each) at any n_packets.  The other draws fill a whole block
+# in one call, holding at most _ERLANG_MAX + 1 arrays of its trials.
 _SLICE_VALUES = 1 << 16
+
+# Largest K drawn as -log of a product of K uniforms, from 2 up; past it
+# standard_gamma is as fast (per 65,536 on one thread: 1.12 against
+# 1.31 ms at K = 6, 1.32 against 1.30 ms at 7).  K = 1 keeps
+# standard_gamma, so every one-packet stream keeps its values.
+_ERLANG_MAX = 6
+
+# The packet-count pmf of a row whose means do not depend on the phase.
+_ONE_ENTRY = np.ones(1)
 
 # Each worker is a thread, and the pool starts up to one per queued block
 # (a default `figure 4` queues 4,032), so an unbounded count could ask for
 # thousands of threads; blocks gain nothing from more threads than cores.
 MAX_WORKERS = 256
 
-# An H3 trial drawn packet by packet (at one packet, or past the
-# packet-count table's length cap) costs 2*n_packets draws, and the closed
-# forms' Erlang sums lengthen with n_packets (one `analytic` call takes
-# 2 s at 10**9); the documented runs use at most 32.
+# An H3 trial drawn packet by packet (past the packet-count table's length
+# cap) costs 2*n_packets draws, a packet-count table grows with n_packets,
+# and the closed forms' Erlang sums lengthen with it (one `analytic` call
+# takes 2 s at 10**9); the documented runs use at most 32.
 _MAX_PACKETS = 1024
 
 # Purpose tags keeping independent uses of a seed on disjoint streams;
@@ -438,47 +452,64 @@ def _chunk_layout(total: int, size: int) -> list[tuple[int, int]]:
     return [(idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size)]
 
 
-def _exact_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> np.ndarray:
-    """``size`` statistics Z under one hypothesis, drawn packet by packet
-    from their exact law: ``means`` holds the mean of |r_k|^2 at each of
-    the M phases.  ``streams`` are the generators of kinds 0 and 1."""
-    if means.min() == means.max():
-        z = streams[0].standard_gamma(n_packets, size)
-        z *= means[0] / n_packets
-        return z
+def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> np.ndarray:
+    """``size`` H3 statistics Z drawn packet by packet: ``means`` holds the
+    mean of |r_k|^2 at each of the M phases; the phase indices come from
+    kind 0 and the exponentials from kind 1."""
     power = streams[1].standard_exponential((size, n_packets))
     power *= means.take(streams[0].integers(0, means.size, (size, n_packets)))
     return power.mean(axis=1)
 
 
-def _uniformized_statistics(
-    law: H3PacketCountLaw, n_packets: int, streams, size: int
-) -> np.ndarray:
-    """``size`` H3 statistics Z = v_min*Gamma(K, 1)/n: K - n by inversion
-    of the table from one uniform of kind 0, the gamma from kind 1."""
-    # a float K spares standard_gamma its own conversion pass
-    k = law.cdf.searchsorted(streams[0].random(size), side="right") + float(n_packets)
-    z = streams[1].standard_gamma(k)
-    z *= law.v_min / n_packets
+def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: int) -> np.ndarray:
+    """``size`` statistics Z = v*Gamma(K, 1)/n with P(K = n + j) = pmf[j].
+
+    A one-entry ``pmf`` draws its variates on kind 0.  A longer one draws
+    how many trials take each K with one ``multinomial`` on kind 0 (the
+    trials are exchangeable, so only those counts matter), then fills
+    each nonempty group, in increasing K, from kind 1.  A group with
+    2 <= K <= :data:`_ERLANG_MAX` is -log of the product of K uniforms (a
+    zero uniform gives Z = inf), any other one ``standard_gamma(K)``.
+    """
+    groups, rng = [(0, size)], streams[0]
+    if pmf.size > 1:
+        counts = rng.multinomial(size, pmf)
+        groups, rng = ((j, counts[j]) for j in np.flatnonzero(counts).tolist()), streams[1]
+    z, start, scale = np.empty(size), 0, v / n
+    for j, count in groups:
+        k, out = n + j, z[start:start + count]
+        start += count
+        if 2 <= k <= _ERLANG_MAX:
+            u = rng.random((k, count))
+            for row in u[1:]:
+                u[0] *= row
+            with np.errstate(divide="ignore"):
+                np.log(u[0], out=out)
+            out *= -scale
+        else:
+            rng.standard_gamma(k, count, out=out)
+            out *= scale
     return z
 
 
 def _statistic_draws(sc: SensingScenario) -> list[tuple]:
     """Per hypothesis, ``(draw, trials per slice)``, where ``draw(streams,
     size)`` returns ``size`` statistics from the generators of kinds 0
-    and 1.  A row whose means depend on the phase draws from its packet-
-    count table when there is one, else packet by packet; the other rows
-    draw one gamma per trial."""
+    and 1.  A row whose means do not depend on the phase draws from a
+    one-entry packet-count pmf at v = m, and one whose means do from its
+    table when there is one (a whole block per call), else packet by
+    packet."""
     n = sc.n_packets
     law = h3_packet_count_law(sc.pair, *sc.coefficients, n)
     draws = []
     for means in statistic_means(sc.pair, *sc.coefficients):
         if means.min() == means.max():
-            draws.append((partial(_exact_statistics, means, n), _SLICE_VALUES))
+            draws.append((partial(_packet_count_statistics, float(means[0]), _ONE_ENTRY, n),
+                          _BLOCK_TRIALS))
         elif law is not None:
-            draws.append((partial(_uniformized_statistics, law, n), _SLICE_VALUES))
+            draws.append((partial(_packet_count_statistics, *law, n), _BLOCK_TRIALS))
         else:
-            draws.append((partial(_exact_statistics, means, n), max(1, _SLICE_VALUES // n)))
+            draws.append((partial(_per_packet_statistics, means, n), max(1, _SLICE_VALUES // n)))
     return draws
 
 

@@ -482,15 +482,18 @@ def _h3_law_args(case):
 @pytest.mark.parametrize("n", [2, 4, 32])
 @pytest.mark.parametrize("case", list(_H3_LAWS))
 def test_h3_packet_count_table_is_the_exact_law(case, n):
-    """The table holds all but H3_TABLE_CUT of the mass of K - n, and
-    its mean is E[K] = n*mean(m)/min(m)."""
+    """The table holds all but H3_TABLE_CUT of the mass of K - n, its
+    last entry is the mass left out, and its mean is E[K] =
+    n*mean(m)/min(m)."""
     args = _h3_law_args(case)
     means = statistic_means(*args)[3]
     law = h3_packet_count_law(*args, n)
     assert law.v_min == means.min()
-    assert law.cdf[-1] >= 1.0 - H3_TABLE_CUT and 0.0 <= law.cut <= H3_TABLE_CUT
-    assert np.all(np.diff(law.cdf) >= 0.0) and not law.cdf.flags.writeable
-    mean_k = n + math.fsum(1.0 - law.cdf)
+    cdf, cut = np.cumsum(law.pmf[:-1]), law.pmf[-1]
+    assert cdf[-1] >= 1.0 - H3_TABLE_CUT and 0.0 <= cut <= H3_TABLE_CUT
+    assert math.fsum(law.pmf) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+    assert np.all(law.pmf >= 0.0) and not law.pmf.flags.writeable
+    mean_k = n + math.fsum(1.0 - cdf)
     assert mean_k == pytest.approx(n * means.mean() / means.min(), rel=1e-9, abs=0.0)
 
 
@@ -508,7 +511,7 @@ def test_h3_packet_count_table_gives_the_two_packet_tail(case):
     args = _h3_law_args(case)
     means = statistic_means(*args)[3]
     law = h3_packet_count_law(*args, 2)
-    k_tail = np.concatenate([[1.0, 1.0], 1.0 - law.cdf])  # P(K > j), j = 0, 1, ...
+    k_tail = np.concatenate([[1.0, 1.0], 1.0 - np.cumsum(law.pmf[:-1])])  # P(K > j), j = 0, 1, ...
     rates = 1.0 / means
     for z in means.mean() * np.array([0.25, 1.0, 2.0, 4.0]):
         got = float(poisson.pmf(np.arange(k_tail.size), 2.0 * z / law.v_min) @ k_tail)

@@ -4,6 +4,7 @@ import math
 import threading
 from dataclasses import replace
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from iqsense.detection import (
     METRICS,
     DetectorMode,
     VarianceOrderError,
+    classify_batch,
     conditional_probabilities,
     convention_metric,
+    decision_counts,
     h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
@@ -224,7 +227,8 @@ def test_run_trials_worker_invariance(h3_draw, monkeypatch):
     slices of seven trials, and in slices that split the packets of a
     trial, for rows drawn from Gamma laws and from phase mixtures alike,
     H3 by its packet-count table or packet by packet (always at one
-    packet)."""
+    packet).  Only the per-packet draw is sliced; the others draw a whole
+    block per call, by products of uniforms at n_packets 2 and 3."""
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 2_048)
     m = IqMismatch(0.2, 0.15)
     for sc in (scenario(n_packets=3), scenario(n_packets=2, tx_mismatch=m, rx_mismatch=m),
@@ -259,8 +263,8 @@ _GOLDEN = {
     "tx-only": (
         SensingScenario(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),
         2 * 65_536 + 1001,
-        [[75164, 31184, 20097, 5628], [74690, 31160, 20440, 5783],
-         [19084, 20874, 34863, 57252], [18765, 20981, 34793, 57534]],
+        [[74904, 31310, 20332, 5527], [74723, 31279, 20492, 5579],
+         [18922, 20992, 34909, 57250], [19106, 20942, 34396, 57629]],
     ),
     "joint": (
         SensingScenario(
@@ -268,8 +272,8 @@ _GOLDEN = {
             n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
         ),
         2 * 65_536 + 777,
-        [[81242, 26001, 17686, 6920], [75550, 26912, 20132, 9255],
-         [29975, 20866, 28651, 52357], [28688, 20266, 28103, 54792]],
+        [[81194, 25966, 17913, 6776], [75623, 27061, 20041, 9124],
+         [30165, 20693, 28668, 52323], [29271, 20053, 28071, 54454]],
     ),
 }
 
@@ -280,6 +284,77 @@ def test_run_trials_golden(model):
     for workers in (1, 2):
         got = run_trials(sc, per_hypothesis, SeedSpec(2024, 3), workers=workers)
         assert got.counts.tolist() == counts, f"workers={workers}"
+
+
+# Tallies that draw no packet-count table and no product of uniforms: every
+# row at one packet, and rows H0-H2 past montecarlo._ERLANG_MAX packets,
+# make the calls they made when each drew its own gamma per trial.
+_UNMOVED_GOLDEN = {
+    "n1-tx-only": (scenario(n_packets=1), 4, [
+        [83584, 15650, 15026, 17813], [83427, 15690, 15199, 17757],
+        [52062, 14118, 17483, 48410], [52197, 14046, 17167, 48663]]),
+    "n1-joint": (replace(_GOLDEN["joint"][0], n_packets=1), 4, [
+        [85351, 18533, 15625, 12564], [81649, 18864, 16889, 14671],
+        [47894, 16512, 20037, 47630], [47175, 16292, 19579, 49027]]),
+    "n8-tx-only": (scenario(n_packets=8), 3, [
+        [72636, 41376, 16779, 1282], [72197, 41551, 16972, 1353],
+        [6885, 19309, 46114, 59765]]),
+}
+
+
+@pytest.mark.parametrize("name", list(_UNMOVED_GOLDEN))
+def test_run_trials_keeps_the_gamma_and_per_packet_streams(name):
+    sc, rows, counts = _UNMOVED_GOLDEN[name]
+    assert sc.n_packets == 1 or sc.n_packets > montecarlo._ERLANG_MAX
+    got = run_trials(sc, 2 * 65_536 + 1001, SeedSpec(2024, 3), workers=2)
+    assert got.counts[:rows].tolist() == counts
+
+
+@pytest.mark.parametrize("k", range(2, montecarlo._ERLANG_MAX + 1))
+def test_product_of_uniforms_draws_the_gamma_law(k):
+    """At n_packets K, a Gamma row is -log of a product of K uniforms:
+    its decision counts close on the Gamma(K) closed form (row test at
+    level 1e-4 per K), and a row whose mean is off by the factor (K-1)/K
+    of a product one uniform short fails it."""
+    sc = scenario(n_packets=k)
+    rule = scenario_rule(sc)
+    probs = conditional_probabilities(scenario_variances(sc), rule)[0]
+    streams = [substream(31, k, kind) for kind in (0, 1)]
+    z = montecarlo._statistic_draws(sc)[0][0](streams, 200_000)
+    assert row_pvalue(decision_counts(z, rule).tolist(), probs) >= 1e-4
+    assert row_pvalue(decision_counts(z * (k - 1) / k, rule).tolist(), probs) < 1e-4
+
+
+class _ZeroFirstTrial:
+    """A generator whose ``random((K, c))`` gives the first trial zeros."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def random(self, size):
+        u = self.rng.random(size)
+        u[:, 0] = 0.0
+        return u
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+@pytest.mark.parametrize("hyp", [0, 3])
+def test_zero_uniform_decides_the_top_region_without_a_warning(hyp):
+    """A product of uniforms that holds 0.0 gives Z = inf with no
+    RuntimeWarning, for a Gamma row and for the first trial of each of a
+    table row's product groups, and the rule puts it in its top region."""
+    sc = scenario(n_packets=4)
+    rule = scenario_rule(sc)
+    streams = [substream(5, kind) for kind in (0, 1)]
+    draw = montecarlo._statistic_draws(sc)[hyp][0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = draw([_ZeroFirstTrial(s) for s in streams], 1_000)
+    top = np.isinf(z)
+    assert z[0] == math.inf and 1 <= top.sum() <= montecarlo._ERLANG_MAX - 1
+    assert set(classify_batch(z[top], rule).tolist()) == {rule.levels[-1]}
 
 
 def test_run_trials_closure():
@@ -442,14 +517,14 @@ _COMPARE_GOLDEN = {
     "four-vs-bayes": (
         scenario(n_packets=4), DetectorMode.four_level(), DetectorMode.two_level_bayes(),
         2 * 65_536 + 1001, 7,
-        [[25921, 0, 136, 106016], [26149, 0, 132, 105792], [91980, 0, 141, 39952],
-         [92144, 0, 145, 39784]],
+        [[25717, 0, 127, 106229], [25918, 0, 122, 106033], [92191, 0, 149, 39733],
+         [92024, 0, 125, 39924]],
     ),
     "four-vs-cfar": (
         scenario(n_packets=2, tx_mismatch=irr_to_mismatch(-5.0)),
         DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1), 2 * 65_536 + 1001, 8,
-        [[13043, 16845, 0, 102185], [14510, 17375, 0, 100188], [55998, 22013, 0, 54062],
-         [56180, 21862, 0, 54031]],
+        [[13195, 16863, 0, 102015], [14370, 17392, 0, 100311], [55335, 22241, 0, 54497],
+         [56269, 21961, 0, 53843]],
     ),
     "joint": (
         SensingScenario(
@@ -457,8 +532,8 @@ _COMPARE_GOLDEN = {
             n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
         ),
         DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 2 * 65_536 + 777, 9,
-        [[13385, 0, 11438, 107026], [16473, 0, 12773, 102603], [65721, 0, 15547, 50581],
-         [67611, 0, 15101, 49137]],
+        [[13159, 0, 11566, 107124], [16394, 0, 12622, 102833], [65588, 0, 15389, 50872],
+         [67516, 0, 15096, 49237]],
     ),
 }
 

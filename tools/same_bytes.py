@@ -48,8 +48,12 @@ COMMANDS = [
     ("sense-trials", None, ["sense", "--trials", "3000"]),
     ("sense-stream-index", {"trials": 5000, "stream_index": 2}, ["sense", "--seed", "7"]),
     ("sense-two-cfar", {"trials": 5000, "scenario": _CFAR}, ["sense", "--out", "o.csv"]),
-    # H3 from its packet-count table, and packet by packet past the
+    # Gamma rows by products of uniforms at the benchmark's sense-tx
+    # point, H3 from its packet-count table, and packet by packet past the
     # table's length cap (a cross term that nearly cancels the signal)
+    ("sense-n4", {"trials": 5000, "scenario": {
+        "snr1_db": 0.0, "snr2_db": -10.0, "tx_irr_db": -15.0, "n_packets": 4}},
+     ["sense", "--workers", "2"]),
     ("sense-n32", {"trials": 5000, "scenario": {"n_packets": 32}}, ["sense"]),
     ("sense-past-table-cap", {"trials": 2000, "scenario": {
         "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}},
