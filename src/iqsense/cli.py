@@ -58,7 +58,6 @@ from .montecarlo import (
     sweep,
 )
 from .outage import (
-    MAX_OUTAGE_TRIALS,
     analytic_outage,
     irr_to_beta_sq,
     mc_outage,
@@ -154,11 +153,6 @@ def _resolve_config(args) -> ExperimentConfig:
     if cfg.workers > MAX_WORKERS:
         key = "--workers" if args.workers is not None else "workers"
         raise ConfigError(f"{key}: must be <= {MAX_WORKERS}, got {cfg.workers}")
-    outage = args.command == "outage" or getattr(args, "figure_id", None) == 6
-    if outage and cfg.trials > MAX_OUTAGE_TRIALS:
-        key = "--trials" if args.trials is not None else "trials"
-        raise ConfigError(f"{key}: must be <= {MAX_OUTAGE_TRIALS} for the outage Monte Carlo, "
-                          f"got {cfg.trials}")
     if args.mode is not None:
         with config_key("--cfar-pfa"):
             mode = DetectorMode(args.mode, args.cfar_pfa)

@@ -35,25 +35,22 @@ seed on a stream of its own.  A bare integer seed means
   draws from ``(stream_index, 0, *path, h, b, kind)``, one ``kind`` per
   kind of variate.  A one-entry row draws its uniforms or gammas on kind
   0.  H3 with a packet-count table draws its multinomial on kind 0 and
-  its uniforms and gammas on kind 1, group by group in increasing K;
-  packet by packet, its phase indices are kind 0 and its exponentials
-  kind 1.  The per-packet draw fills a block in slices of at most
-  :data:`_SLICE_VALUES` values, so a worker's arrays stay within a fixed
-  budget at any ``n_packets``; numpy's ``standard_exponential`` and
-  int64 ``integers`` give the same values when one call is split in two,
-  so the slicing moves no draw.  The other draws fill a block in one
-  call, holding at most ``_ERLANG_MAX`` uniforms per trial.  Block
-  tallies merge by integer addition, so results are a pure function of
-  (scenario, seed, trial count, path) -- bit-identical across runs,
-  worker counts and slice budgets.  The engine's arithmetic is
-  real-valued, so no result depends on fused multiply-add.  The H3
-  packet-count table comes from numpy's ``power`` and ``convolve``, and
-  a product of uniforms goes through numpy's ``log``; their last bits
-  may differ between numpy builds and CPUs.  Another rounding of the
-  table moves a block's group sizes only when a draw inside the
-  multinomial falls between the two roundings, and another rounding of
-  ``log`` moves a Z by an ulp, which changes a decision only at a
-  threshold.
+  its uniforms and gammas on kind 1, group by group in increasing K.
+  Drawn packet by packet, it takes one phase index per trial from kind 0
+  and one exponential per trial from kind 1 for each packet in turn, so
+  a worker holds a few arrays of one block's trials at any
+  ``n_packets``.  The other draws hold at most ``_ERLANG_MAX`` uniforms
+  per trial.  Each block is one draw call, and block tallies merge by
+  integer addition, so results are a pure function of (scenario, seed,
+  trial count, path) -- bit-identical across runs and worker counts.
+  The engine's arithmetic is real-valued, so no result depends on fused
+  multiply-add.  The H3 packet-count table comes from numpy's ``power``
+  and ``convolve``, and a product of uniforms goes through numpy's
+  ``log``; their last bits may differ between numpy builds and CPUs.
+  Another rounding of the table moves a block's group sizes only when a
+  draw inside the multinomial falls between the two roundings, and
+  another rounding of ``log`` moves a Z by an ulp, which changes a
+  decision only at a threshold.
 - Variance estimates (:func:`estimate_component_variances`, purpose 1):
   hypothesis h draws from ``(stream_index, 1, *path, h)`` in the fixed
   order its docstring states, a pure function of (scenario, samples,
@@ -85,9 +82,11 @@ much tighter than independent ones.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field, replace
 from functools import lru_cache, partial
+from itertools import islice
 
 import numpy as np
 
@@ -151,12 +150,6 @@ __all__ = [
 
 # Trials per block: the unit of the stream address and of a pool task.
 _BLOCK_TRIALS = 1 << 16
-
-# Values (one per packet) in one slice of a block of the per-packet H3
-# draw; a worker holds three float64 or int64 arrays of this size
-# (512 KiB each) at any n_packets.  The other draws fill a whole block
-# in one call, holding at most _ERLANG_MAX + 1 arrays of its trials.
-_SLICE_VALUES = 1 << 16
 
 # Largest K drawn as -log of a product of K uniforms, from 2 up; past it
 # standard_gamma is as fast (per 65,536 on one thread: 1.12 against
@@ -447,18 +440,27 @@ def scenario_rule(sc: SensingScenario) -> DecisionRule:
 # trial running
 
 
-def _chunk_layout(total: int, size: int) -> list[tuple[int, int]]:
-    """(index, count) of the blocks that hold ``total`` trials."""
-    return [(idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size)]
+def _chunk_layout(total: int, size: int):
+    """(index, count) of the blocks that hold ``total`` trials, one at a
+    time."""
+    return ((idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size))
 
 
 def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> np.ndarray:
     """``size`` H3 statistics Z drawn packet by packet: ``means`` holds the
-    mean of |r_k|^2 at each of the M phases; the phase indices come from
-    kind 0 and the exponentials from kind 1."""
-    power = streams[1].standard_exponential((size, n_packets))
-    power *= means.take(streams[0].integers(0, means.size, (size, n_packets)))
-    return power.mean(axis=1)
+    mean of |r_k|^2 at each of the M phases; each packet draws one phase
+    index per trial from kind 0 and one exponential per trial from kind 1,
+    and Z averages the packets."""
+    phases, powers = streams
+
+    def packet():
+        power = means.take(phases.integers(0, means.size, size))
+        return np.multiply(power, powers.standard_exponential(size), out=power)
+
+    z = packet()
+    for _ in range(1, n_packets):
+        z += packet()
+    return z / n_packets if n_packets > 1 else z
 
 
 def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: int) -> np.ndarray:
@@ -492,37 +494,31 @@ def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: i
     return z
 
 
-def _statistic_draws(sc: SensingScenario) -> list[tuple]:
-    """Per hypothesis, ``(draw, trials per slice)``, where ``draw(streams,
-    size)`` returns ``size`` statistics from the generators of kinds 0
-    and 1.  A row whose means do not depend on the phase draws from a
-    one-entry packet-count pmf at v = m, and one whose means do from its
-    table when there is one (a whole block per call), else packet by
-    packet."""
+def _statistic_draws(sc: SensingScenario) -> list:
+    """Per hypothesis, ``draw(streams, size)``, which returns ``size``
+    statistics from the generators of kinds 0 and 1.  A row whose means do
+    not depend on the phase draws from a one-entry packet-count pmf at v =
+    m, and one whose means do from its table when there is one, else
+    packet by packet."""
     n = sc.n_packets
     law = h3_packet_count_law(sc.pair, *sc.coefficients, n)
     draws = []
     for means in statistic_means(sc.pair, *sc.coefficients):
         if means.min() == means.max():
-            draws.append((partial(_packet_count_statistics, float(means[0]), _ONE_ENTRY, n),
-                          _BLOCK_TRIALS))
+            draws.append(partial(_packet_count_statistics, float(means[0]), _ONE_ENTRY, n))
         elif law is not None:
-            draws.append((partial(_packet_count_statistics, *law, n), _BLOCK_TRIALS))
+            draws.append(partial(_packet_count_statistics, *law, n))
         else:
-            draws.append((partial(_per_packet_statistics, means, n), max(1, _SLICE_VALUES // n)))
+            draws.append(partial(_per_packet_statistics, means, n))
     return draws
 
 
 def _chunk_task(args) -> tuple[int, np.ndarray]:
-    """Draw one block under one hypothesis, slice by slice, and classify
-    it with every rule; returns (hypothesis, per-rule decision counts)."""
-    (draw, rows), rules, hyp, block, count, seed, stream_path = args
-    streams = [substream(seed, _TRIAL_STREAM, *stream_path, hyp, block, kind) for kind in (0, 1)]
-    counts = np.zeros((len(rules), 4), dtype=np.int64)
-    for start in range(0, count, rows):
-        z = draw(streams, min(rows, count - start))
-        counts += [decision_counts(z, rule) for rule in rules]
-    return hyp, counts
+    """Draw one block under one hypothesis and classify it with every
+    rule; returns (hypothesis, per-rule decision counts)."""
+    draw, rules, hyp, block, count, seed, stream_path = args
+    z = draw([substream(seed, _TRIAL_STREAM, *stream_path, hyp, block, k) for k in (0, 1)], count)
+    return hyp, np.array([decision_counts(z, rule) for rule in rules])
 
 
 def _tally_jobs(
@@ -534,11 +530,14 @@ def _tally_jobs(
     """The trial engine: per-rule tallies for each (scenario, rules,
     stream path) job.
 
-    Every block of every job is one task of a single map over ``workers``
-    threads; block counts merge into their job by integer addition, so
-    the result does not depend on ``workers``.  When a block raises, the
-    blocks still queued are cancelled and the exception propagates
-    unchanged once the running ones finish.
+    Every block of every job is one task on a pool of ``workers``
+    threads.  Tasks are made as they are submitted, at most
+    ``2 * workers`` are in flight, and each block's counts merge into its
+    job by integer addition as it is collected.  So the engine's memory
+    does not grow with the trial count, and the result does not depend on
+    ``workers``.  When a block raises, the blocks still queued are
+    cancelled and the exception propagates unchanged once the running ones
+    finish.
     """
     for name, value in (("per_hypothesis", per_hypothesis), ("workers", workers)):
         if value < 1:
@@ -546,22 +545,24 @@ def _tally_jobs(
     if workers > MAX_WORKERS:
         raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
     seed = _as_seed(seed)
-    layout = _chunk_layout(per_hypothesis, _BLOCK_TRIALS)
-    tasks = [
-        (draw, rules, hyp, idx, count, seed, path)
-        for sc, rules, path in jobs
+    counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
+    tasks = (
+        (job, (draw, rules, hyp, idx, count, seed, path))
+        for job, (sc, rules, path) in zip(counts, jobs)
         for hyp, draw in enumerate(_statistic_draws(sc))
-        for idx, count in layout
-    ]
+        for idx, count in _chunk_layout(per_hypothesis, _BLOCK_TRIALS)
+    )
     pool = ThreadPoolExecutor(max_workers=workers)
     try:
-        results = list(pool.map(_chunk_task, tasks))
+        futures = ((job, pool.submit(_chunk_task, task)) for job, task in tasks)
+        in_flight = deque(islice(futures, 2 * workers))
+        while in_flight:
+            job, future = in_flight.popleft()
+            hyp, arr = future.result()
+            job[:, hyp, :] += arr
+            in_flight.extend(islice(futures, 1))
     finally:
         pool.shutdown(cancel_futures=True)
-    counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
-    tasks_per_job = 4 * len(layout)
-    for t, (hyp, arr) in enumerate(results):
-        counts[t // tasks_per_job][:, hyp, :] += arr
     return [[TallyMatrix(c) for c in job_counts] for job_counts in counts]
 
 

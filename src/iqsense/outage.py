@@ -20,12 +20,11 @@ from .stats import Estimate, wilson_interval
 
 __all__ = [
     "OutageScenario", "irr_to_beta_sq", "analytic_outage", "outage_paper_literal", "mc_outage",
-    "MAX_OUTAGE_TRIALS",
 ]
 
-# mc_outage holds all its draws at once, about 33 bytes per trial (two
-# float64 draws, one float64 temporary and a bool mask): 330 MB at the cap.
-MAX_OUTAGE_TRIALS = 10**7
+# Trials mc_outage draws at once, about 33 bytes each (two float64 draws,
+# one float64 temporary and a bool mask): 330 MB per slice.
+_OUTAGE_SLICE = 10**7
 
 
 def irr_to_beta_sq(irr_db: float | None) -> float:
@@ -131,17 +130,21 @@ def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Esti
     gamma < threshold via the equivalent linear event
     X1 < g * (1 + X2).  ``rng`` is the stream to draw from, as
     ``substream(seed, OUTAGE_STREAM, ...)`` addresses it; the estimate
-    is a pure function of (scenario, trials, that stream).  ``trials``
-    above :data:`MAX_OUTAGE_TRIALS` raises ``ValueError`` before any draw.
+    is a pure function of (scenario, trials, that stream).  The trials are
+    drawn in slices of at most 10**7, X1 then X2 for each slice, so memory
+    stays bounded at any ``trials`` and up to 10**7 trials are one slice.
     """
-    if not 1 <= trials <= MAX_OUTAGE_TRIALS:
-        raise ValueError(f"trials must be in [1, {MAX_OUTAGE_TRIALS}], got {trials}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     g = sc.gamma_threshold
     m1 = sc.signal_mean
     m2 = sc.interference_mean
-    x1 = rng.exponential(m1, trials) if m1 > 0 else np.zeros(trials)
-    x2 = rng.exponential(m2, trials) if m2 > 0 else np.zeros(trials)
-    failures = int(np.count_nonzero(x1 < g * (1.0 + x2)))
+    failures = 0
+    for start in range(0, trials, _OUTAGE_SLICE):
+        size = min(_OUTAGE_SLICE, trials - start)
+        x1 = rng.exponential(m1, size) if m1 > 0 else np.zeros(size)
+        x2 = rng.exponential(m2, size) if m2 > 0 else np.zeros(size)
+        failures += int(np.count_nonzero(x1 < g * (1.0 + x2)))
     return wilson_interval(failures, trials)

@@ -95,8 +95,9 @@ def test_sense_verify_near_certain_cells_warn_nothing(tmp_path):
 
 
 # Peak RSS of `sense` at n_packets 1024.  The interpreter, numpy and
-# iqsense take about 38 MB; the engine's slices add under 2 MB per worker.
-# One 4096-trial block held whole would need 32 MiB per array.
+# iqsense take about 38 MB; the per-packet H3 draw goes packet by packet
+# and holds a few arrays of one block's trials, under 2 MB per worker.
+# A 4096-trial block drawn as one (trials, packets) array would need 32 MiB.
 _SENSE_RSS_BUDGET_MB = 64
 
 
@@ -377,22 +378,26 @@ def test_every_range_error_names_its_key(tmp_path, monkeypatch, capsys, command,
 
 @pytest.mark.parametrize("command", [["outage"], ["figure", "6"]], ids=["outage", "figure-6"])
 @pytest.mark.parametrize("flag", [False, True], ids=["config", "flag"])
-def test_outage_trials_are_bounded(tmp_path, monkeypatch, capsys, command, flag):
-    """The outage Monte Carlo holds all its draws at once, so ``outage`` and
-    ``figure 6`` refuse 10**10 trials, naming the key or flag, and exit 2
-    before any draw."""
+def test_outage_takes_any_trial_count(tmp_path, monkeypatch, capsys, command, flag):
+    """The outage Monte Carlo draws in slices, so ``outage`` and
+    ``figure 6`` take 10**10 trials, from the config or the flag, and hand
+    that count to every call."""
     import iqsense.cli as cli
+    from iqsense.stats import Estimate
 
     calls = []
-    monkeypatch.setattr(cli, "mc_outage", lambda *a: calls.append(a))
+
+    def stub(sc, trials, rng):
+        calls.append(trials)
+        return Estimate(0.5, 0.4, 0.6)
+
+    monkeypatch.setattr(cli, "mc_outage", stub)
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({} if flag else {"trials": 10**10}))
     argv = [*command, "--config", str(cfgf), *(["--trials", str(10**10)] if flag else [])]
-    assert cli.main(argv) == 2
-    key = "--trials" if flag else "trials"
-    assert capsys.readouterr().err == (
-        f"error: {key}: must be <= 10000000 for the outage Monte Carlo, got 10000000000\n")
-    assert calls == []
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().err == ""
+    assert calls and set(calls) == {10**10}
 
 
 @pytest.mark.parametrize("command, config, message", [

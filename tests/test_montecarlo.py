@@ -5,6 +5,7 @@ import threading
 from dataclasses import replace
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,9 +154,9 @@ def test_scenario_derives_pair_and_coefficients_once():
 
 
 def test_chunk_layout():
-    assert _chunk_layout(10, 4) == [(0, 4), (1, 4), (2, 2)]
-    assert _chunk_layout(4, 4) == [(0, 4)]
-    assert _chunk_layout(1, 100) == [(0, 1)]
+    assert list(_chunk_layout(10, 4)) == [(0, 4), (1, 4), (2, 2)]
+    assert list(_chunk_layout(4, 4)) == [(0, 4)]
+    assert list(_chunk_layout(1, 100)) == [(0, 1)]
 
 
 def test_tally_matrix_algebra():
@@ -222,13 +223,11 @@ def test_run_trials_deterministic():
 
 @pytest.mark.parametrize("h3_draw", ["table", "per-packet"], indirect=True)
 def test_run_trials_worker_invariance(h3_draw, monkeypatch):
-    """Tallies are byte-identical across worker counts and slice budgets:
-    three blocks with a short last one, filled one slice per block, in
-    slices of seven trials, and in slices that split the packets of a
-    trial, for rows drawn from Gamma laws and from phase mixtures alike,
-    H3 by its packet-count table or packet by packet (always at one
-    packet).  Only the per-packet draw is sliced; the others draw a whole
-    block per call, by products of uniforms at n_packets 2 and 3."""
+    """Tallies are byte-identical across worker counts: three blocks with
+    a short last one, for rows drawn from Gamma laws and from phase
+    mixtures alike, H3 by its packet-count table or packet by packet
+    (always at one packet), by products of uniforms at n_packets 2 and
+    3."""
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 2_048)
     m = IqMismatch(0.2, 0.15)
     for sc in (scenario(n_packets=3), scenario(n_packets=2, tx_mismatch=m, rx_mismatch=m),
@@ -239,9 +238,7 @@ def test_run_trials_worker_invariance(h3_draw, monkeypatch):
         assert (table is None) == (h3_draw == "per-packet" or sc.n_packets == 1)
         want = run_trials(sc, 5_000, 5)
         for workers in (1, 2, 4):
-            for slice_values in (1 << 16, 7 * sc.n_packets, 1_000):
-                monkeypatch.setattr(montecarlo, "_SLICE_VALUES", slice_values)
-                assert run_trials(sc, 5_000, 5, workers=workers) == want
+            assert run_trials(sc, 5_000, 5, workers=workers) == want
 
 
 def test_near_cancelling_h3_runs_packet_by_packet(monkeypatch):
@@ -310,6 +307,18 @@ def test_run_trials_keeps_the_gamma_and_per_packet_streams(name):
     assert got.counts[:rows].tolist() == counts
 
 
+@pytest.mark.parametrize("h3_draw", ["per-packet"], indirect=True)
+def test_per_packet_stream_golden(h3_draw):
+    """The headline point at four packets, H3 drawn packet by packet: one
+    block of 65,536 trials per hypothesis.  Rows H0-H2 are Gamma rows and
+    H3 takes each packet's phase indices and exponentials in turn."""
+    sc = scenario(n_packets=4)
+    assert h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets) is None
+    assert run_trials(sc, 65_536, 5).counts.tolist() == [
+        [37181, 15638, 9963, 2754], [36874, 15524, 10305, 2833],
+        [9351, 10589, 17296, 28300], [9459, 10517, 17209, 28351]]
+
+
 @pytest.mark.parametrize("k", range(2, montecarlo._ERLANG_MAX + 1))
 def test_product_of_uniforms_draws_the_gamma_law(k):
     """At n_packets K, a Gamma row is -log of a product of K uniforms:
@@ -320,7 +329,7 @@ def test_product_of_uniforms_draws_the_gamma_law(k):
     rule = scenario_rule(sc)
     probs = conditional_probabilities(scenario_variances(sc), rule)[0]
     streams = [substream(31, k, kind) for kind in (0, 1)]
-    z = montecarlo._statistic_draws(sc)[0][0](streams, 200_000)
+    z = montecarlo._statistic_draws(sc)[0](streams, 200_000)
     assert row_pvalue(decision_counts(z, rule).tolist(), probs) >= 1e-4
     assert row_pvalue(decision_counts(z * (k - 1) / k, rule).tolist(), probs) < 1e-4
 
@@ -348,7 +357,7 @@ def test_zero_uniform_decides_the_top_region_without_a_warning(hyp):
     sc = scenario(n_packets=4)
     rule = scenario_rule(sc)
     streams = [substream(5, kind) for kind in (0, 1)]
-    draw = montecarlo._statistic_draws(sc)[hyp][0]
+    draw = montecarlo._statistic_draws(sc)[hyp]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         z = draw([_ZeroFirstTrial(s) for s in streams], 1_000)
@@ -687,6 +696,39 @@ def test_failed_chunk_cancels_queued_chunks(monkeypatch):
         run_trials(scenario(), 16 * 64, 1, workers=2)
     assert excinfo.value is err
     assert 1 <= len(ran) < 64
+
+
+def test_blocks_in_flight_stay_bounded(monkeypatch):
+    """A run of about 2e9 trials per hypothesis (30,518 blocks each, one
+    worker) with a stubbed block: 2 * workers blocks are submitted and not
+    yet collected at the most, so the engine's scheduling state does not
+    grow with the trial count, and every block's count is merged."""
+    outstanding, peak = [0], [0]
+
+    class CountingPool(ThreadPoolExecutor):
+        def submit(self, fn, /, *args):
+            future = super().submit(fn, *args)
+            outstanding[0] += 1
+            peak[0] = max(peak[0], outstanding[0])
+            result = future.result
+
+            def collect(timeout=None):
+                outstanding[0] -= 1
+                return result(timeout)
+
+            future.result = collect
+            return future
+
+    def stub(task):
+        _, rules, hyp, _, count, *_ = task
+        return hyp, np.array([[count, 0, 0, 0]] * len(rules))
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo, "_chunk_task", stub)
+    trials = 30_518 * 65_536 - 123
+    tally = run_trials(scenario(), trials, 1, workers=1)
+    assert tally.trials_per_hypothesis.tolist() == [trials] * 4
+    assert peak[0] == 2 and outstanding[0] == 0
 
 
 def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+import iqsense.outage as outage
 from iqsense.montecarlo import OUTAGE_STREAM, SeedSpec, substream
 from iqsense.outage import (
     OutageScenario,
@@ -114,12 +115,42 @@ def test_mc_seed_behaviour():
     c = mc_outage(sc, 10_000, substream(SeedSpec(56), OUTAGE_STREAM))
     assert a == b
     assert a != c
-    # Past the bound the call raises before it draws.
-    rng = substream(SeedSpec(55), OUTAGE_STREAM)
-    with pytest.raises(ValueError, match=r"^trials must be in \[1, 10000000\], got 10000000000$"):
-        mc_outage(sc, 10**10, rng)
-    assert mc_outage(sc, 10_000, rng) == a
+    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+        mc_outage(sc, 0, substream(SeedSpec(55), OUTAGE_STREAM))
     # An int or a bool is not seeded into a stream of its own.
     for seed in (55, True):
         with pytest.raises(ValueError, match="^rng must be a numpy.random.Generator, got "):
             mc_outage(sc, 10, seed)
+
+
+def test_mc_outage_keeps_its_stream():
+    """20,000 trials are one slice, so they make the calls of one whole
+    draw of X1 then X2, and give the pinned failure count."""
+    sc = OutageScenario(p_mk=3.0, p0=1.0, beta_sq_sec=0.3)
+    est = mc_outage(sc, 20_000, substream(SeedSpec(55), OUTAGE_STREAM))
+    assert round(est.value * 20_000) == 7036
+
+
+class _RecordingGenerator(np.random.Generator):
+    """A generator that records the size of every ``exponential`` call."""
+
+    def __init__(self, seed):
+        super().__init__(np.random.PCG64(seed))
+        self.sizes = []
+
+    def exponential(self, scale, size):
+        self.sizes.append(size)
+        return super().exponential(scale, size)
+
+
+def test_mc_outage_draws_in_slices(monkeypatch):
+    """With slices of 7,000 trials, 20,000 trials draw X1 then X2 in three
+    slices, repeat exactly, and close on the closed form."""
+    monkeypatch.setattr(outage, "_OUTAGE_SLICE", 7_000)
+    sc = OutageScenario(p_mk=3.0, p0=1.0, beta_sq_sec=0.3)
+    rng = _RecordingGenerator(55)
+    est = mc_outage(sc, 20_000, rng)
+    assert rng.sizes == [7_000, 7_000, 7_000, 7_000, 6_000, 6_000]
+    assert mc_outage(sc, 20_000, _RecordingGenerator(55)) == est
+    p = analytic_outage(sc)
+    assert abs(est.value - p) <= 4.0 * math.sqrt(p * (1.0 - p) / 20_000)
