@@ -347,7 +347,7 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
         "metrics": _metric_block(conditional_probabilities(v, rule)),
     }
     if sc.mode.kind == "four" and not rule.merged:
-        report["thresholds"] = {"s01": rule.s01, "s12": rule.s12, "s23": rule.s23}
+        report["thresholds"] = dict(zip(("s01", "s12", "s23"), rule.boundaries))
         report["paper_literal"] = {
             "thresholds": list(thresholds_paper_literal(v, sc.n_packets)),
             "p_fa": false_alarm_paper_literal(v, sc.n_packets),
@@ -499,8 +499,11 @@ def _cmd_figure(cfg: ExperimentConfig, args) -> int:
 
 def _cmd_frame(cfg: ExperimentConfig, args) -> int:
     frame = cfg.frame
-    scn = replace(cfg.scenario, snr1_db=frame.snr_db, snr2_db=frame.snr_db)
-    result = simulate_frame(frame.occupancy, scn, cfg.seed)
+    with config_key("frame.snr_db"):
+        scn = replace(cfg.scenario, snr1_db=frame.snr_db, snr2_db=frame.snr_db)
+        scenario_variances(scn)
+    with config_key("frame"):
+        result = simulate_frame(frame.occupancy, scn, cfg.seed)
     summary = {
         "confusion": result.confusion.tolist(),
         "vacant_mirror_flags": result.vacant_mirror_flags,

@@ -6,7 +6,9 @@ instead of silently running a default.  Values are checked here for type
 other range is checked by the model type that takes the value, and
 :func:`config_key` reports its error under the key the user wrote.  An
 IRR grid point is checked when the config is read, so every command
-refuses one that is not negative, not only the commands that run it.  The
+refuses one that is not negative, not only the commands that run it;
+anything formed from the scenario (a grid point's variances, the frame's
+scenario and pair table) is checked by the command that runs it.  The
 canonical dictionary (the resolved, math-relevant portion of a
 configuration) is hashed into the output provenance; execution details
 that cannot change results (worker count, output path, format) stay out
@@ -19,16 +21,11 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 from .detection import DetectorMode
-from .frame import OccupancyMap, frame_table
-from .montecarlo import (
-    SWEEP_AXES,
-    SeedSpec,
-    SensingScenario,
-    scenario_variances,
-)
+from .frame import OccupancyMap
+from .montecarlo import SWEEP_AXES, SeedSpec, SensingScenario
 from .outage import OutageScenario, irr_to_beta_sq
 from .signal_model import IqMismatch, irr_to_mismatch
 
@@ -389,12 +386,6 @@ def parse_config(raw: dict) -> ExperimentConfig:
     sweep_sec = _sweep_from(raw["sweep"]) if "sweep" in raw else None
     outage_sec = _outage_from(raw.get("outage", {}))
     frame_sec = _frame_from(raw.get("frame", {}))
-    with config_key("frame.snr_db"):  # --mode cannot change the frame's variances
-        snr = frame_sec.snr_db
-        frame_sc = replace(scenario, snr1_db=snr, snr2_db=snr)
-        scenario_variances(frame_sc)
-    with config_key("frame"):
-        frame_table(frame_sec.occupancy.n_subcarriers, frame_sc)
     figure_sec = _figure_from(raw.get("figure", {}))
     out = raw.get("out")
     if out is not None and not isinstance(out, str):

@@ -421,25 +421,6 @@ class DecisionRule:
         if self.n_packets < 1:
             raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
 
-    @property
-    def s01(self) -> float:
-        return self._full_boundary(0)
-
-    @property
-    def s12(self) -> float:
-        return self._full_boundary(1)
-
-    @property
-    def s23(self) -> float:
-        return self._full_boundary(2)
-
-    def _full_boundary(self, i: int) -> float:
-        if len(self.boundaries) != 3:
-            raise ValueError(
-                f"named thresholds need the full four-region rule, have {len(self.levels)} regions"
-            )
-        return self.boundaries[i]
-
 
 def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     """Minimum-average-cost rule for the four ordered hypotheses.

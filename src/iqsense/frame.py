@@ -31,7 +31,7 @@ from .montecarlo import FRAME_STREAM, SeedSpec, SensingScenario, scenario_rule, 
 # Not called here (the frame draws from pair_table); bound for the trace in bench/job.py.
 from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint  # noqa: F401
 
-__all__ = ["OccupancyMap", "FrameResult", "simulate_frame", "frame_table"]
+__all__ = ["OccupancyMap", "FrameResult", "simulate_frame"]
 
 # A frame holds several arrays of n_subcarriers x n_packets values; at
 # this many a frame takes about 100 MB, so the bound holds for the
@@ -113,21 +113,6 @@ class FrameResult:
         )
 
 
-def frame_table(n_subcarriers: int, sc: SensingScenario) -> np.ndarray:
-    """The :func:`~iqsense.detection.pair_table` a frame of
-    ``n_subcarriers`` draws from at ``sc``.  Raises ValueError for a frame
-    of more than 2**20 values per side, or for means that overflow a
-    float (both sides' means scale the draws).  The scenario's variances
-    build the table first, under their own overflow guard."""
-    if n_subcarriers * sc.n_packets > _MAX_SUBCARRIERS:
-        raise ValueError(f"n_subcarriers x n_packets must be <= {_MAX_SUBCARRIERS}, "
-                         f"got {n_subcarriers} x {sc.n_packets}")
-    table = pair_table(sc.pair, sc.coefficients[0])
-    if not np.isfinite(table).all():
-        raise ValueError(f"snr_db={sc.snr1_db:g}: the pair's mean powers overflow a float")
-    return table
-
-
 def simulate_frame(
     occupancy: OccupancyMap, sc: SensingScenario, seed: "SeedSpec | int"
 ) -> FrameResult:
@@ -136,6 +121,10 @@ def simulate_frame(
     ``sc`` supplies the uniform nominal subcarrier power (its two
     per-pair powers must agree), the front-end mismatches, the packet
     length and the detector mode; ``occupancy`` supplies the truth.
+    Raises ValueError for a frame of more than 2**20 values per side, or
+    for pair-table means that overflow a float (both sides' means scale
+    the draws); the scenario's variances, which :func:`scenario_rule`
+    builds from the same table, have their own overflow guard.
     """
     pair = sc.pair
     if not math.isclose(pair.power_k, pair.power_mk, rel_tol=1e-12, abs_tol=0.0):
@@ -143,8 +132,13 @@ def simulate_frame(
             "frame simulation uses one nominal subcarrier power: "
             f"power_k={pair.power_k} != power_mk={pair.power_mk}"
         )
+    if occupancy.n_subcarriers * sc.n_packets > _MAX_SUBCARRIERS:
+        raise ValueError(f"n_subcarriers x n_packets must be <= {_MAX_SUBCARRIERS}, "
+                         f"got {occupancy.n_subcarriers} x {sc.n_packets}")
     rule = scenario_rule(sc)
-    table = frame_table(occupancy.n_subcarriers, sc)
+    table = pair_table(pair, sc.coefficients[0])
+    if not np.isfinite(table).all():
+        raise ValueError(f"snr_db={sc.snr1_db:g}: the pair's mean powers overflow a float")
     half = occupancy.n_subcarriers // 2
     # Row k-1 of the "pos" side is subcarrier k, of the "neg" side -k.  Draw
     # order: one phase index of s_k*s_-k per pair and packet, then the pos

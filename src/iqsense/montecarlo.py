@@ -265,13 +265,14 @@ class SensingScenario:
     )
 
     def __post_init__(self):
-        if not isinstance(self.n_packets, int) or self.n_packets < 1:
-            raise ValueError(f"n_packets must be an int >= 1, got {self.n_packets!r}")
-        if self.n_packets > _MAX_PACKETS:
-            raise ValueError(f"n_packets must be <= {_MAX_PACKETS}, got {self.n_packets}")
-        # the SNRs' powers scale with it, so it is checked before they are formed
-        if not isinstance(self.noise_var, (int, float)) or not 0.0 < self.noise_var < math.inf:
-            raise ValueError(f"noise_var must be finite and > 0, got {self.noise_var!r}")
+        n, v = self.n_packets, self.noise_var
+        if type(n) is bool or not isinstance(n, int) or n < 1:
+            raise ValueError(f"n_packets must be an int >= 1, got {n!r}")
+        if n > _MAX_PACKETS:
+            raise ValueError(f"n_packets must be <= {_MAX_PACKETS}, got {n}")
+        # noise_var scales the SNRs' powers, so it is checked before they are formed
+        if type(v) is bool or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:
+            raise ValueError(f"noise_var must be finite and > 0, got {v!r}")
         powers = []
         for name in ("snr1_db", "snr2_db"):
             snr = float(getattr(self, name))

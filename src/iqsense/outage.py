@@ -59,11 +59,11 @@ class OutageScenario:
     def __post_init__(self):
         for name in ("p_mk", "p0", "beta_sq_sec", "rate_p"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
+            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("noise_p", "var_g", "var_h"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
+            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
 
     @property

@@ -139,11 +139,11 @@ class SubcarrierPairConfig:
     def __post_init__(self):
         for name in ("power_k", "power_mk"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
+            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
                 raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
         for name in ("noise_var", "channel_var", "channel_var_mirror"):
             v = getattr(self, name)
-            if not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
+            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {v!r}")
         m = self.psk_order
         if not isinstance(m, int) or isinstance(m, bool) or m < 2:

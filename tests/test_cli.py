@@ -195,15 +195,17 @@ def test_bad_grid_point_exits_before_any_trial(tmp_path, monkeypatch, capsys, fi
 
 def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
     """Exit code and stderr of an in-process call that must stop before the
-    trial engine, the frame simulator or an outage trial runs."""
+    trial engine, the frame's draw or an outage trial runs; the frame's own
+    checks run."""
     import iqsense.cli as cli
+    import iqsense.frame as frame
     import iqsense.montecarlo as montecarlo
 
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({**config, "trials": 100}))
     calls = []
     monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
-    monkeypatch.setattr(cli, "simulate_frame", lambda *a: calls.append(a))
+    monkeypatch.setattr(frame, "substream", lambda *a: calls.append(a))
     monkeypatch.setattr(cli, "mc_outage", lambda *a: calls.append(a))
     code = cli.main([*command, "--config", str(cfgf)])
     assert calls == []
@@ -283,6 +285,15 @@ def _range_case(key, config, where, command=("analytic",)):
     return pytest.param(list(command), config, where, id=key)
 
 
+# The scenario's own variances are in order (0.751, 1.026, 2.507, 2.782);
+# the frame's, at 0 dB on both sides, are not: |alpha_r|^2 * channel_var
+# < |beta_r|^2 * channel_var_mirror.
+_MIRROR_HEAVY = {"scenario": {"tx_irr_db": -3, "rx_irr_db": -3, "channel_var_mirror": 10}}
+# Finite variances, but the frame's pair table overflows on the mirror side.
+_TABLE_OVERFLOW = {"scenario": {"channel_var_mirror": 1e300},
+                   "frame": {"n_subcarriers": 8, "active": [1, -2], "snr_db": 100}}
+
+
 @pytest.mark.parametrize("command, config, where", [
     _range_case("scenario.snr1_db", {"scenario": {"snr1_db": 4000}}, "scenario: snr1_db="),
     _range_case("scenario.snr2_db", {"scenario": {"snr2_db": 4000}}, "scenario: snr2_db="),
@@ -326,12 +337,11 @@ def _range_case(key, config, where, command=("analytic",)):
     _range_case("frame.active-outside", {"frame": {"n_subcarriers": 8, "active": [5]}},
                 "frame.active: "),
     _range_case("frame.snr_db", {"frame": {"snr_db": 4000}}, "frame.snr_db: ", ["frame"]),
-    _range_case("frame.snr_db-analytic", {"frame": {"snr_db": 4000}}, "frame.snr_db: "),
-    *(_range_case(f"frame.table-overflow-{cmd}",
-                  {"scenario": {"channel_var_mirror": 1e300},
-                   "frame": {"n_subcarriers": 8, "active": [1, -2], "snr_db": 100}},
-                  "frame: snr_db=100: the pair's mean powers overflow a float", [cmd])
-      for cmd in ("frame", "sense")),
+    _range_case("frame.snr_db-mirror-heavy", _MIRROR_HEAVY,
+                "frame.snr_db: variances must be nondecreasing (model ordering assumption), "
+                "got (0.7505936168136361, ", ["frame"]),
+    _range_case("frame.table-overflow-frame", _TABLE_OVERFLOW,
+                "frame: snr_db=100: the pair's mean powers overflow a float", ["frame"]),
     _range_case("frame.n_subcarriers-x-n_packets",
                 {"scenario": {"n_packets": 2}, "frame": {"n_subcarriers": 2**20}},
                 "frame: n_subcarriers x n_packets must be <= 1048576, got 1048576 x 2",
@@ -374,6 +384,26 @@ def test_every_range_error_names_its_key(tmp_path, monkeypatch, capsys, command,
     code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
     assert code == 2
     assert err.startswith(f"error: {where}")
+
+
+@pytest.mark.parametrize("command, config", [
+    pytest.param(["analytic"], {"frame": {"snr_db": 4000}}, id="frame.snr_db-analytic"),
+    pytest.param(["sense", "--trials", "100"], _TABLE_OVERFLOW, id="frame.table-overflow-sense"),
+    pytest.param(["analytic"], _MIRROR_HEAVY, id="mirror-heavy-analytic"),
+    pytest.param(["sense", "--trials", "2000", "--verify"], _MIRROR_HEAVY,
+                 id="mirror-heavy-sense-verify"),
+    pytest.param(["figure", "5", "--trials", "100"], _MIRROR_HEAVY, id="mirror-heavy-figure-5"),
+])
+def test_only_frame_checks_the_frames_scenario(tmp_path, capsys, command, config):
+    """The frame's scenario (``frame.snr_db`` on both sides) and its pair
+    table are checked by ``frame`` alone, so a frame section, written or
+    default, that ``frame`` refuses does not refuse another command."""
+    import iqsense.cli as cli
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps(config))
+    assert cli.main([*command, "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("command", [["outage"], ["figure", "6"]], ids=["outage", "figure-6"])
@@ -505,8 +535,7 @@ def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
 
 def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
     """The sweep computes each grid point's variances once, for the
-    grid check before the trials and for the points' rules.  The config
-    check adds one more: the frame's, at ``frame.snr_db``."""
+    grid check before the trials and for the points' rules."""
     import iqsense.cli as cli
     import iqsense.montecarlo as montecarlo
 
@@ -522,7 +551,7 @@ def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({"figure": {"irr_grid": [-30.0, -20.0, -10.0]}, "trials": 100}))
     assert cli.main(["figure", "5", "--config", str(cfgf), "--out", str(tmp_path / "f.csv")]) == 0
-    assert len(calls) == 3 * 2 + 1  # grid points x curves, and the frame
+    assert len(calls) == 3 * 2  # grid points x curves
 
 
 @pytest.mark.parametrize("command, points", [

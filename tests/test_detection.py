@@ -81,7 +81,6 @@ def test_reference_thresholds():
     assert r.boundaries == pytest.approx(REF_THRESHOLDS, rel=1e-13)
     assert r.levels == (Hypothesis.H0, Hypothesis.H1, Hypothesis.H2, Hypothesis.H3)
     assert not r.merged
-    assert (r.s01, r.s12, r.s23) == r.boundaries
 
 
 def test_threshold_against_crossing_oracle():
@@ -175,7 +174,7 @@ def test_merge_silent_mirror():
 def test_classify_semantics():
     r = decision_rule(REF_VARIANCES, 1)
     # A boundary value belongs to the upper region.
-    out = classify_batch(np.array([0.5, 1.2, 1.7, 5.0, r.s01, r.s23]), r)
+    out = classify_batch(np.array([0.5, 1.2, 1.7, 5.0, r.boundaries[0], r.boundaries[2]]), r)
     assert out.tolist() == [0, 1, 2, 3, 1, 3]
 
 
@@ -358,9 +357,7 @@ def test_decision_rule_validation():
         DecisionRule((1.0,), (Hypothesis.H0,), (), 1)
     with pytest.raises(ValueError):
         DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H0), (), 1)
-    r = DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), 1)
-    with pytest.raises(ValueError):
-        _ = r.s12  # only defined for the full four-level rule
+    assert DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), 1).boundaries == (1.0,)
 
 
 def test_conditioned_variances_cross_term():

@@ -101,9 +101,13 @@ def test_scenario_consistency_validation():
     assert sc.delta_snr_db == 10.0
     with pytest.raises(ValueError):
         scenario(snr1_db=math.nan)
+    for n_packets in (True, False, 2.0):
+        with pytest.raises(ValueError, match="^n_packets must be an int >= 1"):
+            scenario(n_packets=n_packets)
+    assert scenario(noise_var=np.float64(2.0)).pair.noise_var == 2.0
 
 
-@pytest.mark.parametrize("noise_var", [-1.0, 0.0, math.nan, math.inf, "x", None])
+@pytest.mark.parametrize("noise_var", [-1.0, 0.0, math.nan, math.inf, "x", None, True, False])
 def test_scenario_bad_noise_var_is_named(noise_var):
     """noise_var is checked before the SNR powers it scales are formed."""
     with pytest.raises(ValueError, match="^noise_var must be finite and > 0"):

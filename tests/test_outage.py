@@ -75,6 +75,10 @@ def test_edge_cases():
         OutageScenario(noise_p=0.0)
     with pytest.raises(ValueError):
         OutageScenario(beta_sq_sec=-0.1)
+    for key in ("p_mk", "p0", "beta_sq_sec", "noise_p", "var_g", "var_h", "rate_p"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            OutageScenario(**{key: True})
+    assert OutageScenario(p_mk=np.float64(2.0)).signal_mean == 2.0
 
 
 def test_monotone_in_leakage():

@@ -97,6 +97,10 @@ def test_pair_config_validation():
         SubcarrierPairConfig(power_k=1.0, power_mk=1.0, noise_var=0.0)
     with pytest.raises(ValueError):
         SubcarrierPairConfig(power_k=1.0, power_mk=1.0, psk_order=12)
+    for key in ("power_k", "power_mk", "noise_var", "channel_var", "channel_var_mirror"):
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            SubcarrierPairConfig(**{"power_k": 1.0, "power_mk": 1.0, key: True})
+    assert SubcarrierPairConfig(np.float64(2.0), 1.0, noise_var=np.float64(0.5)).noise_var == 0.5
 
 
 def test_pair_config_bounds_psk_order():

@@ -31,6 +31,9 @@ _FIGURE = {"trials": 2000, "figure": {"irr_grid": [-30.0, -20.0, -10.0],
                                       "delta_snrs": [-5.0, 0.0]}}
 _FRAME = {"n_subcarriers": 64, "active": [1, 2, -3, 7, -20, 31], "snr_db": 8.0}
 _MODES = {"modes": ["four", "two-bayes", "two-cfar"], "cfar_pfa": 0.1}
+# A joint scenario whose own variances are in order while the default
+# frame's (0 dB on both sides) are not; only `frame` refuses it.
+_MIRROR_HEAVY = {"scenario": {"tx_irr_db": -3, "rx_irr_db": -3, "channel_var_mirror": 10}}
 
 
 def _sweep(axis, grid, **scenario):
@@ -81,6 +84,8 @@ COMMANDS = [
     ("frame-joint", {"frame": _FRAME, "scenario": {**_JOINT, "n_packets": 4}},
      ["frame", "--format", "json"]),
     ("frame-default", None, ["frame"]),
+    ("frame-mirror-heavy", _MIRROR_HEAVY, ["frame"]),
+    ("analytic-mirror-heavy", _MIRROR_HEAVY, ["analytic"]),
     ("outage-csv", {"trials": 20000}, ["outage"]),
     ("outage-json", {"trials": 20000}, ["outage", "--format", "json", "--out", "o.json"]),
     # the default 1e6 trials, as criterion 9 draws them: one slice of the outage draw
