@@ -23,14 +23,14 @@ noise law alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import gamma_sf, inverse_gamma_sf
+from .numerics import check_int, check_real, gamma_sf, inverse_gamma_sf
 from .signal_model import MismatchCoefficients, SubcarrierPairConfig
 
 __all__ = [
@@ -118,8 +118,9 @@ class DetectorMode:
             raise ValueError(f"kind must be one of {self.KINDS}, got {self.kind!r}")
         if self.kind == "two-cfar":
             p = self.target_pfa
-            if p is None or not (0.0 < p <= 1.0):
+            if p is None or not 0.0 < (p := check_real("target_pfa", p)) <= 1.0:
                 raise ValueError(f"two-cfar requires target_pfa in (0, 1], got {p!r}")
+            object.__setattr__(self, "target_pfa", p)
         elif self.target_pfa is not None:
             raise ValueError(f"target_pfa only applies to two-cfar, got kind={self.kind!r}")
 
@@ -156,9 +157,10 @@ class HypothesisVariances:
     sigma3_sq: float
 
     def __post_init__(self):
+        for f in fields(self):
+            x = check_real(f.name, getattr(self, f.name), 0, strict=True)
+            object.__setattr__(self, f.name, x)
         v = self.as_tuple()
-        if not all(math.isfinite(x) and x > 0 for x in v):
-            raise ValueError(f"variances must be finite and > 0, got {v}")
         for i in range(3):
             if v[i] > v[i + 1]:
                 raise VarianceOrderError(
@@ -361,9 +363,8 @@ def pairwise_threshold(var_i: float, var_j: float) -> float:
     2*var_i, and symmetric in its arguments.  Equal variances (within
     ``MERGE_TOL`` relative) have no crossing and raise ValueError.
     """
-    for name, v in (("var_i", var_i), ("var_j", var_j)):
-        if not (v > 0 and math.isfinite(v)):
-            raise ValueError(f"{name} must be finite and > 0, got {v}")
+    var_i = check_real("var_i", var_i, 0, strict=True)
+    var_j = check_real("var_j", var_j, 0, strict=True)
     d = var_i - var_j
     if abs(d) <= MERGE_TOL * max(var_i, var_j):
         raise ValueError(
@@ -388,8 +389,7 @@ def pairwise_threshold_paper(var_i: float, var_j: float, n_packets: int) -> floa
     the literal threshold itself is not commensurate with the n-packet
     average periodogram (its mean is 2*var_i, not n*var_i).
     """
-    if n_packets < 1:
-        raise ValueError(f"n_packets must be >= 1, got {n_packets}")
+    n_packets = check_int("n_packets", n_packets, 1)
     return 0.5 * n_packets**2 * pairwise_threshold(var_i, var_j)
 
 
@@ -418,8 +418,7 @@ class DecisionRule:
             raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError(f"region labels must be distinct, got {self.levels}")
-        if self.n_packets < 1:
-            raise ValueError(f"n_packets must be >= 1, got {self.n_packets}")
+        object.__setattr__(self, "n_packets", check_int("n_packets", self.n_packets, 1))
 
 
 def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
@@ -431,10 +430,9 @@ def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     (s_012 ordering chains), which this routine verifies numerically
     before returning the three-threshold rule.  Hypotheses whose
     variances coincide within ``MERGE_TOL`` are merged into a single
-    region labelled by the lowest index.
+    region labelled by the lowest index.  :class:`DecisionRule` checks
+    ``n_packets``.
     """
-    if n_packets < 1:
-        raise ValueError(f"n_packets must be >= 1, got {n_packets}")
     vs = v.as_tuple()
     groups: list[list[int]] = [[0]]
     for i in range(1, 4):

@@ -27,6 +27,7 @@ import numpy as np
 
 from .detection import DecisionRule, Hypothesis, classify_batch, pair_table
 from .montecarlo import FRAME_STREAM, SeedSpec, SensingScenario, scenario_rule, substream
+from .numerics import check_int
 
 # Not called here (the frame draws from pair_table); bound for the trace in bench/job.py.
 from .signal_model import draw_noise, draw_rayleigh, receive, receive_joint  # noqa: F401
@@ -58,16 +59,17 @@ class OccupancyMap:
     truths: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        n = self.n_subcarriers
-        if not isinstance(n, int) or n < 2 or n % 2:
-            raise ValueError(f"n_subcarriers must be a positive even integer, got {n!r}")
-        if n > _MAX_SUBCARRIERS:
-            raise ValueError(f"n_subcarriers must be <= {_MAX_SUBCARRIERS}, got {n}")
+        n = check_int("n_subcarriers", self.n_subcarriers, 2, _MAX_SUBCARRIERS)
+        if n % 2:
+            raise ValueError(f"n_subcarriers must be a positive even integer, got {n}")
+        object.__setattr__(self, "n_subcarriers", n)
         active = frozenset(self.active)
+        if not set(map(type, active)) <= {int}:  # a numpy integer, a bool or no integer
+            bad = [k for k in active if type(k) is bool or not isinstance(k, (int, np.integer))]
+            if bad:
+                raise ValueError(f"subcarrier indices must be integers, got {bad[0]!r}")
+            active = frozenset(map(int, active))
         object.__setattr__(self, "active", active)
-        if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):
-            k = next(k for k in active if not isinstance(k, int) or isinstance(k, bool))
-            raise ValueError(f"subcarrier indices must be integers, got {k!r}")
         if 0 in active:
             raise ValueError("0 is the DC bin, not a data subcarrier")
         half = n // 2

@@ -109,6 +109,7 @@ from .detection import (
     statistic_means,
     two_level_rule,
 )
+from .numerics import check_int, check_real
 from .signal_model import (
     IqMismatch,
     MismatchCoefficients,
@@ -188,31 +189,22 @@ class SeedSpec:
 
     Distinct (master_seed, stream_index) pairs yield statistically
     independent random streams; equal pairs reproduce each other
-    exactly.  This is the one place a seed is checked: each field takes a
-    Python or numpy integer in range and is stored as a plain ``int``; a
-    ``bool``, a float or a string raises ``ValueError`` rather than run
-    another seed.
+    exactly.  This is the one place a seed is checked, by the number rule
+    of :func:`~iqsense.numerics.check_int`: each field takes a Python or
+    numpy integer in range and is stored as a plain ``int``; a ``bool``, a
+    float or a string raises ``ValueError`` rather than run another seed.
     """
 
     master_seed: int
     stream_index: int = 0
 
     def __post_init__(self):
-        given = seed, index = self.master_seed, self.stream_index
-        if type(seed) is not int or type(index) is not int:  # plain ints skip the conversion
-            seed, index = _plain_int(seed), _plain_int(index)
-            object.__setattr__(self, "master_seed", seed)
-            object.__setattr__(self, "stream_index", index)
-        if seed is None or not 0 <= seed < 2**64:
-            raise ValueError(f"master_seed must be an int in [0, 2**64), got {given[0]!r}")
-        if index is None or index < 0:
-            raise ValueError(f"stream_index must be a nonnegative int, got {given[1]!r}")
-
-
-def _plain_int(v) -> int | None:
-    """``v`` as a plain int when it is a Python or numpy integer other
-    than a ``bool``, else None."""
-    return int(v) if isinstance(v, (int, np.integer)) and not isinstance(v, bool) else None
+        seed = self.master_seed
+        try:
+            object.__setattr__(self, "master_seed", check_int("master_seed", seed, 0, 2**64 - 1))
+        except ValueError:
+            raise ValueError(f"master_seed must be an int in [0, 2**64), got {seed!r}") from None
+        object.__setattr__(self, "stream_index", check_int("stream_index", self.stream_index, 0))
 
 
 def _as_seed(seed: "SeedSpec | int") -> SeedSpec:
@@ -265,30 +257,28 @@ class SensingScenario:
     )
 
     def __post_init__(self):
-        n, v = self.n_packets, self.noise_var
-        if type(n) is bool or not isinstance(n, int) or n < 1:
-            raise ValueError(f"n_packets must be an int >= 1, got {n!r}")
-        if n > _MAX_PACKETS:
-            raise ValueError(f"n_packets must be <= {_MAX_PACKETS}, got {n}")
+        n = check_int("n_packets", self.n_packets, 1, _MAX_PACKETS)
         # noise_var scales the SNRs' powers, so it is checked before they are formed
-        if type(v) is bool or not isinstance(v, (int, float)) or not 0.0 < v < math.inf:
-            raise ValueError(f"noise_var must be finite and > 0, got {v!r}")
+        v = check_real("noise_var", self.noise_var, 0, strict=True)
+        object.__setattr__(self, "n_packets", n)
+        object.__setattr__(self, "noise_var", v)
         powers = []
         for name in ("snr1_db", "snr2_db"):
-            snr = float(getattr(self, name))
-            if math.isnan(snr) or snr == float("inf"):
-                raise ValueError(f"{name} must be finite or -inf, got {snr}")
+            snr = getattr(self, name)
+            snr = -math.inf if snr == -math.inf else check_real(name, snr)
             object.__setattr__(self, name, snr)
             try:
-                power = 10.0 ** (snr / 10.0) * self.noise_var  # 0 at -inf
+                power = 10.0 ** (snr / 10.0) * v  # 0 at -inf
             except OverflowError:
                 power = math.inf
             if power == math.inf:
                 raise ValueError(f"{name}={snr:g} dB: the signal power overflows a float")
             powers.append(power)
         pair = SubcarrierPairConfig(
-            *powers, self.noise_var, self.channel_var, self.channel_var_mirror, self.psk_order
+            *powers, v, self.channel_var, self.channel_var_mirror, self.psk_order
         )
+        for name in ("channel_var", "channel_var_mirror", "psk_order"):
+            object.__setattr__(self, name, getattr(pair, name))
         object.__setattr__(self, "pair", pair)
         rx_c = mismatch_coefficients(self.rx_mismatch) if self.is_joint else None
         object.__setattr__(self, "coefficients", (mismatch_coefficients(self.tx_mismatch), rx_c))
@@ -540,11 +530,8 @@ def _tally_jobs(
     cancelled and the exception propagates unchanged once the running ones
     finish.
     """
-    for name, value in (("per_hypothesis", per_hypothesis), ("workers", workers)):
-        if value < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
-    if workers > MAX_WORKERS:
-        raise ValueError(f"workers must be <= {MAX_WORKERS}, got {workers}")
+    per_hypothesis = check_int("per_hypothesis", per_hypothesis, 1)
+    workers = check_int("workers", workers, 1, MAX_WORKERS)
     seed = _as_seed(seed)
     counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
     tasks = (
@@ -648,11 +635,10 @@ def _apply_axis(sc: SensingScenario, axis: str, value: float) -> SensingScenario
         return replace(sc, snr1_db=value)
     if axis == "delta_snr_db":
         return replace(sc, snr1_db=sc.snr2_db + value)
-    if axis == "snr_db_at_delta":
-        # Move the whole operating point, preserving the template's
-        # SNR1 - SNR2 offset: value is the new SNR1.
-        return replace(sc, snr1_db=value, snr2_db=value - sc.delta_snr_db)
-    raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
+    # snr_db_at_delta (sweep refuses any other axis): move the whole
+    # operating point, preserving the template's SNR1 - SNR2 offset; value
+    # is the new SNR1.
+    return replace(sc, snr1_db=value, snr2_db=value - sc.delta_snr_db)
 
 
 def sweep(

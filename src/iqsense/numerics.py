@@ -10,6 +10,13 @@ tail is evaluated through the finite Erlang sum
 which is exact for integer shape and free of the cancellation that
 plagues ``1 - P(n, x)`` in the far right tail.  The sum is the Poisson
 CDF ``P(Poisson(x) <= n - 1)``.  The module needs numpy only.
+
+It also owns the one rule for a number a model type takes:
+:func:`check_int` and :func:`check_real` accept a Python or numpy int
+(and, for a real, a float), never a ``bool`` or a string, and return a
+plain ``int`` or ``float``; anything else, a value that is not finite, an
+int too large for a float or a value out of range raises ``ValueError``
+naming the field.
 """
 
 from __future__ import annotations
@@ -19,6 +26,8 @@ import math
 import numpy as np
 
 __all__ = [
+    "check_int",
+    "check_real",
     "regularized_upper_gamma",
     "gamma_sf",
     "inverse_gamma_sf",
@@ -30,12 +39,32 @@ __all__ = [
 _DIRECT_SUM_LIMIT = 700.0
 
 
-def _check_shape(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
-        raise ValueError(f"shape must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError(f"shape must be >= 1, got {n}")
-    return int(n)
+def check_int(name: str, v, lo: int, hi: int | None = None) -> int:
+    """``v`` as a plain ``int``: a Python or numpy integer, not a ``bool``,
+    with ``lo <= v`` and, unless ``hi`` is None, ``v <= hi``.  Anything
+    else raises ``ValueError`` naming ``name``."""
+    if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < lo:
+        raise ValueError(f"{name} must be an int >= {lo}, got {v!r}")
+    v = int(v)
+    if hi is not None and v > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {v}")
+    return v
+
+
+def check_real(name: str, v, lo: float | None = None, *, strict: bool = False) -> float:
+    """``v`` as a plain finite ``float``: a Python or numpy int or float, not
+    a ``bool``, with ``v >= lo`` (``v > lo`` when ``strict``) unless ``lo``
+    is None.  Anything else, an int too large for a float among it, raises
+    ``ValueError`` naming ``name``."""
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    try:
+        x = float(v) if real else math.nan
+    except OverflowError:  # an int too large for a float
+        x = math.nan
+    if not math.isfinite(x) or lo is not None and (x <= lo if strict else x < lo):
+        bound = "" if lo is None else f" and {'>' if strict else '>='} {lo}"
+        raise ValueError(f"{name} must be finite{bound}, got {v!r}")
+    return x
 
 
 def regularized_upper_gamma(n: int, x: float) -> float:
@@ -64,10 +93,8 @@ def regularized_upper_gamma(n: int, x: float) -> float:
     its logarithm, within about 1e-12 relative.  A sum that rounds
     above 1 is returned as 1.
     """
-    n = _check_shape(n)
-    x = float(x)
-    if not math.isfinite(x) or x < 0:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
+    n = check_int("shape", n, 1)
+    x = check_real("x", x, 0)
     if x == 0.0:
         return 1.0
     if x > _DIRECT_SUM_LIMIT:
@@ -126,11 +153,9 @@ def gamma_sf(n: int, scale: float, threshold: float) -> float:
 
     Thresholds below zero return 1 (the support is nonnegative).
     """
-    n = _check_shape(n)
-    scale = _check_scale(scale)
-    t = float(threshold)
-    if not math.isfinite(t):
-        raise ValueError(f"threshold must be finite, got {t}")
+    n = check_int("shape", n, 1)
+    scale = check_real("scale", scale, 0, strict=True)
+    t = check_real("threshold", threshold)
     if t < 0.0:
         return 1.0
     return regularized_upper_gamma(n, t / scale)
@@ -145,9 +170,10 @@ def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
     bisection inside a doubling bracket runs until the bracket's ends
     are adjacent doubles.
     """
-    n = _check_shape(n)
-    scale = _check_scale(scale)
-    if not (0.0 < tail_prob <= 1.0):
+    n = check_int("shape", n, 1)
+    scale = check_real("scale", scale, 0, strict=True)
+    tail_prob = check_real("tail_prob", tail_prob)
+    if not 0.0 < tail_prob <= 1.0:
         raise ValueError(f"tail_prob must be in (0, 1], got {tail_prob}")
     if tail_prob == 1.0:
         return 0.0
@@ -160,10 +186,3 @@ def inverse_gamma_sf(n: int, scale: float, tail_prob: float) -> float:
         else:
             hi = mid
     return hi * scale
-
-
-def _check_scale(scale: float) -> float:
-    scale = float(scale)
-    if not math.isfinite(scale) or scale <= 0.0:
-        raise ValueError(f"scale must be finite and > 0, got {scale}")
-    return scale

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import check_int, check_real
 from .signal_model import irr_to_mismatch
 from .stats import Estimate, wilson_interval
 
@@ -32,7 +33,7 @@ def irr_to_beta_sq(irr_db: float | None) -> float:
     rejection ratio ``irr_db`` dB: 10**(irr_db / 10), 0 for ``None`` or
     ``-inf``.  The IRR must be negative, as :func:`irr_to_mismatch` checks."""
     irr_to_mismatch(irr_db)
-    return 0.0 if irr_db is None else 10.0 ** (irr_db / 10.0)
+    return 0.0 if irr_db is None else 10.0 ** (float(irr_db) / 10.0)
 
 
 @dataclass(frozen=True)
@@ -58,13 +59,9 @@ class OutageScenario:
 
     def __post_init__(self):
         for name in ("p_mk", "p0", "beta_sq_sec", "rate_p"):
-            v = getattr(self, name)
-            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         for name in ("noise_p", "var_g", "var_h"):
-            v = getattr(self, name)
-            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, strict=True))
 
     @property
     def gamma_threshold(self) -> float:
@@ -134,8 +131,7 @@ def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Esti
     drawn in slices of at most 10**7, X1 then X2 for each slice, so memory
     stays bounded at any ``trials`` and up to 10**7 trials are one slice.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = check_int("trials", trials, 1)
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     g = sc.gamma_threshold

@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .numerics import check_int, check_real
+
 __all__ = [
     "IqMismatch",
     "MismatchCoefficients",
@@ -51,8 +53,8 @@ class IqMismatch:
     theta: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.epsilon) and math.isfinite(self.theta)):
-            raise ValueError("mismatch parameters must be finite")
+        for name in ("epsilon", "theta"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if abs(self.epsilon) >= 1.0:
             raise ValueError(f"|epsilon| must be < 1, got {self.epsilon}")
         if abs(self.theta) >= math.pi / 2:
@@ -112,8 +114,8 @@ def irr_to_mismatch(irr_db: float | None) -> IqMismatch:
     """
     if irr_db is None or irr_db == float("-inf"):
         return IqMismatch.ideal()
-    irr_db = float(irr_db)
-    if not math.isfinite(irr_db) or irr_db >= 0.0:
+    irr_db = check_real("irr_db", irr_db)
+    if irr_db >= 0.0:
         raise ValueError(f"irr_db must be negative (or -inf/None for ideal), got {irr_db}")
     return IqMismatch(10.0 ** (irr_db / 20.0), 0.0)
 
@@ -138,20 +140,13 @@ class SubcarrierPairConfig:
 
     def __post_init__(self):
         for name in ("power_k", "power_mk"):
-            v = getattr(self, name)
-            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v < 0:
-                raise ValueError(f"{name} must be finite and >= 0, got {v!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         for name in ("noise_var", "channel_var", "channel_var_mirror"):
-            v = getattr(self, name)
-            if type(v) is bool or not (isinstance(v, (int, float)) and math.isfinite(v)) or v <= 0:
-                raise ValueError(f"{name} must be finite and > 0, got {v!r}")
-        m = self.psk_order
-        if not isinstance(m, int) or isinstance(m, bool) or m < 2:
-            raise ValueError(f"psk_order must be an integer >= 2, got {m!r}")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0, strict=True))
+        m = check_int("psk_order", self.psk_order, 2, _MAX_PSK_ORDER)
         if m & (m - 1):
             raise ValueError(f"psk_order must be a power of 2, got {m}")
-        if m > _MAX_PSK_ORDER:
-            raise ValueError(f"psk_order must be <= {_MAX_PSK_ORDER}, got {m}")
+        object.__setattr__(self, "psk_order", m)
 
     def mirrored(self) -> "SubcarrierPairConfig":
         """The same pair seen from -k: the two sides' powers and channel
@@ -227,13 +222,9 @@ def draw_rayleigh(channel_var: float, rng: np.random.Generator, size=None):
     Real and imaginary parts are IID N(0, channel_var/2): Rayleigh
     magnitude, uniform phase.
     """
-    if not (channel_var > 0 and math.isfinite(channel_var)):
-        raise ValueError(f"channel_var must be finite and > 0, got {channel_var}")
-    return _circular_gaussian(channel_var, rng, size)
+    return _circular_gaussian(check_real("channel_var", channel_var, 0, strict=True), rng, size)
 
 
 def draw_noise(noise_var: float, rng: np.random.Generator, size=None):
     """Circular complex receiver noise with total variance noise_var."""
-    if not (noise_var > 0 and math.isfinite(noise_var)):
-        raise ValueError(f"noise_var must be finite and > 0, got {noise_var}")
-    return _circular_gaussian(noise_var, rng, size)
+    return _circular_gaussian(check_real("noise_var", noise_var, 0, strict=True), rng, size)

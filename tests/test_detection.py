@@ -10,6 +10,7 @@ from scipy.optimize import brentq
 from scipy.stats import poisson
 
 from gamma_density import gamma_pdf
+from number_rule import REFUSED
 from variance_reference import component_variances
 from iqsense.detection import (
     CONVENTIONS,
@@ -249,6 +250,11 @@ def test_detector_mode_validation():
     with pytest.raises(ValueError):
         DetectorMode("four", target_pfa=0.1)
     assert DetectorMode.two_level_cfar(1.0).target_pfa == 1.0
+    mode = DetectorMode("two-cfar", np.float32(0.5))
+    assert mode == DetectorMode("two-cfar", 0.5) and type(mode.target_pfa) is float
+    for bad in REFUSED:
+        with pytest.raises(ValueError, match="target_pfa"):
+            DetectorMode("two-cfar", bad)
 
 
 def test_classifier_is_ml_partition():
@@ -347,6 +353,15 @@ def test_variances_validation():
         HypothesisVariances(0.0, 0.5, 1.0, 2.0)
     with pytest.raises(ValueError):
         HypothesisVariances(0.5, 0.6, 1.0, math.inf)
+    v = HypothesisVariances(np.float32(0.5), np.int64(1), np.float64(2.0), np.uint8(3))
+    assert v.as_tuple() == (0.5, 1.0, 2.0, 3.0)
+    assert all(type(x) is float for x in v.as_tuple())
+    for i, name in enumerate(("sigma0_sq", "sigma1_sq", "sigma2_sq", "sigma3_sq")):
+        for bad in REFUSED:
+            args = [0.5, 1.0, 2.0, 3.0]
+            args[i] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
+                HypothesisVariances(*args)
 
 
 def test_decision_rule_validation():
@@ -358,6 +373,23 @@ def test_decision_rule_validation():
     with pytest.raises(ValueError):
         DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H0), (), 1)
     assert DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), 1).boundaries == (1.0,)
+    rule = DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), np.int64(2))
+    assert rule.n_packets == 2 and type(rule.n_packets) is int
+    assert decision_rule(REF_VARIANCES, np.int64(4)) == decision_rule(REF_VARIANCES, 4)
+    assert type(decision_rule(REF_VARIANCES, np.int64(4)).n_packets) is int
+    for bad in (*REFUSED[:-1], 0, 2.0):  # a rule takes any int count of packets
+        with pytest.raises(ValueError, match="^n_packets must be an int >= 1, got "):
+            DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), bad)
+        with pytest.raises(ValueError, match="^n_packets must be an int >= 1, got "):
+            decision_rule(REF_VARIANCES, bad)
+        with pytest.raises(ValueError, match="^n_packets must be an int >= 1, got "):
+            pairwise_threshold_paper(2.0, 1.0, bad)
+    assert pairwise_threshold(np.float32(2.0), np.int64(1)) == pairwise_threshold(2.0, 1.0)
+    for bad in REFUSED:
+        with pytest.raises(ValueError, match="^var_i must be finite and > 0, got "):
+            pairwise_threshold(bad, 1.0)
+        with pytest.raises(ValueError, match="^var_j must be finite and > 0, got "):
+            pairwise_threshold(2.0, bad)
 
 
 def test_conditioned_variances_cross_term():

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from number_rule import REFUSED
 
 import iqsense.frame as frame
 import iqsense.montecarlo as montecarlo
@@ -35,6 +36,21 @@ def test_occupancy_validation():
         OccupancyMap(8, frozenset({True}))
     m = OccupancyMap(8, {1, -4})
     assert m.active == frozenset({1, -4})
+
+
+def test_occupancy_takes_numpy_integers():
+    """A numpy integer size or index is stored as the plain int it holds,
+    and the map equals the one built from plain ints."""
+    m = OccupancyMap(np.int64(8), frozenset({np.int64(1), np.int8(-4), 2}))
+    assert m == OccupancyMap(8, {1, -4, 2})
+    assert type(m.n_subcarriers) is int and {type(k) for k in m.active} == {int}
+    assert np.array_equal(m.truths, OccupancyMap(8, {1, -4, 2}).truths)
+    assert m.truth(np.int64(-1)) == Hypothesis.H1
+    with pytest.raises(ValueError, match="^subcarrier indices must be integers, got np.True_$"):
+        OccupancyMap(8, frozenset({-1, np.bool_(True)}))
+    for bad in (*REFUSED, np.float64(8.0), 0, 7):
+        with pytest.raises(ValueError, match="^n_subcarriers must be "):
+            OccupancyMap(bad, frozenset())
 
 
 def test_occupancy_bounds_frame_size():
@@ -74,6 +90,7 @@ def test_occupancy_accepts_int_subclasses():
         ({-5, 4}, r"subcarrier index -5 outside \[-4, 4\]"),
         ({1, 2**70}, rf"subcarrier index {2**70} outside \[-4, 4\]"),  # beyond int64
         ({-2**70, 2**70}, rf"subcarrier index {-2**70} outside \[-4, 4\]"),
+        ({np.uint64(2**64 - 1)}, rf"subcarrier index {2**64 - 1} outside \[-4, 4\]"),
     ],
 )
 def test_occupancy_error_messages(active, message):
@@ -88,11 +105,12 @@ class _Index(IntEnum):
 
 
 def _reference_error(n, active):
-    """The message OccupancyMap(n, active) must raise, or None: the type,
-    DC-bin and range checks, in that order, written out over the set."""
+    """The message OccupancyMap(n, active) must raise, or None: the type
+    (a Python or numpy integer, not a bool), DC-bin and range checks, in
+    that order, written out over the set."""
     half = n // 2
-    if not all(issubclass(t, int) and not issubclass(t, bool) for t in set(map(type, active))):
-        k = next(k for k in active if not isinstance(k, int) or isinstance(k, bool))
+    if any(isinstance(k, bool) or not isinstance(k, (int, np.integer)) for k in active):
+        k = next(k for k in active if isinstance(k, bool) or not isinstance(k, (int, np.integer)))
         return f"subcarrier indices must be integers, got {k!r}"
     if 0 in active:
         return "0 is the DC bin, not a data subcarrier"

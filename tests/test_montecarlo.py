@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from number_rule import REFUSED
 from scipy.stats import norm
 from variance_reference import component_variances
 
@@ -79,9 +80,13 @@ def test_seed_spec_validation():
     assert SeedSpec(np.uint64(2**64 - 1)).master_seed == 2**64 - 1
     for args, field in (((True,), "master_seed"), ((1, True), "stream_index"),
                         ((3.0,), "master_seed"), (("7",), "master_seed"),
-                        ((np.int64(-1),), "master_seed")):
+                        ((np.int64(-1),), "master_seed"),
+                        *(((bad,), "master_seed") for bad in REFUSED),
+                        *(((1, bad), "stream_index") for bad in REFUSED[:-1])):
         with pytest.raises(ValueError, match=f"^{field} must be "):
             SeedSpec(*args)
+    # a stream index has no upper bound: the spawn key takes any such int
+    assert SeedSpec(1, 10**400).stream_index == 10**400
 
 
 def test_substreams_are_addressed():
@@ -101,13 +106,38 @@ def test_scenario_consistency_validation():
     assert sc.delta_snr_db == 10.0
     with pytest.raises(ValueError):
         scenario(snr1_db=math.nan)
-    for n_packets in (True, False, 2.0):
+    for n_packets in (True, False, 2.0, *REFUSED[:-1]):
         with pytest.raises(ValueError, match="^n_packets must be an int >= 1"):
             scenario(n_packets=n_packets)
+    with pytest.raises(ValueError, match="^n_packets must be <= 1024, got 1000"):
+        scenario(n_packets=10**400)
     assert scenario(noise_var=np.float64(2.0)).pair.noise_var == 2.0
+    # numpy scalars are stored as the plain values they hold
+    sc = scenario(snr1_db=np.float32(3.0), snr2_db=np.float64(-np.inf), n_packets=np.int64(4),
+                  noise_var=np.float32(2.0), channel_var=np.int64(2), psk_order=np.uint8(8))
+    assert sc == scenario(snr1_db=3.0, snr2_db=-math.inf, n_packets=4, noise_var=2.0,
+                          channel_var=2.0, psk_order=8)
+    keys = ("snr1_db", "snr2_db", "n_packets", "noise_var", "channel_var", "psk_order")
+    assert [type(getattr(sc, k)) for k in keys] == [float, float, int, float, float, int]
+    for key in ("snr1_db", "snr2_db", "channel_var", "channel_var_mirror", "psk_order"):
+        for bad in REFUSED:
+            with pytest.raises(ValueError, match=f"^{key} must be "):
+                scenario(**{key: bad})
 
 
-@pytest.mark.parametrize("noise_var", [-1.0, 0.0, math.nan, math.inf, "x", None, True, False])
+def test_scenario_noise_var_does_not_narrow():
+    """Under numpy 2, 10.0**0 * np.float32(0.1) is a float32; the scenario
+    stores the plain float, so its powers and variances are those of
+    float(np.float32(0.1)), bit for bit."""
+    a = scenario(noise_var=np.float32(0.1))
+    b = scenario(noise_var=float(np.float32(0.1)))
+    assert a.pair == b.pair
+    assert all(type(getattr(a.pair, k)) is float for k in ("power_k", "power_mk", "noise_var"))
+    assert scenario_variances(a).as_tuple() == scenario_variances(b).as_tuple()
+
+
+@pytest.mark.parametrize("noise_var", [-1.0, 0.0, math.nan, math.inf, "x", None, True, False,
+                                       pytest.param(10**400, id="10**400")])
 def test_scenario_bad_noise_var_is_named(noise_var):
     """noise_var is checked before the SNR powers it scales are formed."""
     with pytest.raises(ValueError, match="^noise_var must be finite and > 0"):
@@ -575,8 +605,6 @@ def test_sweep_axes_cover_model_knobs():
     assert d.snr1_db == pytest.approx(-20.0) and d.snr2_db == -10.0
     m = _apply_axis(sc, "snr_db_at_delta", 7.0)
     assert m.snr1_db == 7.0 and m.snr2_db == pytest.approx(-3.0)
-    with pytest.raises(ValueError):
-        _apply_axis(sc, "noise_var", 1.0)
 
 
 def test_sweep_structure_and_pairing():
@@ -767,10 +795,18 @@ def test_run_trials_argument_validation():
     with pytest.raises(ValueError, match="^axis must be one of"):
         sweep([(sc, "noise_var", [1.0], [sc.mode], ())], 10, 1)
     # The trial engine checks its arguments for every caller.
-    with pytest.raises(ValueError, match="workers must be >= 1"):
+    with pytest.raises(ValueError, match="^workers must be an int >= 1, got 0$"):
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
     with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
         run_trials(sc, 10, 1, workers=10**6)
+    # One number rule for the counts (10**400 trials would be a valid, endless run).
+    for bad in REFUSED[:-1]:
+        with pytest.raises(ValueError, match="^per_hypothesis must be an int >= 1, got "):
+            run_trials(sc, bad, 1)
+    for bad in REFUSED:
+        with pytest.raises(ValueError, match="^workers must be "):
+            run_trials(sc, 10, 1, workers=bad)
+    assert run_trials(sc, np.int64(10), 3, workers=np.int64(2)) == run_trials(sc, 10, 3)
     # No float, string or bool stands in for a seed; a numpy integer does.
     message = r"^master_seed must be an int in \[0, 2\*\*64\), got "
     for seed in (3.9, "7", True):

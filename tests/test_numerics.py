@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gamma_density import gamma_pdf
+from number_rule import REFUSED
 from iqsense.numerics import (
     gamma_sf,
     inverse_gamma_sf,
@@ -97,6 +98,27 @@ def test_sums_that_round_above_one_are_one():
 def test_shape_domain(bad):
     with pytest.raises((ValueError, TypeError)):
         regularized_upper_gamma(bad, 1.0)
+
+
+def test_arguments_take_the_number_rule():
+    """Each argument takes a Python or numpy number, as the plain value it
+    holds, and refuses the rest with a ValueError naming it."""
+    s = float(np.float32(1.3))
+    assert gamma_sf(np.int64(2), np.float32(1.3), np.float16(0.5)) == gamma_sf(2, s, 0.5)
+    assert regularized_upper_gamma(np.uint8(3), np.float32(1.3)) == regularized_upper_gamma(3, s)
+    assert (inverse_gamma_sf(np.int64(2), np.float32(1.3), np.float32(0.25))
+            == inverse_gamma_sf(2, s, 0.25))
+    calls = {
+        "shape": lambda b: gamma_sf(b, 1.0, 1.0),
+        "x": lambda b: regularized_upper_gamma(1, b),
+        "scale": lambda b: inverse_gamma_sf(1, b, 0.5),
+        "threshold": lambda b: gamma_sf(1, 1.0, b),
+        "tail_prob": lambda b: inverse_gamma_sf(1, 1.0, b),
+    }
+    for name, call in calls.items():
+        for bad in REFUSED[:-1] if name == "shape" else REFUSED:  # any int >= 1 is a shape
+            with pytest.raises(ValueError, match=f"^{name} must be "):
+                call(bad)
 
 
 @given(

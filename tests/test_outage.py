@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from number_rule import REFUSED
 from scipy.integrate import quad
 
 import iqsense.outage as outage
@@ -11,6 +12,7 @@ from iqsense.montecarlo import OUTAGE_STREAM, SeedSpec, substream
 from iqsense.outage import (
     OutageScenario,
     analytic_outage,
+    irr_to_beta_sq,
     mc_outage,
     outage_paper_literal,
 )
@@ -75,10 +77,20 @@ def test_edge_cases():
         OutageScenario(noise_p=0.0)
     with pytest.raises(ValueError):
         OutageScenario(beta_sq_sec=-0.1)
-    for key in ("p_mk", "p0", "beta_sq_sec", "noise_p", "var_g", "var_h", "rate_p"):
-        with pytest.raises(ValueError, match=f"^{key} must be finite"):
-            OutageScenario(**{key: True})
+    keys = ("p_mk", "p0", "beta_sq_sec", "noise_p", "var_g", "var_h", "rate_p")
+    for key in keys:
+        for bad in REFUSED:
+            with pytest.raises(ValueError, match=f"^{key} must be finite"):
+                OutageScenario(**{key: bad})
     assert OutageScenario(p_mk=np.float64(2.0)).signal_mean == 2.0
+    # numpy scalars are stored as the plain floats they hold
+    sc = OutageScenario(*(np.float32(2.0), np.int64(3), np.float64(0.5), np.int8(2),
+                          np.float16(1.5), np.uint16(4), np.float32(0.25)))
+    assert [getattr(sc, k) for k in keys] == [2.0, 3.0, 0.5, 2.0, 1.5, 4.0, 0.25]
+    assert all(type(getattr(sc, k)) is float for k in keys)
+    # a numpy IRR maps to |beta|^2 in double precision, not in its own width
+    beta_sq = irr_to_beta_sq(np.float32(-15.0))
+    assert type(beta_sq) is float and beta_sq == irr_to_beta_sq(-15.0)
 
 
 def test_monotone_in_leakage():
@@ -119,8 +131,12 @@ def test_mc_seed_behaviour():
     c = mc_outage(sc, 10_000, substream(SeedSpec(56), OUTAGE_STREAM))
     assert a == b
     assert a != c
-    with pytest.raises(ValueError, match="^trials must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^trials must be an int >= 1, got 0$"):
         mc_outage(sc, 0, substream(SeedSpec(55), OUTAGE_STREAM))
+    for bad in REFUSED[:-1]:  # 10**400 trials would be a valid, endless run
+        with pytest.raises(ValueError, match="^trials must be an int >= 1, got "):
+            mc_outage(sc, bad, substream(SeedSpec(55), OUTAGE_STREAM))
+    assert mc_outage(sc, np.int64(10_000), substream(SeedSpec(55), OUTAGE_STREAM)) == a
     # An int or a bool is not seeded into a stream of its own.
     for seed in (55, True):
         with pytest.raises(ValueError, match="^rng must be a numpy.random.Generator, got "):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from number_rule import REFUSED
 
 from iqsense.signal_model import (
     IqMismatch,
@@ -79,6 +80,11 @@ def test_irr_to_mismatch_domain():
         irr_to_mismatch(0.0)
     with pytest.raises(ValueError):
         irr_to_mismatch(3.0)
+    assert irr_to_mismatch(np.float32(-20.0)).epsilon == 10.0 ** (float(np.float32(-20.0)) / 20)
+    for bad in REFUSED:
+        if bad is not None:  # None is the ideal front end
+            with pytest.raises(ValueError, match="^irr_db must be "):
+                irr_to_mismatch(bad)
 
 
 def test_mismatch_domain():
@@ -88,6 +94,23 @@ def test_mismatch_domain():
         IqMismatch(0.0, math.pi / 2)
     with pytest.raises(ValueError):
         IqMismatch(math.nan, 0.0)
+    m = IqMismatch(np.float32(0.5), np.int64(0))
+    assert (m.epsilon, m.theta) == (0.5, 0.0)
+    assert type(m.epsilon) is float and type(m.theta) is float
+    for name in ("epsilon", "theta"):
+        for bad in REFUSED:
+            with pytest.raises(ValueError, match=f"^{name} must be finite, got "):
+                IqMismatch(**{"epsilon": 0.1, "theta": 0.1, name: bad})
+
+
+def test_mismatch_coefficients_do_not_narrow():
+    """A float32 epsilon is stored as a plain float, so the coefficients
+    are those of the same value given as a float."""
+    for theta in (0.0, 0.05):
+        a = mismatch_coefficients(IqMismatch(np.float32(0.1), theta))
+        b = mismatch_coefficients(IqMismatch(float(np.float32(0.1)), theta))
+        assert (a.alpha, a.beta) == (b.alpha, b.beta)
+        assert type(a.beta.real) is float
 
 
 def test_pair_config_validation():
@@ -101,6 +124,16 @@ def test_pair_config_validation():
         with pytest.raises(ValueError, match=f"^{key} must be finite"):
             SubcarrierPairConfig(**{"power_k": 1.0, "power_mk": 1.0, key: True})
     assert SubcarrierPairConfig(np.float64(2.0), 1.0, noise_var=np.float64(0.5)).noise_var == 0.5
+    # numpy scalars are stored as plain values; REFUSED raises naming the field
+    cfg = SubcarrierPairConfig(np.float32(2.0), np.int64(1), noise_var=np.float32(0.5),
+                               channel_var=np.int64(3), psk_order=np.int64(16))
+    keys = ("power_k", "power_mk", "noise_var", "channel_var", "channel_var_mirror", "psk_order")
+    assert [getattr(cfg, k) for k in keys] == [2.0, 1.0, 0.5, 3.0, 1.0, 16]
+    assert [type(getattr(cfg, k)) for k in keys] == [float] * 5 + [int]
+    for key in keys:
+        for bad in REFUSED:
+            with pytest.raises(ValueError, match=f"^{key} must be "):
+                SubcarrierPairConfig(**{"power_k": 1.0, "power_mk": 1.0, key: bad})
 
 
 def test_pair_config_bounds_psk_order():
@@ -175,6 +208,17 @@ def test_draw_moments():
     assert np.mean(np.abs(w) ** 2) == pytest.approx(0.5, rel=0.01)
     assert np.mean(h.real**2) == pytest.approx(1.0, rel=0.02)
     assert abs(np.mean(h)) < 0.01
+
+
+def test_draws_take_the_number_rule():
+    """A numpy variance draws as the plain float it holds; REFUSED raises."""
+    for draw, name in ((draw_rayleigh, "channel_var"), (draw_noise, "noise_var")):
+        a = draw(np.float32(0.3), np.random.default_rng(1), size=4)
+        b = draw(float(np.float32(0.3)), np.random.default_rng(1), size=4)
+        assert np.array_equal(a, b)
+        for bad in (*REFUSED, 0.0):
+            with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
+                draw(bad, np.random.default_rng(1))
 
 
 def test_received_energy_matches_hypothesis_variance():

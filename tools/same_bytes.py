@@ -90,6 +90,10 @@ COMMANDS = [
     ("outage-json", {"trials": 20000}, ["outage", "--format", "json", "--out", "o.json"]),
     # the default 1e6 trials, as criterion 9 draws them: one slice of the outage draw
     ("outage-default", None, ["outage"]),
+    # refusals whose stderr comes from a model type's own check
+    ("analytic-psk-order-12", {"scenario": {"psk_order": 12}}, ["analytic"]),
+    ("outage-p0-negative", {"outage": {"p0": -1}}, ["outage"]),
+    ("frame-odd-subcarriers", {"frame": {"n_subcarriers": 7}}, ["frame"]),
 ]
 
 
