@@ -420,6 +420,15 @@ class DecisionRule:
             raise ValueError(f"region labels must be distinct, got {self.levels}")
         object.__setattr__(self, "n_packets", check_int("n_packets", self.n_packets, 1))
 
+    def region_counts(self, total: int, at_or_above) -> np.ndarray:
+        """Per-hypothesis decision counts of ``total`` statistics of which
+        ``at_or_above[r]`` lie at or above ``boundaries[r]``."""
+        edges = [total, *at_or_above, 0]
+        out = np.zeros(4, dtype=np.int64)
+        for r, level in enumerate(self.levels):
+            out[int(level)] = edges[r] - edges[r + 1]
+        return out
+
 
 def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     """Minimum-average-cost rule for the four ordered hypotheses.
@@ -509,11 +518,7 @@ def decision_counts(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
     upper region, as in :func:`classify_batch`.
     """
     z = np.asarray(z)
-    at_or_above = [z.size, *(int(np.count_nonzero(z >= t)) for t in rule.boundaries), 0]
-    out = np.zeros(4, dtype=np.int64)
-    for r, level in enumerate(rule.levels):
-        out[int(level)] = at_or_above[r] - at_or_above[r + 1]
-    return out
+    return rule.region_counts(z.size, [int(np.count_nonzero(z >= t)) for t in rule.boundaries])
 
 
 def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.ndarray:

@@ -11,7 +11,10 @@ H3 with a cross term takes v = min_u m_3(u) and the pmf of
 :func:`~iqsense.detection.h3_packet_count_law`, by uniformization: one
 ``multinomial`` per block tallies how many trials take each K.  A
 Gamma(K) with 2 <= K <= :data:`_ERLANG_MAX` is -log of a product of K
-uniforms, any other one ``standard_gamma(K)``.  The table's last entry
+uniforms, any other one ``standard_gamma(K)``.  The engine never forms
+such a Z: it counts each block in the domain it was drawn in, a product
+p of uniforms against exp(-t*n/v) (Z >= t) and a gamma variate against
+t*n/v, one count pass per threshold.  The table's last entry
 is the mass :data:`~iqsense.detection.H3_TABLE_CUT` bounds, drawn at the
 table's end, so this draw's law differs from the exact law by at most
 that mass (plus the table's rounding).  At one packet, and where the
@@ -39,18 +42,18 @@ seed on a stream of its own.  A bare integer seed means
   Drawn packet by packet, it takes one phase index per trial from kind 0
   and one exponential per trial from kind 1 for each packet in turn, so
   a worker holds a few arrays of one block's trials at any
-  ``n_packets``.  The other draws hold at most ``_ERLANG_MAX`` uniforms
-  per trial.  Each block is one draw call, and block tallies merge by
-  integer addition, so results are a pure function of (scenario, seed,
-  trial count, path) -- bit-identical across runs and worker counts.
-  The engine's arithmetic is real-valued, so no result depends on fused
-  multiply-add.  The H3 packet-count table comes from numpy's ``power``
-  and ``convolve``, and a product of uniforms goes through numpy's
-  ``log``; their last bits may differ between numpy builds and CPUs.
-  Another rounding of the table moves a block's group sizes only when a
-  draw inside the multinomial falls between the two roundings, and
-  another rounding of ``log`` moves a Z by an ulp, which changes a
-  decision only at a threshold.
+  ``n_packets``.  The other draws hold one block of products, built one
+  row of uniforms at a time, and one of gamma variates.  Block tallies
+  merge by integer addition, so results are a pure function of
+  (scenario, seed, trial count, path) -- bit-identical across runs and
+  worker counts.  The engine's arithmetic is real-valued, so no result
+  depends on fused multiply-add.  The H3 packet-count table comes from
+  numpy's ``power`` and ``convolve``, and a threshold's image exp(-t*n/v)
+  from the platform's ``exp``; their last bits may differ between numpy
+  builds and CPUs.  Another rounding of the table moves a block's group
+  sizes only when a draw inside the multinomial falls between the two
+  roundings, and another rounding of ``exp`` moves a threshold by an ulp,
+  which changes a decision only for a product within an ulp of it.
 - Variance estimates (:func:`estimate_component_variances`, purpose 1):
   hypothesis h draws from ``(stream_index, 1, *path, h)`` in the fixed
   order its docstring states, a pure function of (scenario, samples,
@@ -86,7 +89,8 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import islice
+from itertools import groupby, islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -101,7 +105,6 @@ from .detection import (
     DetectorMode,
     Hypothesis,
     HypothesisVariances,
-    decision_counts,
     decision_rule,
     h3_packet_count_law,
     hypothesis_variances,
@@ -122,9 +125,9 @@ from .signal_model import (
     receive_joint,
 )
 
-# Not called here (the engine tallies with decision_counts, and sweep points
-# leave the closed-form metrics to their readers); bound for the trace in
-# bench/job.py.
+# Not called here (the engine counts each block where it is drawn, and
+# sweep points leave the closed-form metrics to their readers); bound for
+# the trace in bench/job.py.
 from .detection import analytic_detection, analytic_false_alarm, classify_batch  # noqa: F401
 from .stats import Estimate, Z_95, wilson_interval
 
@@ -157,6 +160,12 @@ _BLOCK_TRIALS = 1 << 16
 # 1.31 ms at K = 6, 1.32 against 1.30 ms at 7).  K = 1 keeps
 # standard_gamma, so every one-packet stream keeps its values.
 _ERLANG_MAX = 6
+
+# Fewest trials of a packet-count group that take a standard_gamma call of
+# their own; smaller groups share one call with per-trial shapes, which
+# costs 8-13 ns more per variate (PCG64 / SFC64, one thread) against about
+# 3 us per call.
+_GAMMA_CALL_MIN = 256
 
 # The packet-count pmf of a row whose means do not depend on the phase.
 _ONE_ENTRY = np.ones(1)
@@ -437,12 +446,39 @@ def _chunk_layout(total: int, size: int):
     return ((idx, min(size, total - idx * size)) for idx in range((total + size - 1) // size))
 
 
-def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> np.ndarray:
+class _Block(NamedTuple):
+    """One block's statistics in the domain they were drawn in: each p of
+    ``products``, a product of uniforms, stands for Z = -scale*log(p), and
+    each x of ``values`` for Z = scale*x."""
+
+    scale: float
+    products: np.ndarray
+    values: np.ndarray
+
+
+_NONE = np.empty(0)
+
+
+def _block_counts(block: _Block, rule: DecisionRule) -> np.ndarray:
+    """Decision counts of a block's statistics under ``rule``, each counted
+    where it was drawn: Z >= t is p <= exp(-t/scale) for a product of
+    uniforms (a zero product is Z = inf, and an ``exp`` that underflows to
+    0 counts only zeros), and x >= t/scale for a value."""
+    scale, products, values = block
+    at_or_above = [
+        int(np.count_nonzero(products <= math.exp(-t / scale)))
+        + int(np.count_nonzero(values >= t / scale))
+        for t in rule.boundaries
+    ]
+    return rule.region_counts(products.size + values.size, at_or_above)
+
+
+def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> _Block:
     """``size`` H3 statistics Z drawn packet by packet: ``means`` holds the
     mean of |r_k|^2 at each of the M phases; each packet draws one phase
     index per trial from kind 0 and one exponential per trial from kind 1,
-    and Z averages the packets."""
-    phases, powers = streams
+    and Z averages the packets.  Z itself is the block's values, at scale 1."""
+    phases, powers = streams(0), streams(1)
 
     def packet():
         power = means.take(phases.integers(0, means.size, size))
@@ -451,46 +487,61 @@ def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int
     z = packet()
     for _ in range(1, n_packets):
         z += packet()
-    return z / n_packets if n_packets > 1 else z
+    return _Block(1.0, _NONE, z / n_packets if n_packets > 1 else z)
 
 
-def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: int) -> np.ndarray:
+def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: int) -> _Block:
     """``size`` statistics Z = v*Gamma(K, 1)/n with P(K = n + j) = pmf[j].
 
     A one-entry ``pmf`` draws its variates on kind 0.  A longer one draws
     how many trials take each K with one ``multinomial`` on kind 0 (the
-    trials are exchangeable, so only those counts matter), then fills
-    each nonempty group, in increasing K, from kind 1.  A group with
-    2 <= K <= :data:`_ERLANG_MAX` is -log of the product of K uniforms (a
-    zero uniform gives Z = inf), any other one ``standard_gamma(K)``.
+    trials are exchangeable, so only those counts matter), then draws
+    every group, in increasing K, from kind 1.  A group with 2 <= K <=
+    :data:`_ERLANG_MAX` is a product of K uniforms, built row by row in one
+    buffer for the block's products.  Every other trial is a gamma variate:
+    a group of at least :data:`_GAMMA_CALL_MIN` trials takes one
+    ``standard_gamma`` call, and each run of smaller groups between them
+    one call with per-trial shapes, so a long table costs a bounded number
+    of calls.
     """
-    groups, rng = [(0, size)], streams[0]
     if pmf.size > 1:
-        counts = rng.multinomial(size, pmf)
-        groups, rng = ((j, counts[j]) for j in np.flatnonzero(counts).tolist()), streams[1]
-    z, start, scale = np.empty(size), 0, v / n
-    for j, count in groups:
-        k, out = n + j, z[start:start + count]
-        start += count
-        if 2 <= k <= _ERLANG_MAX:
-            u = rng.random((k, count))
-            for row in u[1:]:
-                u[0] *= row
-            with np.errstate(divide="ignore"):
-                np.log(u[0], out=out)
-            out *= -scale
-        else:
-            rng.standard_gamma(k, count, out=out)
-            out *= scale
-    return z
+        counts = streams(0).multinomial(size, pmf)
+        js = np.flatnonzero(counts)
+        ks, counts, rng = (n + js).tolist(), counts[js].tolist(), streams(1)
+    else:
+        ks, counts, rng = [n], [size], streams(0)
+    groups = list(zip(ks, counts))
+    short = [(k, c) for k, c in groups if 2 <= k <= _ERLANG_MAX]
+    long = [(k, c) for k, c in groups if not 2 <= k <= _ERLANG_MAX]
+    products = np.empty(sum(c for _, c in short))
+    row = np.empty(max((c for _, c in short), default=0))
+    start = 0
+    for k, c in short:
+        p, r = products[start:start + c], row[:c]
+        start += c
+        rng.random(out=p)
+        for _ in range(1, k):
+            rng.random(out=r)
+            p *= r
+    values, start = np.empty(size - products.size), 0
+    for large, run in groupby(long, key=lambda g: g[1] >= _GAMMA_CALL_MIN):
+        run = list(run)
+        if not large:
+            ks, cs = zip(*run)
+            run = [(np.repeat(ks, cs), sum(cs))]
+        for shape, c in run:
+            rng.standard_gamma(shape, c, out=values[start:start + c])
+            start += c
+    return _Block(v / n, products, values)
 
 
 def _statistic_draws(sc: SensingScenario) -> list:
-    """Per hypothesis, ``draw(streams, size)``, which returns ``size``
-    statistics from the generators of kinds 0 and 1.  A row whose means do
-    not depend on the phase draws from a one-entry packet-count pmf at v =
-    m, and one whose means do from its table when there is one, else
-    packet by packet."""
+    """Per hypothesis, ``draw(streams, size)``, which returns a
+    :class:`_Block` of ``size`` statistics; ``streams(kind)`` builds the
+    generator of that kind, and a draw builds only the kinds it draws
+    from.  A row whose means do not depend on the phase draws from a
+    one-entry packet-count pmf at v = m, and one whose means do from its
+    table when there is one, else packet by packet."""
     n = sc.n_packets
     law = h3_packet_count_law(sc.pair, *sc.coefficients, n)
     draws = []
@@ -505,11 +556,11 @@ def _statistic_draws(sc: SensingScenario) -> list:
 
 
 def _chunk_task(args) -> tuple[int, np.ndarray]:
-    """Draw one block under one hypothesis and classify it with every
-    rule; returns (hypothesis, per-rule decision counts)."""
+    """Draw one block under one hypothesis and count its decisions under
+    every rule; returns (hypothesis, per-rule decision counts)."""
     draw, rules, hyp, block, count, seed, stream_path = args
-    z = draw([substream(seed, _TRIAL_STREAM, *stream_path, hyp, block, k) for k in (0, 1)], count)
-    return hyp, np.array([decision_counts(z, rule) for rule in rules])
+    drawn = draw(partial(substream, seed, _TRIAL_STREAM, *stream_path, hyp, block), count)
+    return hyp, np.array([_block_counts(drawn, rule) for rule in rules])
 
 
 def _tally_jobs(

@@ -15,6 +15,7 @@ import numpy as np
 from scipy.stats import gamma as gamma_dist
 from scipy.stats import kstest
 
+from engine_draws import row_statistics
 from gamma_density import gamma_pdf
 from iqsense.detection import (
     DetectorMode,
@@ -27,7 +28,6 @@ from iqsense.detection import (
 from iqsense.montecarlo import (
     SeedSpec,
     SensingScenario,
-    _statistic_draws,
     empirical_metrics,
     p_fa_gap,
     run_trials,
@@ -82,10 +82,9 @@ def test_criterion_02_statistic_distribution():
     for n_packets in (1, 4):
         sc = SensingScenario(0.0, **{**PAPER_POINT, "n_packets": n_packets})
         v = scenario_variances(sc)
-        draws = _statistic_draws(sc)
         for hyp, s in enumerate(v.as_tuple()):
             streams = [substream(SeedSpec(202), 9, n_packets, hyp, kind) for kind in (0, 1)]
-            z = draws[hyp](streams, 100_000)
+            z = row_statistics(sc, hyp, streams, 100_000)
             law = gamma_dist(a=n_packets, scale=2.0 * s / n_packets)
             ks = kstest(z, law.cdf).statistic
             worst = max(worst, ks)

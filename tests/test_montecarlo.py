@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from engine_draws import block_statistics, row_statistics
 from number_rule import REFUSED
 from scipy.stats import norm
 from variance_reference import component_variances
@@ -363,20 +364,21 @@ def test_product_of_uniforms_draws_the_gamma_law(k):
     rule = scenario_rule(sc)
     probs = conditional_probabilities(scenario_variances(sc), rule)[0]
     streams = [substream(31, k, kind) for kind in (0, 1)]
-    z = montecarlo._statistic_draws(sc)[0](streams, 200_000)
+    z = row_statistics(sc, 0, streams, 200_000)
     assert row_pvalue(decision_counts(z, rule).tolist(), probs) >= 1e-4
     assert row_pvalue(decision_counts(z * (k - 1) / k, rule).tolist(), probs) < 1e-4
 
 
 class _ZeroFirstTrial:
-    """A generator whose ``random((K, c))`` gives the first trial zeros."""
+    """A generator whose every ``random`` call gives its first uniform as 0,
+    so the first trial of each group of products of uniforms is 0."""
 
     def __init__(self, rng):
         self.rng = rng
 
-    def random(self, size):
-        u = self.rng.random(size)
-        u[:, 0] = 0.0
+    def random(self, size=None, *, out=None):
+        u = self.rng.random(size, out=out)
+        u[0] = 0.0
         return u
 
     def __getattr__(self, name):
@@ -390,14 +392,53 @@ def test_zero_uniform_decides_the_top_region_without_a_warning(hyp):
     table row's product groups, and the rule puts it in its top region."""
     sc = scenario(n_packets=4)
     rule = scenario_rule(sc)
-    streams = [substream(5, kind) for kind in (0, 1)]
-    draw = montecarlo._statistic_draws(sc)[hyp]
+    streams = [_ZeroFirstTrial(substream(5, kind)) for kind in (0, 1)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        z = draw([_ZeroFirstTrial(s) for s in streams], 1_000)
+        block = montecarlo._statistic_draws(sc)[hyp](streams.__getitem__, 1_000)
+        counts = montecarlo._block_counts(block, rule)
+    z = block_statistics(block)
     top = np.isinf(z)
     assert z[0] == math.inf and 1 <= top.sum() <= montecarlo._ERLANG_MAX - 1
     assert set(classify_batch(z[top], rule).tolist()) == {rule.levels[-1]}
+    assert counts[rule.levels[-1]] >= top.sum()
+
+
+# (scenario, row) whose block the equivalence test draws: a Gamma row at
+# K = 1 ... 6 packets, and H3 tables whose K passes _ERLANG_MAX, in small
+# groups sharing one gamma call (4 packets) and in groups with calls of
+# their own (8 packets).
+_BLOCK_CASES = {
+    **{f"k{k}": (k, 0) for k in range(1, montecarlo._ERLANG_MAX + 1)},
+    "h3-n4": (4, 3),
+    "h3-n8": (8, 3),
+}
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["", "zero-uniform"])
+@pytest.mark.parametrize("case", list(_BLOCK_CASES))
+def test_block_counts_equal_decision_counts_of_the_same_variates(case, zero):
+    """The engine counts a product of uniforms p against exp(-t/scale) and
+    a gamma value x against t/scale.  Those counts equal
+    ``decision_counts`` of the Z the same variates give, under the
+    scenario's rule and under one whose top threshold puts exp(-t/scale)
+    below the smallest float (only a zero product reaches it), with and
+    without a zero uniform in each product group."""
+    n, hyp = _BLOCK_CASES[case]
+    sc = scenario(n_packets=n)
+    streams = [substream(41, n, hyp, kind) for kind in (0, 1)]
+    if zero:
+        streams = [_ZeroFirstTrial(s) for s in streams]
+    block = montecarlo._statistic_draws(sc)[hyp](streams.__getitem__, 20_000)
+    if case.startswith("h3"):
+        assert block.values.size
+    z = block_statistics(block)
+    assert np.isinf(z).any() == (zero and block.products.size > 0)
+    rule = scenario_rule(sc)
+    low = replace(rule, boundaries=(*rule.boundaries[:-1], 800.0 * block.scale))
+    assert math.exp(-low.boundaries[-1] / block.scale) == 0.0
+    for r in (rule, low):
+        assert montecarlo._block_counts(block, r).tolist() == decision_counts(z, r).tolist()
 
 
 def test_run_trials_closure():
