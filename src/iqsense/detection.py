@@ -282,15 +282,15 @@ def h3_packet_count_law(
     of the table, which grows with ``n_packets`` and the length (at most
     1e-13 at 1024 packets and 3,274 entries, against a long-double build).
 
-    Returns None at ``n_packets`` 1, when the H3 means do not depend on
-    the phase, and when the predicted length passes
+    Returns None when the H3 means do not depend on the phase, and when
+    the predicted length passes
     :data:`_MAX_TABLE_LENGTH`; the length is checked before any
     convolution runs.  The result is built once per distinct argument
     tuple, and its ``pmf`` is read-only.
     """
     means = statistic_means(cfg, tx, rx)[3]
     v = float(means.min())
-    if n_packets == 1 or v == means.max():
+    if v == means.max():
         return None
     m, count = np.unique(means, return_counts=True)
     w, p, q = count / means.size, v / m, (m - v) / m

@@ -9,17 +9,19 @@ pmf[j].  A hypothesis whose means do not depend on u (H0-H2, and H3
 without a cross term) has a one-entry pmf and v = m: Z ~ Gamma(n, m/n).
 H3 with a cross term takes v = min_u m_3(u) and the pmf of
 :func:`~iqsense.detection.h3_packet_count_law`, by uniformization: one
-``multinomial`` per block tallies how many trials take each K.  A
-Gamma(K) with 2 <= K <= :data:`_ERLANG_MAX` is -log of a product of K
-uniforms, any other one ``standard_gamma(K)``.  The engine never forms
-such a Z: it counts each block in the domain it was drawn in, a product
-p of uniforms against exp(-t*n/v) (Z >= t) and a gamma variate against
-t*n/v, one count pass per threshold.  The table's last entry
-is the mass :data:`~iqsense.detection.H3_TABLE_CUT` bounds, drawn at the
-table's end, so this draw's law differs from the exact law by at most
-that mass (plus the table's rounding).  At one packet, and where the
-table would pass its length cap, each packet draws one int64 phase index
-and one ``standard_exponential``, scaled by m_3(u).  Only
+``multinomial`` per block tallies how many trials take each K, at one
+packet too.  A Gamma(K) with K <= :data:`_ERLANG_MAX` is -log of a
+product of K uniforms (one uniform at K = 1), any other one
+``standard_gamma(K)``.  The engine never forms such a Z: it counts each
+block in the domain it was drawn in, a product p of uniforms against
+exp(-t*n/v) (Z >= t) and a gamma variate against t*n/v, one count pass
+per threshold.  The table's last entry is the mass
+:data:`~iqsense.detection.H3_TABLE_CUT` bounds, drawn at the table's
+end, so this draw's law differs from the exact law by at most that mass
+(plus the table's rounding).  Only where the table would pass its
+length cap does each packet draw one int64 phase index and one
+``standard_exponential``, scaled by m_3(u); that Z is counted as it is.
+Only
 :func:`estimate_component_variances`, an oracle for the closed forms
 that does not read the pair table, runs the sample-level model of
 :mod:`~iqsense.signal_model`: it draws symbols, channel and noise and
@@ -27,18 +29,22 @@ applies :func:`~iqsense.signal_model.receive` and
 :func:`~iqsense.signal_model.receive_joint`.
 
 Reproducibility contract.  Every sampler draws from generators that
-:func:`substream` derives from one :class:`SeedSpec`: the
-``numpy.random.SeedSequence`` with entropy ``master_seed`` and spawn key
-``(stream_index, purpose, ...)``, whose purpose tag keeps each use of a
-seed on a stream of its own.  A bare integer seed means
+:func:`substream` derives from one :class:`SeedSpec`: an SFC64 bit
+generator seeded by the ``numpy.random.SeedSequence`` with entropy
+``master_seed`` and spawn key ``(stream_index, purpose, ...)``, whose
+purpose tag keeps each use of a seed on a stream of its own.  A bare integer seed means
 ``SeedSpec(seed)``; :class:`SeedSpec` alone decides what a seed is.
 
 - Trials (:func:`run_trials` and :func:`sweep`, purpose 0) are drawn in
   fixed blocks of :data:`_BLOCK_TRIALS`, and block b of hypothesis h
   draws from ``(stream_index, 0, *path, h, b, kind)``, one ``kind`` per
-  kind of variate.  A one-entry row draws its uniforms or gammas on kind
-  0.  H3 with a packet-count table draws its multinomial on kind 0 and
-  its uniforms and gammas on kind 1, group by group in increasing K.
+  kind of variate, and a block builds only the kinds it draws from.  A
+  one-entry row draws its uniforms or gammas on kind 0.  H3 with a
+  packet-count table draws its multinomial on kind 0 and, on kind 1, the
+  uniforms of its product groups in increasing K, one row of a group at
+  a time, then all its other trials' gammas: one ``standard_gamma`` call
+  per group of at least :data:`_GAMMA_CALL_MIN` trials and one per run of
+  smaller groups between them, with per-trial shapes, in increasing K.
   Drawn packet by packet, it takes one phase index per trial from kind 0
   and one exponential per trial from kind 1 for each packet in turn, so
   a worker holds a few arrays of one block's trials at any
@@ -155,16 +161,16 @@ __all__ = [
 # Trials per block: the unit of the stream address and of a pool task.
 _BLOCK_TRIALS = 1 << 16
 
-# Largest K drawn as -log of a product of K uniforms, from 2 up; past it
-# standard_gamma is as fast (per 65,536 on one thread: 1.12 against
-# 1.31 ms at K = 6, 1.32 against 1.30 ms at 7).  K = 1 keeps
-# standard_gamma, so every one-packet stream keeps its values.
+# Largest K drawn as a product of K uniforms, K = 1 (one uniform)
+# included; past it standard_gamma is about as fast.  Per 65,536 variates
+# on one thread from SFC64: 0.18-0.21 against 0.52-0.59 ms at K = 1, 0.93
+# against 1.16 ms at K = 6, and within this host's noise at K = 7-8.
 _ERLANG_MAX = 6
 
 # Fewest trials of a packet-count group that take a standard_gamma call of
-# their own; smaller groups share one call with per-trial shapes, which
-# costs 8-13 ns more per variate (PCG64 / SFC64, one thread) against about
-# 3 us per call.
+# their own; smaller groups share one call with per-trial shapes.  Per-trial
+# shapes cost about 13 ns more per variate than a scalar one, and a call
+# about 3 us (SFC64, one thread), so they pay for a group of under ~250.
 _GAMMA_CALL_MIN = 256
 
 # The packet-count pmf of a row whose means do not depend on the phase.
@@ -226,7 +232,7 @@ def substream(seed: "SeedSpec | int", *path: int) -> np.random.Generator:
     ss = np.random.SeedSequence(
         entropy=seed.master_seed, spawn_key=(seed.stream_index, *path)
     )
-    return np.random.default_rng(ss)
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 @dataclass(frozen=True)
@@ -496,7 +502,7 @@ def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: i
     A one-entry ``pmf`` draws its variates on kind 0.  A longer one draws
     how many trials take each K with one ``multinomial`` on kind 0 (the
     trials are exchangeable, so only those counts matter), then draws
-    every group, in increasing K, from kind 1.  A group with 2 <= K <=
+    every group, in increasing K, from kind 1.  A group with K <=
     :data:`_ERLANG_MAX` is a product of K uniforms, built row by row in one
     buffer for the block's products.  Every other trial is a gamma variate:
     a group of at least :data:`_GAMMA_CALL_MIN` trials takes one
@@ -511,8 +517,8 @@ def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: i
     else:
         ks, counts, rng = [n], [size], streams(0)
     groups = list(zip(ks, counts))
-    short = [(k, c) for k, c in groups if 2 <= k <= _ERLANG_MAX]
-    long = [(k, c) for k, c in groups if not 2 <= k <= _ERLANG_MAX]
+    short = [(k, c) for k, c in groups if k <= _ERLANG_MAX]
+    long = [(k, c) for k, c in groups if k > _ERLANG_MAX]
     products = np.empty(sum(c for _, c in short))
     row = np.empty(max((c for _, c in short), default=0))
     start = 0

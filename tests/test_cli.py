@@ -813,11 +813,10 @@ def test_frame_command(tmp_path):
 
 
 # sha256 of `iqsense frame` stdout for one seeded 512-subcarrier frame,
-# pinned while the frame still returned tuples of Hypothesis members; the
-# provenance has since lost its chunk_size line, and its config_sha256 the key.
+# drawn from SFC64 substreams.
 _FRAME_STDOUT_SHA256 = {
-    "csv": "554b8491413a040a58e67d089d3d3f1825ddeaadaa853a8acea2b1af902f08f7",
-    "json": "a1fec4dff2e7aeacc6bfffa409403ac561f357fe0e3e7957b76138b954fc05a0",
+    "csv": "16ae36ce103f8b60edc541041ff91037c3cc59233ab2dd1797d0cf830f4175c6",
+    "json": "dca21e08da8f7af53297c572a8887da7f940a46c4f3713470a0718e70dcb485d",
 }
 
 

@@ -550,10 +550,11 @@ def test_h3_packet_count_table_gives_the_two_packet_tail(case):
         assert got == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
-def test_h3_packet_count_law_is_none_at_one_packet_and_without_a_cross_term():
-    """The per-packet draw runs at one packet, and an H3 row without a
-    cross term draws its Gamma law; neither has a table (the cap's case is
-    test_montecarlo's near-cancelling test)."""
+def test_h3_packet_count_law_is_none_only_without_a_cross_term():
+    """An H3 row without a cross term draws its Gamma law and has no table
+    (the cap's case is test_montecarlo's near-cancelling test); with one,
+    one packet has a table too, the pmf of a single geometric count."""
     cfg, tx, _ = _H3_LAWS["gate-tx-only"]
-    assert h3_packet_count_law(cfg, mismatch_coefficients(tx), None, 1) is None
     assert h3_packet_count_law(cfg, mismatch_coefficients(IqMismatch.ideal()), None, 4) is None
+    law = h3_packet_count_law(cfg, mismatch_coefficients(tx), None, 1)
+    assert law.pmf[1] < law.pmf[0] and math.fsum(law.pmf) == pytest.approx(1.0, abs=1e-15)

@@ -321,8 +321,8 @@ def test_frame_counts_are_consistent(name, scenario_kw):
 # Misaligning the two sides (a reversed or shifted negative half, swapped
 # halves) keeps every count consistent but changes this sequence.
 _GOLDEN_DECISIONS = {
-    "tx-only": "H0 H0 H2 H3 H0 H2 H0 H0 H3 H2 H0 H1 H2 H3 H0 H1",
-    "joint": "H0 H0 H3 H0 H0 H3 H0 H1 H1 H1 H0 H0 H0 H3 H1 H3",
+    "tx-only": "H0 H0 H3 H3 H1 H3 H0 H0 H3 H2 H1 H0 H0 H2 H0 H2",
+    "joint": "H3 H0 H2 H3 H0 H2 H0 H2 H1 H2 H0 H1 H1 H2 H0 H0",
 }
 
 
@@ -341,8 +341,8 @@ def test_frame_decisions_golden(model):
 # sha256 of a seeded 2048-subcarrier frame: truths and decisions as int8,
 # the int64 confusion matrix, then the three hazard counters as int64.
 _GOLDEN_FRAME_SHA256 = {
-    "tx-only-n1": "7e2da347841f8d0d78a0db2f1fc8e1853d3a887628f9c28fec3bdbdbfac86bee",
-    "joint-n4": "aa85b7de234d6b7590477fc43f50d71571b7c5ce87fc3f7b16dc4728eb36a265",
+    "tx-only-n1": "036ab4a19aca716952279d99563e99f4436f623a3b8167702c5ea4daaa801cbf",
+    "joint-n4": "3b654bba0a2c37f99f615698314797876cdcdd580ac279af9d86746909ce7186",
 }
 
 

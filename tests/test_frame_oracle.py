@@ -165,8 +165,8 @@ def test_two_sample_pvalue_pools_sparse_cells():
 # The oracle is the frame's former sample-level body: it reproduces the
 # bytes that body gave in test_frame's byte goldens.
 _ORACLE_FRAME_SHA256 = {
-    "tx-only-n1": "6625324c56ad48071609290be100772142b5323506fb8f79996bdd42b5df8ad9",
-    "joint-n4": "286ae924bb2e48da11ea32d66500c7818abe68d5f0bab210d6d6ee81a9b384c8",
+    "tx-only-n1": "257fb79ad56b2dd384c4b0b00e9bfc0512b90d0c1d8737ccf03c64731308d3b1",
+    "joint-n4": "699def21bd8d01357d22c33b806944a422ee8adfd53d428d3696e847d11f0b01",
 }
 
 

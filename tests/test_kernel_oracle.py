@@ -4,7 +4,8 @@ reference in ``sample_oracle``.
 The trial engine draws each statistic from its exact law, so it must
 agree with the reference in law: ``test_engine_matches_sample_oracle``
 compares their decision counts per model and per true hypothesis, with
-H3 drawn from its packet-count table and packet by packet.
+H3 drawn from its packet-count table (at two packets and at one) and
+packet by packet.
 False-fail rate: each of the 8 rows of one draw gets a two-sample Pearson
 chi-square test at level ALPHA / 8 (Bonferroni), so the gate fails correct
 code with probability at most ALPHA = 1e-6 per draw, under the chi-square
@@ -45,42 +46,49 @@ ALPHA = 1e-6
 TRIALS = 200_000
 
 
+def _scenario(model: str, n_packets: int) -> SensingScenario:
+    return replace(gate_scenario(model), n_packets=n_packets)
+
+
 @pytest.fixture(scope="module")
 def oracle_tallies():
-    """(4, 4) decision counts of the sample-level reference per model."""
+    """(4, 4) decision counts of the sample-level reference per model, at
+    the gate scenario's two packets and at one."""
     out = {}
     for model in MODELS:
-        sc = gate_scenario(model)
-        tx_c, rx_c = sc.coefficients
-        rule = scenario_rule(sc)
-        out[model] = np.array([
-            decision_counts(sample_oracle.statistic_batch(
-                sc, tx_c, rx_c, hyp, TRIALS, substream(11, 0, hyp)), rule)
-            for hyp in range(4)
-        ])
+        for n_packets in (2, 1):
+            sc = _scenario(model, n_packets)
+            tx_c, rx_c = sc.coefficients
+            rule = scenario_rule(sc)
+            out[model, n_packets] = np.array([
+                decision_counts(sample_oracle.statistic_batch(
+                    sc, tx_c, rx_c, hyp, TRIALS, substream(11, 0, hyp)), rule)
+                for hyp in range(4)
+            ])
     return out
 
 
-def _gate_pvalues(model, oracle_tallies) -> list[float]:
-    tally = run_trials(gate_scenario(model), TRIALS, SeedSpec(12))
-    return [two_sample_pvalue(tally.counts[h], oracle_tallies[model][h]) for h in range(4)]
+def _gate_pvalues(model, oracle_tallies, n_packets=2) -> list[float]:
+    tally = run_trials(_scenario(model, n_packets), TRIALS, SeedSpec(12))
+    oracle = oracle_tallies[model, n_packets]
+    return [two_sample_pvalue(tally.counts[h], oracle[h]) for h in range(4)]
 
 
-# H3 draws from the packet-count table, or packet by packet as it does at
-# one packet and past the table's length cap.
+# H3 draws from the packet-count table, at two packets and at one, or
+# packet by packet as it does past the table's length cap.
 _ENGINE_CASES = [
-    pytest.param(model, draw, id=model if draw == "table" else f"{model}-per-packet")
-    for draw in ("table", "per-packet")
+    pytest.param(model, draw, n, id=model + suffix)
+    for draw, n, suffix in (("table", 2, ""), ("per-packet", 2, "-per-packet"), ("table", 1, "-n1"))
     for model in MODELS
 ]
 
 
-@pytest.mark.parametrize("model, h3_draw", _ENGINE_CASES, indirect=["h3_draw"])
-def test_engine_matches_sample_oracle(model, h3_draw, oracle_tallies):
-    sc = gate_scenario(model)
+@pytest.mark.parametrize("model, h3_draw, n_packets", _ENGINE_CASES, indirect=["h3_draw"])
+def test_engine_matches_sample_oracle(model, h3_draw, n_packets, oracle_tallies):
+    sc = _scenario(model, n_packets)
     table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
     assert (table is None) == (h3_draw == "per-packet")
-    p = _gate_pvalues(model, oracle_tallies)
+    p = _gate_pvalues(model, oracle_tallies, n_packets)
     assert min(p) >= ALPHA / 8, f"per-hypothesis p-values {p}"
 
 
@@ -110,10 +118,10 @@ def _estimator_scenario(joint: bool) -> SensingScenario:
 # The estimator and the reference share receive and receive_joint, so the
 # equality below cannot see a change to them; these bytes can.
 _ESTIMATOR_GOLDEN = {
-    "tx-only": ("0x1.faca2547162ddp-2", "0x1.0da5b56716752p-1",
-                "0x1.0de88f5f73eb4p+1", "0x1.0c3a0014aa6bfp+1"),
-    "joint": ("0x1.0df95dc8df385p-1", "0x1.357180f74d645p-1",
-              "0x1.122fc4ba75429p+1", "0x1.160a0b897c6a2p+1"),
+    "tx-only": ("0x1.fb0e965e45bbap-2", "0x1.0e8f3eaa773bdp-1",
+                "0x1.0931b110627a7p+1", "0x1.0ebdc5322eb5ap+1"),
+    "joint": ("0x1.0e523c24f7580p-1", "0x1.359d19466b9d7p-1",
+              "0x1.0dde8456a3e62p+1", "0x1.1918c28c39c0dp+1"),
 }
 
 

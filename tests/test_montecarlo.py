@@ -260,9 +260,8 @@ def test_run_trials_deterministic():
 def test_run_trials_worker_invariance(h3_draw, monkeypatch):
     """Tallies are byte-identical across worker counts: three blocks with
     a short last one, for rows drawn from Gamma laws and from phase
-    mixtures alike, H3 by its packet-count table or packet by packet
-    (always at one packet), by products of uniforms at n_packets 2 and
-    3."""
+    mixtures alike, H3 by its packet-count table (at one packet too) or
+    packet by packet, by products of uniforms at n_packets 1, 2 and 3."""
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 2_048)
     m = IqMismatch(0.2, 0.15)
     for sc in (scenario(n_packets=3), scenario(n_packets=2, tx_mismatch=m, rx_mismatch=m),
@@ -270,7 +269,7 @@ def test_run_trials_worker_invariance(h3_draw, monkeypatch):
         means = statistic_means(sc.pair, *sc.coefficients)
         assert not np.ptp(means[:3], axis=1).any() and np.ptp(means[3]) > 0
         table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
-        assert (table is None) == (h3_draw == "per-packet" or sc.n_packets == 1)
+        assert (table is None) == (h3_draw == "per-packet")
         want = run_trials(sc, 5_000, 5)
         for workers in (1, 2, 4):
             assert run_trials(sc, 5_000, 5, workers=workers) == want
@@ -290,23 +289,35 @@ def test_near_cancelling_h3_runs_packet_by_packet(monkeypatch):
     assert run_trials(sc, 1_000, 3).trials_per_hypothesis.tolist() == [1_000] * 4
 
 
-# Tallies of the exact-law engine: three blocks with a short last one.
+# Tallies of the exact-law engine: three blocks with a short last one.  At
+# one packet every row is a product of one uniform and H3 draws from its
+# table; at eight, rows H0-H2 are gamma variates.
+_JOINT = SensingScenario(
+    3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
+    n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
+)
 _GOLDEN = {
     "tx-only": (
         SensingScenario(0.0, -10.0, tx_mismatch=irr_to_mismatch(-15.0), n_packets=4),
         2 * 65_536 + 1001,
-        [[74904, 31310, 20332, 5527], [74723, 31279, 20492, 5579],
-         [18922, 20992, 34909, 57250], [19106, 20942, 34396, 57629]],
+        [[75094, 31027, 20386, 5566], [74423, 31374, 20560, 5716],
+         [18804, 20962, 35045, 57262], [19052, 21053, 34742, 57226]],
     ),
     "joint": (
-        SensingScenario(
-            3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
-            n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
-        ),
+        _JOINT,
         2 * 65_536 + 777,
-        [[81194, 25966, 17913, 6776], [75623, 27061, 20041, 9124],
-         [30165, 20693, 28668, 52323], [29271, 20053, 28071, 54454]],
+        [[81159, 26196, 17745, 6749], [75427, 26955, 20227, 9240],
+         [29939, 20796, 28634, 52480], [28962, 20297, 28196, 54394]],
     ),
+    "n1-tx-only": (scenario(n_packets=1), 2 * 65_536 + 1001, [
+        [83479, 15732, 15198, 17664], [83328, 15604, 15087, 18054],
+        [51844, 14175, 17534, 48520], [51884, 13938, 17687, 48564]]),
+    "n1-joint": (replace(_JOINT, n_packets=1), 2 * 65_536 + 1001, [
+        [85243, 18663, 15700, 12467], [81502, 18829, 16692, 15050],
+        [47529, 16726, 20091, 47727], [46835, 16097, 20162, 48979]]),
+    "n8-tx-only": (scenario(n_packets=8), 2 * 65_536 + 1001, [
+        [72707, 41431, 16634, 1301], [71931, 41903, 16870, 1369],
+        [6928, 19309, 46442, 59394], [6774, 19164, 46250, 59885]]),
 }
 
 
@@ -318,30 +329,6 @@ def test_run_trials_golden(model):
         assert got.counts.tolist() == counts, f"workers={workers}"
 
 
-# Tallies that draw no packet-count table and no product of uniforms: every
-# row at one packet, and rows H0-H2 past montecarlo._ERLANG_MAX packets,
-# make the calls they made when each drew its own gamma per trial.
-_UNMOVED_GOLDEN = {
-    "n1-tx-only": (scenario(n_packets=1), 4, [
-        [83584, 15650, 15026, 17813], [83427, 15690, 15199, 17757],
-        [52062, 14118, 17483, 48410], [52197, 14046, 17167, 48663]]),
-    "n1-joint": (replace(_GOLDEN["joint"][0], n_packets=1), 4, [
-        [85351, 18533, 15625, 12564], [81649, 18864, 16889, 14671],
-        [47894, 16512, 20037, 47630], [47175, 16292, 19579, 49027]]),
-    "n8-tx-only": (scenario(n_packets=8), 3, [
-        [72636, 41376, 16779, 1282], [72197, 41551, 16972, 1353],
-        [6885, 19309, 46114, 59765]]),
-}
-
-
-@pytest.mark.parametrize("name", list(_UNMOVED_GOLDEN))
-def test_run_trials_keeps_the_gamma_and_per_packet_streams(name):
-    sc, rows, counts = _UNMOVED_GOLDEN[name]
-    assert sc.n_packets == 1 or sc.n_packets > montecarlo._ERLANG_MAX
-    got = run_trials(sc, 2 * 65_536 + 1001, SeedSpec(2024, 3), workers=2)
-    assert got.counts[:rows].tolist() == counts
-
-
 @pytest.mark.parametrize("h3_draw", ["per-packet"], indirect=True)
 def test_per_packet_stream_golden(h3_draw):
     """The headline point at four packets, H3 drawn packet by packet: one
@@ -350,16 +337,16 @@ def test_per_packet_stream_golden(h3_draw):
     sc = scenario(n_packets=4)
     assert h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets) is None
     assert run_trials(sc, 65_536, 5).counts.tolist() == [
-        [37181, 15638, 9963, 2754], [36874, 15524, 10305, 2833],
-        [9351, 10589, 17296, 28300], [9459, 10517, 17209, 28351]]
+        [37302, 15514, 9951, 2769], [36897, 15670, 10116, 2853],
+        [9377, 10447, 17371, 28341], [9353, 10482, 17512, 28189]]
 
 
-@pytest.mark.parametrize("k", range(2, montecarlo._ERLANG_MAX + 1))
+@pytest.mark.parametrize("k", range(1, montecarlo._ERLANG_MAX + 1))
 def test_product_of_uniforms_draws_the_gamma_law(k):
-    """At n_packets K, a Gamma row is -log of a product of K uniforms:
-    its decision counts close on the Gamma(K) closed form (row test at
-    level 1e-4 per K), and a row whose mean is off by the factor (K-1)/K
-    of a product one uniform short fails it."""
+    """At n_packets K, a Gamma row is -log of a product of K uniforms (one
+    uniform at K = 1): its decision counts close on the Gamma(K) closed
+    form (row test at level 1e-4 per K), and a row whose mean is off by
+    the factor (K-1)/K of a product one uniform short fails it."""
     sc = scenario(n_packets=k)
     rule = scenario_rule(sc)
     probs = conditional_probabilities(scenario_variances(sc), rule)[0]
@@ -601,23 +588,19 @@ _COMPARE_GOLDEN = {
     "four-vs-bayes": (
         scenario(n_packets=4), DetectorMode.four_level(), DetectorMode.two_level_bayes(),
         2 * 65_536 + 1001, 7,
-        [[25717, 0, 127, 106229], [25918, 0, 122, 106033], [92191, 0, 149, 39733],
-         [92024, 0, 125, 39924]],
+        [[25580, 0, 140, 106353], [26037, 0, 153, 105883], [91980, 0, 124, 39969],
+         [92164, 0, 151, 39758]],
     ),
     "four-vs-cfar": (
         scenario(n_packets=2, tx_mismatch=irr_to_mismatch(-5.0)),
         DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1), 2 * 65_536 + 1001, 8,
-        [[13195, 16863, 0, 102015], [14370, 17392, 0, 100311], [55335, 22241, 0, 54497],
-         [56269, 21961, 0, 53843]],
+        [[13274, 16918, 0, 101881], [14759, 17209, 0, 100105], [55562, 22255, 0, 54256],
+         [56344, 21706, 0, 54023]],
     ),
     "joint": (
-        SensingScenario(
-            3.0, -2.0, tx_mismatch=IqMismatch(0.2, 0.15), rx_mismatch=IqMismatch(-0.1, 0.2),
-            n_packets=2, noise_var=1.3, channel_var=0.7, channel_var_mirror=1.8,
-        ),
-        DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 2 * 65_536 + 777, 9,
-        [[13159, 0, 11566, 107124], [16394, 0, 12622, 102833], [65588, 0, 15389, 50872],
-         [67516, 0, 15096, 49237]],
+        _JOINT, DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 2 * 65_536 + 777, 9,
+        [[13161, 0, 11498, 107190], [16464, 0, 12676, 102709], [65796, 0, 15072, 50981],
+         [67222, 0, 15045, 49582]],
     ),
 }
 
