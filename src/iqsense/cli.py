@@ -63,7 +63,7 @@ from .outage import (
     mc_outage,
     outage_paper_literal,
 )
-from .stats import row_pvalue, worst_z
+from .stats import MAX_TRIALS, row_pvalue, worst_z
 
 # Not called here (every closed-form column reads the point's one
 # conditional_probabilities matrix); bound for the trace in bench/job.py.
@@ -150,9 +150,10 @@ def _resolve_config(args) -> ExperimentConfig:
         cfg = replace(cfg, trials=args.trials)
     if args.workers is not None:
         cfg = replace(cfg, workers=args.workers)
-    if cfg.workers > MAX_WORKERS:
-        key = "--workers" if args.workers is not None else "workers"
-        raise ConfigError(f"{key}: must be <= {MAX_WORKERS}, got {cfg.workers}")
+    for name, bound in (("trials", MAX_TRIALS), ("workers", MAX_WORKERS)):
+        if getattr(cfg, name) > bound:
+            key = f"--{name}" if getattr(args, name) is not None else name
+            raise ConfigError(f"{key}: must be <= {bound}, got {getattr(cfg, name)}")
     if args.mode is not None:
         with config_key("--cfar-pfa"):
             mode = DetectorMode(args.mode, args.cfar_pfa)
@@ -399,20 +400,24 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
 def _verify_closure(tally, probs) -> int:
     """Test each tally row against its closed form in ``probs`` by a
     Pearson chi-square test, Bonferroni over the four rows at familywise
-    level :data:`_VERIFY_ALPHA`; print the worst cell's z-score and the
-    smallest p-value."""
+    level :data:`_VERIFY_ALPHA`; print the verdict, with the worst cell's
+    z-score and the smallest p-value, to stderr, so stdout keeps only the
+    table."""
     rows = list(zip(tally.counts.tolist(), probs))
     pvalues = [row_pvalue(c, p) for c, p in rows]
     gate = _VERIFY_ALPHA / len(rows)
     for h, p in enumerate(pvalues):
         if p < gate:
-            print(f"verify FAIL row {Hypothesis(h).name}: chi-square p={p:.3g} < {gate:.3g}")
+            print(f"verify FAIL row {Hypothesis(h).name}: chi-square p={p:.3g} < {gate:.3g}",
+                  file=sys.stderr)
     detail = (f"smallest row p-value {min(pvalues):.3g}, "
               f"worst cell {max(worst_z(c, p) for c, p in rows):.2f} SE")
     if min(pvalues) < gate:
-        print(f"verify: {sum(p < gate for p in pvalues)} row(s) out of tolerance ({detail})")
+        print(f"verify: {sum(p < gate for p in pvalues)} row(s) out of tolerance ({detail})",
+              file=sys.stderr)
         return 1
-    print(f"verify OK: all 4 rows close at familywise level {_VERIFY_ALPHA:g} ({detail})")
+    print(f"verify OK: all 4 rows close at familywise level {_VERIFY_ALPHA:g} ({detail})",
+          file=sys.stderr)
     return 0
 
 

@@ -43,6 +43,7 @@ __all__ = [
     "pair_table",
     "statistic_means",
     "H3_TABLE_CUT",
+    "MAX_PACKETS",
     "H3PacketCountLaw",
     "h3_packet_count_law",
     "pairwise_threshold",
@@ -230,6 +231,13 @@ def statistic_means(
     return ar2 * table[:, :, 0] + br2 * table[:, :, 1] if br2 else ar2 * table[:, :, 0]
 
 
+# Most packets a statistic averages.  An H3 trial drawn packet by packet
+# (past the packet-count table's length cap) costs 2*n_packets draws, a
+# packet-count table grows with n_packets, and the closed forms' Erlang
+# sums lengthen with it (one `analytic` call takes 2 s at 10**9); the
+# documented runs use at most 32.
+MAX_PACKETS = 1024
+
 # Upper bound on the mass of K - n that an H3 packet-count table leaves out.
 H3_TABLE_CUT = 1e-13
 
@@ -389,7 +397,7 @@ def pairwise_threshold_paper(var_i: float, var_j: float, n_packets: int) -> floa
     the literal threshold itself is not commensurate with the n-packet
     average periodogram (its mean is 2*var_i, not n*var_i).
     """
-    n_packets = check_int("n_packets", n_packets, 1)
+    n_packets = check_int("n_packets", n_packets, 1, MAX_PACKETS)
     return 0.5 * n_packets**2 * pairwise_threshold(var_i, var_j)
 
 
@@ -418,7 +426,8 @@ class DecisionRule:
             raise ValueError(f"boundaries must be strictly increasing, got {self.boundaries}")
         if len(set(self.levels)) != len(self.levels):
             raise ValueError(f"region labels must be distinct, got {self.levels}")
-        object.__setattr__(self, "n_packets", check_int("n_packets", self.n_packets, 1))
+        n = check_int("n_packets", self.n_packets, 1, MAX_PACKETS)
+        object.__setattr__(self, "n_packets", n)
 
     def region_counts(self, total: int, at_or_above) -> np.ndarray:
         """Per-hypothesis decision counts of ``total`` statistics of which

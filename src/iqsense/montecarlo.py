@@ -106,6 +106,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .detection import (
+    MAX_PACKETS,
     METRICS,
     DecisionRule,
     DetectorMode,
@@ -135,7 +136,7 @@ from .signal_model import (
 # sweep points leave the closed-form metrics to their readers); bound for
 # the trace in bench/job.py.
 from .detection import analytic_detection, analytic_false_alarm, classify_batch  # noqa: F401
-from .stats import Estimate, Z_95, wilson_interval
+from .stats import MAX_TRIALS, Estimate, Z_95, wilson_interval
 
 __all__ = [
     "SeedSpec",
@@ -180,12 +181,6 @@ _ONE_ENTRY = np.ones(1)
 # (a default `figure 4` queues 4,032), so an unbounded count could ask for
 # thousands of threads; blocks gain nothing from more threads than cores.
 MAX_WORKERS = 256
-
-# An H3 trial drawn packet by packet (past the packet-count table's length
-# cap) costs 2*n_packets draws, a packet-count table grows with n_packets,
-# and the closed forms' Erlang sums lengthen with it (one `analytic` call
-# takes 2 s at 10**9); the documented runs use at most 32.
-_MAX_PACKETS = 1024
 
 # Purpose tags keeping independent uses of a seed on disjoint streams;
 # the frame simulator draws from FRAME_STREAM, the CLI's outage Monte
@@ -272,7 +267,7 @@ class SensingScenario:
     )
 
     def __post_init__(self):
-        n = check_int("n_packets", self.n_packets, 1, _MAX_PACKETS)
+        n = check_int("n_packets", self.n_packets, 1, MAX_PACKETS)
         # noise_var scales the SNRs' powers, so it is checked before they are formed
         v = check_real("noise_var", self.noise_var, 0, strict=True)
         object.__setattr__(self, "n_packets", n)
@@ -587,7 +582,7 @@ def _tally_jobs(
     cancelled and the exception propagates unchanged once the running ones
     finish.
     """
-    per_hypothesis = check_int("per_hypothesis", per_hypothesis, 1)
+    per_hypothesis = check_int("per_hypothesis", per_hypothesis, 1, MAX_TRIALS)
     workers = check_int("workers", workers, 1, MAX_WORKERS)
     seed = _as_seed(seed)
     counts = [np.zeros((len(rules), 4, 4), dtype=np.int64) for _, rules, _ in jobs]
@@ -726,7 +721,10 @@ def sweep(
     for sc, axis, grid, modes, stream_path in curves:
         if axis not in SWEEP_AXES:
             raise ValueError(f"axis must be one of {SWEEP_AXES}, got {axis!r}")
-        grid = [float(g) for g in grid]
+        # -inf is a silent subcarrier on an SNR axis and the ideal front end
+        # on the IRR axis; any other point follows the number rule
+        grid = [-math.inf if g == -math.inf else check_real(f"{axis} grid point", g)
+                for g in grid]
         if not grid:
             raise ValueError("grid must be nonempty")
         modes = list(modes)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .numerics import check_int, check_real
 from .signal_model import irr_to_mismatch
-from .stats import Estimate, wilson_interval
+from .stats import MAX_TRIALS, Estimate, wilson_interval
 
 __all__ = [
     "OutageScenario", "irr_to_beta_sq", "analytic_outage", "outage_paper_literal", "mc_outage",
@@ -131,7 +131,7 @@ def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Esti
     drawn in slices of at most 10**7, X1 then X2 for each slice, so memory
     stays bounded at any ``trials`` and up to 10**7 trials are one slice.
     """
-    trials = check_int("trials", trials, 1)
+    trials = check_int("trials", trials, 1, MAX_TRIALS)
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     g = sc.gamma_threshold

@@ -6,8 +6,16 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
-    "Estimate", "wilson_interval", "Z_95", "MIN_EXPECTED", "chi2_sf", "row_pvalue", "worst_z",
+    "Estimate", "wilson_interval", "Z_95", "MIN_EXPECTED", "MAX_TRIALS", "chi2_sf", "row_pvalue",
+    "worst_z",
 ]
+
+# Most trials one Monte Carlo run takes: per hypothesis and point of the
+# trial engine, or per outage run.  At about 50 M trials/s on two cores,
+# 10**12 trials of each of four hypotheses take about a day, so a larger
+# count is a typo, not a run that could end; every count up to it is also
+# exact as the float64 the intervals are computed in.
+MAX_TRIALS = 10**12
 
 # Two-sided 95% normal quantile.
 Z_95 = 1.959963984540054

@@ -77,7 +77,15 @@ def test_sense_verify_passes():
     r = run_cli("sense", "--trials", "30000", "--seed", "5", "--verify",
                 "--out", "/dev/null")
     assert r.returncode == 0
-    assert "verify OK" in r.stdout
+    assert "verify OK" in r.stderr
+
+
+def test_sense_verify_leaves_stdout_to_the_table():
+    """The verdict goes to stderr, so the JSON document is all of stdout."""
+    r = run_cli("sense", "--trials", "2000", "--format", "json", "--verify")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["provenance"]["command"] == "sense"
+    assert r.stderr.startswith("verify OK") and r.stderr.count("\n") == 1
 
 
 def test_sense_verify_near_certain_cells_warn_nothing(tmp_path):
@@ -90,9 +98,8 @@ def test_sense_verify_near_certain_cells_warn_nothing(tmp_path):
     }}))
     r = run_cli("sense", "--config", str(cfgf), "--trials", "2000", "--verify",
                 "--out", os.devnull)
-    assert r.returncode == 0, r.stdout
-    assert "verify OK" in r.stdout
-    assert r.stderr == ""
+    assert r.returncode == 0, r.stderr
+    assert r.stderr.startswith("verify OK") and r.stderr.count("\n") == 1
 
 
 # Peak RSS of `sense` at n_packets 1024.  The interpreter, numpy and
@@ -203,7 +210,7 @@ def _main_without_trials(tmp_path, monkeypatch, capsys, config, command):
     import iqsense.montecarlo as montecarlo
 
     cfgf = tmp_path / "c.json"
-    cfgf.write_text(json.dumps({**config, "trials": 100}))
+    cfgf.write_text(json.dumps({"trials": 100, **config}))
     calls = []
     monkeypatch.setattr(montecarlo, "_tally_jobs", lambda *a: calls.append(a))
     monkeypatch.setattr(frame, "substream", lambda *a: calls.append(a))
@@ -368,6 +375,11 @@ _TABLE_OVERFLOW = {"scenario": {"channel_var_mirror": 1e300},
                 ["sense"]),
     _range_case("--workers-max", {}, "--workers: must be <= 256, got 1000000",
                 ["sense", "--workers", str(10**6)]),
+    # 400 digits of trials would start a run without end
+    _range_case("trials-max", {"trials": 10**400}, f"trials: must be <= {10**12}, got 1000",
+                ["sense"]),
+    _range_case("--trials-max", {}, f"--trials: must be <= {10**12}, got 1000",
+                ["sense", "--trials", str(10**400)]),
     _range_case("--seed-negative", {}, "--seed: ", ["analytic", "--seed", "-1"]),
     _range_case("--seed-65-bits", {}, "--seed: ", ["analytic", "--seed", str(2**64)]),
     *(_range_case(f"--cfar-pfa-{pfa}", {}, "--cfar-pfa: ",
@@ -405,7 +417,7 @@ def test_only_frame_checks_the_frames_scenario(tmp_path, capsys, command, config
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps(config))
     assert cli.main([*command, "--config", str(cfgf), "--out", str(tmp_path / "o")]) == 0
-    assert capsys.readouterr().err == ""
+    assert all(line.startswith("verify OK") for line in capsys.readouterr().err.splitlines())
 
 
 @pytest.mark.parametrize("command", [["outage"], ["figure", "6"]], ids=["outage", "figure-6"])

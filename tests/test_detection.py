@@ -13,6 +13,7 @@ from gamma_density import gamma_pdf
 from number_rule import REFUSED
 from variance_reference import component_variances
 from iqsense.detection import (
+    MAX_PACKETS,
     CONVENTIONS,
     METRICS,
     DecisionRule,
@@ -377,7 +378,7 @@ def test_decision_rule_validation():
     assert rule.n_packets == 2 and type(rule.n_packets) is int
     assert decision_rule(REF_VARIANCES, np.int64(4)) == decision_rule(REF_VARIANCES, 4)
     assert type(decision_rule(REF_VARIANCES, np.int64(4)).n_packets) is int
-    for bad in (*REFUSED[:-1], 0, 2.0):  # a rule takes any int count of packets
+    for bad in (*REFUSED[:-1], 0, 2.0):  # 10**400 is an int, refused by the bound below
         with pytest.raises(ValueError, match="^n_packets must be an int >= 1, got "):
             DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), bad)
         with pytest.raises(ValueError, match="^n_packets must be an int >= 1, got "):
@@ -390,6 +391,21 @@ def test_decision_rule_validation():
             pairwise_threshold(bad, 1.0)
         with pytest.raises(ValueError, match="^var_j must be finite and > 0, got "):
             pairwise_threshold(2.0, bad)
+
+
+@pytest.mark.parametrize("entry", ["DecisionRule", "pairwise_threshold_paper"])
+def test_packet_counts_stop_at_max_packets(entry):
+    """A rule and the literal threshold take at most MAX_PACKETS packets,
+    the bound a scenario has: 10**400 raises ValueError naming the field
+    (the literal threshold raised OverflowError)."""
+    make = {
+        "DecisionRule": lambda n: DecisionRule((1.0,), (Hypothesis.H0, Hypothesis.H2), (), n),
+        "pairwise_threshold_paper": lambda n: pairwise_threshold_paper(2.0, 1.0, n),
+    }[entry]
+    make(MAX_PACKETS)
+    for bad in (MAX_PACKETS + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^n_packets must be <= {MAX_PACKETS}, got {bad}$"):
+            make(bad)
 
 
 def test_conditioned_variances_cross_term():

@@ -78,7 +78,9 @@ def _gate_pvalues(model, oracle_tallies, n_packets=2) -> list[float]:
 # packet by packet as it does past the table's length cap.
 _ENGINE_CASES = [
     pytest.param(model, draw, n, id=model + suffix)
-    for draw, n, suffix in (("table", 2, ""), ("per-packet", 2, "-per-packet"), ("table", 1, "-n1"))
+    for draw, n, suffix in (
+        ("table", 2, ""), ("per-packet", 2, "-per-packet"), ("table", 1, "-n1"),
+    )
     for model in MODELS
 ]
 

@@ -55,7 +55,7 @@ from iqsense.signal_model import (
     irr_to_mismatch,
     mismatch_coefficients,
 )
-from iqsense.stats import Z_95, Estimate, row_pvalue
+from iqsense.stats import MAX_TRIALS, Z_95, Estimate, row_pvalue
 
 
 def scenario(**kw):
@@ -804,6 +804,35 @@ def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("entry", ["run_trials", "sweep"])
+def test_trial_counts_stop_at_max_trials(entry):
+    """10**400 trials per hypothesis would start a run without end; the
+    engine refuses any count past MAX_TRIALS, naming the field, before a
+    block is drawn."""
+    sc = scenario()
+    run = {
+        "run_trials": lambda n: run_trials(sc, n, 1),
+        "sweep": lambda n: sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], n, 1),
+    }[entry]
+    for bad in (MAX_TRIALS + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^per_hypothesis must be <= {MAX_TRIALS}, got {bad}$"):
+            run(bad)
+
+
+@pytest.mark.parametrize("point", [True, False, "-20", None, math.nan, math.inf, 10**400],
+                         ids=["True", "False", "str", "None", "nan", "inf", "huge"])
+def test_sweep_grid_points_follow_the_number_rule(point):
+    """A grid point is a real number: a bool or a string such as "-20"
+    raises ValueError naming the axis and the point, where float() would
+    run it; -inf stays a silent subcarrier on an SNR axis."""
+    sc = scenario()
+    for axis in SWEEP_AXES:
+        with pytest.raises(ValueError, match=f"^{axis} grid point must be finite, got "):
+            sweep([(sc, axis, [-10.0, point], [sc.mode], ())], 10, 1)
+    silent, = sweep([(sc, "snr_db_at_delta", [-math.inf], [sc.mode], ())], 100, 1)
+    assert silent.value == -math.inf and silent.tally.trials_per_hypothesis.tolist() == [100] * 4
+
+
 def test_run_trials_argument_validation():
     sc = scenario()
     with pytest.raises(ValueError):
@@ -823,7 +852,7 @@ def test_run_trials_argument_validation():
         sweep([(sc, "irr_db", [-15.0], [sc.mode], ())], 10, 1, workers=0)
     with pytest.raises(ValueError, match=f"^workers must be <= {MAX_WORKERS}, got 1000000$"):
         run_trials(sc, 10, 1, workers=10**6)
-    # One number rule for the counts (10**400 trials would be a valid, endless run).
+    # One number rule for the counts; 10**400 is an int, refused by its bound.
     for bad in REFUSED[:-1]:
         with pytest.raises(ValueError, match="^per_hypothesis must be an int >= 1, got "):
             run_trials(sc, bad, 1)

@@ -9,6 +9,7 @@ from scipy.integrate import quad
 
 import iqsense.outage as outage
 from iqsense.montecarlo import OUTAGE_STREAM, SeedSpec, substream
+from iqsense.stats import MAX_TRIALS
 from iqsense.outage import (
     OutageScenario,
     analytic_outage,
@@ -133,8 +134,12 @@ def test_mc_seed_behaviour():
     assert a != c
     with pytest.raises(ValueError, match="^trials must be an int >= 1, got 0$"):
         mc_outage(sc, 0, substream(SeedSpec(55), OUTAGE_STREAM))
-    for bad in REFUSED[:-1]:  # 10**400 trials would be a valid, endless run
+    for bad in REFUSED[:-1]:  # 10**400 is an int, refused by the bound below
         with pytest.raises(ValueError, match="^trials must be an int >= 1, got "):
+            mc_outage(sc, bad, substream(SeedSpec(55), OUTAGE_STREAM))
+    # 10**400 trials would start a run without end
+    for bad in (MAX_TRIALS + 1, 10**400):
+        with pytest.raises(ValueError, match=f"^trials must be <= {MAX_TRIALS}, got {bad}$"):
             mc_outage(sc, bad, substream(SeedSpec(55), OUTAGE_STREAM))
     assert mc_outage(sc, np.int64(10_000), substream(SeedSpec(55), OUTAGE_STREAM)) == a
     # An int or a bool is not seeded into a stream of its own.
