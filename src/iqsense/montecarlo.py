@@ -508,12 +508,11 @@ def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: i
     if pmf.size > 1:
         counts = streams(0).multinomial(size, pmf)
         js = np.flatnonzero(counts)
-        ks, counts, rng = (n + js).tolist(), counts[js].tolist(), streams(1)
+        groups, rng = list(zip((n + js).tolist(), counts[js].tolist())), streams(1)
     else:
-        ks, counts, rng = [n], [size], streams(0)
-    groups = list(zip(ks, counts))
+        groups, rng = [(n, size)], streams(0)
     short = [(k, c) for k, c in groups if k <= _ERLANG_MAX]
-    long = [(k, c) for k, c in groups if k > _ERLANG_MAX]
+    long = groups[len(short):]  # the groups run in increasing K
     products = np.empty(sum(c for _, c in short))
     row = np.empty(max((c for _, c in short), default=0))
     start = 0
