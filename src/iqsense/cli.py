@@ -47,7 +47,6 @@ from .detection import (
 )
 from .frame import simulate_frame
 from .montecarlo import (
-    MAX_WORKERS,
     OUTAGE_STREAM,
     SeedSpec,
     empirical_metrics,
@@ -63,7 +62,7 @@ from .outage import (
     mc_outage,
     outage_paper_literal,
 )
-from .stats import MAX_TRIALS, row_pvalue, worst_z
+from .stats import row_pvalue, worst_z
 
 # Not called here (every closed-form column reads the point's one
 # conditional_probabilities matrix); bound for the trace in bench/job.py.
@@ -104,10 +103,10 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(sp):
         sp.add_argument("--config", metavar="PATH", help="JSON experiment config")
         sp.add_argument("--seed", type=int, help="master seed (overrides config)")
-        sp.add_argument("--trials", type=_positive_int, help="trials per hypothesis per point")
+        sp.add_argument("--trials", type=int, help="trials per hypothesis per point")
         sp.add_argument("--mode", choices=DetectorMode.KINDS, help="detector mode override")
         sp.add_argument("--cfar-pfa", type=float, help="design false alarm for --mode two-cfar")
-        sp.add_argument("--workers", type=_positive_int, help="threads that run trial blocks")
+        sp.add_argument("--workers", type=int, help="threads that run trial blocks")
         sp.add_argument("--out", metavar="PATH", help="write results to this file")
         sp.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
 
@@ -134,36 +133,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _positive_int(text: str) -> int:
-    v = int(text)
-    if v < 1:
-        raise argparse.ArgumentTypeError("must be >= 1")
-    return v
-
-
 def _resolve_config(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else parse_config({})
     if args.seed is not None:
         with config_key("--seed"):
             cfg = replace(cfg, seed=SeedSpec(args.seed, cfg.seed.stream_index))
-    if args.trials is not None:
-        cfg = replace(cfg, trials=args.trials)
-    if args.workers is not None:
-        cfg = replace(cfg, workers=args.workers)
-    for name, bound in (("trials", MAX_TRIALS), ("workers", MAX_WORKERS)):
-        if getattr(cfg, name) > bound:
-            key = f"--{name}" if getattr(args, name) is not None else name
-            raise ConfigError(f"{key}: must be <= {bound}, got {getattr(cfg, name)}")
+    # ExperimentConfig checks each of these as it checks the config's own
+    for flag, field in (("--trials", "trials"), ("--workers", "workers"), ("--out", "out"),
+                        ("--format", "fmt")):
+        value = getattr(args, field)
+        if value is not None:
+            with config_key(flag):
+                cfg = replace(cfg, **{field: value})
     if args.mode is not None:
         with config_key("--cfar-pfa"):
             mode = DetectorMode(args.mode, args.cfar_pfa)
         cfg = replace(cfg, scenario=replace(cfg.scenario, mode=mode))
     elif args.cfar_pfa is not None:
         raise ConfigError("--cfar-pfa: requires --mode two-cfar")
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.fmt is not None:
-        cfg = replace(cfg, fmt=args.fmt)
     if cfg.out is not None:
         _check_writable(cfg.out, "--out" if args.out is not None else "out")
     return cfg
@@ -171,17 +158,26 @@ def _resolve_config(args) -> ExperimentConfig:
 
 def _check_writable(path: str, key: str):
     """Refuse, before any trial runs, an output path that ``_emit`` could
-    not write: a directory, a file in a missing directory, or one that
-    this process may not write."""
+    not write: a directory, a path that names no file (empty, or ending in
+    a separator, ``.`` or ``..``), a file in a missing directory, or one
+    that this process may not write.  The directory is taken as written,
+    not normalised, since ``x/../y`` needs ``x`` to be one."""
     if os.path.isdir(path):
         raise ConfigError(f"{key}: {path} is a directory")
-    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.basename(path) in ("", ".", ".."):
+        raise ConfigError(f"{key}: {path!r} does not name a file")
+    parent = _out_dir(path)
     if not os.path.isdir(parent):
         raise ConfigError(f"{key}: {path}: directory {parent} does not exist")
     # a regular file is replaced through a temporary file in its directory
     special = os.path.exists(path) and not os.path.isfile(path)
     if not os.access(path if special else parent, os.W_OK):
         raise ConfigError(f"{key}: {path}: permission denied")
+
+
+def _out_dir(path: str) -> str:
+    """The directory an output file at ``path`` is written in."""
+    return os.path.dirname(path) or "."
 
 
 # --------------------------------------------------------------------------
@@ -253,7 +249,7 @@ def _emit(cfg: ExperimentConfig, text: str):
     # runs aimed at one path from clobbering each other's partial files.
     f = tempfile.NamedTemporaryFile(
         "w", encoding="utf-8", newline="", suffix=".tmp", delete=False,
-        dir=os.path.dirname(os.path.abspath(cfg.out)),
+        dir=_out_dir(cfg.out),
     )
     try:
         with f:

@@ -1,9 +1,11 @@
 """JSON experiment configuration: strict parsing and canonical hashing.
 
 Unknown keys are rejected with their full path so that typos fail loudly
-instead of silently running a default.  Values are checked here for type
-(and ``trials`` and ``workers`` for ``>= 1``); every
-other range is checked by the model type that takes the value, and
+instead of silently running a default.  The parser checks structure
+only: which keys a section holds, and that a section is an object and a
+list an array.  Each value goes, as written, to the model type that
+takes it (``trials``, ``workers``, ``format`` and ``out`` to
+:class:`ExperimentConfig` itself), whose check is the only one, and
 :func:`config_key` reports its error under the key the user wrote.  An
 IRR grid point is checked when the config is read, so every command
 refuses one that is not negative, not only the commands that run it;
@@ -25,9 +27,11 @@ from dataclasses import asdict, dataclass
 
 from .detection import DetectorMode
 from .frame import OccupancyMap
-from .montecarlo import SWEEP_AXES, SeedSpec, SensingScenario
+from .montecarlo import MAX_WORKERS, SWEEP_AXES, SeedSpec, SensingScenario
+from .numerics import check_int, check_real
 from .outage import OutageScenario, irr_to_beta_sq
 from .signal_model import IqMismatch, irr_to_mismatch
+from .stats import MAX_TRIALS
 
 __all__ = [
     "ConfigError",
@@ -70,63 +74,29 @@ def _section(d, path: str, known: set[str]):
             raise ConfigError(f"{_join(path, key)}: unknown key")
 
 
-def _finite(v, where: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}: must be a number, got {v!r}")
-    try:
-        v = float(v)
-    except OverflowError:  # a JSON integer beyond the largest double
-        v = math.inf if v > 0 else -math.inf
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}: must be finite, got {v}")
-    return v
-
-
-def _number(d, path, key, default, *, allow_null=False):
-    v, where = d.get(key, default), _join(path, key)
-    if v is None:
-        if allow_null:
-            return None
-        raise ConfigError(f"{where}: must be a number, got null")
-    return _finite(v, where)
-
-
-def _integer(d, path, key, default, *, minimum=None):
-    v, where = d.get(key, default), _join(path, key)
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{where}: must be an integer, got {v!r}")
-    if minimum is not None and v < minimum:
-        raise ConfigError(f"{where}: must be >= {minimum}, got {v}")
-    return v
-
-
-def _string(d, path, key, default, *, choices=None):
-    v, where = d.get(key, default), _join(path, key)
-    if not isinstance(v, str):
-        raise ConfigError(f"{where}: must be a string, got {v!r}")
-    if choices is not None and v not in choices:
-        raise ConfigError(f"{where}: must be one of {sorted(choices)}, got {v!r}")
-    return v
-
-
 @contextmanager
 def config_key(key: str):
     """Report a ``ValueError`` of the model as a bad value at config path
-    (or command-line flag) ``key``; a ``ConfigError`` already names its own."""
+    (or command-line flag) ``key``, bare for a top-level value (``key``
+    empty); a ``ConfigError`` already names its own."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as e:
+        raise ConfigError(f"{key}: {e}" if key else str(e)) from None
+
+
+def _mode(kind, d: dict, path: str, kind_key: str) -> DetectorMode:
+    """Detector mode ``kind``, written at ``kind_key``, with the CFAR target
+    at ``<path>.cfar_pfa`` (None when absent).  :class:`DetectorMode` checks
+    both; its error reads under ``kind_key`` when the kind is not one it
+    knows, else under ``<path>.cfar_pfa``."""
+    try:
+        return DetectorMode(kind, d.get("cfar_pfa"))
+    except ValueError as e:
+        key = f"{path}.cfar_pfa" if kind in DetectorMode.KINDS else kind_key
         raise ConfigError(f"{key}: {e}") from None
-
-
-def _mode(kind: str, d: dict, path: str) -> DetectorMode:
-    """Detector mode ``kind`` with the CFAR target at ``<path>.cfar_pfa``
-    (None when absent); :class:`DetectorMode` states which kinds take one."""
-    pfa = _number(d, path, "cfar_pfa", None) if "cfar_pfa" in d else None
-    with config_key(f"{path}.cfar_pfa"):
-        return DetectorMode(kind, pfa)
 
 
 def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
@@ -139,29 +109,28 @@ def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
     if has_irr and has_explicit:
         raise ConfigError(f"{path}.{irr_key}: conflicts with {eps_key}/{theta_key}")
     if has_irr:
-        irr = _number(d, path, irr_key, None)
         with config_key(f"{path}.{irr_key}"):
-            return irr_to_mismatch(irr)
+            return irr_to_mismatch(d[irr_key])
     if has_explicit:
-        eps, theta = _number(d, path, eps_key, 0.0), _number(d, path, theta_key, 0.0)
         with config_key(f"{path}.{eps_key}/{theta_key}"):
-            return IqMismatch(eps, theta)
+            return IqMismatch(d.get(eps_key, 0.0), d.get(theta_key, 0.0))
     if irr_key in d:  # explicit null -> ideal front end
         return IqMismatch.ideal()
     return None
 
 
+# Keys whose config default is the SensingScenario field's own.
+_SCENARIO_NUMBERS = ("noise_var", "channel_var", "channel_var_mirror", "psk_order", "n_packets")
 _SCENARIO_KEYS = {
-    "snr1_db", "snr2_db", "noise_var", "channel_var", "channel_var_mirror",
-    "psk_order", "n_packets", "mode", "cfar_pfa",
+    *_SCENARIO_NUMBERS, "snr1_db", "snr2_db", "mode", "cfar_pfa",
     "tx_irr_db", "tx_epsilon", "tx_theta", "rx_irr_db", "rx_epsilon", "rx_theta",
 }
 
 
-def _snr_value(d, path, key, default):
+def _snr_value(d, key, default):
     """SNR in dB; JSON null encodes -inf (a silent subcarrier)."""
-    v = _number(d, path, key, default, allow_null=True)
-    return float("-inf") if v is None else v
+    v = d.get(key, default)
+    return -math.inf if v is None else v
 
 
 def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
@@ -172,16 +141,12 @@ def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
     rx = _mismatch_from(d, path, "rx")
     with config_key(path):
         return SensingScenario(
-            _snr_value(d, path, "snr1_db", 0.0),
-            _snr_value(d, path, "snr2_db", -10.0),
+            _snr_value(d, "snr1_db", 0.0),
+            _snr_value(d, "snr2_db", -10.0),
             tx_mismatch=tx,
             rx_mismatch=rx,
-            n_packets=_integer(d, path, "n_packets", 1),
-            mode=_mode(_string(d, path, "mode", "four", choices=DetectorMode.KINDS), d, path),
-            noise_var=_number(d, path, "noise_var", 1.0),
-            channel_var=_number(d, path, "channel_var", 1.0),
-            channel_var_mirror=_number(d, path, "channel_var_mirror", 1.0),
-            psk_order=_integer(d, path, "psk_order", 16),
+            mode=_mode(d.get("mode", "four"), d, path, f"{path}.mode"),
+            **{key: d[key] for key in _SCENARIO_NUMBERS if key in d},
         )
 
 
@@ -193,7 +158,8 @@ def _grid_list(d, path, key, default):
         return tuple(default)
     if not isinstance(v, list) or not v:
         raise ConfigError(f"{path}.{key}: must be a nonempty array of numbers")
-    return tuple(_finite(g, f"{path}.{key}[{i}]") for i, g in enumerate(v))
+    with config_key(path):
+        return tuple(check_real(f"{key}[{i}]", g) for i, g in enumerate(v))
 
 
 def _check_irr_grid(grid, path, key):
@@ -218,7 +184,9 @@ def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
     _section(d, path, {"axis", "grid", "modes", "cfar_pfa"})
     if "axis" not in d:
         raise ConfigError(f"{path}.axis: required")
-    axis = _string(d, path, "axis", None, choices=set(SWEEP_AXES))
+    axis = d["axis"]
+    if axis not in SWEEP_AXES:
+        raise ConfigError(f"{path}.axis: must be one of {sorted(SWEEP_AXES)}, got {axis!r}")
     grid = _grid_list(d, path, "grid", None)
     if axis == "irr_db":
         _check_irr_grid(grid, path, "grid")
@@ -228,12 +196,9 @@ def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
     if "cfar_pfa" in d and "two-cfar" not in (modes or ()):
         raise ConfigError(f"{path}.cfar_pfa: only valid when {path}.modes has two-cfar")
     if modes is not None:
-        for i, kind in enumerate(modes):
-            if kind not in DetectorMode.KINDS:
-                raise ConfigError(f"{path}.modes[{i}]: must be one of "
-                                  f"{sorted(DetectorMode.KINDS)}, got {kind!r}")
         # the sweep's one CFAR target belongs to its two-cfar entry
-        modes = tuple(_mode(kind, d if kind == "two-cfar" else {}, path) for kind in modes)
+        modes = tuple(_mode(kind, d if kind == "two-cfar" else {}, path, f"{path}.modes[{i}]")
+                      for i, kind in enumerate(modes))
     return SweepSection(axis=axis, grid=grid, modes=modes)
 
 
@@ -245,7 +210,7 @@ class FrameSection:
 
 def _frame_from(d: dict, path: str = "frame") -> FrameSection:
     _section(d, path, {"n_subcarriers", "active", "snr_db"})
-    n = _integer(d, path, "n_subcarriers", 512)
+    n = d.get("n_subcarriers", 512)
     active = d.get("active", [])
     if not isinstance(active, list):
         raise ConfigError(f"{path}.active: must be an array of subcarrier indices")
@@ -256,7 +221,8 @@ def _frame_from(d: dict, path: str = "frame") -> FrameSection:
         OccupancyMap(n, frozenset())  # the frame size alone: its errors name n_subcarriers
     with config_key(f"{path}.active"):
         occ = OccupancyMap(n, frozenset(active))
-    return FrameSection(occ, _number(d, path, "snr_db", 0.0))
+    with config_key(path):
+        return FrameSection(occ, check_real("snr_db", d.get("snr_db", 0.0)))
 
 
 def _outage_from(d: dict, path: str = "outage") -> OutageScenario:
@@ -265,20 +231,13 @@ def _outage_from(d: dict, path: str = "outage") -> OutageScenario:
     )
     if "irr_db" in d and "beta_sq_sec" in d:
         raise ConfigError(f"{path}.irr_db: conflicts with beta_sq_sec")
+    # every other key's config default is the OutageScenario field's own
+    fields = {"p0": 10.0, **d}
+    irr_db = fields.pop("irr_db", -15.0)
     with config_key(path):
-        if "beta_sq_sec" in d:
-            beta_sq = _number(d, path, "beta_sq_sec", None)
-        else:
-            beta_sq = irr_to_beta_sq(_number(d, path, "irr_db", -15.0, allow_null=True))
-        return OutageScenario(
-            p_mk=_number(d, path, "p_mk", 1.0),
-            p0=_number(d, path, "p0", 10.0),
-            beta_sq_sec=beta_sq,
-            noise_p=_number(d, path, "noise_p", 1.0),
-            var_g=_number(d, path, "var_g", 1.0),
-            var_h=_number(d, path, "var_h", 1.0),
-            rate_p=_number(d, path, "rate_p", 1.0),
-        )
+        if "beta_sq_sec" not in fields:
+            fields["beta_sq_sec"] = irr_to_beta_sq(irr_db)
+        return OutageScenario(**fields)
 
 
 @dataclass(frozen=True)
@@ -307,7 +266,13 @@ _TOP_KEYS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully resolved experiment description."""
+    """Fully resolved experiment description.
+
+    It checks its own top-level values: ``trials`` and ``workers`` by the
+    number rule up to :data:`~iqsense.stats.MAX_TRIALS` and
+    :data:`~iqsense.montecarlo.MAX_WORKERS`, ``fmt`` (the ``format`` key)
+    as csv or json, and ``out`` as a path string or None.
+    """
 
     scenario: SensingScenario
     trials: int
@@ -319,6 +284,14 @@ class ExperimentConfig:
     figure: FigureSection
     out: str | None
     fmt: str
+
+    def __post_init__(self):
+        object.__setattr__(self, "trials", check_int("trials", self.trials, 1, MAX_TRIALS))
+        object.__setattr__(self, "workers", check_int("workers", self.workers, 1, MAX_WORKERS))
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"format must be one of ['csv', 'json'], got {self.fmt!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"out must be a string path, got {self.out!r}")
 
     def canonical_dict(self) -> dict:
         """Math-relevant resolved configuration (hash input).
@@ -382,26 +355,24 @@ def parse_config(raw: dict) -> ExperimentConfig:
     _section(raw, "", _TOP_KEYS)
     scenario = _scenario_from(raw.get("scenario", {}))
     with config_key("seed"):
-        seed = SeedSpec(_integer(raw, "", "seed", 0), _integer(raw, "", "stream_index", 0))
+        seed = SeedSpec(raw.get("seed", 0), raw.get("stream_index", 0))
     sweep_sec = _sweep_from(raw["sweep"]) if "sweep" in raw else None
     outage_sec = _outage_from(raw.get("outage", {}))
     frame_sec = _frame_from(raw.get("frame", {}))
     figure_sec = _figure_from(raw.get("figure", {}))
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError(f"out: must be a string path, got {out!r}")
-    return ExperimentConfig(
-        scenario=scenario,
-        trials=_integer(raw, "", "trials", DEFAULT_TRIALS, minimum=1),
-        seed=seed,
-        workers=_integer(raw, "", "workers", 1, minimum=1),
-        sweep=sweep_sec,
-        outage=outage_sec,
-        frame=frame_sec,
-        figure=figure_sec,
-        out=out,
-        fmt=_string(raw, "", "format", "csv", choices={"csv", "json"}),
-    )
+    with config_key(""):
+        return ExperimentConfig(
+            scenario=scenario,
+            trials=raw.get("trials", DEFAULT_TRIALS),
+            seed=seed,
+            workers=raw.get("workers", 1),
+            sweep=sweep_sec,
+            outage=outage_sec,
+            frame=frame_sec,
+            figure=figure_sec,
+            out=raw.get("out"),
+            fmt=raw.get("format", "csv"),
+        )
 
 
 def load_config(path: str) -> ExperimentConfig:

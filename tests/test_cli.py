@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -367,19 +368,24 @@ _TABLE_OVERFLOW = {"scenario": {"channel_var_mirror": 1e300},
     _range_case("seed-negative", {"seed": -1}, "seed: master_seed "),
     _range_case("seed-65-bits", {"seed": 2**64}, "seed: master_seed "),
     _range_case("stream_index", {"stream_index": -1}, "seed: stream_index "),
-    *(_range_case(key, {key: 0}, f"{key}: ") for key in ("chunk_size", "workers")),
+    _range_case("chunk_size", {"chunk_size": 0}, "chunk_size: unknown key"),
+    _range_case("workers", {"workers": 0}, "workers must be an int >= 1, got 0"),
     # the key left the config with the block-addressed streams
     _range_case("chunk_size-removed", {"chunk_size": 65536}, "chunk_size: unknown key",
                 ["sense"]),
-    _range_case("workers-max", {"workers": 10**6}, "workers: must be <= 256, got 1000000",
+    _range_case("workers-max", {"workers": 10**6}, "workers must be <= 256, got 1000000",
                 ["sense"]),
-    _range_case("--workers-max", {}, "--workers: must be <= 256, got 1000000",
+    _range_case("--workers-max", {}, "--workers: workers must be <= 256, got 1000000",
                 ["sense", "--workers", str(10**6)]),
+    _range_case("--workers-0", {}, "--workers: workers must be an int >= 1, got 0",
+                ["sense", "--workers", "0"]),
     # 400 digits of trials would start a run without end
-    _range_case("trials-max", {"trials": 10**400}, f"trials: must be <= {10**12}, got 1000",
+    _range_case("trials-max", {"trials": 10**400}, f"trials must be <= {10**12}, got 1000",
                 ["sense"]),
-    _range_case("--trials-max", {}, f"--trials: must be <= {10**12}, got 1000",
+    _range_case("--trials-max", {}, f"--trials: trials must be <= {10**12}, got 1000",
                 ["sense", "--trials", str(10**400)]),
+    _range_case("--trials-0", {}, "--trials: trials must be an int >= 1, got 0",
+                ["sense", "--trials", "0"]),
     _range_case("--seed-negative", {}, "--seed: ", ["analytic", "--seed", "-1"]),
     _range_case("--seed-65-bits", {}, "--seed: ", ["analytic", "--seed", str(2**64)]),
     *(_range_case(f"--cfar-pfa-{pfa}", {}, "--cfar-pfa: ",
@@ -392,9 +398,10 @@ _TABLE_OVERFLOW = {"scenario": {"channel_var_mirror": 1e300},
                 ["analytic", "--cfar-pfa", "0.1"]),
 ])
 def test_every_range_error_names_its_key(tmp_path, monkeypatch, capsys, command, config, where):
-    """Each model type states its own ranges; its error reads behind the
-    section, or behind the dotted key (or flag) where the model names
-    another field, and always exits 2 before any trial."""
+    """Each model type states its own ranges, ExperimentConfig those of the
+    top-level values; its error reads bare for a top-level value, behind
+    the section for a nested one, or behind the dotted key (or flag) where
+    the model names another field, and always exits 2 before any trial."""
     code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
     assert code == 2
     assert err.startswith(f"error: {where}")
@@ -444,18 +451,75 @@ def test_outage_takes_any_trial_count(tmp_path, monkeypatch, capsys, command, fl
     assert calls and set(calls) == {10**10}
 
 
-@pytest.mark.parametrize("command, config, message", [
-    (["analytic"], {"scenario": {"snr1_db": 10**400}},
-     "scenario.snr1_db: must be finite, got inf"),
-    (["frame"], {"frame": {"snr_db": 10**400}}, "frame.snr_db: must be finite, got inf"),
-    (["analytic"], {"outage": {"p0": 10**400}}, "outage.p0: must be finite, got inf"),
-    (["figure", "3"], {"figure": {"irr_grid": [-10.0, -(10**400)]}},
-     "figure.irr_grid[1]: must be finite, got -inf"),
-])
-def test_integer_beyond_a_double_is_not_finite(tmp_path, monkeypatch, capsys,
-                                               command, config, message):
-    """A JSON integer too large for a double is refused like 1e400, not
-    raised as an OverflowError."""
+_HUGE = 10**400
+# A string, a bool, null, NaN and an int too large for a double.
+_BAD = {"string": "1", "true": True, "null": None, "nan": math.nan, "400-digits": _HUGE}
+
+
+def _real(name, bound=""):
+    return lambda v: f"{name} must be finite{bound}, got {v!r}"
+
+
+def _int(name, lo, hi):
+    return lambda v: (f"{name} must be <= {hi}, got {v}" if v is _HUGE
+                      else f"{name} must be an int >= {lo}, got {v!r}")
+
+
+def _scalar(key, where, message, *, config=None, command=("analytic",), skip=()):
+    """One case per bad value of config ``key``: its full error line reads
+    ``<where>: <model message>``, bare when ``where`` is empty."""
+    section, _, field = key.rpartition(".")
+    config = config or (lambda v: {section: {field: v}} if section else {field: v})
+    for bad, v in _BAD.items():
+        if bad not in skip:
+            line = f"{where}: {message(v)}" if where else message(v)
+            yield pytest.param(list(command), config(v), line, id=f"{key}-{bad}")
+
+
+def _scalar_cases():
+    yield from _scalar("trials", "", _int("trials", 1, 10**12))
+    yield from _scalar("workers", "", _int("workers", 1, 256))
+    yield from _scalar("seed", "seed",
+                       lambda v: f"master_seed must be an int in [0, 2**64), got {v!r}")
+    # any nonnegative int names a stream, 400 digits long too
+    yield from _scalar("stream_index", "seed", _int("stream_index", 0, None), skip=["400-digits"])
+    yield from _scalar("format", "", lambda v: f"format must be one of ['csv', 'json'], got {v!r}")
+    for key in ("snr1_db", "snr2_db"):  # null is a silent subcarrier
+        yield from _scalar(f"scenario.{key}", "scenario", _real(key), skip=["null"])
+    for key in ("noise_var", "channel_var", "channel_var_mirror"):
+        yield from _scalar(f"scenario.{key}", "scenario", _real(key, " and > 0"))
+    yield from _scalar("scenario.psk_order", "scenario", _int("psk_order", 2, 1024))
+    yield from _scalar("scenario.n_packets", "scenario", _int("n_packets", 1, 1024))
+    yield from _scalar(
+        "scenario.cfar_pfa", "scenario.cfar_pfa",
+        lambda v: ("two-cfar requires target_pfa in (0, 1], got None" if v is None
+                   else f"target_pfa must be finite, got {v!r}"),
+        config=lambda v: {"scenario": {"mode": "two-cfar", "cfar_pfa": v}})
+    for side in ("tx", "rx"):  # a null IRR is the ideal front end
+        yield from _scalar(f"scenario.{side}_irr_db", f"scenario.{side}_irr_db", _real("irr_db"),
+                           skip=["null"])
+        for name in ("epsilon", "theta"):
+            yield from _scalar(f"scenario.{side}_{name}",
+                               f"scenario.{side}_epsilon/{side}_theta", _real(name))
+    for key in ("p_mk", "p0", "beta_sq_sec", "rate_p"):
+        yield from _scalar(f"outage.{key}", "outage", _real(key, " and >= 0"))
+    for key in ("noise_p", "var_g", "var_h"):
+        yield from _scalar(f"outage.{key}", "outage", _real(key, " and > 0"))
+    yield from _scalar("outage.irr_db", "outage", _real("irr_db"), skip=["null"])
+    yield from _scalar("frame.n_subcarriers", "frame", _int("n_subcarriers", 2, 2**20))
+    yield from _scalar("frame.snr_db", "frame", _real("snr_db"), command=["frame"])
+    yield from _scalar("figure.irr_grid", "figure", _real("irr_grid[1]"), command=["figure", "3"],
+                       config=lambda v: {"figure": {"irr_grid": [-10.0, v]}})
+    yield from _scalar("sweep.grid", "sweep", _real("grid[1]"), command=["sweep"],
+                       config=lambda v: {"sweep": {"axis": "snr1_db", "grid": [0.0, v]}})
+
+
+@pytest.mark.parametrize("command, config, message", list(_scalar_cases()))
+def test_every_scalar_error_reads_in_one_form(tmp_path, monkeypatch, capsys,
+                                             command, config, message):
+    """A bad value of any scalar key, a JSON integer too large for a double
+    among them, exits 2 before any trial with one stderr line: the message
+    of the model type that takes it, in the one form."""
     code, err = _main_without_trials(tmp_path, monkeypatch, capsys, config, command)
     assert code == 2
     assert err == f"error: {message}\n"
@@ -683,6 +747,37 @@ def test_unwritable_out_exits_before_any_trial(tmp_path, monkeypatch, capsys, wh
     err = capsys.readouterr().err
     assert err.startswith(f"error: {key}: {out}")
     assert reason in err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("target, reason", [
+    *((target, f"{target!r} does not name a file")
+      for target in ("", "missing/", "sub/x/", "sub/a.csv/")),
+    *((target, f"{target}: directory {target[:-6]} does not exist")
+      for target in ("missing/../y.csv", "sub/a.csv/../y.csv")),
+])
+def test_out_that_names_no_file_exits_before_any_trial(tmp_path, monkeypatch, capsys, where,
+                                                       target, reason):
+    """An empty ``--out`` or ``out``, or one ending in a separator, names
+    no file to write, and one that passes through a missing directory or a
+    file cannot be written: each is refused before any trial, not after
+    them all."""
+    import iqsense.cli as cli
+
+    def no_trials(*args, **kwargs):
+        raise AssertionError("run_trials called")
+
+    monkeypatch.setattr(cli, "run_trials", no_trials)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "a.csv").write_text("")
+    if where == "flag":
+        argv, key = ["sense", "--out", target], "--out"
+    else:
+        (tmp_path / "c.json").write_text(json.dumps({"out": target}))
+        argv, key = ["sense", "--config", "c.json"], "out"
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: {key}: {reason}\n"
 
 
 def test_removed_calibration_key_exit_code(tmp_path):

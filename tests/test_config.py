@@ -163,19 +163,43 @@ def test_type_checks():
 
 
 @pytest.mark.parametrize("raw, message", [
-    ({"trials": 0}, "trials: must be >= 1, got 0"),
-    ({"workers": True}, "workers: must be an integer, got True"),
+    ({"trials": 0}, "trials must be an int >= 1, got 0"),
+    ({"workers": True}, "workers must be an int >= 1, got True"),
     ({"seed": 2**64}, f"seed: master_seed must be an int in [0, 2**64), got {2**64}"),
-    ({"stream_index": 1.5}, "stream_index: must be an integer, got 1.5"),
-    ({"format": "yaml"}, "format: must be one of ['csv', 'json'], got 'yaml'"),
+    ({"stream_index": 1.5}, "seed: stream_index must be an int >= 0, got 1.5"),
+    ({"format": "yaml"}, "format must be one of ['csv', 'json'], got 'yaml'"),
     ({"bogus": 1}, "bogus: unknown key"),
     ({"scenario": {"n_packets": 0}}, "scenario: n_packets must be an int >= 1, got 0"),
 ])
 def test_error_paths_join_like_unknown_keys(raw, message):
-    """A top-level key is named bare; a nested one by its dotted path."""
+    """An unknown key is named by its path, bare at the top level.  A bad
+    value reads as its model type's message: bare for a top-level value
+    (ExperimentConfig's own), behind its section for a nested one, and
+    behind ``seed`` for ``seed`` and ``stream_index``."""
     with pytest.raises(ConfigError) as e:
         parse_config(raw)
     assert str(e.value) == message
+
+
+def test_minus_infinity_snr_is_a_silent_subcarrier(tmp_path):
+    """JSON -Infinity on an SNR reads as null does: the same config and
+    the same hash."""
+    cfgs = []
+    for name, text in (("inf", "-Infinity"), ("null", "null")):
+        f = tmp_path / f"{name}.json"
+        f.write_text('{"scenario": {"snr2_db": %s}}' % text)
+        cfgs.append(load_config(str(f)))
+    assert cfgs[0].scenario.snr2_db == -math.inf
+    assert cfgs[0] == cfgs[1] and canonical_hash(cfgs[0]) == canonical_hash(cfgs[1])
+
+
+@pytest.mark.parametrize("text, shown", [("NaN", "nan"), ("Infinity", "inf")])
+def test_nan_and_infinite_snr_are_refused(tmp_path, text, shown):
+    f = tmp_path / "c.json"
+    f.write_text('{"scenario": {"snr2_db": %s}}' % text)
+    with pytest.raises(ConfigError) as e:
+        load_config(str(f))
+    assert str(e.value) == f"scenario: snr2_db must be finite, got {shown}"
 
 
 def test_seed_spans_64_bits():

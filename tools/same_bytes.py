@@ -94,6 +94,9 @@ COMMANDS = [
     ("analytic-psk-order-12", {"scenario": {"psk_order": 12}}, ["analytic"]),
     ("outage-p0-negative", {"outage": {"p0": -1}}, ["outage"]),
     ("frame-odd-subcarriers", {"frame": {"n_subcarriers": 7}}, ["frame"]),
+    ("noise-var-string", {"scenario": {"noise_var": "x"}}, ["analytic"]),
+    ("sense-trials-0", None, ["sense", "--trials", "0"]),
+    ("analytic-out-empty", None, ["analytic", "--out", ""]),
 ]
 
 
@@ -116,7 +119,7 @@ def run(tree: Path, config, argv: list[str]) -> dict:
             "stdout": _sha(r.stdout),
             "stderr": _sha(r.stderr),
             "exit": r.returncode,
-            "out": _sha(out.read_bytes()) if out is not None and out.exists() else None,
+            "out": _sha(out.read_bytes()) if out is not None and out.is_file() else None,
         }
 
 
