@@ -23,8 +23,6 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__
 from .config import (
     ConfigError,
@@ -196,13 +194,7 @@ def _provenance(cfg: ExperimentConfig, command: str) -> dict:
 
 
 def _fmt_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, (float, np.floating)):
-        return repr(float(v))
-    if isinstance(v, np.integer):
-        return str(int(v))
-    return str(v)
+    return "" if v is None else str(v)
 
 
 def _render_csv(provenance: dict, columns: list[str], rows: list[list]) -> str:
@@ -219,19 +211,9 @@ def _render_csv(provenance: dict, columns: list[str], rows: list[list]) -> str:
     return buf.getvalue()
 
 
-def _json_default(v):
-    if isinstance(v, np.floating):
-        return float(v)
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    raise TypeError(f"not JSON serializable: {type(v).__name__}")
-
-
 def _render_json(provenance: dict, payload: dict) -> str:
     doc = {"provenance": provenance, **payload}
-    return json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _emit(cfg: ExperimentConfig, text: str):
@@ -332,11 +314,16 @@ def _metric_cells(probs, tally) -> dict:
     return cells
 
 
+def _scenario_model(sc):
+    """The scenario's variances and decision rule, built before any trial;
+    a scenario that has neither reads under ``scenario``."""
+    with config_key("scenario"):
+        return scenario_variances(sc), scenario_rule(sc)
+
+
 def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    with config_key("scenario"):
-        v = scenario_variances(sc)
-    rule = scenario_rule(sc)
+    v, rule = _scenario_model(sc)
     report: dict = {
         "variances": asdict(v),
         "mode": sc.mode.kind,
@@ -372,9 +359,7 @@ def _sense_rows(tally, cells):
 
 def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     sc = cfg.scenario
-    with config_key("scenario"):
-        v = scenario_variances(sc)
-    rule = scenario_rule(sc)
+    v, rule = _scenario_model(sc)
     tally = run_trials(sc, cfg.trials, cfg.seed, rule=rule, workers=cfg.workers)
     columns = ["record", "truth", "decided", "count", "convention", "metric",
                "analytic", "estimate", "lo", "hi"]
@@ -530,7 +515,7 @@ def _cmd_frame(cfg: ExperimentConfig, args) -> int:
         ]
         _emit_table(cfg, "frame", columns, rows)
     if cfg.out is not None:
-        print(json.dumps({"summary": summary}, sort_keys=True, default=_json_default))
+        print(json.dumps({"summary": summary}, sort_keys=True))
     return 0
 
 

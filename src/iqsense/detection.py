@@ -51,7 +51,6 @@ __all__ = [
     "decision_rule",
     "two_level_rule",
     "classify_batch",
-    "decision_counts",
     "conditional_probabilities",
     "analytic_false_alarm",
     "analytic_detection",
@@ -429,11 +428,12 @@ class DecisionRule:
         n = check_int("n_packets", self.n_packets, 1, MAX_PACKETS)
         object.__setattr__(self, "n_packets", n)
 
-    def region_counts(self, total: int, at_or_above) -> np.ndarray:
-        """Per-hypothesis decision counts of ``total`` statistics of which
-        ``at_or_above[r]`` lie at or above ``boundaries[r]``."""
+    def decided(self, total, at_or_above) -> np.ndarray:
+        """Per-hypothesis share of ``total`` (a count of statistics, or the
+        probability 1.0) of which ``at_or_above[r]`` lies at or above
+        ``boundaries[r]``, in an array of ``total``'s type."""
         edges = [total, *at_or_above, 0]
-        out = np.zeros(4, dtype=np.int64)
+        out = np.zeros(4, dtype=type(total))
         for r, level in enumerate(self.levels):
             out[int(level)] = edges[r] - edges[r + 1]
         return out
@@ -443,13 +443,13 @@ def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     """Minimum-average-cost rule for the four ordered hypotheses.
 
     With all four variances distinct, the optimal partition needs only
-    the three adjacent pairwise crossings: for ordered variances each
-    crossing s_ij (i < j adjacent) dominates the non-adjacent ones
-    (s_012 ordering chains), which this routine verifies numerically
-    before returning the three-threshold rule.  Hypotheses whose
-    variances coincide within ``MERGE_TOL`` are merged into a single
-    region labelled by the lowest index.  :class:`DecisionRule` checks
-    ``n_packets``.
+    the three adjacent pairwise crossings: s_ij lies strictly between
+    2*var_j and 2*var_i (:func:`pairwise_threshold`) and rises in both
+    variances, so s01 < s12 < s23 and the skip-level crossings chain with
+    them (s01 <= s02 <= s12 <= s13 <= s23, s02 <= s03 <= s13).
+    Hypotheses whose variances coincide within ``MERGE_TOL`` are merged
+    into a single region labelled by the lowest index.
+    :class:`DecisionRule` checks ``n_packets``.
     """
     vs = v.as_tuple()
     groups: list[list[int]] = [[0]]
@@ -467,24 +467,6 @@ def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     )
     levels = tuple(Hypothesis(g[0]) for g in groups)
     merged = tuple(tuple(Hypothesis(i) for i in g) for g in groups if len(g) > 1)
-
-    if len(groups) == 4:
-        # Adjacent crossings must dominate the skip-level ones on each
-        # side, otherwise the three-threshold simplification would not
-        # tile the axis correctly.  Guaranteed analytically for ordered
-        # variances; checked cheaply here.
-        s = {
-            (i, j): pairwise_threshold(vs[j], vs[i])
-            for i in range(4)
-            for j in range(i + 1, 4)
-        }
-        ok = (
-            s[0, 1] <= s[0, 2] <= s[0, 3]
-            and s[0, 2] <= s[1, 2] <= s[1, 3]
-            and s[0, 3] <= s[1, 3] <= s[2, 3]
-        )
-        if not ok:
-            raise AssertionError(f"pairwise-threshold ordering violated: {s}")
 
     return DecisionRule(boundaries, levels, merged, n_packets)
 
@@ -519,28 +501,15 @@ def classify_batch(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
     return np.array(rule.levels, dtype=np.int8).take(region)
 
 
-def decision_counts(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
-    """Per-hypothesis decision counts of a batch of statistics.
-
-    Equals ``np.bincount(classify_batch(z, rule), minlength=4)``, from
-    one ``z >= t`` pass per boundary: a boundary point belongs to the
-    upper region, as in :func:`classify_batch`.
-    """
-    z = np.asarray(z)
-    return rule.region_counts(z.size, [int(np.count_nonzero(z >= t)) for t in rule.boundaries])
-
-
 def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.ndarray:
     """4x4 matrix of P(decide H_col | true H_row) under the Gamma laws."""
-    out = np.zeros((4, 4))
+    out = np.empty((4, 4))
     for i, var in enumerate(v.as_tuple()):
         scale = 2.0 * var / rule.n_packets
         tails = [gamma_sf(rule.n_packets, scale, b) for b in rule.boundaries]
         # The tail falls with the threshold; its rounding need not, and a
         # rise of one ulp would leave a cell at -1e-16.
-        edges = np.minimum.accumulate([1.0, *tails, 0.0])
-        for r, level in enumerate(rule.levels):
-            out[i, int(level)] += edges[r] - edges[r + 1]
+        out[i] = rule.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
     return out
 
 

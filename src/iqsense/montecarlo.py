@@ -471,7 +471,7 @@ def _block_counts(block: _Block, rule: DecisionRule) -> np.ndarray:
         + int(np.count_nonzero(values >= t / scale))
         for t in rule.boundaries
     ]
-    return rule.region_counts(products.size + values.size, at_or_above)
+    return rule.decided(products.size + values.size, at_or_above)
 
 
 def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> _Block:

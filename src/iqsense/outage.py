@@ -46,7 +46,8 @@ class OutageScenario:
     the canonical amplitude-only mismatch); ``noise_p``: primary
     receiver noise power; ``var_g`` / ``var_h``: mean square magnitudes
     of the wanted and leakage channels; ``rate_p``: target spectral
-    efficiency in bit/s/Hz, giving the SINR threshold 2**rate_p - 1.
+    efficiency in bit/s/Hz below 1024, giving the SINR threshold
+    2**rate_p - 1 (a float).
     """
 
     p_mk: float = 1.0
@@ -62,6 +63,9 @@ class OutageScenario:
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0))
         for name in ("noise_p", "var_g", "var_h"):
             object.__setattr__(self, name, check_real(name, getattr(self, name), 0, strict=True))
+        if self.rate_p >= 1024:
+            raise ValueError(f"rate_p must be < 1024, or the SINR threshold 2**rate_p - 1 "
+                             f"overflows a float, got {self.rate_p!r}")
 
     @property
     def gamma_threshold(self) -> float:

@@ -308,6 +308,13 @@ _TABLE_OVERFLOW = {"scenario": {"channel_var_mirror": 1e300},
     _range_case("scenario.snr1_db", {"scenario": {"snr1_db": 4000}}, "scenario: snr1_db="),
     _range_case("scenario.snr2_db", {"scenario": {"snr2_db": 4000}}, "scenario: snr2_db="),
     _range_case("scenario.noise_var", {"scenario": {"noise_var": 0}}, "scenario: noise_var "),
+    # a noise power so small that every likelihood crossing underflows to 0
+    *(_range_case(f"scenario.noise_var-1e-320-{command}", {"scenario": {"noise_var": 1e-320}},
+                  "scenario: boundaries must be finite and > 0, got (0.0, 0.0, 0.0)", [command])
+      for command in ("analytic", "sense")),
+    *(_range_case(f"outage.rate_p-{command[0]}", {"outage": {"rate_p": 2000}},
+                  "outage: rate_p must be < 1024", command)
+      for command in (["analytic"], ["outage"], ["figure", "6"])),
     _range_case("scenario.channel_var", {"scenario": {"channel_var": 0}},
                 "scenario: channel_var "),
     _range_case("scenario.channel_var_mirror", {"scenario": {"channel_var_mirror": -1}},
@@ -916,7 +923,10 @@ def test_frame_command(tmp_path):
     total = sum(sum(row) for row in doc["summary"]["confusion"])
     assert total == 16
     # stdout carries the summary line for quick inspection
-    assert json.loads(r.stdout)["summary"]["confusion"] == doc["summary"]["confusion"]
+    assert json.loads(r.stdout) == {"summary": doc["summary"]}
+    assert set(doc["summary"]) == {
+        "confusion", "vacant_mirror_flags", "unflagged_mirror_risk", "missed_own",
+    }
 
 
 # sha256 of `iqsense frame` stdout for one seeded 512-subcarrier frame,
@@ -941,40 +951,6 @@ def test_frame_output_bytes_golden(tmp_path, fmt):
     )
     assert r.returncode == 0, r.stderr
     assert hashlib.sha256(r.stdout).hexdigest() == _FRAME_STDOUT_SHA256[fmt]
-
-
-def test_frame_summary_line_serialises_numpy_counters(tmp_path, monkeypatch, capsys):
-    """The stdout summary after ``--out`` takes numpy scalars, as the
-    ``--out`` document does."""
-    import dataclasses
-
-    import numpy as np
-
-    import iqsense.cli as cli
-
-    real = cli.simulate_frame
-
-    def numpy_counters(*args, **kwargs):
-        r = real(*args, **kwargs)
-        return dataclasses.replace(
-            r,
-            vacant_mirror_flags=np.int64(r.vacant_mirror_flags),
-            unflagged_mirror_risk=np.int64(r.unflagged_mirror_risk),
-            missed_own=np.int64(r.missed_own),
-        )
-
-    monkeypatch.setattr(cli, "simulate_frame", numpy_counters)
-    cfgf = tmp_path / "c.json"
-    cfgf.write_text(json.dumps({
-        "frame": {"n_subcarriers": 16, "active": [1, 2, -3], "snr_db": 10.0},
-    }))
-    out = tmp_path / "frame.csv"
-    assert cli.main(["frame", "--config", str(cfgf), "--seed", "4", "--out", str(out)]) == 0
-    summary = json.loads(capsys.readouterr().out)["summary"]
-    assert set(summary) == {
-        "confusion", "vacant_mirror_flags", "unflagged_mirror_risk", "missed_own",
-    }
-    assert sum(map(sum, summary["confusion"])) == 16
 
 
 _IMPORT_PROBE = """

@@ -27,7 +27,6 @@ from iqsense.detection import (
     classify_batch,
     conditional_probabilities,
     convention_metric,
-    decision_counts,
     decision_rule,
     detection_paper_literal,
     false_alarm_paper_literal,
@@ -178,36 +177,6 @@ def test_classify_semantics():
     # A boundary value belongs to the upper region.
     out = classify_batch(np.array([0.5, 1.2, 1.7, 5.0, r.boundaries[0], r.boundaries[2]]), r)
     assert out.tolist() == [0, 1, 2, 3, 1, 3]
-
-
-_COUNT_RULES = {
-    "four": decision_rule(REF_VARIANCES, 3),
-    "four-merged-01-23": decision_rule(HypothesisVariances(0.5, 0.5, 1.0, 1.0), 2),
-    "four-merged-12": decision_rule(HypothesisVariances(0.5, 0.8, 0.8, 1.5), 1),
-    "two-bayes": two_level_rule(REF_VARIANCES, 2, DetectorMode.two_level_bayes()),
-    "two-cfar": two_level_rule(REF_VARIANCES, 2, DetectorMode.two_level_cfar(0.05)),
-    "two-cfar-always-busy": two_level_rule(REF_VARIANCES, 1, DetectorMode.two_level_cfar(1.0)),
-}
-
-
-@pytest.mark.parametrize("name", list(_COUNT_RULES))
-def test_decision_counts_equal_classify_bincount(name):
-    """Counting per boundary gives the classifier's tally, ties to the
-    upper region included."""
-    rule = _COUNT_RULES[name]
-    b = np.asarray(rule.boundaries)
-    top = 3.0 * b.max() if b.size else 3.0
-    rng = np.random.default_rng(21)
-    z = np.concatenate([
-        [0.0, 0.0], b, b, np.nextafter(b, 0.0), np.nextafter(b, np.inf),
-        rng.uniform(0.0, top, 1001),
-    ])
-    rng.shuffle(z)
-    for batch in (z, np.zeros(3), np.empty(0), *(np.array([t]) for t in b)):
-        want = np.bincount(classify_batch(batch, rule), minlength=4)
-        got = decision_counts(batch, rule)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, want), (batch, got, want)
 
 
 def test_busy_decision():

@@ -29,7 +29,7 @@ import pytest
 
 import iqsense.montecarlo as montecarlo
 import sample_oracle
-from iqsense.detection import decision_counts, h3_packet_count_law, statistic_means
+from iqsense.detection import classify_batch, h3_packet_count_law, statistic_means
 from iqsense.montecarlo import (
     _ESTIMATOR_STREAM,
     SeedSpec,
@@ -61,8 +61,8 @@ def oracle_tallies():
             tx_c, rx_c = sc.coefficients
             rule = scenario_rule(sc)
             out[model, n_packets] = np.array([
-                decision_counts(sample_oracle.statistic_batch(
-                    sc, tx_c, rx_c, hyp, TRIALS, substream(11, 0, hyp)), rule)
+                np.bincount(classify_batch(sample_oracle.statistic_batch(
+                    sc, tx_c, rx_c, hyp, TRIALS, substream(11, 0, hyp)), rule), minlength=4)
                 for hyp in range(4)
             ])
     return out

@@ -20,11 +20,11 @@ from iqsense.detection import (
     CONVENTIONS,
     METRICS,
     DetectorMode,
+    HypothesisVariances,
     VarianceOrderError,
     classify_batch,
     conditional_probabilities,
     convention_metric,
-    decision_counts,
     h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
@@ -352,8 +352,9 @@ def test_product_of_uniforms_draws_the_gamma_law(k):
     probs = conditional_probabilities(scenario_variances(sc), rule)[0]
     streams = [substream(31, k, kind) for kind in (0, 1)]
     z = row_statistics(sc, 0, streams, 200_000)
-    assert row_pvalue(decision_counts(z, rule).tolist(), probs) >= 1e-4
-    assert row_pvalue(decision_counts(z * (k - 1) / k, rule).tolist(), probs) < 1e-4
+    for stat, closes in ((z, True), (z * (k - 1) / k, False)):
+        counts = np.bincount(classify_batch(stat, rule), minlength=4)
+        assert (row_pvalue(counts.tolist(), probs) >= 1e-4) == closes
 
 
 class _ZeroFirstTrial:
@@ -406,11 +407,16 @@ _BLOCK_CASES = {
 @pytest.mark.parametrize("case", list(_BLOCK_CASES))
 def test_block_counts_equal_decision_counts_of_the_same_variates(case, zero):
     """The engine counts a product of uniforms p against exp(-t/scale) and
-    a gamma value x against t/scale.  Those counts equal
-    ``decision_counts`` of the Z the same variates give, under the
-    scenario's rule and under one whose top threshold puts exp(-t/scale)
-    below the smallest float (only a zero product reaches it), with and
-    without a zero uniform in each product group."""
+    a gamma value x against t/scale.  Those counts equal the classifier's
+    tally of the Z the same variates give, with and without a zero uniform
+    in each product group, under every rule shape the engine meets, each
+    built from the scenario's variances: the four-level rule, the rules
+    that merge H0/H1 and H2/H3 or H1/H2, two-bayes, two-cfar, CFAR at
+    target 1 (no boundary, always busy), and the four-level rule with a
+    top threshold that puts exp(-t/scale) below the smallest float (only a
+    zero product reaches it).  A Z drawn exactly on a boundary is left
+    out: the engine rounds exp(-t/scale), not -scale*log(p), so such a
+    tie may fall either way."""
     n, hyp = _BLOCK_CASES[case]
     sc = scenario(n_packets=n)
     streams = [substream(41, n, hyp, kind) for kind in (0, 1)]
@@ -424,8 +430,22 @@ def test_block_counts_equal_decision_counts_of_the_same_variates(case, zero):
     rule = scenario_rule(sc)
     low = replace(rule, boundaries=(*rule.boundaries[:-1], 800.0 * block.scale))
     assert math.exp(-low.boundaries[-1] / block.scale) == 0.0
-    for r in (rule, low):
-        assert montecarlo._block_counts(block, r).tolist() == decision_counts(z, r).tolist()
+    v = scenario_variances(sc)
+    s0, s1, s2, s3 = v.as_tuple()
+    four = DetectorMode.four_level()
+    rules = [
+        rule, low,
+        rule_for_mode(HypothesisVariances(s0, s0, s2, s2), n, four),
+        rule_for_mode(HypothesisVariances(s0, s1, s1, s3), n, four),
+        rule_for_mode(v, n, DetectorMode.two_level_bayes()),
+        rule_for_mode(v, n, DetectorMode.two_level_cfar(0.05)),
+        rule_for_mode(v, n, DetectorMode.two_level_cfar(1.0)),
+    ]
+    assert [len(r.boundaries) for r in rules] == [3, 3, 1, 2, 1, 1, 0]
+    for r in rules:
+        counts = montecarlo._block_counts(block, r)
+        assert counts.dtype == np.int64
+        assert counts.tolist() == np.bincount(classify_batch(z, r), minlength=4).tolist()
 
 
 def test_run_trials_closure():

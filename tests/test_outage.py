@@ -78,6 +78,14 @@ def test_edge_cases():
         OutageScenario(noise_p=0.0)
     with pytest.raises(ValueError):
         OutageScenario(beta_sq_sec=-0.1)
+    # the SINR threshold 2**rate_p - 1 must be a float
+    with pytest.raises(ValueError, match=r"^rate_p must be < 1024, .* got 2000\.0$"):
+        OutageScenario(rate_p=2000)
+    with pytest.raises(ValueError, match="^rate_p must be < 1024"):
+        OutageScenario(rate_p=1024)
+    top = OutageScenario(rate_p=math.nextafter(1024.0, 0.0))
+    assert math.isfinite(top.gamma_threshold)
+    assert analytic_outage(top) == outage_paper_literal(top) == 1.0
     keys = ("p_mk", "p0", "beta_sq_sec", "noise_p", "var_g", "var_h", "rate_p")
     for key in keys:
         for bad in REFUSED:

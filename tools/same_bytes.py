@@ -86,6 +86,11 @@ COMMANDS = [
     ("frame-default", None, ["frame"]),
     ("frame-mirror-heavy", _MIRROR_HEAVY, ["frame"]),
     ("analytic-mirror-heavy", _MIRROR_HEAVY, ["analytic"]),
+    # rule shapes with fewer than three boundaries: an ideal front end
+    # merges H0/H1 and H2/H3, and CFAR at target 1 has no boundary
+    ("analytic-ideal-tx", {"scenario": {"tx_irr_db": None}}, ["analytic"]),
+    ("sense-cfar-always-busy", {"trials": 5000},
+     ["sense", "--mode", "two-cfar", "--cfar-pfa", "1"]),
     ("outage-csv", {"trials": 20000}, ["outage"]),
     ("outage-json", {"trials": 20000}, ["outage", "--format", "json", "--out", "o.json"]),
     # the default 1e6 trials, as criterion 9 draws them: one slice of the outage draw
@@ -97,6 +102,9 @@ COMMANDS = [
     ("noise-var-string", {"scenario": {"noise_var": "x"}}, ["analytic"]),
     ("sense-trials-0", None, ["sense", "--trials", "0"]),
     ("analytic-out-empty", None, ["analytic", "--out", ""]),
+    # a threshold or a rule that does not exist: refused under their section
+    ("analytic-rate-p-2000", {"outage": {"rate_p": 2000}}, ["analytic"]),
+    ("sense-noise-var-1e-320", {"scenario": {"noise_var": 1e-320}}, ["sense"]),
 ]
 
 
