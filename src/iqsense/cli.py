@@ -536,7 +536,3 @@ def _cmd_outage(cfg: ExperimentConfig, args) -> int:
             f"mc={est.value:.6f} [{est.lo:.6f}, {est.hi:.6f}]"
         )
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -325,10 +325,6 @@ class TallyMatrix:
     def trials_per_hypothesis(self) -> np.ndarray:
         return self.counts.sum(axis=1)
 
-    @property
-    def busy_counts(self) -> np.ndarray:
-        return self.counts[:, 2] + self.counts[:, 3]
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TallyMatrix) and np.array_equal(self.counts, other.counts)
 
@@ -339,7 +335,6 @@ class Metrics:
     convention, with 95% intervals combined from per-row Wilson
     intervals in quadrature."""
 
-    convention: str
     p_fa: Estimate
     p_d: Estimate
 
@@ -365,7 +360,7 @@ def empirical_metrics(tally: TallyMatrix, convention: str = "paper-sum") -> Metr
     n = tally.trials_per_hypothesis
     if np.any(n < 1):
         raise ValueError(f"every hypothesis row needs trials, have {n.tolist()}")
-    return Metrics(convention, *(_combined_estimate(tally, convention, m) for m in METRICS))
+    return Metrics(*(_combined_estimate(tally, convention, m) for m in METRICS))
 
 
 # --------------------------------------------------------------------------
@@ -488,7 +483,7 @@ def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int
     z = packet()
     for _ in range(1, n_packets):
         z += packet()
-    return _Block(1.0, _NONE, z / n_packets if n_packets > 1 else z)
+    return _Block(1.0, _NONE, z / n_packets)
 
 
 def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: int) -> _Block:
@@ -651,7 +646,8 @@ def p_fa_gap(a: TallyMatrix, b: TallyMatrix, convention: str = "prior-weighted")
         raise ValueError(f"tallies must count the same trials, got {n.tolist()} and {nb.tolist()}")
     weight, cells = metric_cells(convention, "p_fa")
     rows = [r for r, _ in cells]
-    d = (b.busy_counts - a.busy_counts)[rows] / n[rows]
+    diff = b.counts - a.counts
+    d = np.array([diff[r, cols].sum() for r, cols in cells]) / n[rows]
     value = weight * float(d.sum())
     hw = weight * Z_95 * math.sqrt(float(np.sum((np.abs(d) - d * d) / n[rows])))
     return Estimate(value, value - hw, value + hw)
@@ -666,9 +662,10 @@ class SweepPoint:
     """One (grid value, detector mode) cell of a sweep.
 
     ``variances`` are the closed-form variances the rule was built from:
-    the closed-form metrics at them (:func:`analytic_false_alarm`,
-    :func:`analytic_detection`) against :func:`empirical_metrics` of
-    ``tally`` measure Monte Carlo closure directly.
+    the closed-form metrics at them
+    (``convention_metric(conditional_probabilities(variances, rule), ...)``)
+    against :func:`empirical_metrics` of ``tally`` measure Monte Carlo
+    closure directly.
     """
 
     axis: str

@@ -83,6 +83,18 @@ class OutageScenario:
         return self.beta_sq_sec * self.p0 * self.var_h / self.noise_p
 
 
+def _closed_form(sc: OutageScenario, a: float, b: float) -> float:
+    """rho = 1 - (m1 / (m1 + a*m2)) * exp(-b*g / m1), g = 2**rate_p - 1,
+    with 0 at a zero threshold and 1 on a dead wanted path (m1 = 0)."""
+    g = sc.gamma_threshold
+    if g == 0.0:
+        return 0.0
+    m1 = sc.signal_mean
+    if m1 == 0.0:
+        return 1.0
+    return 1.0 - (m1 / (m1 + a * sc.interference_mean)) * math.exp(-b * g / m1)
+
+
 def analytic_outage(sc: OutageScenario) -> float:
     """Closed-form outage probability P(gamma < 2**rate_p - 1).
 
@@ -95,33 +107,22 @@ def analytic_outage(sc: OutageScenario) -> float:
     Degenerate limits: a zero threshold never triggers outage; a dead
     wanted path (m1 = 0) with positive threshold always does.
     """
-    g = sc.gamma_threshold
-    if g == 0.0:
-        return 0.0
-    m1 = sc.signal_mean
-    if m1 == 0.0:
-        return 1.0
-    m2 = sc.interference_mean
-    return 1.0 - (m1 / (m1 + g * m2)) * math.exp(-g / m1)
+    return _closed_form(sc, sc.gamma_threshold, 1.0)
 
 
 def outage_paper_literal(sc: OutageScenario) -> float:
     """Literal published outage expression, kept for comparison.
 
-    Differs from :func:`analytic_outage` in two places: the
-    interference mean enters unscaled by the threshold, and the
-    exponent carries an extra factor of the primary noise power.  It
-    agrees with the repaired form only when the threshold is 1 and the
-    noise power is 1.
+    Differs from :func:`analytic_outage` in two factors: the
+    interference mean m2 enters unscaled by the threshold g, and the
+    exponent carries an extra factor of the primary noise power:
+
+        rho = 1 - (m1 / (m1 + m2)) * exp(-noise_p*g / m1).
+
+    It agrees with the repaired form only when the threshold is 1 and the
+    noise power is 1.  The degenerate limits are the same.
     """
-    g = sc.gamma_threshold
-    if g == 0.0:
-        return 0.0
-    m1 = sc.signal_mean
-    if m1 == 0.0:
-        return 1.0
-    m2 = sc.interference_mean
-    return 1.0 - (m1 / (m1 + m2)) * math.exp(-sc.noise_p * g / m1)
+    return _closed_form(sc, 1.0, sc.noise_p)
 
 
 def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Estimate:

@@ -7,8 +7,8 @@ term lands as leakage from the mirror subcarrier -k, so the received
 sample on k mixes the intended signal with an image of whatever the
 mirror carries.  This module provides the mismatch coefficients, the
 subcarrier-pair configuration, channel/noise draws and the
-per-sample transmit/receive maps; everything accepts scalars or numpy
-arrays alike.
+per-sample transmit/receive maps.  The maps accept scalars or numpy
+arrays alike; the draws return an array of the ``size`` they are given.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def receive_joint(y_k, y_mk, rx: MismatchCoefficients):
     return rx.alpha * y_k + np.conjugate(y_mk) * rx.beta
 
 
-def _circular_gaussian(var: float, rng: np.random.Generator, size=None):
+def _circular_gaussian(var: float, rng: np.random.Generator, size):
     """Complex samples whose parts are IID N(0, var/2).
 
     The draw is bit-equal to ``rng.normal(0, sd, size)`` for the real
@@ -205,9 +205,6 @@ def _circular_gaussian(var: float, rng: np.random.Generator, size=None):
     standard normals yields the same sequence as two calls of N.
     """
     sd = math.sqrt(var / 2.0)
-    if size is None:
-        re, im = sd * rng.standard_normal(2)
-        return complex(re, im)
     out = np.empty(size, dtype=complex)
     g = rng.standard_normal((2, *out.shape))
     g *= sd
@@ -216,7 +213,7 @@ def _circular_gaussian(var: float, rng: np.random.Generator, size=None):
     return out
 
 
-def draw_rayleigh(channel_var: float, rng: np.random.Generator, size=None):
+def draw_rayleigh(channel_var: float, rng: np.random.Generator, size):
     """Complex channel gain(s) h with E|h|^2 = channel_var.
 
     Real and imaginary parts are IID N(0, channel_var/2): Rayleigh
@@ -225,6 +222,6 @@ def draw_rayleigh(channel_var: float, rng: np.random.Generator, size=None):
     return _circular_gaussian(check_real("channel_var", channel_var, 0, strict=True), rng, size)
 
 
-def draw_noise(noise_var: float, rng: np.random.Generator, size=None):
+def draw_noise(noise_var: float, rng: np.random.Generator, size):
     """Circular complex receiver noise with total variance noise_var."""
     return _circular_gaussian(check_real("noise_var", noise_var, 0, strict=True), rng, size)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 from scipy.stats import poisson
 
+import law_oracle
 from gamma_density import gamma_pdf
 from number_rule import REFUSED
 from variance_reference import component_variances
@@ -533,6 +534,21 @@ def test_h3_packet_count_table_gives_the_two_packet_tail(case):
         want = math.fsum(_hypoexponential_sf(np.minimum(a, b), np.maximum(a, b), 2.0 * z).ravel())
         want /= rates.size**2
         assert got == pytest.approx(want, rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 32])
+@pytest.mark.parametrize("case", ["gate-tx-only", "gate-joint", "near-cancelling"])
+def test_h3_packet_count_table_gives_the_laplace_tail(case, n):
+    """At n >= 4, P(Z > z) = sum_i Pois(i; n*z/v)*P(K > i) from the table
+    equals the Talbot inversion of Z's closed-form transform."""
+    args = _h3_law_args(case)
+    means = statistic_means(*args)[3]
+    law = h3_packet_count_law(*args, n)
+    # P(K > i): 1 below n, then P(K - n >= i - n + 1) from the reverse cumulative sum
+    k_tail = np.concatenate([np.ones(n), np.cumsum(law.pmf[::-1])[::-1][1:]])
+    for z in means.mean() * np.array([0.3, 1.0, 2.0, 3.0]):
+        got = float(poisson.pmf(np.arange(k_tail.size), n * z / law.v_min) @ k_tail)
+        assert got == pytest.approx(law_oracle.h3_tail(means, n, z), rel=0.0, abs=1e-12)
 
 
 def test_h3_packet_count_law_is_none_only_without_a_cross_term():

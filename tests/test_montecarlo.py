@@ -198,7 +198,7 @@ def test_tally_matrix_algebra():
     a = TallyMatrix(np.arange(16).reshape(4, 4))
     b = TallyMatrix(np.ones((4, 4), dtype=int))
     assert a.trials_per_hypothesis.tolist() == [6, 22, 38, 54]
-    assert a.busy_counts.tolist() == [5, 13, 21, 29]
+    assert a.counts[:, 2:].sum(axis=1).tolist() == [5, 13, 21, 29]
     assert a == TallyMatrix(np.arange(16).reshape(4, 4))
     assert a != b
     with pytest.raises(ValueError):
@@ -582,9 +582,10 @@ def test_p_fa_gap_is_paired():
     modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
     four, two = sweep([(sc, "irr_db", [-15.0], modes, ())], 20_000, 3)
     a, b = four.tally, two.tally
-    assert np.all(a.busy_counts <= b.busy_counts)
+    busy_a, busy_b = a.counts[:, 2:].sum(axis=1), b.counts[:, 2:].sum(axis=1)
+    assert np.all(busy_a <= busy_b)
     gap = p_fa_gap(a, b, "prior-weighted")
-    band = (b.busy_counts - a.busy_counts)[:2] / 20_000
+    band = (busy_b - busy_a)[:2] / 20_000
     assert gap.value == pytest.approx(band.mean())
     assert gap.hi - gap.value == pytest.approx(
         Z_95 * math.sqrt(np.sum(band - band**2) / 20_000) / 2)
@@ -632,7 +633,8 @@ def test_compare_modes_golden(name):
     sc, mode_a, mode_b, per_hypothesis, seed, counts = _COMPARE_GOLDEN[name]
     a, b = (
         run_trials(sc, per_hypothesis, SeedSpec(seed), stream_path=(2,),
-                   rule=rule_for_mode(scenario_variances(sc), sc.n_packets, mode)).busy_counts
+                   rule=rule_for_mode(scenario_variances(sc), sc.n_packets, mode))
+        .counts[:, 2:].sum(axis=1)
         for mode in (mode_a, mode_b)
     )
     both = np.minimum(a, b)
@@ -665,7 +667,8 @@ def test_sweep_structure_and_pairing():
     # count never exceeds the two-level one on any truth row.
     for four_pt, two_pt in zip(pts[0::2], pts[1::2]):
         assert four_pt.value == two_pt.value
-        assert np.all(four_pt.tally.busy_counts <= two_pt.tally.busy_counts)
+        assert np.all(four_pt.tally.counts[:, 2:].sum(axis=1)
+                      <= two_pt.tally.counts[:, 2:].sum(axis=1))
 
 
 def test_sweep_stream_path_isolates_curves():

@@ -218,7 +218,7 @@ def test_draws_take_the_number_rule():
         assert np.array_equal(a, b)
         for bad in (*REFUSED, 0.0):
             with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got "):
-                draw(bad, np.random.default_rng(1))
+                draw(bad, np.random.default_rng(1), size=4)
 
 
 def test_received_energy_matches_hypothesis_variance():

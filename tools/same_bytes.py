@@ -95,6 +95,12 @@ COMMANDS = [
     ("outage-json", {"trials": 20000}, ["outage", "--format", "json", "--out", "o.json"]),
     # the default 1e6 trials, as criterion 9 draws them: one slice of the outage draw
     ("outage-default", None, ["outage"]),
+    # the closed forms' guards: a zero threshold, and a dead wanted path
+    ("outage-rate-p-0", {"trials": 20000, "outage": {"rate_p": 0}}, ["outage"]),
+    ("outage-p-mk-0", {"trials": 20000, "outage": {"p_mk": 0}}, ["outage"]),
+    # an ideal front end: H3 has no cross term and no packet-count table,
+    # so its row is drawn from the one-entry Gamma law
+    ("sense-ideal-tx", {"trials": 5000, "scenario": {"tx_irr_db": None}}, ["sense"]),
     # refusals whose stderr comes from a model type's own check
     ("analytic-psk-order-12", {"scenario": {"psk_order": 12}}, ["analytic"]),
     ("outage-p0-negative", {"outage": {"p0": -1}}, ["outage"]),
