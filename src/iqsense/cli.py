@@ -12,7 +12,9 @@ Subcommands::
 All randomness derives from the configured master seed; outputs embed
 the seed and a hash of the resolved configuration and are byte-stable
 across runs and worker counts.  ``--workers N`` runs each trial batch
-on N threads of this process; no call starts a child process.
+on at most N threads of this process, the main thread included; a batch
+of small blocks runs on the main thread alone.  No call starts a child
+process.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--trials", type=int, help="trials per hypothesis per point")
         sp.add_argument("--mode", choices=DetectorMode.KINDS, help="detector mode override")
         sp.add_argument("--cfar-pfa", type=float, help="design false alarm for --mode two-cfar")
-        sp.add_argument("--workers", type=int, help="threads that run trial blocks")
+        sp.add_argument("--workers", type=int, help="most threads that run trial blocks, the main thread included")
         sp.add_argument("--out", metavar="PATH", help="write results to this file")
         sp.add_argument("--format", choices=("csv", "json"), dest="fmt", help="output format")
 

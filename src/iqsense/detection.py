@@ -251,6 +251,10 @@ _PMF_FLOOR = 1e-150
 # with n_packets 1024); a row whose table would be longer draws per packet.
 _MAX_TABLE_LENGTH = 1 << 12
 
+# Chernoff parameters t for an H3 table's length, as fractions of the
+# largest admissible t, -log(max q).
+_CHERNOFF_T = 1.0 - np.geomspace(1e-6, 0.999, 64)
+
 
 class H3PacketCountLaw(NamedTuple):
     """The H3 statistic as Z = v_min*Gamma(K, 1)/n (see :func:`h3_packet_count_law`).
@@ -303,7 +307,7 @@ def h3_packet_count_law(
     w, p, q = count / means.size, v / m, (m - v) / m
     # Chernoff: P(K - n >= x) <= E[exp(t*(G - 1))]**n * exp(-t*x) for
     # 0 < t < -log(max q), where E[exp(t*(G - 1))] = sum_u w_u*p_u/(1 - q_u*e^t).
-    t = -math.log(q.max()) * (1.0 - np.geomspace(1e-6, 0.999, 64))
+    t = -math.log(q.max()) * _CHERNOFF_T
     mgf = (w * p / (p - q * np.expm1(t)[:, None])).sum(axis=1)
     length = float(np.min((n_packets * np.log(mgf) - math.log(H3_TABLE_CUT)) / t))
     if not length <= _MAX_TABLE_LENGTH:

@@ -74,11 +74,14 @@ purpose tag keeps each use of a seed on a stream of its own.  A bare integer see
   figure 6.
 
 One engine runs every trial: :func:`run_trials` hands it one job and
-:func:`sweep` one job per grid point of every curve, and it maps all
-their blocks over ``workers`` threads in a single batch, with a thread
-pool of its own.  A block spends nearly all its time in numpy calls that
-release the interpreter lock (the generator fills and the passes over
-its arrays), so threads run blocks in parallel without a child process.
+:func:`sweep` one job per grid point of every curve, and it runs all
+their blocks in a single batch on at most ``workers`` threads, the
+calling thread included.  A block spends nearly all its time in numpy
+calls that release the interpreter lock (the generator fills and the
+passes over its arrays), so threads run large blocks in parallel without
+a child process.  A block of fewer than :data:`_THREAD_MIN_VARIATES`
+packet variates makes calls too short to share the lock, and the calling
+thread runs every such batch alone.
 
 Streams are addressed by path, not by rule, so detector modes evaluated
 at the same sweep point, or by :func:`run_trials` calls with one seed and
@@ -91,11 +94,10 @@ much tighter than independent ones.
 from __future__ import annotations
 
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import KW_ONLY, dataclass, field, replace
 from functools import lru_cache, partial
-from itertools import groupby, islice
+from itertools import groupby
+from threading import Lock, Thread
 from typing import NamedTuple
 
 import numpy as np
@@ -159,7 +161,7 @@ __all__ = [
     "MAX_WORKERS",
 ]
 
-# Trials per block: the unit of the stream address and of a pool task.
+# Trials per block: the unit of the stream address and of a thread's work.
 _BLOCK_TRIALS = 1 << 16
 
 # Largest K drawn as a product of K uniforms, K = 1 (one uniform)
@@ -177,9 +179,19 @@ _GAMMA_CALL_MIN = 256
 # The packet-count pmf of a row whose means do not depend on the phase.
 _ONE_ENTRY = np.ones(1)
 
-# Each worker is a thread, and the pool starts up to one per queued block
-# (a default `figure 4` queues 4,032), so an unbounded count could ask for
-# thousands of threads; blocks gain nothing from more threads than cores.
+# Fewest packet variates (trials times n_packets) in a run's largest block
+# for which the engine starts helper threads.  A smaller block's numpy calls
+# are too short for two threads to trade the interpreter lock around them.
+# In fresh processes on a 2-vCPU host, a second thread made an 11-point,
+# 2-mode sweep 1.3-1.5 times slower at 2e4 trials and n_packets 1 and 4,
+# 1.1 times faster at 2e5 trials and n_packets 1 (65,536 variates a block),
+# and 1.4 times faster at 2e5 and 2 (131,072).
+_THREAD_MIN_VARIATES = 1 << 17
+
+# The most threads that run blocks, the caller included.  The engine starts
+# up to one helper per block beyond the first (a default `figure 4` has
+# 4,032 blocks), so an unbounded count could ask for thousands of threads;
+# blocks gain nothing from more threads than cores.
 MAX_WORKERS = 256
 
 # Purpose tags keeping independent uses of a seed on disjoint streams;
@@ -567,14 +579,16 @@ def _tally_jobs(
     """The trial engine: per-rule tallies for each (scenario, rules,
     stream path) job.
 
-    Every block of every job is one task on a pool of ``workers``
-    threads.  Tasks are made as they are submitted, at most
-    ``2 * workers`` are in flight, and each block's counts merge into its
-    job by integer addition as it is collected.  So the engine's memory
-    does not grow with the trial count, and the result does not depend on
-    ``workers``.  When a block raises, the blocks still queued are
-    cancelled and the exception propagates unchanged once the running ones
-    finish.
+    The calling thread and up to ``workers - 1`` helper threads each run
+    blocks in a loop: take the next block of the next job, made as it is
+    taken, draw and count it, and add its counts into its job.  So each
+    thread holds one block at a time, the engine's memory does not grow
+    with the trial count, and integer addition keeps the result
+    independent of ``workers``.  Helpers start only when the largest block
+    draws at least :data:`_THREAD_MIN_VARIATES` packet variates, one per
+    block beyond the first at the most, and are joined before the call
+    returns or raises.  When a block raises, no thread takes another
+    block, and the caller gets the first exception itself.
     """
     per_hypothesis = check_int("per_hypothesis", per_hypothesis, 1, MAX_TRIALS)
     workers = check_int("workers", workers, 1, MAX_WORKERS)
@@ -586,17 +600,42 @@ def _tally_jobs(
         for hyp, draw in enumerate(_statistic_draws(sc))
         for idx, count in _chunk_layout(per_hypothesis, _BLOCK_TRIALS)
     )
-    pool = ThreadPoolExecutor(max_workers=workers)
+    lock, failed = Lock(), []  # a thread's exception: no thread takes another block
+
+    def work():
+        while not failed:
+            with lock:
+                job, task = next(tasks, (None, None))
+            if job is None:
+                return
+            hyp, arr = _chunk_task(task)
+            with lock:
+                job[:, hyp, :] += arr
+
+    def helper():
+        try:
+            work()
+        except BaseException as e:
+            failed.append(e)
+
+    blocks = len(Hypothesis) * len(jobs) * -(-per_hypothesis // _BLOCK_TRIALS)
+    variates = min(per_hypothesis, _BLOCK_TRIALS) * max(sc.n_packets for sc, _, _ in jobs)
+    helpers = []
     try:
-        futures = ((job, pool.submit(_chunk_task, task)) for job, task in tasks)
-        in_flight = deque(islice(futures, 2 * workers))
-        while in_flight:
-            job, future = in_flight.popleft()
-            hyp, arr = future.result()
-            job[:, hyp, :] += arr
-            in_flight.extend(islice(futures, 1))
+        if variates >= _THREAD_MIN_VARIATES:
+            for _ in range(min(workers, blocks) - 1):
+                thread = Thread(target=helper)
+                thread.start()
+                helpers.append(thread)
+        work()
+    except BaseException as e:
+        failed.append(e)
+        raise
     finally:
-        pool.shutdown(cancel_futures=True)
+        for thread in helpers:
+            thread.join()
+    if failed:
+        raise failed[0]
     return [[TallyMatrix(c) for c in job_counts] for job_counts in counts]
 
 

@@ -559,52 +559,61 @@ def test_seed_beyond_64_bits_exit_code(tmp_path):
 
 
 def _count_executors(monkeypatch) -> tuple[list, list]:
-    """Record the worker count of every thread pool montecarlo builds and
-    the job count of every trial-engine batch; both still run."""
+    """Record every helper thread the trial engine starts and the job
+    count of every engine batch; both still run."""
+    import threading
+
     import iqsense.montecarlo as montecarlo
 
-    made, batches = [], []
-    real_pool, real_tally = montecarlo.ThreadPoolExecutor, montecarlo._tally_jobs
+    started, batches = [], []
+    real_tally = montecarlo._tally_jobs
 
-    def pool(*args, **kwargs):
-        made.append(kwargs.get("max_workers"))
-        return real_pool(*args, **kwargs)
+    class Helper(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
 
     def tally(jobs, *args):
         batches.append(len(jobs))
         return real_tally(jobs, *args)
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", pool)
+    monkeypatch.setattr(montecarlo, "Thread", Helper)
     monkeypatch.setattr(montecarlo, "_tally_jobs", tally)
-    return made, batches
+    return started, batches
 
 
 @pytest.mark.parametrize("fig_id", ["4", "5"])
 def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id):
-    """All the figure's curves run as one engine batch on one executor,
-    not one batch per curve or one executor per grid point."""
+    """All the figure's curves run as one engine batch: below the
+    crossover on the calling thread alone, above it (65,536 trials at two
+    packets) with one helper for the whole batch at --workers 2, not one
+    batch per curve or one helper per grid point."""
     import iqsense.cli as cli
 
-    made, batches = _count_executors(monkeypatch)
-    cfgf = tmp_path / "c.json"
-    cfgf.write_text(json.dumps({
-        "figure": {"irr_grid": [-30.0, -20.0], "snr1_grid": [0.0, 5.0],
-                   "delta_snrs": [0.0, 10.0]},
-        "trials": 300,
-    }))
-    argv = ["figure", fig_id, "--config", str(cfgf), "--workers", "2",
-            "--out", str(tmp_path / "f.csv")]
-    assert cli.main(argv) == 0
-    assert batches == [4]  # two curves of two grid points each
-    assert made == [2]
+    started, batches = _count_executors(monkeypatch)
+    for trials, helpers in ((300, 0), (65_536, 1)):
+        cfgf = tmp_path / "c.json"
+        cfgf.write_text(json.dumps({
+            "scenario": {"n_packets": 2},
+            "figure": {"irr_grid": [-30.0, -20.0], "snr1_grid": [0.0, 5.0],
+                       "delta_snrs": [0.0, 10.0]},
+            "trials": trials,
+        }))
+        argv = ["figure", fig_id, "--config", str(cfgf), "--workers", "2",
+                "--out", str(tmp_path / "f.csv")]
+        assert cli.main(argv) == 0
+        assert batches == [4]  # two curves of two grid points each
+        assert len(started) == helpers
+        batches.clear()
+        started.clear()
 
 
 def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
-    """A sweep's grid points and modes run as one engine batch on one
-    executor."""
+    """A sweep's grid points and modes run as one engine batch, on the
+    calling thread alone below the crossover."""
     import iqsense.cli as cli
 
-    made, batches = _count_executors(monkeypatch)
+    started, batches = _count_executors(monkeypatch)
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
         "sweep": {"axis": "irr_db", "grid": [-30.0, -20.0, -10.0],
@@ -614,7 +623,7 @@ def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
     argv = ["sweep", "--config", str(cfgf), "--workers", "2", "--out", str(tmp_path / "s.csv")]
     assert cli.main(argv) == 0
     assert batches == [3]
-    assert made == [2]
+    assert started == []
 
 
 def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
@@ -685,9 +694,11 @@ def test_parallel_calls_start_no_child_process(tmp_path, monkeypatch, command):
 
 
 def test_calls_without_parallel_trials_start_no_pool(tmp_path, monkeypatch, capsys):
+    """`analytic`, and a `figure 5` whose grid is refused, start no engine
+    batch and no thread."""
     import iqsense.cli as cli
 
-    made, batches = _count_executors(monkeypatch)
+    started, batches = _count_executors(monkeypatch)
     assert cli.main(["analytic", "--workers", "2"]) == 0
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
@@ -696,7 +707,7 @@ def test_calls_without_parallel_trials_start_no_pool(tmp_path, monkeypatch, caps
         "trials": 100,
     }))
     assert cli.main(["figure", "5", "--config", str(cfgf), "--workers", "2"]) == 2
-    assert made == []
+    assert started == []
     assert batches == []
 
 

@@ -1,11 +1,11 @@
 """Determinism, closure and pairing properties of the trial harness."""
 
 import math
+import sys
 import threading
 from dataclasses import replace
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -261,8 +261,11 @@ def test_run_trials_worker_invariance(h3_draw, monkeypatch):
     """Tallies are byte-identical across worker counts: three blocks with
     a short last one, for rows drawn from Gamma laws and from phase
     mixtures alike, H3 by its packet-count table (at one packet too) or
-    packet by packet, by products of uniforms at n_packets 1, 2 and 3."""
+    packet by packet, by products of uniforms at n_packets 1, 2 and 3.
+    The crossover is lowered so that these small blocks run on helper
+    threads too."""
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 2_048)
+    monkeypatch.setattr(montecarlo, "_THREAD_MIN_VARIATES", 2_048)
     m = IqMismatch(0.2, 0.15)
     for sc in (scenario(n_packets=3), scenario(n_packets=2, tx_mismatch=m, rx_mismatch=m),
                scenario(n_packets=1)):
@@ -688,16 +691,17 @@ def test_sweep_point_independent_of_grid():
 
 
 def test_sweep_worker_invariance(monkeypatch):
-    """All grid points' blocks run in one map; how the 288 block tasks
-    spread over the workers never changes a tally."""
+    """All grid points' blocks run in one batch; how the 288 blocks spread
+    over the threads never changes a tally, below the crossover (the
+    calling thread runs them all) and above it (lowered to the block
+    size, so helpers run them too)."""
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 64)
     sc = scenario()
     modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
-    runs = [
-        sweep([(sc, "irr_db", [-30.0, -20.0, -10.0], modes, ())], 1_500, 17,
-              workers=workers)
-        for workers in (1, 2, 3)
-    ]
+    curve = (sc, "irr_db", [-30.0, -20.0, -10.0], modes, ())
+    runs = [sweep([curve], 1_500, 17, workers=workers) for workers in (1, 2, 3)]
+    monkeypatch.setattr(montecarlo, "_THREAD_MIN_VARIATES", 64)
+    runs += [sweep([curve], 1_500, 17, workers=workers) for workers in (2, 3)]
     assert len(runs[0]) == 6
     for run in runs[1:]:
         assert [(p.value, p.mode) for p in run] == [(p.value, p.mode) for p in runs[0]]
@@ -736,10 +740,12 @@ def test_stream_purpose_tags_are_distinct():
 
 
 def test_two_workers_run_chunks_at_once(monkeypatch):
-    """With workers=2 two blocks are in flight together: each block waits
+    """Above the crossover (65,536 trials at two packets, 2**17 packet
+    variates a block) workers=2 runs two blocks at once: each block waits
     at a two-party barrier, which a serial engine never passes."""
-    sc = scenario()
-    serial = run_trials(sc, 2_000, 5)
+    sc = scenario(n_packets=2)
+    assert montecarlo._BLOCK_TRIALS * sc.n_packets == montecarlo._THREAD_MIN_VARIATES
+    serial = run_trials(sc, 65_536, 5)
     real = montecarlo._chunk_task
     barrier = threading.Barrier(2, timeout=10)
     threads = set()
@@ -750,64 +756,130 @@ def test_two_workers_run_chunks_at_once(monkeypatch):
         return real(task)
 
     monkeypatch.setattr(montecarlo, "_chunk_task", paired)
-    assert run_trials(sc, 2_000, 5, workers=2) == serial
+    assert run_trials(sc, 65_536, 5, workers=2) == serial
     assert len(threads) == 2
 
 
-def test_failed_chunk_cancels_queued_chunks(monkeypatch):
-    """The first of 64 blocks raises: the caller gets that exception
-    itself, and the blocks still queued never run."""
-    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 64)
+def test_small_blocks_and_one_worker_use_only_the_calling_thread(monkeypatch):
+    """Below the crossover (figure 5's 2e4 trials at one packet, and one
+    variate short of it at two packets), and at workers=1 above it, every
+    block runs on the calling thread and no helper thread starts; the
+    tallies are those of the serial run."""
+    started, threads = [], set()
     real = montecarlo._chunk_task
-    err = RuntimeError("block failed")
-    ran = []
 
-    def failing(task):
-        ran.append(task)
-        _, _, hyp, block, *_ = task
-        if (hyp, block) == (0, 0):
-            raise err
-        time.sleep(0.02)  # keep later blocks queued when the failure surfaces
+    class Counted(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    def recorded(task):
+        threads.add(threading.get_ident())
         return real(task)
 
-    monkeypatch.setattr(montecarlo, "_chunk_task", failing)
+    want = [run_trials(scenario(), 20_000, 5),
+            run_trials(scenario(n_packets=2), 65_535, 5)]
+    monkeypatch.setattr(montecarlo, "Thread", Counted)
+    monkeypatch.setattr(montecarlo, "_chunk_task", recorded)
+    assert [run_trials(scenario(), 20_000, 5, workers=3),
+            run_trials(scenario(n_packets=2), 65_535, 5, workers=2)] == want
+    curve = (scenario(), "irr_db", [-20.0, -10.0], [DetectorMode.four_level()], ())
+    assert len(sweep([curve], 20_000, 5, workers=2)) == 2
+    run_trials(scenario(n_packets=4), 3 * 65_536, 5, workers=1)
+    assert started == []
+    assert threads == {threading.get_ident()}
+
+
+def _failing_block(monkeypatch, fails_on_caller: bool, err: BaseException) -> list:
+    """Stub blocks of 64 trials above a lowered crossover: the first block
+    of the failing side raises ``err`` once the other side has started
+    one, and every other block sleeps, so later blocks are still queued
+    when the failure surfaces.  Returns the list of blocks started."""
+    monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 64)
+    monkeypatch.setattr(montecarlo, "_THREAD_MIN_VARIATES", 64)
+    real, caller = montecarlo._chunk_task, threading.get_ident()
+    other_started = threading.Event()
+    ran = []
+
+    def block(task):
+        ran.append(task)
+        if (threading.get_ident() == caller) == fails_on_caller:
+            assert other_started.wait(10)
+            raise err
+        other_started.set()
+        time.sleep(0.02)
+        return real(task)
+
+    monkeypatch.setattr(montecarlo, "_chunk_task", block)
+    return ran
+
+
+def test_failed_chunk_cancels_queued_chunks(monkeypatch):
+    """A block raises on the helper thread, one of 64: the caller gets that
+    exception itself, the blocks still queued never run, and the helper
+    has ended when the call raises."""
+    err = RuntimeError("block failed")
+    ran = _failing_block(monkeypatch, False, err)
+    before = threading.active_count()
     with pytest.raises(RuntimeError) as excinfo:
         run_trials(scenario(), 16 * 64, 1, workers=2)
     assert excinfo.value is err
-    assert 1 <= len(ran) < 64
+    assert threading.active_count() == before
+    assert 2 <= len(ran) < 16
+
+
+def test_interrupt_on_the_calling_thread_stops_the_helpers(monkeypatch):
+    """A BaseException that is no Exception, such as KeyboardInterrupt,
+    raised by a block on the calling thread: the caller gets it itself
+    once the helpers have ended, and they take no queued block."""
+    class Interrupt(BaseException):
+        pass
+
+    err = Interrupt()
+    ran = _failing_block(monkeypatch, True, err)
+    before = threading.active_count()
+    with pytest.raises(Interrupt) as excinfo:
+        run_trials(scenario(), 16 * 64, 1, workers=3)
+    assert excinfo.value is err
+    assert threading.active_count() == before
+    assert 2 <= len(ran) < 16
 
 
 def test_blocks_in_flight_stay_bounded(monkeypatch):
-    """A run of about 2e9 trials per hypothesis (30,518 blocks each, one
-    worker) with a stubbed block: 2 * workers blocks are submitted and not
-    yet collected at the most, so the engine's scheduling state does not
-    grow with the trial count, and every block's count is merged."""
-    outstanding, peak = [0], [0]
+    """A run of about 2e9 trials per hypothesis (30,518 blocks each) with a
+    stubbed block on three threads, more than a 2-core host has, and a
+    short switch interval: at most ``workers`` blocks are taken and not yet
+    counted, so the engine's scheduling state does not grow with the trial
+    count, and every block's count is merged, none lost between threads."""
+    lock, outstanding, peak, threads = threading.Lock(), [0], [0], set()
+    real_layout = montecarlo._chunk_layout
 
-    class CountingPool(ThreadPoolExecutor):
-        def submit(self, fn, /, *args):
-            future = super().submit(fn, *args)
-            outstanding[0] += 1
-            peak[0] = max(peak[0], outstanding[0])
-            result = future.result
-
-            def collect(timeout=None):
-                outstanding[0] -= 1
-                return result(timeout)
-
-            future.result = collect
-            return future
+    def layout(total, size):
+        for block in real_layout(total, size):
+            with lock:
+                outstanding[0] += 1
+                peak[0] = max(peak[0], outstanding[0])
+            yield block
 
     def stub(task):
         _, rules, hyp, _, count, *_ = task
+        threads.add(threading.get_ident())
+        with lock:
+            outstanding[0] -= 1
         return hyp, np.array([[count, 0, 0, 0]] * len(rules))
 
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(montecarlo, "_chunk_layout", layout)
     monkeypatch.setattr(montecarlo, "_chunk_task", stub)
     trials = 30_518 * 65_536 - 123
-    tally = run_trials(scenario(), trials, 1, workers=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        tally = run_trials(scenario(n_packets=2), trials, 1, workers=3)
+    finally:
+        sys.setswitchinterval(interval)
     assert tally.trials_per_hypothesis.tolist() == [trials] * 4
-    assert peak[0] == 2 and outstanding[0] == 0
+    assert outstanding[0] == 0 and 1 <= peak[0] <= 3
+    assert len(threads) == 3
 
 
 def test_sweep_checks_every_grid_point_before_any_trial(monkeypatch):

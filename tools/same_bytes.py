@@ -59,6 +59,11 @@ COMMANDS = [
     ("sense-n4", {"trials": 5000, "scenario": {
         "snr1_db": 0.0, "snr2_db": -10.0, "tx_irr_db": -15.0, "n_packets": 4}},
      ["sense", "--workers", "2"]),
+    # the same point with blocks of 65,536 x 4 packet variates, past the
+    # engine's thread crossover: the calling thread and one helper share them
+    ("sense-n4-two-threads", {"trials": 70000, "scenario": {
+        "snr1_db": 0.0, "snr2_db": -10.0, "tx_irr_db": -15.0, "n_packets": 4}},
+     ["sense", "--workers", "2"]),
     ("sense-n32", {"trials": 5000, "scenario": {"n_packets": 32}}, ["sense"]),
     ("sense-past-table-cap", {"trials": 2000, "scenario": {
         "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}},
