@@ -46,10 +46,12 @@ purpose tag keeps each use of a seed on a stream of its own.  A bare integer see
   per group of at least :data:`_GAMMA_CALL_MIN` trials and one per run of
   smaller groups between them, with per-trial shapes, in increasing K.
   Drawn packet by packet, it takes one phase index per trial from kind 0
-  and one exponential per trial from kind 1 for each packet in turn, so
-  a worker holds a few arrays of one block's trials at any
-  ``n_packets``.  The other draws hold one block of products, built one
-  row of uniforms at a time, and one of gamma variates.  Block tallies
+  and one exponential per trial from kind 1 for each packet in turn.
+  Each thread draws every block it runs into one workspace that it
+  allocates at its start, one block long at any ``n_packets``: the
+  block's products of uniforms, built one row of uniforms at a time, then
+  its gamma variates (or its per-packet sums), one row of uniforms (or one
+  packet's exponentials), and a mask for the count passes.  Block tallies
   merge by integer addition, so results are a pure function of
   (scenario, seed, trial count, path) -- bit-identical across runs and
   worker counts.  The engine's arithmetic is real-valued, so no result
@@ -185,7 +187,13 @@ _ONE_ENTRY = np.ones(1)
 # In fresh processes on a 2-vCPU host, a second thread made an 11-point,
 # 2-mode sweep 1.3-1.5 times slower at 2e4 trials and n_packets 1 and 4,
 # 1.1 times faster at 2e5 trials and n_packets 1 (65,536 variates a block),
-# and 1.4 times faster at 2e5 and 2 (131,072).
+# and 1.4 times faster at 2e5 and 2 (131,072).  With blocks drawn into
+# workspaces (the same sweeps, medians of 9 and then 15 fresh processes a
+# point), it was 1.2-1.4 times slower at 2e4 x 1 and 2e4 x 2, and
+# 1.17-1.35 times faster at 2e5 x 4 and 5e4 x 32.  Between them (2e4 x 4
+# and 8, 5e4 x 1 and 2, 2e5 x 1 and 2) the time without a helper over the
+# time with one ran from 0.94 to 1.44 and moved by up to 0.48 between the
+# two rounds: too noisy to move the constant or its cost model.
 _THREAD_MIN_VARIATES = 1 << 17
 
 # The most threads that run blocks, the caller included.  The engine starts
@@ -467,51 +475,94 @@ class _Block(NamedTuple):
 _NONE = np.empty(0)
 
 
-def _block_counts(block: _Block, rule: DecisionRule) -> np.ndarray:
+class _Workspace(NamedTuple):
+    """One thread's arrays, each one block long, into which it draws and
+    counts every block it runs: ``block`` holds a block's products and then
+    its values, ``row`` one row of uniforms (or one packet's exponentials),
+    and ``mask`` one count pass."""
+
+    block: np.ndarray
+    row: np.ndarray
+    mask: np.ndarray
+
+
+def _workspace(size: int) -> _Workspace:
+    # One allocation for both halves: glibc's malloc sets its trim threshold
+    # to twice the largest chunk it has unmapped, so the next run reuses
+    # these pages instead of faulting them in again; two separate halves
+    # would pass that threshold together.
+    floats = np.empty(2 * size)
+    return _Workspace(floats[:size], floats[size:], np.empty(size, dtype=bool))
+
+
+def _count(side: np.ndarray, compare, bound: float, mask: np.ndarray) -> int:
+    """How many x of ``side`` pass ``compare(x, bound)``, compared into
+    ``mask``; an empty side makes no pass."""
+    if not side.size:
+        return 0
+    passed = compare(side, bound, out=mask[:side.size])
+    return int(np.count_nonzero(passed))
+
+
+def _block_counts(block: _Block, rule: DecisionRule, mask: np.ndarray | None = None) -> np.ndarray:
     """Decision counts of a block's statistics under ``rule``, each counted
     where it was drawn: Z >= t is p <= exp(-t/scale) for a product of
     uniforms (a zero product is Z = inf, and an ``exp`` that underflows to
-    0 counts only zeros), and x >= t/scale for a value."""
+    0 counts only zeros), and x >= t/scale for a value.  Each pass compares
+    into ``mask``, a bool array at least as long as either side, made here
+    when not given."""
     scale, products, values = block
+    if mask is None:
+        mask = np.empty(max(products.size, values.size), dtype=bool)
     at_or_above = [
-        int(np.count_nonzero(products <= math.exp(-t / scale)))
-        + int(np.count_nonzero(values >= t / scale))
+        _count(products, np.less_equal, math.exp(-t / scale), mask)
+        + _count(values, np.greater_equal, t / scale, mask)
         for t in rule.boundaries
     ]
     return rule.decided(products.size + values.size, at_or_above)
 
 
-def _per_packet_statistics(means: np.ndarray, n_packets: int, streams, size: int) -> _Block:
+def _per_packet_statistics(
+    means: np.ndarray, n_packets: int, streams, size: int, ws: _Workspace | None = None
+) -> _Block:
     """``size`` H3 statistics Z drawn packet by packet: ``means`` holds the
     mean of |r_k|^2 at each of the M phases; each packet draws one phase
     index per trial from kind 0 and one exponential per trial from kind 1,
-    and Z averages the packets.  Z itself is the block's values, at scale 1."""
+    and Z averages the packets.  Z itself is the block's values, at scale 1,
+    summed in ``ws`` (made here when not given) with each packet's
+    exponentials in its row; each packet's phase indices, and the means of
+    every packet after the first, are arrays of their own."""
+    ws = ws or _workspace(size)
     phases, powers = streams(0), streams(1)
-
-    def packet():
-        power = means.take(phases.integers(0, means.size, size))
-        return np.multiply(power, powers.standard_exponential(size), out=power)
-
-    z = packet()
+    z, e = ws.block[:size], ws.row[:size]
+    # every index is in range, so "clip" takes as "raise" does, without a copy
+    means.take(phases.integers(0, means.size, size), out=z, mode="clip")
+    z *= powers.standard_exponential(out=e)
     for _ in range(1, n_packets):
-        z += packet()
-    return _Block(1.0, _NONE, z / n_packets)
+        power = means.take(phases.integers(0, means.size, size))
+        z += np.multiply(power, powers.standard_exponential(out=e), out=power)
+    z /= n_packets
+    return _Block(1.0, _NONE, z)
 
 
-def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: int) -> _Block:
+def _packet_count_statistics(
+    v: float, pmf: np.ndarray, n: int, streams, size: int, ws: _Workspace | None = None
+) -> _Block:
     """``size`` statistics Z = v*Gamma(K, 1)/n with P(K = n + j) = pmf[j].
 
     A one-entry ``pmf`` draws its variates on kind 0.  A longer one draws
     how many trials take each K with one ``multinomial`` on kind 0 (the
     trials are exchangeable, so only those counts matter), then draws
     every group, in increasing K, from kind 1.  A group with K <=
-    :data:`_ERLANG_MAX` is a product of K uniforms, built row by row in one
-    buffer for the block's products.  Every other trial is a gamma variate:
-    a group of at least :data:`_GAMMA_CALL_MIN` trials takes one
-    ``standard_gamma`` call, and each run of smaller groups between them
-    one call with per-trial shapes, so a long table costs a bounded number
-    of calls.
+    :data:`_ERLANG_MAX` is a product of K uniforms, built row by row in the
+    block's products.  Every other trial is a gamma variate: a group of at
+    least :data:`_GAMMA_CALL_MIN` trials takes one ``standard_gamma`` call,
+    and each run of smaller groups between them one call with per-trial
+    shapes, so a long table costs a bounded number of calls.  Products and
+    values are drawn into ``ws`` (made here when not given), the products
+    first.
     """
+    ws = ws or _workspace(size)
     if pmf.size > 1:
         counts = streams(0).multinomial(size, pmf)
         js = np.flatnonzero(counts)
@@ -520,17 +571,17 @@ def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: i
         groups, rng = [(n, size)], streams(0)
     short = [(k, c) for k, c in groups if k <= _ERLANG_MAX]
     long = groups[len(short):]  # the groups run in increasing K
-    products = np.empty(sum(c for _, c in short))
-    row = np.empty(max((c for _, c in short), default=0))
+    split = sum(c for _, c in short)
+    products, values = ws.block[:split], ws.block[split:size]
     start = 0
     for k, c in short:
-        p, r = products[start:start + c], row[:c]
+        p, r = products[start:start + c], ws.row[:c]
         start += c
         rng.random(out=p)
         for _ in range(1, k):
             rng.random(out=r)
             p *= r
-    values, start = np.empty(size - products.size), 0
+    start = 0
     for large, run in groupby(long, key=lambda g: g[1] >= _GAMMA_CALL_MIN):
         run = list(run)
         if not large:
@@ -543,8 +594,9 @@ def _packet_count_statistics(v: float, pmf: np.ndarray, n: int, streams, size: i
 
 
 def _statistic_draws(sc: SensingScenario) -> list:
-    """Per hypothesis, ``draw(streams, size)``, which returns a
-    :class:`_Block` of ``size`` statistics; ``streams(kind)`` builds the
+    """Per hypothesis, ``draw(streams, size, ws=None)``, which returns a
+    :class:`_Block` of ``size`` statistics drawn into the workspace ``ws``
+    (into arrays of its own without one); ``streams(kind)`` builds the
     generator of that kind, and a draw builds only the kinds it draws
     from.  A row whose means do not depend on the phase draws from a
     one-entry packet-count pmf at v = m, and one whose means do from its
@@ -563,11 +615,12 @@ def _statistic_draws(sc: SensingScenario) -> list:
 
 
 def _chunk_task(args) -> tuple[int, np.ndarray]:
-    """Draw one block under one hypothesis and count its decisions under
-    every rule; returns (hypothesis, per-rule decision counts)."""
-    draw, rules, hyp, block, count, seed, stream_path = args
-    drawn = draw(partial(substream, seed, _TRIAL_STREAM, *stream_path, hyp, block), count)
-    return hyp, np.array([_block_counts(drawn, rule) for rule in rules])
+    """Draw one block under one hypothesis into the workspace and count its
+    decisions under every rule; returns (hypothesis, per-rule decision
+    counts)."""
+    draw, rules, hyp, block, count, seed, stream_path, ws = args
+    drawn = draw(partial(substream, seed, _TRIAL_STREAM, *stream_path, hyp, block), count, ws)
+    return hyp, np.array([_block_counts(drawn, rule, ws.mask) for rule in rules])
 
 
 def _tally_jobs(
@@ -581,10 +634,13 @@ def _tally_jobs(
 
     The calling thread and up to ``workers - 1`` helper threads each run
     blocks in a loop: take the next block of the next job, made as it is
-    taken, draw and count it, and add its counts into its job.  So each
-    thread holds one block at a time, the engine's memory does not grow
-    with the trial count, and integer addition keeps the result
-    independent of ``workers``.  Helpers start only when the largest block
+    taken, draw and count it, and add its counts into its job.  Each
+    thread allocates one :class:`_Workspace` of the run's block size,
+    ``min(per_hypothesis, _BLOCK_TRIALS)``, when it starts, and draws and
+    counts every block it runs in it, so blocks do not allocate and fault
+    in arrays of their own, and the engine's memory does not grow with the
+    trial count.  Integer addition keeps the result independent of
+    ``workers``.  Helpers start only when the largest block
     draws at least :data:`_THREAD_MIN_VARIATES` packet variates, one per
     block beyond the first at the most, and are joined before the call
     returns or raises.  When a block raises, no thread takes another
@@ -601,14 +657,16 @@ def _tally_jobs(
         for idx, count in _chunk_layout(per_hypothesis, _BLOCK_TRIALS)
     )
     lock, failed = Lock(), []  # a thread's exception: no thread takes another block
+    size = min(per_hypothesis, _BLOCK_TRIALS)  # of each thread's workspace
 
     def work():
+        ws = _workspace(size)
         while not failed:
             with lock:
                 job, task = next(tasks, (None, None))
             if job is None:
                 return
-            hyp, arr = _chunk_task(task)
+            hyp, arr = _chunk_task((*task, ws))
             with lock:
                 job[:, hyp, :] += arr
 
@@ -619,7 +677,7 @@ def _tally_jobs(
             failed.append(e)
 
     blocks = len(Hypothesis) * len(jobs) * -(-per_hypothesis // _BLOCK_TRIALS)
-    variates = min(per_hypothesis, _BLOCK_TRIALS) * max(sc.n_packets for sc, _, _ in jobs)
+    variates = size * max(sc.n_packets for sc, _, _ in jobs)
     helpers = []
     try:
         if variates >= _THREAD_MIN_VARIATES:

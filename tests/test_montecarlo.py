@@ -1,6 +1,7 @@
 """Determinism, closure and pairing properties of the trial harness."""
 
 import math
+from functools import partial
 import sys
 import threading
 from dataclasses import replace
@@ -449,6 +450,63 @@ def test_block_counts_equal_decision_counts_of_the_same_variates(case, zero):
         counts = montecarlo._block_counts(block, r)
         assert counts.dtype == np.int64
         assert counts.tolist() == np.bincount(classify_batch(z, r), minlength=4).tolist()
+
+
+@pytest.mark.parametrize("zero", [False, True], ids=["", "zero-uniform"])
+def test_drawing_into_a_workspace_gives_the_fresh_arrays_block(zero):
+    """Every draw path, drawn in turn into one workspace that is longer
+    than its blocks and holds the last block's data (NaN and a true mask
+    at first), gives bit for bit the block it draws into fresh arrays: the
+    Gamma rows at K = 1 ... 6, the H3 tables at 4 and 8 packets, and H3
+    packet by packet past the table's length cap, at two block sizes, with
+    and without a zero uniform.  The fresh arrays are three separate ones,
+    and a draw without a workspace gives the same block.  Its products
+    and values lie in the workspace without overlap, and counted through
+    the workspace's mask they give the fresh block's decision counts."""
+    ws = montecarlo._workspace(5_000)
+    ws.block.fill(np.nan)
+    ws.row.fill(np.nan)
+    ws.mask.fill(True)
+    cases = [(scenario(n_packets=n), hyp) for n, hyp in _BLOCK_CASES.values()]
+    past_cap = scenario(snr1_db=10.0, snr2_db=24.9, n_packets=128)
+    assert h3_packet_count_law(past_cap.pair, *past_cap.coefficients, 128) is None
+    cases.append((past_cap, 3))
+    for sc, hyp in cases:
+        draw, rule = montecarlo._statistic_draws(sc)[hyp], scenario_rule(sc)
+        for size in (4_000, 1_500):
+            def streams():
+                s = [substream(43, sc.n_packets, hyp, size, kind) for kind in (0, 1)]
+                return [_ZeroFirstTrial(g) for g in s] if zero else s
+
+            fresh = montecarlo._Workspace(np.empty(size), np.empty(size), np.empty(size, bool))
+            want = draw(streams().__getitem__, size, fresh)
+            for got in (draw(streams().__getitem__, size), draw(streams().__getitem__, size, ws)):
+                assert got.scale == want.scale
+                assert got.products.tobytes() == want.products.tobytes()
+                assert got.values.tobytes() == want.values.tobytes()
+            assert got.products.size + got.values.size == size
+            assert not np.shares_memory(got.products, got.values)
+            for side in (got.products, got.values):
+                assert side.size == 0 or np.shares_memory(side, ws.block)
+            counts = montecarlo._block_counts(got, rule, ws.mask)
+            assert counts.tolist() == montecarlo._block_counts(want, rule).tolist()
+
+
+def test_one_thread_run_sums_its_blocks_drawn_into_fresh_arrays():
+    """One thread draws every block of a run into one workspace: at 150,000
+    trials and four packets (two full blocks and a short last one of
+    18,928 trials per hypothesis) the tally is the sum of each block's
+    decision counts drawn into fresh arrays."""
+    sc, seed = scenario(n_packets=4), SeedSpec(7)
+    rule = scenario_rule(sc)
+    want = np.zeros((4, 4), dtype=np.int64)
+    layout = list(_chunk_layout(150_000, montecarlo._BLOCK_TRIALS))
+    assert [count for _, count in layout] == [65_536, 65_536, 18_928]
+    for hyp, draw in enumerate(montecarlo._statistic_draws(sc)):
+        for block, count in layout:
+            streams = partial(substream, seed, montecarlo._TRIAL_STREAM, hyp, block)
+            want[hyp] += montecarlo._block_counts(draw(streams, count), rule)
+    assert run_trials(sc, 150_000, seed, workers=1).counts.tolist() == want.tolist()
 
 
 def test_run_trials_closure():

@@ -64,9 +64,18 @@ COMMANDS = [
     ("sense-n4-two-threads", {"trials": 70000, "scenario": {
         "snr1_db": 0.0, "snr2_db": -10.0, "tx_irr_db": -15.0, "n_packets": 4}},
      ["sense", "--workers", "2"]),
+    # two full blocks and a short last one per hypothesis, all drawn by
+    # one thread into the same arrays
+    ("sense-n4-one-thread", {"trials": 150000, "scenario": {
+        "snr1_db": 0.0, "snr2_db": -10.0, "tx_irr_db": -15.0, "n_packets": 4}},
+     ["sense", "--workers", "1"]),
     ("sense-n32", {"trials": 5000, "scenario": {"n_packets": 32}}, ["sense"]),
     ("sense-past-table-cap", {"trials": 2000, "scenario": {
         "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}},
+     ["sense", "--workers", "2"]),
+    # packet by packet in a full block and a short one, on two threads
+    ("sense-past-table-cap-two-blocks", {"trials": 70000, "scenario": {
+        "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 128}},
      ["sense", "--workers", "2"]),
     ("sweep-irr_db", _sweep("irr_db", [-25.0, -15.0], psk_order=2), ["sweep", "--workers", "2"]),
     ("sweep-snr1_db", _sweep("snr1_db", [0.0, 5.0], psk_order=1024),
