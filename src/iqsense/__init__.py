@@ -48,8 +48,6 @@ from .signal_model import (
     IqMismatch,
     MismatchCoefficients,
     SubcarrierPairConfig,
-    image_rejection_ratio,
-    image_rejection_ratio_db,
     irr_to_mismatch,
     mismatch_coefficients,
 )
@@ -87,8 +85,6 @@ __all__ = [
     "false_alarm_paper_literal",
     "gamma_sf",
     "hypothesis_variances",
-    "image_rejection_ratio",
-    "image_rejection_ratio_db",
     "inverse_gamma_sf",
     "irr_to_mismatch",
     "mc_outage",

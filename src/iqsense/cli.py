@@ -25,6 +25,8 @@ import os
 import sys
 from dataclasses import asdict, replace
 
+import numpy as np
+
 from . import __version__
 from .config import (
     ConfigError,
@@ -43,6 +45,9 @@ from .detection import (
     convention_metric,
     detection_paper_literal,
     false_alarm_paper_literal,
+    h3_packet_count_law,
+    packet_count_tail,
+    statistic_means,
     thresholds_paper_literal,
 )
 from .frame import simulate_frame
@@ -376,31 +381,46 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
                 f"p_d={p_d.value:.6f} [{p_d.lo:.6f}, {p_d.hi:.6f}]"
             )
     if args.verify:
-        return _verify_closure(tally, probs)
+        return _verify_closure(tally, sc, rule, probs)
     return 0
 
 
-def _verify_closure(tally, probs) -> int:
-    """Test each tally row against its closed form in ``probs`` by a
-    Pearson chi-square test, Bonferroni over the four rows at familywise
+def _verify_closure(tally, sc, rule, probs) -> int:
+    """Test each tally row against the law its trials are drawn from by a
+    Pearson chi-square test, Bonferroni over the rows tested at familywise
     level :data:`_VERIFY_ALPHA`; print the verdict, with the worst cell's
     z-score and the smallest p-value, to stderr, so stdout keeps only the
-    table."""
-    rows = list(zip(tally.counts.tolist(), probs))
-    pvalues = [row_pvalue(c, p) for c, p in rows]
-    gate = _VERIFY_ALPHA / len(rows)
-    for h, p in enumerate(pvalues):
+    table.
+
+    Rows H0-H2, and H3 without a cross term, are tested against their
+    Gamma rows in ``probs``.  H3 with a cross term is tested against the
+    row of its packet-count law (:func:`packet_count_tail` at the rule's
+    boundaries); past the table's length cap it is left out, with a note
+    on stderr, since its Gamma row is not its law."""
+    rows = dict(enumerate(probs))
+    law = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
+    if law is not None:
+        tails = packet_count_tail(*law, sc.n_packets, rule.boundaries)
+        rows[3] = rule.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
+    elif np.ptp(statistic_means(sc.pair, *sc.coefficients)[3]):
+        del rows[3]
+        print("verify: row H3 not tested: its packet-count table would pass the length cap, "
+              "and its Gamma row is not its law", file=sys.stderr)
+    tested = [(h, tally.counts[h].tolist(), p) for h, p in rows.items()]
+    pvalues = [row_pvalue(c, p) for _, c, p in tested]
+    gate = _VERIFY_ALPHA / len(tested)
+    for (h, _, _), p in zip(tested, pvalues):
         if p < gate:
             print(f"verify FAIL row {Hypothesis(h).name}: chi-square p={p:.3g} < {gate:.3g}",
                   file=sys.stderr)
     detail = (f"smallest row p-value {min(pvalues):.3g}, "
-              f"worst cell {max(worst_z(c, p) for c, p in rows):.2f} SE")
+              f"worst cell {max(worst_z(c, p) for _, c, p in tested):.2f} SE")
     if min(pvalues) < gate:
         print(f"verify: {sum(p < gate for p in pvalues)} row(s) out of tolerance ({detail})",
               file=sys.stderr)
         return 1
-    print(f"verify OK: all 4 rows close at familywise level {_VERIFY_ALPHA:g} ({detail})",
-          file=sys.stderr)
+    print(f"verify OK: all {len(tested)} rows close at familywise level {_VERIFY_ALPHA:g} "
+          f"({detail})", file=sys.stderr)
     return 0
 
 
@@ -455,10 +475,10 @@ def _figure_rows(cfg: ExperimentConfig, fig_id: int) -> tuple[list[str], list[li
             ])
         return columns, rows
 
-    four = DetectorMode.four_level()
+    four = DetectorMode("four")
     grid_key = "figure.snr1_grid" if fig_id == 4 else "figure.irr_grid"
     if fig_id == 3:
-        curves = [("", sc, "irr_db", fig.irr_grid, [four, DetectorMode.two_level_bayes()], ())]
+        curves = [("", sc, "irr_db", fig.irr_grid, [four, DetectorMode("two-bayes")], ())]
     elif fig_id == 4:
         with config_key("figure.delta_snrs"):
             curves = [

@@ -46,6 +46,7 @@ __all__ = [
     "MAX_PACKETS",
     "H3PacketCountLaw",
     "h3_packet_count_law",
+    "packet_count_tail",
     "pairwise_threshold",
     "pairwise_threshold_paper",
     "decision_rule",
@@ -124,18 +125,6 @@ class DetectorMode:
         elif self.target_pfa is not None:
             raise ValueError(f"target_pfa only applies to two-cfar, got kind={self.kind!r}")
 
-    @classmethod
-    def four_level(cls) -> "DetectorMode":
-        return cls("four")
-
-    @classmethod
-    def two_level_bayes(cls) -> "DetectorMode":
-        return cls("two-bayes")
-
-    @classmethod
-    def two_level_cfar(cls, target_pfa: float) -> "DetectorMode":
-        return cls("two-cfar", target_pfa)
-
 
 class VarianceOrderError(ValueError):
     """Variances that break the model ordering sigma0 <= ... <= sigma3."""
@@ -200,13 +189,19 @@ def hypothesis_variances(
     (sigma1^2 - sigma0^2).  Taking that difference instead of the
     table's rounded phase mean keeps sigma2^2 <= sigma3^2 exact.  A
     configuration whose image outpowers the wanted signal raises
-    :class:`VarianceOrderError`.
+    :class:`VarianceOrderError`, and one whose H3 means overflow at any
+    phase (the engine draws from them) raises ValueError.
     """
     # Powers that overflow leave inf or nan in the table, which
-    # HypothesisVariances rejects with the values it got.
+    # HypothesisVariances rejects with the values it got; the H3 row's
+    # cross term can overflow where its phase average does not.
     with np.errstate(over="ignore", invalid="ignore"):
-        s0, s1, s2 = (0.5 * statistic_means(cfg, tx, rx)[:3, 0]).tolist()
-    return HypothesisVariances(s0, s1, s2, s2 + (s1 - s0))
+        means = statistic_means(cfg, tx, rx)
+    s0, s1, s2 = (0.5 * means[:3, 0]).tolist()
+    v = HypothesisVariances(s0, s1, s2, s2 + (s1 - s0))
+    if not np.isfinite(means[3]).all():
+        raise ValueError("the H3 mean powers overflow a float")
+    return v
 
 
 def statistic_means(
@@ -327,6 +322,25 @@ def h3_packet_count_law(
     pmf = np.append(pmf, max(0.0, 1.0 - math.fsum(pmf)))
     pmf.flags.writeable = False
     return H3PacketCountLaw(v, pmf)
+
+
+def packet_count_tail(v: float, pmf: np.ndarray, n_packets: int, thresholds) -> np.ndarray:
+    """Upper tails P(Z >= t), one per threshold t > 0, of Z = v*Gamma(K, 1)/n
+    with P(K = n + j) = ``pmf[j]`` (an :class:`H3PacketCountLaw`).
+
+    Gamma(K, 1) >= y exactly when a Poisson count of mean y is below K, so
+    with y = n*t/v, P(Z >= t) = sum_i Pois(i; y)*P(K > i), a finite sum over
+    i < n + ``pmf.size`` - 1: P(K > i) is 1 below n and then the reverse
+    cumulative sum of ``pmf``, summed from the small end.  The Poisson
+    weights are formed in log space, exp(i*log(y) - y - log(i!)), so none
+    overflows where its product is small.  A one-entry ``pmf`` [1.0] is
+    the Erlang tail of a Gamma row with mean v.
+    """
+    k_tail = np.concatenate([np.ones(n_packets), np.cumsum(pmf[::-1])[::-1][1:]])
+    i = np.arange(k_tail.size)
+    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(k_tail.size)])
+    y = np.asarray(thresholds, dtype=float)[:, None] * (n_packets / v)
+    return np.exp(i * np.log(y) - y - log_factorial) @ k_tail
 
 
 @lru_cache

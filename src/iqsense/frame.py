@@ -90,10 +90,6 @@ class OccupancyMap:
     def indices(self) -> tuple[int, ...]:
         return _frame_indices(self.n_subcarriers)
 
-    def truth(self, k: int) -> Hypothesis:
-        type(self)(self.n_subcarriers, {k})  # the constructor's error for a bad index
-        return Hypothesis(int(self.truths[k + self.n_subcarriers // 2 - (k > 0)]))
-
 
 @dataclass(frozen=True, eq=False)
 class FrameResult:

@@ -276,7 +276,7 @@ class SensingScenario:
     tx_mismatch: IqMismatch
     rx_mismatch: IqMismatch | None = None
     n_packets: int = 1
-    mode: DetectorMode = DetectorMode.four_level()
+    mode: DetectorMode = DetectorMode("four")
     noise_var: float = 1.0
     channel_var: float = 1.0
     channel_var_mirror: float = 1.0

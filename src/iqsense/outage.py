@@ -140,6 +140,8 @@ def mc_outage(sc: OutageScenario, trials: int, rng: np.random.Generator) -> Esti
     if not isinstance(rng, np.random.Generator):
         raise ValueError(f"rng must be a numpy.random.Generator, got {rng!r}")
     g = sc.gamma_threshold
+    if g == 0.0:  # never an outage, and 0*(1 + x2) at an x2 that overflows is nan
+        return wilson_interval(0, trials)
     m1 = sc.signal_mean
     m2 = sc.interference_mean
     failures = 0

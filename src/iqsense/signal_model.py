@@ -25,8 +25,6 @@ __all__ = [
     "MismatchCoefficients",
     "SubcarrierPairConfig",
     "mismatch_coefficients",
-    "image_rejection_ratio",
-    "image_rejection_ratio_db",
     "irr_to_mismatch",
     "transmit",
     "receive",
@@ -86,22 +84,6 @@ def mismatch_coefficients(mismatch: IqMismatch) -> MismatchCoefficients:
     alpha = complex(math.cos(t), e * math.sin(t))
     beta = complex(e * math.cos(t), -math.sin(t))
     return MismatchCoefficients(alpha, beta)
-
-
-def image_rejection_ratio(coeffs: MismatchCoefficients) -> float:
-    """Image-to-direct power ratio |beta|^2 / |alpha|^2 (linear)."""
-    a2 = abs(coeffs.alpha) ** 2
-    if a2 == 0.0:
-        raise ValueError("degenerate mismatch: |alpha| = 0")
-    return abs(coeffs.beta) ** 2 / a2
-
-
-def image_rejection_ratio_db(coeffs: MismatchCoefficients) -> float:
-    """Image-rejection ratio in dB; -inf for an ideal front end."""
-    ratio = image_rejection_ratio(coeffs)
-    if ratio == 0.0:
-        return float("-inf")
-    return 10.0 * math.log10(ratio)
 
 
 def irr_to_mismatch(irr_db: float | None) -> IqMismatch:

@@ -208,7 +208,7 @@ def test_criterion_06_four_vs_two_level():
     trials (common random numbers)."""
     t0 = time.perf_counter()
     irrs = (-25.0, -20.0, -15.0, -10.0)
-    modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
+    modes = [DetectorMode("four"), DetectorMode("two-bayes")]
     points = sweep([(SensingScenario(0.0, **PAPER_POINT), "irr_db", irrs, modes, ())],
                    1_000_000, SeedSpec(660), workers=2)
     details = []

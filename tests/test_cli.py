@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "iqsense"]
@@ -79,6 +80,55 @@ def test_sense_verify_passes():
                 "--out", "/dev/null")
     assert r.returncode == 0
     assert "verify OK" in r.stderr
+
+
+# Points whose H3 row is far from its Gamma stand-in at seed 5: figure 4's
+# SNR1 20 dB point at delta -10 dB (57.7 SE off) and tx IRR -5 dB (7.3 SE).
+_FIGURE_4_POINT = ({"scenario": {"snr1_db": 20.0, "snr2_db": 30.0}}, "100000")
+_TX_IRR_5 = ({"scenario": {"tx_irr_db": -5.0}}, "1000000")
+
+
+def _verify(tmp_path, config, trials) -> int:
+    import iqsense.cli as cli
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps(config))
+    return cli.main(["sense", "--config", str(cfgf), "--trials", trials, "--seed", "5",
+                     "--verify", "--workers", "2", "--out", str(tmp_path / "o.csv")])
+
+
+@pytest.mark.parametrize("point", [_FIGURE_4_POINT, _TX_IRR_5], ids=["figure-4", "tx-irr-5"])
+def test_sense_verify_tests_h3_against_its_exact_law(tmp_path, capsys, point):
+    """Row H3 is tested against its packet-count law, so correct runs
+    where the Gamma row is far off pass."""
+    assert _verify(tmp_path, *point) == 0
+    assert capsys.readouterr().err.startswith("verify OK: all 4 rows close")
+
+
+def test_sense_verify_rejects_a_gamma_h3_row(tmp_path, monkeypatch, capsys):
+    """With the Gamma row planted as H3's law (a one-entry pmf at mean
+    2*sigma3^2), the tx IRR -5 dB run fails on row H3."""
+    import iqsense.cli as cli
+    from iqsense.detection import H3PacketCountLaw, hypothesis_variances
+
+    def gamma_h3(cfg, tx, rx, n):
+        return H3PacketCountLaw(2.0 * hypothesis_variances(cfg, tx, rx).sigma3_sq, np.ones(1))
+
+    monkeypatch.setattr(cli, "h3_packet_count_law", gamma_h3)
+    assert _verify(tmp_path, *_TX_IRR_5) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("verify FAIL row H3: ") and err.count("verify FAIL") == 1
+
+
+def test_sense_verify_leaves_out_h3_past_the_table_cap(tmp_path, capsys):
+    """Past the packet-count table's cap, row H3 is not tested, and stderr
+    says so before the verdict on the other three rows."""
+    config = {"scenario": {"snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0,
+                           "n_packets": 256}}
+    assert _verify(tmp_path, config, "2000") == 0
+    note, verdict = capsys.readouterr().err.splitlines()
+    assert note.startswith("verify: row H3 not tested: ")
+    assert verdict.startswith("verify OK: all 3 rows close")
 
 
 def test_sense_verify_leaves_stdout_to_the_table():
@@ -558,7 +608,7 @@ def test_seed_beyond_64_bits_exit_code(tmp_path):
     assert "Traceback" not in r.stderr
 
 
-def _count_executors(monkeypatch) -> tuple[list, list]:
+def _count_batches_and_helpers(monkeypatch) -> tuple[list, list]:
     """Record every helper thread the trial engine starts and the job
     count of every engine batch; both still run."""
     import threading
@@ -583,14 +633,14 @@ def _count_executors(monkeypatch) -> tuple[list, list]:
 
 
 @pytest.mark.parametrize("fig_id", ["4", "5"])
-def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id):
+def test_figure_call_runs_one_engine_batch(tmp_path, monkeypatch, fig_id):
     """All the figure's curves run as one engine batch: below the
     crossover on the calling thread alone, above it (65,536 trials at two
     packets) with one helper for the whole batch at --workers 2, not one
     batch per curve or one helper per grid point."""
     import iqsense.cli as cli
 
-    started, batches = _count_executors(monkeypatch)
+    started, batches = _count_batches_and_helpers(monkeypatch)
     for trials, helpers in ((300, 0), (65_536, 1)):
         cfgf = tmp_path / "c.json"
         cfgf.write_text(json.dumps({
@@ -608,12 +658,12 @@ def test_figure_call_builds_one_executor_per_batch(tmp_path, monkeypatch, fig_id
         started.clear()
 
 
-def test_sweep_call_builds_one_executor(tmp_path, monkeypatch):
+def test_sweep_call_runs_one_engine_batch(tmp_path, monkeypatch):
     """A sweep's grid points and modes run as one engine batch, on the
     calling thread alone below the crossover."""
     import iqsense.cli as cli
 
-    started, batches = _count_executors(monkeypatch)
+    started, batches = _count_batches_and_helpers(monkeypatch)
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({
         "sweep": {"axis": "irr_db", "grid": [-30.0, -20.0, -10.0],
@@ -693,12 +743,12 @@ def test_parallel_calls_start_no_child_process(tmp_path, monkeypatch, command):
     assert multiprocessing.active_children() == []
 
 
-def test_calls_without_parallel_trials_start_no_pool(tmp_path, monkeypatch, capsys):
+def test_calls_without_trials_start_no_engine_batch_or_helper(tmp_path, monkeypatch, capsys):
     """`analytic`, and a `figure 5` whose grid is refused, start no engine
     batch and no thread."""
     import iqsense.cli as cli
 
-    started, batches = _count_executors(monkeypatch)
+    started, batches = _count_batches_and_helpers(monkeypatch)
     assert cli.main(["analytic", "--workers", "2"]) == 0
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({

@@ -1,9 +1,12 @@
 """JSON experiment configuration: defaults, validation, hashing."""
 
+import functools
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, example, given, seed, settings
+from hypothesis import strategies as st
 
 from iqsense.config import (
     DEFAULT_IRR_GRID,
@@ -256,3 +259,64 @@ def test_load_config_errors(tmp_path):
     ok = tmp_path / "ok.json"
     ok.write_text('{"trials": 5}')
     assert load_config(str(ok)).trials == 5
+
+
+# Edge values of every JSON kind, for any key: zero, negative, subnormal,
+# huge, 2**63, strings, booleans, null, arrays and objects.
+_EDGE_VALUES = (0, -1, 5e-324, 1e308, 2**63, "", "x", True, None, [], [1, "x"], {})
+# (section, key) of every value the commands below read; None is the top level.
+_CONFIG_KEYS = (
+    *((None, k) for k in ("trials", "seed", "stream_index", "workers", "out", "format")),
+    *(("scenario", k) for k in (
+        "snr1_db", "snr2_db", "noise_var", "channel_var", "channel_var_mirror", "psk_order",
+        "n_packets", "mode", "cfar_pfa", "tx_irr_db", "tx_epsilon", "tx_theta", "rx_irr_db",
+        "rx_epsilon", "rx_theta")),
+    *(("outage", k) for k in (
+        "p_mk", "p0", "noise_p", "var_g", "var_h", "rate_p", "irr_db", "beta_sq_sec")),
+    *(("frame", k) for k in ("n_subcarriers", "active", "snr_db")),
+    *(("figure", k) for k in ("irr_grid", "snr1_grid", "delta_snrs")),
+)
+_COMMANDS = (["analytic"], ["sense", "--verify"], ["outage"], ["frame"])
+
+
+@pytest.fixture
+def cli_in_tmp(tmp_path, monkeypatch):
+    """``iqsense.cli`` run in ``tmp_path`` (an ``out`` string names a file
+    there), its argument parser, the same for every call, built once."""
+    import iqsense.cli as cli
+
+    monkeypatch.setattr(cli, "_build_parser", functools.cache(cli._build_parser))
+    monkeypatch.chdir(tmp_path)
+    return cli
+
+
+@seed(26)
+# inputs that once crashed: a rate_p whose threshold 2**rate_p - 1
+# overflows, a subnormal noise_var whose thresholds round to 0, a pair
+# whose H3 means overflow, and an interference draw that overflows at a
+# zero threshold
+@example({("outage", "rate_p"): 1e308})
+@example({("scenario", "noise_var"): 1e-320})
+@example({("scenario", "noise_var"): 1e308, ("scenario", "channel_var"): 5e-324})
+@example({("outage", "var_h"): 1e308, ("outage", "rate_p"): 0})
+@settings(max_examples=400, deadline=None, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_EDGE_VALUES),
+                       min_size=1, max_size=3))
+def test_any_config_runs_or_is_refused_in_one_line(cli_in_tmp, capsys, entries):
+    """One to three keys set to edge values, under each command: every
+    run exits 0, exits 1 only under --verify, or exits 2 with one
+    ``error:`` line, and none raises.  ``--trials 100`` keeps each run
+    short; the config's own ``trials`` is still checked."""
+    raw: dict = {}
+    for (section, key), value in entries.items():
+        (raw.setdefault(section, {}) if section else raw)[key] = value
+    with open("c.json", "w", encoding="utf-8") as f:
+        json.dump(raw, f)
+    for command in _COMMANDS:
+        code = cli_in_tmp.main([*command, "--config", "c.json", "--trials", "100"])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: ") and err.count("\n") == 1, (command, raw, err)
+        else:
+            assert code == 0 or (code == 1 and "--verify" in command), (command, raw, code, err)

@@ -34,6 +34,7 @@ from iqsense.detection import (
     h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
+    packet_count_tail,
     pair_table,
     pairwise_threshold,
     pairwise_threshold_paper,
@@ -188,19 +189,19 @@ def test_busy_decision():
 
 def test_two_level_bayes_rule():
     v = HypothesisVariances(0.5, 0.515811388300841897, 1.0, 1.0158113883008419)
-    r = two_level_rule(v, 1, DetectorMode.two_level_bayes())
+    r = two_level_rule(v, 1, DetectorMode("two-bayes"))
     assert r.boundaries == pytest.approx((2.0 * math.log(2.0),), rel=1e-14)
     assert r.levels == (Hypothesis.H0, Hypothesis.H2)
 
 
 def test_two_level_cfar_rule():
     v = REF_VARIANCES
-    r = two_level_rule(v, 1, DetectorMode.two_level_cfar(0.1))
+    r = two_level_rule(v, 1, DetectorMode("two-cfar", 0.1))
     # Exp(scale 1) tail: t = -ln(0.1)
     assert r.boundaries == pytest.approx((math.log(10.0),), rel=1e-12)
     assert gamma_sf(1, 2.0 * v.sigma0_sq, r.boundaries[0]) == pytest.approx(0.1)
     # Design level 1 admits everything: a single always-busy region.
-    r1 = two_level_rule(v, 1, DetectorMode.two_level_cfar(1.0))
+    r1 = two_level_rule(v, 1, DetectorMode("two-cfar", 1.0))
     assert r1.boundaries == ()
     assert r1.levels == (Hypothesis.H2,)
     assert classify_batch(np.zeros(1), r1).tolist() == [Hypothesis.H2]
@@ -208,7 +209,7 @@ def test_two_level_cfar_rule():
 
 def test_two_level_rule_rejects_four():
     with pytest.raises(ValueError):
-        two_level_rule(REF_VARIANCES, 1, DetectorMode.four_level())
+        two_level_rule(REF_VARIANCES, 1, DetectorMode("four"))
 
 
 def test_detector_mode_validation():
@@ -220,7 +221,7 @@ def test_detector_mode_validation():
         DetectorMode("two-cfar", target_pfa=0.0)
     with pytest.raises(ValueError):
         DetectorMode("four", target_pfa=0.1)
-    assert DetectorMode.two_level_cfar(1.0).target_pfa == 1.0
+    assert DetectorMode("two-cfar", 1.0).target_pfa == 1.0
     mode = DetectorMode("two-cfar", np.float32(0.5))
     assert mode == DetectorMode("two-cfar", 0.5) and type(mode.target_pfa) is float
     for bad in REFUSED:
@@ -475,6 +476,16 @@ def test_zero_receiver_weight_ignores_an_overflowing_mirror_side():
     assert hypothesis_variances(cfg, tx, mismatch_coefficients(IqMismatch.ideal())) == v
 
 
+def test_overflowing_h3_means_are_refused():
+    """At 1e160 on both sides every variance is finite, but the H3 row's
+    cross term, formed from sqrt(P_k*P_-k), overflows; the engine would
+    draw from those means, so the variances refuse the pair."""
+    cfg = SubcarrierPairConfig(power_k=1e160, power_mk=1e160)
+    tx = mismatch_coefficients(irr_to_mismatch(-15.0))
+    with pytest.raises(ValueError, match="^the H3 mean powers overflow a float$"):
+        hypothesis_variances(cfg, tx)
+
+
 # (pair, tx, rx) with an H3 cross term: the kernel gate's point (tx IRR
 # -5 dB, 5/5 dB) in both models, the largest constellation, and a
 # near-cancelling point (tx IRR -15 dB, 10/24.9 dB) whose table runs to
@@ -549,6 +560,32 @@ def test_h3_packet_count_table_gives_the_laplace_tail(case, n):
     for z in means.mean() * np.array([0.3, 1.0, 2.0, 3.0]):
         got = float(poisson.pmf(np.arange(k_tail.size), n * z / law.v_min) @ k_tail)
         assert got == pytest.approx(law_oracle.h3_tail(means, n, z), rel=0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 32])
+@pytest.mark.parametrize("case", ["gate-tx-only", "gate-joint"])
+def test_packet_count_tail_is_the_h3_law(case, n):
+    """The H3 row's tails at the rule's boundaries, read from the table,
+    equal the Talbot inversion of Z's transform to 1e-12 relative, and at
+    one packet the M-term sum (1/M)*sum_u exp(-t/m_u) as well."""
+    args = _h3_law_args(case)
+    means = statistic_means(*args)[3]
+    t = decision_rule(hypothesis_variances(*args), n).boundaries
+    got = packet_count_tail(*h3_packet_count_law(*args, n), n, t)
+    want = [law_oracle.h3_tail(means, n, z) for z in t]
+    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    if n == 1:
+        m_term = np.exp(-np.divide.outer(t, means)).mean(axis=1)
+        assert got == pytest.approx(m_term, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("n", [1, 4, 32, MAX_PACKETS])
+def test_one_entry_packet_count_tail_is_the_erlang_tail(n):
+    """A one-entry pmf is the Gamma row: P(Z >= t) = Q(n, n*t/v)."""
+    v = 2.0 * REF_VARIANCES.sigma2_sq
+    t = v * np.array([0.05, 0.5, 1.0, 1.3, 4.0])
+    want = [gamma_sf(n, v / n, z) for z in t]
+    assert packet_count_tail(v, np.array([1.0]), n, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def test_h3_packet_count_law_is_none_only_without_a_cross_term():

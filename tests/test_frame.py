@@ -23,6 +23,11 @@ def frame_scenario(snr_db=10.0, n_packets=8, **kw):
     return SensingScenario(snr_db, snr_db, n_packets=n_packets, **kw)
 
 
+def truth(occ: OccupancyMap, k: int) -> Hypothesis:
+    """The state of subcarrier ``k``: ``occ.truths`` at k's place in ``occ.indices``."""
+    return Hypothesis(int(occ.truths[occ.indices.index(k)]))
+
+
 def test_occupancy_validation():
     with pytest.raises(ValueError):
         OccupancyMap(7, frozenset())
@@ -45,7 +50,7 @@ def test_occupancy_takes_numpy_integers():
     assert m == OccupancyMap(8, {1, -4, 2})
     assert type(m.n_subcarriers) is int and {type(k) for k in m.active} == {int}
     assert np.array_equal(m.truths, OccupancyMap(8, {1, -4, 2}).truths)
-    assert m.truth(np.int64(-1)) == Hypothesis.H1
+    assert truth(m, np.int64(-1)) == Hypothesis.H1
     with pytest.raises(ValueError, match="^subcarrier indices must be integers, got np.True_$"):
         OccupancyMap(8, frozenset({-1, np.bool_(True)}))
     for bad in (*REFUSED, np.float64(8.0), 0, 7):
@@ -75,7 +80,7 @@ def test_occupancy_accepts_int_subclasses():
 
     m = OccupancyMap(8, {Index(2), -3})
     assert m.active == frozenset({2, -3})
-    assert m.truth(2) == Hypothesis.H2
+    assert truth(m, 2) == Hypothesis.H2
     with pytest.raises(ValueError, match=r"^subcarrier index 5 outside \[-4, 4\]$"):
         OccupancyMap(8, {Index(5)})
 
@@ -146,22 +151,22 @@ def test_occupancy_validation_matches_reference(case):
         return
     occ = OccupancyMap(n, active)
     assert occ.active == active
-    assert [occ.truth(k) for k in occ.indices] == [
-        2 * (k in active) + (-k in active) for k in occ.indices
-    ]
+    assert occ.truths.tolist() == [2 * (k in active) + (-k in active) for k in occ.indices]
     res = simulate_frame(occ, frame_scenario(n_packets=1), 0)
-    assert np.array_equal(res.truths, [occ.truth(k) for k in occ.indices])
+    assert np.array_equal(res.truths, occ.truths)
 
 
 def test_truth_rejects_indices_outside_the_frame():
-    m = OccupancyMap(8, {1})
+    """A map holds a truth only for indices of its frame: the constructor
+    refuses DC, an index past either edge and a non-integer next to a
+    valid index."""
     with pytest.raises(ValueError, match="^0 is the DC bin, not a data subcarrier$"):
-        m.truth(0)
+        OccupancyMap(8, {1, 0})
     for k in (5, -5):
         with pytest.raises(ValueError, match=rf"^subcarrier index {k} outside \[-4, 4\]$"):
-            m.truth(k)
-    with pytest.raises(ValueError, match="^subcarrier indices must be integers, got 1.0$"):
-        m.truth(1.0)
+            OccupancyMap(8, {1, k})
+    with pytest.raises(ValueError, match="^subcarrier indices must be integers, got 1.5$"):
+        OccupancyMap(8, {1, 1.5})
 
 
 def test_indices_skip_dc():
@@ -171,11 +176,11 @@ def test_indices_skip_dc():
 
 def test_truth_mapping():
     m = OccupancyMap(8, {1, 2, -2})
-    assert m.truth(1) == Hypothesis.H2   # own only
-    assert m.truth(-1) == Hypothesis.H1  # mirror only
-    assert m.truth(2) == Hypothesis.H3   # both
-    assert m.truth(-2) == Hypothesis.H3
-    assert m.truth(3) == Hypothesis.H0   # neither
+    assert truth(m, 1) == Hypothesis.H2   # own only
+    assert truth(m, -1) == Hypothesis.H1  # mirror only
+    assert truth(m, 2) == Hypothesis.H3   # both
+    assert truth(m, -2) == Hypothesis.H3
+    assert truth(m, 3) == Hypothesis.H0   # neither
 
 
 def test_frame_determinism():
@@ -209,8 +214,8 @@ def test_frame_builds_rule_once_per_scenario(monkeypatch):
     variants = [
         sc,
         sc.with_irr(-20.0),
-        replace(sc, mode=DetectorMode.two_level_bayes()),
-        replace(sc, mode=DetectorMode.two_level_cfar(0.1)),
+        replace(sc, mode=DetectorMode("two-bayes")),
+        replace(sc, mode=DetectorMode("two-cfar", 0.1)),
         frame_scenario(n_packets=4),
     ]
     got = [simulate_frame(occ, v, 1).rule for v in variants]
@@ -289,7 +294,6 @@ def test_frame_counts_are_consistent(name, scenario_kw):
     res = simulate_frame(occ, frame_scenario(**scenario_kw), 7)
     n = occ.n_subcarriers
     assert res.subcarriers == occ.indices
-    assert np.array_equal(res.truths, [occ.truth(k) for k in occ.indices])
     assert res.truths is occ.truths
     assert len(res.decisions) == n
     for codes in (res.truths, res.decisions):
@@ -397,7 +401,7 @@ def test_loud_frame_detects_occupants():
     res = simulate_frame(occ, sc, 13)
     # Positive subcarriers are own-active (truth H2), negatives hear
     # only the image (truth H1).
-    assert all(occ.truth(k) == Hypothesis.H2 for k in range(1, half + 1))
+    assert all(truth(occ, k) == Hypothesis.H2 for k in range(1, half + 1))
     detected = sum(
         1 for k, d in zip(res.subcarriers, res.decisions)
         if k > 0 and Hypothesis(d).own_active

@@ -164,7 +164,7 @@ def test_scenario_helpers():
     joint = scenario(rx_mismatch=irr_to_mismatch(-15.0))
     assert joint.is_joint
     assert joint.with_irr(-20.0).rx_mismatch.epsilon == pytest.approx(0.1)
-    two = replace(sc, mode=DetectorMode.two_level_bayes())
+    two = replace(sc, mode=DetectorMode("two-bayes"))
     assert two.mode.kind == "two-bayes"
 
 
@@ -436,14 +436,14 @@ def test_block_counts_equal_decision_counts_of_the_same_variates(case, zero):
     assert math.exp(-low.boundaries[-1] / block.scale) == 0.0
     v = scenario_variances(sc)
     s0, s1, s2, s3 = v.as_tuple()
-    four = DetectorMode.four_level()
+    four = DetectorMode("four")
     rules = [
         rule, low,
         rule_for_mode(HypothesisVariances(s0, s0, s2, s2), n, four),
         rule_for_mode(HypothesisVariances(s0, s1, s1, s3), n, four),
-        rule_for_mode(v, n, DetectorMode.two_level_bayes()),
-        rule_for_mode(v, n, DetectorMode.two_level_cfar(0.05)),
-        rule_for_mode(v, n, DetectorMode.two_level_cfar(1.0)),
+        rule_for_mode(v, n, DetectorMode("two-bayes")),
+        rule_for_mode(v, n, DetectorMode("two-cfar", 0.05)),
+        rule_for_mode(v, n, DetectorMode("two-cfar", 1.0)),
     ]
     assert [len(r.boundaries) for r in rules] == [3, 3, 1, 2, 1, 1, 0]
     for r in rules:
@@ -640,7 +640,7 @@ def test_p_fa_gap_is_paired():
     the common trials of one sweep point the four-level rule never flags
     busy alone, and the gap is the band between the two thresholds."""
     sc = scenario()
-    modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
+    modes = [DetectorMode("four"), DetectorMode("two-bayes")]
     four, two = sweep([(sc, "irr_db", [-15.0], modes, ())], 20_000, 3)
     a, b = four.tally, two.tally
     busy_a, busy_b = a.counts[:, 2:].sum(axis=1), b.counts[:, 2:].sum(axis=1)
@@ -668,19 +668,19 @@ def test_p_fa_gap_is_paired():
 # the CFAR rule first.
 _COMPARE_GOLDEN = {
     "four-vs-bayes": (
-        scenario(n_packets=4), DetectorMode.four_level(), DetectorMode.two_level_bayes(),
+        scenario(n_packets=4), DetectorMode("four"), DetectorMode("two-bayes"),
         2 * 65_536 + 1001, 7,
         [[25580, 0, 140, 106353], [26037, 0, 153, 105883], [91980, 0, 124, 39969],
          [92164, 0, 151, 39758]],
     ),
     "four-vs-cfar": (
         scenario(n_packets=2, tx_mismatch=irr_to_mismatch(-5.0)),
-        DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1), 2 * 65_536 + 1001, 8,
+        DetectorMode("four"), DetectorMode("two-cfar", 0.1), 2 * 65_536 + 1001, 8,
         [[13274, 16918, 0, 101881], [14759, 17209, 0, 100105], [55562, 22255, 0, 54256],
          [56344, 21706, 0, 54023]],
     ),
     "joint": (
-        _JOINT, DetectorMode.two_level_cfar(0.1), DetectorMode.four_level(), 2 * 65_536 + 777, 9,
+        _JOINT, DetectorMode("two-cfar", 0.1), DetectorMode("four"), 2 * 65_536 + 777, 9,
         [[13161, 0, 11498, 107190], [16464, 0, 12676, 102709], [65796, 0, 15072, 50981],
          [67222, 0, 15045, 49582]],
     ),
@@ -716,7 +716,7 @@ def test_sweep_axes_cover_model_knobs():
 
 def test_sweep_structure_and_pairing():
     sc = scenario()
-    modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
+    modes = [DetectorMode("four"), DetectorMode("two-bayes")]
     pts = sweep([(sc, "irr_db", [-20.0, -10.0], modes, ())], 8_000, 11)
     assert len(pts) == 4
     assert [p.mode.kind for p in pts] == ["four", "two-bayes", "four", "two-bayes"]
@@ -755,7 +755,7 @@ def test_sweep_worker_invariance(monkeypatch):
     size, so helpers run them too)."""
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 64)
     sc = scenario()
-    modes = [DetectorMode.four_level(), DetectorMode.two_level_bayes()]
+    modes = [DetectorMode("four"), DetectorMode("two-bayes")]
     curve = (sc, "irr_db", [-30.0, -20.0, -10.0], modes, ())
     runs = [sweep([curve], 1_500, 17, workers=workers) for workers in (1, 2, 3)]
     monkeypatch.setattr(montecarlo, "_THREAD_MIN_VARIATES", 64)
@@ -772,10 +772,10 @@ def test_multi_curve_sweep_matches_one_curve_sweeps(workers, monkeypatch):
     each curve's points exactly as a sweep of that curve alone: tallies,
     rules and variances, point for point, in curve order."""
     tx_only = (scenario(n_packets=2), "irr_db", [-25.0, -12.0],
-               [DetectorMode.four_level(), DetectorMode.two_level_bayes()], (0,))
+               [DetectorMode("four"), DetectorMode("two-bayes")], (0,))
     m = irr_to_mismatch(-20.0)
     joint = (scenario(snr2_db=-5.0, tx_mismatch=m, rx_mismatch=m), "snr_db_at_delta",
-             [-3.0, 4.0, 9.0], [DetectorMode.four_level()], (1,))
+             [-3.0, 4.0, 9.0], [DetectorMode("four")], (1,))
     monkeypatch.setattr(montecarlo, "_BLOCK_TRIALS", 256)
     both = sweep([tx_only, joint], 1_200, 31, workers=workers)
     alone = [pt for curve in (tx_only, joint)
@@ -841,7 +841,7 @@ def test_small_blocks_and_one_worker_use_only_the_calling_thread(monkeypatch):
     monkeypatch.setattr(montecarlo, "_chunk_task", recorded)
     assert [run_trials(scenario(), 20_000, 5, workers=3),
             run_trials(scenario(n_packets=2), 65_535, 5, workers=2)] == want
-    curve = (scenario(), "irr_db", [-20.0, -10.0], [DetectorMode.four_level()], ())
+    curve = (scenario(), "irr_db", [-20.0, -10.0], [DetectorMode("four")], ())
     assert len(sweep([curve], 20_000, 5, workers=2)) == 2
     run_trials(scenario(n_packets=4), 3 * 65_536, 5, workers=1)
     assert started == []
@@ -1021,7 +1021,7 @@ def test_run_trials_argument_validation():
     assert run_trials(sc, 10, np.int64(3)) == run_trials(sc, 10, 3)
     assert run_trials(sc, 10, SeedSpec(np.int64(3))) == run_trials(sc, 10, 3)
     # A rule must be built for the scenario's packet count.
-    for mode in (DetectorMode.four_level(), DetectorMode.two_level_cfar(0.1)):
+    for mode in (DetectorMode("four"), DetectorMode("two-cfar", 0.1)):
         rule = scenario_rule(scenario(n_packets=4, mode=mode))
         with pytest.raises(
             ValueError, match="^rule was built for n_packets=4, but the scenario has n_packets=8$"

@@ -102,6 +102,14 @@ def test_edge_cases():
     assert type(beta_sq) is float and beta_sq == irr_to_beta_sq(-15.0)
 
 
+def test_mc_outage_at_a_zero_threshold_counts_no_outage():
+    """A zero threshold never triggers outage, also where an interference
+    draw overflows to inf (0*inf would be nan)."""
+    sc = OutageScenario(p0=10.0, beta_sq_sec=irr_to_beta_sq(-15.0), var_h=1e308, rate_p=0.0)
+    est = mc_outage(sc, 1000, substream(SeedSpec(1), OUTAGE_STREAM))
+    assert est.value == 0.0 and est.lo == 0.0
+
+
 def test_monotone_in_leakage():
     values = [
         analytic_outage(OutageScenario(p_mk=5.0, p0=10.0, beta_sq_sec=b))

@@ -46,6 +46,10 @@ def _sweep(axis, grid, **scenario):
 COMMANDS = [
     ("sense", {"trials": 5000}, ["sense"]),
     ("sense-verify", {"trials": 5000}, ["sense", "--verify", "--workers", "2"]),
+    # figure 4's SNR1 20 dB point at delta -10 dB, whose H3 row is far from
+    # its Gamma stand-in: --verify tests it against its packet-count law
+    ("sense-verify-h3-table", {"trials": 100000, "scenario": {"snr1_db": 20.0, "snr2_db": 30.0}},
+     ["sense", "--seed", "5", "--verify", "--workers", "2"]),
     ("sense-joint", {"trials": 5000, "scenario": _JOINT},
      ["sense", "--format", "json", "--out", "o.json"]),
     ("sense-trials", None, ["sense", "--trials", "3000"]),
