@@ -45,9 +45,7 @@ from .detection import (
     convention_metric,
     detection_paper_literal,
     false_alarm_paper_literal,
-    h3_packet_count_law,
     packet_count_tail,
-    statistic_means,
     thresholds_paper_literal,
 )
 from .frame import simulate_frame
@@ -56,6 +54,7 @@ from .montecarlo import (
     SeedSpec,
     empirical_metrics,
     run_trials,
+    scenario_laws,
     scenario_rule,
     scenario_variances,
     substream,
@@ -392,20 +391,22 @@ def _verify_closure(tally, sc, rule, probs) -> int:
     z-score and the smallest p-value, to stderr, so stdout keeps only the
     table.
 
-    Rows H0-H2, and H3 without a cross term, are tested against their
-    Gamma rows in ``probs``.  H3 with a cross term is tested against the
-    row of its packet-count law (:func:`packet_count_tail` at the rule's
-    boundaries); past the table's length cap it is left out, with a note
-    on stderr, since its Gamma row is not its law."""
-    rows = dict(enumerate(probs))
-    law = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
-    if law is not None:
-        tails = packet_count_tail(*law, sc.n_packets, rule.boundaries)
-        rows[3] = rule.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
-    elif np.ptp(statistic_means(sc.pair, *sc.coefficients)[3]):
-        del rows[3]
-        print("verify: row H3 not tested: its packet-count table would pass the length cap, "
-              "and its Gamma row is not its law", file=sys.stderr)
+    Each row is tested against its law in :func:`scenario_laws`.  A
+    one-entry law is the row's Gamma row in ``probs`` (H0-H2, and H3
+    without a cross term); a packet-count table gives the row of
+    :func:`packet_count_tail` at the rule's boundaries (H3 with a cross
+    term); a row with no law (H3 past the table's length cap) is left
+    out, with a note on stderr, since its Gamma row is not its law."""
+    rows = {}
+    for h, law in enumerate(scenario_laws(sc)):
+        if law is None:
+            print(f"verify: row {Hypothesis(h).name} not tested: its packet-count table would "
+                  "pass the length cap, and its Gamma row is not its law", file=sys.stderr)
+        elif law.pmf.size == 1:
+            rows[h] = probs[h]
+        else:
+            tails = packet_count_tail(*law, sc.n_packets, rule.boundaries)
+            rows[h] = rule.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
     tested = [(h, tally.counts[h].tolist(), p) for h, p in rows.items()]
     pvalues = [row_pvalue(c, p) for _, c, p in tested]
     gate = _VERIFY_ALPHA / len(tested)

@@ -5,9 +5,10 @@ Each trial draws its statistic Z, the average periodogram over
 s_k*s_-k, every packet's |r_k|^2 is exponential with the mean m_h(u) of
 :func:`~iqsense.detection.statistic_means`, and the M phases are equally
 likely.  Every row is drawn as Z = v*Gamma(K, 1)/n with P(K = n + j) =
-pmf[j].  A hypothesis whose means do not depend on u (H0-H2, and H3
-without a cross term) has a one-entry pmf and v = m: Z ~ Gamma(n, m/n).
-H3 with a cross term takes v = min_u m_3(u) and the pmf of
+pmf[j], the law :func:`scenario_laws` gives the row.  A hypothesis
+whose means do not depend on u (H0-H2, and H3 without a cross term) has a
+one-entry pmf and v = m: Z ~ Gamma(n, m/n).  H3 with a cross term takes
+v = min_u m_3(u) and the pmf of
 :func:`~iqsense.detection.h3_packet_count_law`, by uniformization: one
 ``multinomial`` per block tallies how many trials take each K, at one
 packet too.  A Gamma(K) with K <= :data:`_ERLANG_MAX` is -log of a
@@ -19,8 +20,9 @@ per threshold.  The table's last entry is the mass
 :data:`~iqsense.detection.H3_TABLE_CUT` bounds, drawn at the table's
 end, so this draw's law differs from the exact law by at most that mass
 (plus the table's rounding).  Only where the table would pass its
-length cap does each packet draw one int64 phase index and one
-``standard_exponential``, scaled by m_3(u); that Z is counted as it is.
+length cap (:func:`scenario_laws` gives the row no law) does each packet
+draw one int64 phase index and one ``standard_exponential``, scaled by
+m_3(u); that Z is counted as it is.
 Only
 :func:`estimate_component_variances`, an oracle for the closed forms
 that does not read the pair table, runs the sample-level model of
@@ -114,6 +116,7 @@ from .detection import (
     METRICS,
     DecisionRule,
     DetectorMode,
+    H3PacketCountLaw,
     Hypothesis,
     HypothesisVariances,
     decision_rule,
@@ -151,6 +154,7 @@ __all__ = [
     "substream",
     "scenario_variances",
     "scenario_rule",
+    "scenario_laws",
     "rule_for_mode",
     "estimate_component_variances",
     "run_trials",
@@ -177,9 +181,6 @@ _ERLANG_MAX = 6
 # shapes cost about 13 ns more per variate than a scalar one, and a call
 # about 3 us (SFC64, one thread), so they pay for a group of under ~250.
 _GAMMA_CALL_MIN = 256
-
-# The packet-count pmf of a row whose means do not depend on the phase.
-_ONE_ENTRY = np.ones(1)
 
 # Fewest packet variates (trials times n_packets) in a run's largest block
 # for which the engine starts helper threads.  A smaller block's numpy calls
@@ -452,6 +453,19 @@ def scenario_rule(sc: SensingScenario) -> DecisionRule:
     return rule_for_mode(scenario_variances(sc), sc.n_packets, sc.mode)
 
 
+def scenario_laws(sc: SensingScenario) -> list[H3PacketCountLaw | None]:
+    """Per hypothesis, the law of the statistic Z = v*Gamma(K, 1)/n, with
+    P(K = n + j) = pmf[j], as a ``(v, pmf)`` pair.  A row whose means do not
+    depend on the phase (H0-H2, and H3 without a cross term) is the Gamma
+    row ``(m, [1.0])``; H3 with a cross term is its cached packet-count
+    table (:func:`~iqsense.detection.h3_packet_count_law`), and None where
+    that table would pass its length cap.  The trial engine draws each row
+    from this law, and ``sense --verify`` tests each row against it."""
+    table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
+    return [H3PacketCountLaw(float(m[0]), np.ones(1)) if m.min() == m.max() else table
+            for m in statistic_means(sc.pair, *sc.coefficients)]
+
+
 # --------------------------------------------------------------------------
 # trial running
 
@@ -598,20 +612,12 @@ def _statistic_draws(sc: SensingScenario) -> list:
     :class:`_Block` of ``size`` statistics drawn into the workspace ``ws``
     (into arrays of its own without one); ``streams(kind)`` builds the
     generator of that kind, and a draw builds only the kinds it draws
-    from.  A row whose means do not depend on the phase draws from a
-    one-entry packet-count pmf at v = m, and one whose means do from its
-    table when there is one, else packet by packet."""
+    from.  A row draws from its law in :func:`scenario_laws`, and a row
+    without one packet by packet from its means."""
     n = sc.n_packets
-    law = h3_packet_count_law(sc.pair, *sc.coefficients, n)
-    draws = []
-    for means in statistic_means(sc.pair, *sc.coefficients):
-        if means.min() == means.max():
-            draws.append(partial(_packet_count_statistics, float(means[0]), _ONE_ENTRY, n))
-        elif law is not None:
-            draws.append(partial(_packet_count_statistics, *law, n))
-        else:
-            draws.append(partial(_per_packet_statistics, means, n))
-    return draws
+    return [partial(_per_packet_statistics, means, n) if law is None
+            else partial(_packet_count_statistics, *law, n)
+            for means, law in zip(statistic_means(sc.pair, *sc.coefficients), scenario_laws(sc))]
 
 
 def _chunk_task(args) -> tuple[int, np.ndarray]:

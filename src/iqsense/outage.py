@@ -47,7 +47,9 @@ class OutageScenario:
     receiver noise power; ``var_g`` / ``var_h``: mean square magnitudes
     of the wanted and leakage channels; ``rate_p``: target spectral
     efficiency in bit/s/Hz below 1024, giving the SINR threshold
-    2**rate_p - 1 (a float).
+    2**rate_p - 1 (a float).  The signal mean p_mk*var_g/noise_p must be
+    finite; the interference mean may overflow (outage 1 at a positive
+    threshold).
     """
 
     p_mk: float = 1.0
@@ -66,6 +68,9 @@ class OutageScenario:
         if self.rate_p >= 1024:
             raise ValueError(f"rate_p must be < 1024, or the SINR threshold 2**rate_p - 1 "
                              f"overflows a float, got {self.rate_p!r}")
+        if self.signal_mean == math.inf:
+            raise ValueError(f"the signal mean p_mk*var_g/noise_p overflows a float, got "
+                             f"p_mk={self.p_mk!r}, var_g={self.var_g!r}, noise_p={self.noise_p!r}")
 
     @property
     def gamma_threshold(self) -> float:

@@ -106,15 +106,18 @@ def test_sense_verify_tests_h3_against_its_exact_law(tmp_path, capsys, point):
 
 
 def test_sense_verify_rejects_a_gamma_h3_row(tmp_path, monkeypatch, capsys):
-    """With the Gamma row planted as H3's law (a one-entry pmf at mean
-    2*sigma3^2), the tx IRR -5 dB run fails on row H3."""
+    """With the Gamma row planted as H3's law on the verify side only (a
+    one-entry pmf at mean 2*sigma3^2, while the engine still draws H3 from
+    its table), the tx IRR -5 dB run fails on row H3."""
     import iqsense.cli as cli
-    from iqsense.detection import H3PacketCountLaw, hypothesis_variances
+    from iqsense.detection import H3PacketCountLaw
+    from iqsense.montecarlo import scenario_laws, scenario_variances
 
-    def gamma_h3(cfg, tx, rx, n):
-        return H3PacketCountLaw(2.0 * hypothesis_variances(cfg, tx, rx).sigma3_sq, np.ones(1))
+    def gamma_h3(sc):
+        laws = scenario_laws(sc)
+        return [*laws[:3], H3PacketCountLaw(2.0 * scenario_variances(sc).sigma3_sq, np.ones(1))]
 
-    monkeypatch.setattr(cli, "h3_packet_count_law", gamma_h3)
+    monkeypatch.setattr(cli, "scenario_laws", gamma_h3)
     assert _verify(tmp_path, *_TX_IRR_5) == 1
     err = capsys.readouterr().err
     assert err.startswith("verify FAIL row H3: ") and err.count("verify FAIL") == 1

@@ -294,8 +294,9 @@ def cli_in_tmp(tmp_path, monkeypatch):
 # inputs that once crashed: a rate_p whose threshold 2**rate_p - 1
 # overflows, a subnormal noise_var whose thresholds round to 0, a pair
 # whose H3 means overflow, and an interference draw that overflows at a
-# zero threshold
+# zero threshold; and a signal mean that overflows, which printed nan
 @example({("outage", "rate_p"): 1e308})
+@example({("outage", "noise_p"): 5e-324})
 @example({("scenario", "noise_var"): 1e-320})
 @example({("scenario", "noise_var"): 1e308, ("scenario", "channel_var"): 5e-324})
 @example({("outage", "var_h"): 1e308, ("outage", "rate_p"): 0})

@@ -4,8 +4,8 @@ reference in ``sample_oracle``.
 The trial engine draws each statistic from its exact law, so it must
 agree with the reference in law: ``test_engine_matches_sample_oracle``
 compares their decision counts per model and per true hypothesis, with
-H3 drawn from its packet-count table (at two packets and at one) and
-packet by packet.
+H3 drawn from its packet-count table (at two packets, at one and at four)
+and packet by packet.
 False-fail rate: each of the 8 rows of one draw gets a two-sample Pearson
 chi-square test at level ALPHA / 8 (Bonferroni), so the gate fails correct
 code with probability at most ALPHA = 1e-6 per draw, under the chi-square
@@ -53,10 +53,10 @@ def _scenario(model: str, n_packets: int) -> SensingScenario:
 @pytest.fixture(scope="module")
 def oracle_tallies():
     """(4, 4) decision counts of the sample-level reference per model, at
-    the gate scenario's two packets and at one."""
+    the gate scenario's two packets, at one and at four."""
     out = {}
     for model in MODELS:
-        for n_packets in (2, 1):
+        for n_packets in (2, 1, 4):
             sc = _scenario(model, n_packets)
             tx_c, rx_c = sc.coefficients
             rule = scenario_rule(sc)
@@ -74,12 +74,13 @@ def _gate_pvalues(model, oracle_tallies, n_packets=2) -> list[float]:
     return [two_sample_pvalue(tally.counts[h], oracle[h]) for h in range(4)]
 
 
-# H3 draws from the packet-count table, at two packets and at one, or
-# packet by packet as it does past the table's length cap.
+# H3 draws from the packet-count table, at two packets, at one and at
+# four, or packet by packet as it does past the table's length cap.
 _ENGINE_CASES = [
     pytest.param(model, draw, n, id=model + suffix)
     for draw, n, suffix in (
         ("table", 2, ""), ("per-packet", 2, "-per-packet"), ("table", 1, "-n1"),
+        ("table", 4, "-n4"),
     )
     for model in MODELS
 ]

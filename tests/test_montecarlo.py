@@ -293,6 +293,22 @@ def test_near_cancelling_h3_runs_packet_by_packet(monkeypatch):
     assert run_trials(sc, 1_000, 3).trials_per_hypothesis.tolist() == [1_000] * 4
 
 
+@pytest.mark.parametrize("h3_draw", ["table", "per-packet"], indirect=True)
+def test_scenario_laws_give_each_row_its_law(h3_draw):
+    """A row whose means do not depend on the phase gets the Gamma row
+    (m, [1.0]): H0-H2, and H3 on an ideal front end.  H3 with a cross term
+    gets the cached packet-count table itself, and None past the table's
+    length cap (set to 0 by the fixture)."""
+    sc, ideal = scenario(n_packets=4), scenario(n_packets=4, tx_mismatch=IqMismatch.ideal())
+    for s, gamma_rows in ((sc, 3), (ideal, 4)):
+        means = statistic_means(s.pair, *s.coefficients)[:gamma_rows]
+        laws = montecarlo.scenario_laws(s)[:gamma_rows]
+        assert [(law.v_min, law.pmf.tolist()) for law in laws] == [(m[0], [1.0]) for m in means]
+    table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
+    assert montecarlo.scenario_laws(sc)[3] is table
+    assert (table is None) == (h3_draw == "per-packet")
+
+
 # Tallies of the exact-law engine: three blocks with a short last one.  At
 # one packet every row is a product of one uniform and H3 draws from its
 # table; at eight, rows H0-H2 are gamma variates.

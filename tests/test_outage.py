@@ -86,6 +86,13 @@ def test_edge_cases():
     top = OutageScenario(rate_p=math.nextafter(1024.0, 0.0))
     assert math.isfinite(top.gamma_threshold)
     assert analytic_outage(top) == outage_paper_literal(top) == 1.0
+    # a signal mean that overflows is refused, as m1/(m1 + a*m2) would be
+    # inf/inf; a finite one over an infinite interference mean has limit 1
+    with pytest.raises(ValueError, match=r"^the signal mean p_mk\*var_g/noise_p overflows"):
+        OutageScenario(noise_p=5e-324)
+    leaky = OutageScenario(p_mk=1e-300, beta_sq_sec=1.0, noise_p=1e-310)
+    assert leaky.interference_mean == math.inf
+    assert analytic_outage(leaky) == outage_paper_literal(leaky) == 1.0
     keys = ("p_mk", "p0", "beta_sq_sec", "noise_p", "var_g", "var_h", "rate_p")
     for key in keys:
         for bad in REFUSED:

@@ -77,6 +77,16 @@ COMMANDS = [
     ("sense-past-table-cap", {"trials": 2000, "scenario": {
         "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}},
      ["sense", "--workers", "2"]),
+    # --verify's three kinds of row: H3 past the table's cap is left out with
+    # a note on stderr, H3 of an ideal front end keeps its Gamma row, and the
+    # joint model's H3 is tested against its packet-count table
+    ("sense-verify-past-table-cap", {"trials": 2000, "scenario": {
+        "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}},
+     ["sense", "--verify", "--workers", "2"]),
+    ("sense-verify-ideal-tx", {"trials": 5000, "scenario": {"tx_irr_db": None}},
+     ["sense", "--verify"]),
+    ("sense-verify-joint", {"trials": 5000, "scenario": _JOINT},
+     ["sense", "--verify", "--workers", "2"]),
     # packet by packet in a full block and a short one, on two threads
     ("sense-past-table-cap-two-blocks", {"trials": 70000, "scenario": {
         "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 128}},
@@ -129,6 +139,8 @@ COMMANDS = [
     # a threshold or a rule that does not exist: refused under their section
     ("analytic-rate-p-2000", {"outage": {"rate_p": 2000}}, ["analytic"]),
     ("sense-noise-var-1e-320", {"scenario": {"noise_var": 1e-320}}, ["sense"]),
+    # a signal mean p_mk*var_g/noise_p that overflows a float
+    ("outage-noise-p-5e-324", {"outage": {"noise_p": 5e-324}}, ["outage"]),
 ]
 
 
