@@ -25,8 +25,6 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-import numpy as np
-
 from . import __version__
 from .config import (
     ConfigError,
@@ -45,7 +43,6 @@ from .detection import (
     convention_metric,
     detection_paper_literal,
     false_alarm_paper_literal,
-    packet_count_tail,
     thresholds_paper_literal,
 )
 from .frame import simulate_frame
@@ -53,8 +50,8 @@ from .montecarlo import (
     OUTAGE_STREAM,
     SeedSpec,
     empirical_metrics,
+    exact_probabilities,
     run_trials,
-    scenario_laws,
     scenario_rule,
     scenario_variances,
     substream,
@@ -300,22 +297,40 @@ def _rule_report(rule) -> dict:
     }
 
 
-def _metric_block(probs) -> dict:
-    return {
-        convention.replace("-", "_"): {m: convention_metric(probs, convention, m) for m in METRICS}
-        for convention in CONVENTIONS
-    }
+def _closed_forms(probs, exact, convention, metric) -> tuple:
+    """The Gamma form of ``metric`` under ``convention``, read from
+    ``probs``, the point's Gamma matrix of P(decide col | true row); with
+    ``exact``, the point's rows of :func:`exact_probabilities`, also its
+    exact form and the Gamma form's error (Gamma minus exact), both None
+    where the metric reads a row with no law."""
+    gamma = convention_metric(probs, convention, metric)
+    if exact is None:
+        return (gamma,)
+    ex = convention_metric(exact, convention, metric)
+    return gamma, ex, None if ex is None else gamma - ex
 
 
-def _metric_cells(probs, tally) -> dict:
-    """{(convention, metric): (closed form, estimate)} for every entry of
-    the convention table, convention by convention; the closed forms read
-    ``probs``, the point's matrix of P(decide col | true row)."""
+def _metric_blocks(probs, exact) -> dict:
+    """The report's ``metrics`` (Gamma), ``exact_metrics`` and
+    ``gamma_error`` blocks, each {convention: {metric: value}}."""
+    blocks = {"metrics": {}, "exact_metrics": {}, "gamma_error": {}}
+    for convention in CONVENTIONS:
+        for metric in METRICS:
+            forms = _closed_forms(probs, exact, convention, metric)
+            for block, form in zip(blocks.values(), forms):
+                block.setdefault(convention.replace("-", "_"), {})[metric] = form
+    return blocks
+
+
+def _metric_cells(probs, tally, exact=None) -> dict:
+    """{(convention, metric): (*closed forms, estimate)} for every entry
+    of the convention table, convention by convention; the closed forms
+    are those of :func:`_closed_forms`."""
     cells = {}
     for convention in CONVENTIONS:
         m = empirical_metrics(tally, convention)
         for metric in METRICS:
-            cells[convention, metric] = (convention_metric(probs, convention, metric),
+            cells[convention, metric] = (*_closed_forms(probs, exact, convention, metric),
                                          getattr(m, metric))
     return cells
 
@@ -334,7 +349,7 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
         "variances": asdict(v),
         "mode": sc.mode.kind,
         "rule": _rule_report(rule),
-        "metrics": _metric_block(conditional_probabilities(v, rule)),
+        **_metric_blocks(conditional_probabilities(v, rule), exact_probabilities(sc, rule)),
     }
     if sc.mode.kind == "four" and not rule.merged:
         report["thresholds"] = dict(zip(("s01", "s12", "s23"), rule.boundaries))
@@ -355,11 +370,11 @@ def _cmd_analytic(cfg: ExperimentConfig, args) -> int:
 
 
 def _sense_rows(tally, cells):
-    rows = [["tally", Hypothesis(i).name, Hypothesis(j).name, int(tally.counts[i, j]), *[None] * 6]
+    rows = [["tally", Hypothesis(i).name, Hypothesis(j).name, int(tally.counts[i, j]), *[None] * 8]
             for i in range(4) for j in range(4)]
-    for (convention, metric), (ana, est) in cells.items():
+    for (convention, metric), (*forms, est) in cells.items():
         rows.append(["metric", None, None, None, convention.replace("-", "_"), metric,
-                     ana, est.value, est.lo, est.hi])
+                     *forms, est.value, est.lo, est.hi])
     return rows
 
 
@@ -368,46 +383,35 @@ def _cmd_sense(cfg: ExperimentConfig, args) -> int:
     v, rule = _scenario_model(sc)
     tally = run_trials(sc, cfg.trials, cfg.seed, rule=rule, workers=cfg.workers)
     columns = ["record", "truth", "decided", "count", "convention", "metric",
-               "analytic", "estimate", "lo", "hi"]
-    probs = conditional_probabilities(v, rule)
-    cells = _metric_cells(probs, tally)
+               "analytic", "exact", "gamma_error", "estimate", "lo", "hi"]
+    exact = exact_probabilities(sc, rule)
+    cells = _metric_cells(conditional_probabilities(v, rule), tally, exact)
     _emit_table(cfg, "sense", columns, _sense_rows(tally, cells))
     if cfg.out is not None:
         for convention in CONVENTIONS:
-            p_fa, p_d = (cells[convention, metric][1] for metric in METRICS)
+            p_fa, p_d = (cells[convention, metric][-1] for metric in METRICS)
             print(
                 f"{convention}: p_fa={p_fa.value:.6f} [{p_fa.lo:.6f}, {p_fa.hi:.6f}]  "
                 f"p_d={p_d.value:.6f} [{p_d.lo:.6f}, {p_d.hi:.6f}]"
             )
     if args.verify:
-        return _verify_closure(tally, sc, rule, probs)
+        return _verify_closure(tally, exact)
     return 0
 
 
-def _verify_closure(tally, sc, rule, probs) -> int:
-    """Test each tally row against the law its trials are drawn from by a
-    Pearson chi-square test, Bonferroni over the rows tested at familywise
-    level :data:`_VERIFY_ALPHA`; print the verdict, with the worst cell's
-    z-score and the smallest p-value, to stderr, so stdout keeps only the
-    table.
-
-    Each row is tested against its law in :func:`scenario_laws`.  A
-    one-entry law is the row's Gamma row in ``probs`` (H0-H2, and H3
-    without a cross term); a packet-count table gives the row of
-    :func:`packet_count_tail` at the rule's boundaries (H3 with a cross
-    term); a row with no law (H3 past the table's length cap) is left
-    out, with a note on stderr, since its Gamma row is not its law."""
-    rows = {}
-    for h, law in enumerate(scenario_laws(sc)):
-        if law is None:
-            print(f"verify: row {Hypothesis(h).name} not tested: its packet-count table would "
-                  "pass the length cap, and its Gamma row is not its law", file=sys.stderr)
-        elif law.pmf.size == 1:
-            rows[h] = probs[h]
-        else:
-            tails = packet_count_tail(*law, sc.n_packets, rule.boundaries)
-            rows[h] = rule.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
-    tested = [(h, tally.counts[h].tolist(), p) for h, p in rows.items()]
+def _verify_closure(tally, exact) -> int:
+    """Test each tally row against ``exact``, its row of
+    :func:`exact_probabilities` under the law its trials are drawn from,
+    by a Pearson chi-square test, Bonferroni over the rows tested at
+    familywise level :data:`_VERIFY_ALPHA`; print the verdict, with the
+    worst cell's z-score and the smallest p-value, to stderr, so stdout
+    keeps only the table.  A row with no law (H3 past the table's length
+    cap) is left out, with a note on stderr, since its Gamma row is not
+    its law."""
+    for h in (h for h, row in enumerate(exact) if row is None):
+        print(f"verify: row {Hypothesis(h).name} not tested: its packet-count table would "
+              "pass the length cap, and its Gamma row is not its law", file=sys.stderr)
+    tested = [(h, tally.counts[h].tolist(), p) for h, p in enumerate(exact) if p is not None]
     pvalues = [row_pvalue(c, p) for _, c, p in tested]
     gate = _VERIFY_ALPHA / len(tested)
     for (h, _, _), p in zip(tested, pvalues):

@@ -456,6 +456,13 @@ class DecisionRule:
             out[int(level)] = edges[r] - edges[r + 1]
         return out
 
+    def row(self, tails) -> np.ndarray:
+        """P(decide each hypothesis) of a statistic whose upper tails at
+        ``boundaries`` are ``tails``: one row of P(decide col | true row)."""
+        # The tail falls with the threshold; its rounding need not, and a
+        # rise of one ulp would leave a cell at -1e-16.
+        return self.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
+
 
 def decision_rule(v: HypothesisVariances, n_packets: int) -> DecisionRule:
     """Minimum-average-cost rule for the four ordered hypotheses.
@@ -520,14 +527,13 @@ def classify_batch(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
 
 
 def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.ndarray:
-    """4x4 matrix of P(decide H_col | true H_row) under the Gamma laws."""
+    """4x4 matrix of P(decide H_col | true H_row) under the Gamma laws,
+    the paper's form.  Rows H0-H2 are exact; row H3 with a cross term is
+    not (its exact row is :func:`~iqsense.montecarlo.exact_probabilities`')."""
     out = np.empty((4, 4))
     for i, var in enumerate(v.as_tuple()):
         scale = 2.0 * var / rule.n_packets
-        tails = [gamma_sf(rule.n_packets, scale, b) for b in rule.boundaries]
-        # The tail falls with the threshold; its rounding need not, and a
-        # rise of one ulp would leave a cell at -1e-16.
-        out[i] = rule.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
+        out[i] = rule.row([gamma_sf(rule.n_packets, scale, b) for b in rule.boundaries])
     return out
 
 
@@ -544,12 +550,15 @@ def metric_cells(convention: str, metric: str) -> tuple[float, tuple]:
     return _CONVENTION_TABLE[convention][metric]
 
 
-def convention_metric(probs: np.ndarray, convention: str, metric: str) -> float:
-    """``metric`` under ``convention`` of a 4x4 matrix of P(decide col |
-    true row): each row's cells are summed, then the rows in order, then
-    the sum is scaled by the weight."""
+def convention_metric(probs, convention: str, metric: str) -> float | None:
+    """``metric`` under ``convention`` of the rows of P(decide col | true
+    row), a 4x4 matrix or four rows: each row's cells are summed, then the
+    rows in order, then the sum is scaled by the weight.  A metric that
+    reads a row that is None (a row with no closed form) is None."""
     weight, cells = metric_cells(convention, metric)
-    return weight * float(sum(sum(probs[r, c] for c in cols) for r, cols in cells))
+    if any(probs[r] is None for r, _ in cells):
+        return None
+    return weight * float(sum(sum(probs[r][c] for c in cols) for r, cols in cells))
 
 
 def analytic_false_alarm(

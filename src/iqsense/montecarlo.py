@@ -22,8 +22,10 @@ end, so this draw's law differs from the exact law by at most that mass
 (plus the table's rounding).  Only where the table would pass its
 length cap (:func:`scenario_laws` gives the row no law) does each packet
 draw one int64 phase index and one ``standard_exponential``, scaled by
-m_3(u); that Z is counted as it is.
-Only
+m_3(u); that Z is counted as it is.  :func:`exact_probabilities` gives
+the closed form of each row under its law: the row of P(decide | truth)
+that a tally row estimates, which is the paper's Gamma row for H0-H2 but
+not for H3 with a cross term.  Only
 :func:`estimate_component_variances`, an oracle for the closed forms
 that does not read the pair table, runs the sample-level model of
 :mod:`~iqsense.signal_model`: it draws symbols, channel and noise and
@@ -119,10 +121,12 @@ from .detection import (
     H3PacketCountLaw,
     Hypothesis,
     HypothesisVariances,
+    conditional_probabilities,
     decision_rule,
     h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
+    packet_count_tail,
     statistic_means,
     two_level_rule,
 )
@@ -155,6 +159,7 @@ __all__ = [
     "scenario_variances",
     "scenario_rule",
     "scenario_laws",
+    "exact_probabilities",
     "rule_for_mode",
     "estimate_component_variances",
     "run_trials",
@@ -453,6 +458,12 @@ def scenario_rule(sc: SensingScenario) -> DecisionRule:
     return rule_for_mode(scenario_variances(sc), sc.n_packets, sc.mode)
 
 
+def _check_rule(sc: SensingScenario, rule: DecisionRule):
+    if rule.n_packets != sc.n_packets:
+        raise ValueError(f"rule was built for n_packets={rule.n_packets}, "
+                         f"but the scenario has n_packets={sc.n_packets}")
+
+
 def scenario_laws(sc: SensingScenario) -> list[H3PacketCountLaw | None]:
     """Per hypothesis, the law of the statistic Z = v*Gamma(K, 1)/n, with
     P(K = n + j) = pmf[j], as a ``(v, pmf)`` pair.  A row whose means do not
@@ -460,10 +471,29 @@ def scenario_laws(sc: SensingScenario) -> list[H3PacketCountLaw | None]:
     row ``(m, [1.0])``; H3 with a cross term is its cached packet-count
     table (:func:`~iqsense.detection.h3_packet_count_law`), and None where
     that table would pass its length cap.  The trial engine draws each row
-    from this law, and ``sense --verify`` tests each row against it."""
+    from this law, and :func:`exact_probabilities` gives each row's closed
+    form under it."""
     table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
     return [H3PacketCountLaw(float(m[0]), np.ones(1)) if m.min() == m.max() else table
             for m in statistic_means(sc.pair, *sc.coefficients)]
+
+
+def exact_probabilities(sc: SensingScenario, rule: DecisionRule) -> list[np.ndarray | None]:
+    """Per hypothesis, the row of P(decide col | true row) under ``rule``
+    and the row's law in :func:`scenario_laws`, the law the trial engine
+    draws it from.  A one-entry law (H0-H2, and H3 without a cross term)
+    keeps its row of :func:`~iqsense.detection.conditional_probabilities`
+    bit for bit; a packet-count table gives the row of
+    :func:`~iqsense.detection.packet_count_tail` at the rule's boundaries,
+    within the table's cut mass and rounding (at most 1e-13); a row with
+    no law (H3 past the table's length cap) is None.  ``sense --verify``
+    tests each row against it, and ``analytic`` and ``sense`` print its
+    metrics beside the Gamma forms."""
+    _check_rule(sc, rule)
+    gamma = conditional_probabilities(scenario_variances(sc), rule)
+    return [None if law is None else gamma[h] if law.pmf.size == 1
+            else rule.row(packet_count_tail(*law, sc.n_packets, rule.boundaries))
+            for h, law in enumerate(scenario_laws(sc))]
 
 
 # --------------------------------------------------------------------------
@@ -721,11 +751,7 @@ def run_trials(
     """
     if rule is None:
         rule = scenario_rule(sc)
-    elif rule.n_packets != sc.n_packets:
-        raise ValueError(
-            f"rule was built for n_packets={rule.n_packets}, "
-            f"but the scenario has n_packets={sc.n_packets}"
-        )
+    _check_rule(sc, rule)
     return _tally_jobs([(sc, [rule], stream_path)], per_hypothesis, seed, workers)[0][0]
 
 

@@ -21,7 +21,6 @@ from iqsense.detection import (
     DetectorMode,
     HypothesisVariances,
     classify_batch,
-    conditional_probabilities,
     decision_rule,
     pairwise_threshold,
 )
@@ -29,6 +28,7 @@ from iqsense.montecarlo import (
     SeedSpec,
     SensingScenario,
     empirical_metrics,
+    exact_probabilities,
     p_fa_gap,
     run_trials,
     scenario_rule,
@@ -153,11 +153,11 @@ def test_criterion_04_classifier_is_ml():
 
 
 def _closure_rows(sc: SensingScenario, trials: int, seed, stream_path=()):
-    """(p-value, worst cell z) of each of the four tally rows against
-    the closed forms."""
+    """(p-value, worst cell z) of each of the four tally rows against its
+    exact closed form (exact_probabilities)."""
     rule = scenario_rule(sc)
     tally = run_trials(sc, trials, seed, rule=rule, stream_path=stream_path)
-    probs = conditional_probabilities(scenario_variances(sc), rule)
+    probs = exact_probabilities(sc, rule)
     return [(row_pvalue(c, p), worst_z(c, p)) for c, p in zip(tally.counts.tolist(), probs)]
 
 
@@ -166,17 +166,17 @@ CLOSURE_ALPHA = 1e-3
 
 
 def test_criterion_05_closure():
-    """Every tally row closes with its closed form by a Pearson
+    """Every tally row closes with its exact closed form by a Pearson
     chi-square test at 1e6 trials/hypothesis, Bonferroni at familywise
     level 1e-3 over 20 scenarios x 4 rows: headline point + 19 random ones."""
     t0 = time.perf_counter()
     trials = 1_000_000
     scenarios = [SensingScenario(0.0, **PAPER_POINT)]
     # The random box spans the strong-mismatch regime (IRR <= -12 dB).
-    # The occupied-plus-image law is a symbol-averaged Gamma; for weaker
-    # rejection its symbol-mixture spread biases small tail cells past
-    # the resolution of a 1e6-trial check, so closure there tests the
-    # approximation, not the implementation.
+    # Each row is tested against the law the engine draws it from, not
+    # against the paper's Gamma row, so closure tests the implementation
+    # at any IRR; the box could widen to weaker rejection, where the H3
+    # Gamma row parts from the exact one.
     rng = np.random.default_rng(505)
     while len(scenarios) < 20:
         scenarios.append(

@@ -8,7 +8,6 @@ import re
 import subprocess
 import sys
 
-import numpy as np
 import pytest
 
 CMD = [sys.executable, "-m", "iqsense"]
@@ -62,6 +61,86 @@ def test_analytic_merged_rule_drops_four_level_extras(tmp_path):
     assert "paper_literal" not in rep
 
 
+# figure 4's SNR1 20 dB point at delta -10 dB (tx IRR -15 dB, one packet),
+# where the Gamma H3 row is furthest from the exact law on figure 4's grid,
+# and a point whose H3 packet-count table would pass its length cap.
+_FIGURE_4_SCENARIO = {"snr1_db": 20.0, "snr2_db": 30.0}
+_PAST_TABLE_CAP = {"snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}
+
+
+def _report(tmp_path, capsys, command, scenario):
+    import iqsense.cli as cli
+
+    cfgf = tmp_path / "c.json"
+    cfgf.write_text(json.dumps({"scenario": scenario, "trials": 2000}))
+    assert cli.main([command, "--config", str(cfgf), "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)
+
+
+def test_analytic_prints_the_exact_metrics_beside_the_gamma_forms(tmp_path, capsys):
+    """At figure 4's 20/30 dB point the Gamma p_d is 0.0623 (paper-sum) and
+    0.0534 (prior-weighted) above the exact one, whose H3 cell is the
+    Talbot inversion of Z's transform; p_fa reads no H3 cell."""
+    import law_oracle
+    from iqsense.config import parse_config
+    from iqsense.detection import statistic_means
+    from iqsense.montecarlo import exact_probabilities, scenario_rule
+
+    rep = _report(tmp_path, capsys, "analytic", _FIGURE_4_SCENARIO)["report"]
+    gamma, exact, error = (rep[k] for k in ("metrics", "exact_metrics", "gamma_error"))
+    assert [round(gamma["paper_sum"]["p_d"], 4), round(exact["paper_sum"]["p_d"], 4),
+            round(error["paper_sum"]["p_d"], 4)] == [0.6831, 0.6209, 0.0623]
+    assert [round(gamma["prior_weighted"]["p_d"], 4),
+            round(exact["prior_weighted"]["p_d"], 4)] == [0.6232, 0.5698]
+    for convention in ("paper_sum", "prior_weighted"):
+        assert exact[convention]["p_fa"] == gamma[convention]["p_fa"]
+        assert error[convention] == {"p_fa": 0.0, "p_d": gamma[convention]["p_d"]
+                                     - exact[convention]["p_d"]}
+    sc = parse_config({"scenario": _FIGURE_4_SCENARIO}).scenario
+    rule = scenario_rule(sc)
+    tails = [law_oracle.h3_tail(statistic_means(sc.pair, *sc.coefficients)[3], 1, z)
+             for z in rule.boundaries]
+    h2_h2 = exact_probabilities(sc, rule)[2][2]
+    assert exact["paper_sum"]["p_d"] == pytest.approx(h2_h2 + tails[-1], rel=0.0, abs=1e-12)
+
+
+def test_past_the_table_cap_the_exact_p_d_is_empty(tmp_path, capsys):
+    """Row H3 has no exact row past the table's cap, so every exact p_d and
+    its error is null in JSON and an empty cell in CSV, never nan; p_fa
+    keeps its exact value."""
+    import iqsense.cli as cli
+    from iqsense.config import parse_config
+    from iqsense.montecarlo import exact_probabilities, scenario_rule
+
+    sc = parse_config({"scenario": _PAST_TABLE_CAP}).scenario
+    assert exact_probabilities(sc, scenario_rule(sc))[3] is None
+    rep = _report(tmp_path, capsys, "analytic", _PAST_TABLE_CAP)["report"]
+    for convention in ("paper_sum", "prior_weighted"):
+        assert rep["exact_metrics"][convention] == {
+            "p_fa": rep["metrics"][convention]["p_fa"], "p_d": None}
+        assert rep["gamma_error"][convention] == {"p_fa": 0.0, "p_d": None}
+    assert cli.main(["analytic", "--config", str(tmp_path / "c.json")]) == 0
+    cells = dict(l.split(",", 1) for l in capsys.readouterr().out.splitlines()
+                 if not l.startswith("#"))
+    assert [cells[f"{block}.{c}.p_d"] for block in ("exact_metrics", "gamma_error")
+            for c in ("paper_sum", "prior_weighted")] == [""] * 4
+    rows = _report(tmp_path, capsys, "sense", _PAST_TABLE_CAP)["rows"]
+    p_d = [r for r in rows if r["record"] == "metric" and r["metric"] == "p_d"]
+    assert [(r["exact"], r["gamma_error"]) for r in p_d] == [(None, None)] * 2
+
+
+def test_sense_prints_the_exact_metrics_beside_the_gamma_forms(tmp_path, capsys):
+    """Each metric row of `sense` holds the Gamma form (`analytic`), the
+    exact form and the Gamma form's error, and the tally keeps its 16 rows."""
+    rows = _report(tmp_path, capsys, "sense", _FIGURE_4_SCENARIO)["rows"]
+    assert len([r for r in rows if r["record"] == "tally"]) == 16
+    metrics = {(r["convention"], r["metric"]): r for r in rows if r["record"] == "metric"}
+    assert round(metrics["paper_sum", "p_d"]["exact"], 4) == 0.6209
+    for r in metrics.values():
+        assert r["gamma_error"] == r["analytic"] - r["exact"]
+        assert r["metric"] == "p_d" or r["exact"] == r["analytic"]
+
+
 def test_sense_deterministic_output(tmp_path):
     out1, out2, out3 = (tmp_path / f"s{i}.csv" for i in range(3))
     base = ["sense", "--trials", "20000", "--seed", "77"]
@@ -84,7 +163,7 @@ def test_sense_verify_passes():
 
 # Points whose H3 row is far from its Gamma stand-in at seed 5: figure 4's
 # SNR1 20 dB point at delta -10 dB (57.7 SE off) and tx IRR -5 dB (7.3 SE).
-_FIGURE_4_POINT = ({"scenario": {"snr1_db": 20.0, "snr2_db": 30.0}}, "100000")
+_FIGURE_4_POINT = ({"scenario": _FIGURE_4_SCENARIO}, "100000")
 _TX_IRR_5 = ({"scenario": {"tx_irr_db": -5.0}}, "1000000")
 
 
@@ -106,18 +185,18 @@ def test_sense_verify_tests_h3_against_its_exact_law(tmp_path, capsys, point):
 
 
 def test_sense_verify_rejects_a_gamma_h3_row(tmp_path, monkeypatch, capsys):
-    """With the Gamma row planted as H3's law on the verify side only (a
-    one-entry pmf at mean 2*sigma3^2, while the engine still draws H3 from
-    its table), the tx IRR -5 dB run fails on row H3."""
+    """With the Gamma row planted as H3's exact row on the verify side only
+    (cli's binding of exact_probabilities, while the engine still draws H3
+    from its table), the tx IRR -5 dB run fails on row H3."""
     import iqsense.cli as cli
-    from iqsense.detection import H3PacketCountLaw
-    from iqsense.montecarlo import scenario_laws, scenario_variances
+    from iqsense.detection import conditional_probabilities
+    from iqsense.montecarlo import exact_probabilities, scenario_variances
 
-    def gamma_h3(sc):
-        laws = scenario_laws(sc)
-        return [*laws[:3], H3PacketCountLaw(2.0 * scenario_variances(sc).sigma3_sq, np.ones(1))]
+    def gamma_h3(sc, rule):
+        rows = exact_probabilities(sc, rule)
+        return [*rows[:3], conditional_probabilities(scenario_variances(sc), rule)[3]]
 
-    monkeypatch.setattr(cli, "scenario_laws", gamma_h3)
+    monkeypatch.setattr(cli, "exact_probabilities", gamma_h3)
     assert _verify(tmp_path, *_TX_IRR_5) == 1
     err = capsys.readouterr().err
     assert err.startswith("verify FAIL row H3: ") and err.count("verify FAIL") == 1
@@ -126,9 +205,7 @@ def test_sense_verify_rejects_a_gamma_h3_row(tmp_path, monkeypatch, capsys):
 def test_sense_verify_leaves_out_h3_past_the_table_cap(tmp_path, capsys):
     """Past the packet-count table's cap, row H3 is not tested, and stderr
     says so before the verdict on the other three rows."""
-    config = {"scenario": {"snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0,
-                           "n_packets": 256}}
-    assert _verify(tmp_path, config, "2000") == 0
+    assert _verify(tmp_path, {"scenario": _PAST_TABLE_CAP}, "2000") == 0
     note, verdict = capsys.readouterr().err.splitlines()
     assert note.startswith("verify: row H3 not tested: ")
     assert verdict.startswith("verify OK: all 3 rows close")
@@ -706,24 +783,31 @@ def test_figure_computes_each_points_variances_once(tmp_path, monkeypatch):
 ], ids=["sense-verify", "figure-3"])
 def test_each_printed_point_evaluates_one_conditional_matrix(tmp_path, monkeypatch, command,
                                                              points):
-    """Every closed-form column of a printed point, and the closure
-    check, read one matrix of P(decide | truth)."""
+    """Every Gamma column of a printed point reads one matrix of
+    P(decide | truth); the exact columns of `sense`, and its closure check,
+    read one set of exact rows, and `figure` forms none."""
     import iqsense.cli as cli
     import iqsense.detection as detection
 
-    calls = []
-    real = detection.conditional_probabilities
+    calls, exact_calls = [], []
+    real, real_exact = detection.conditional_probabilities, cli.exact_probabilities
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
+    def counting_exact(*args):
+        exact_calls.append(args)
+        return real_exact(*args)
+
     monkeypatch.setattr(cli, "conditional_probabilities", counting)
     monkeypatch.setattr(detection, "conditional_probabilities", counting)
+    monkeypatch.setattr(cli, "exact_probabilities", counting_exact)
     cfgf = tmp_path / "c.json"
     cfgf.write_text(json.dumps({"figure": {"irr_grid": [-30.0, -20.0]}, "trials": 2000}))
     assert cli.main([*command, "--config", str(cfgf), "--out", str(tmp_path / "o.csv")]) == 0
     assert len(calls) == points
+    assert len(exact_calls) == (command[0] == "sense")
 
 
 @pytest.mark.parametrize("command", [["sense", "--trials", "20000"], ["figure", "5"]],

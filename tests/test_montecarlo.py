@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from engine_draws import block_statistics, row_statistics
+import law_oracle
 from number_rule import REFUSED
 from scipy.stats import norm
 from variance_reference import component_variances
@@ -298,15 +299,47 @@ def test_scenario_laws_give_each_row_its_law(h3_draw):
     """A row whose means do not depend on the phase gets the Gamma row
     (m, [1.0]): H0-H2, and H3 on an ideal front end.  H3 with a cross term
     gets the cached packet-count table itself, and None past the table's
-    length cap (set to 0 by the fixture)."""
+    length cap (set to 0 by the fixture).  Under every mode's rule, the
+    exact rows of Gamma-row laws are conditional_probabilities' rows to
+    the bit, and so is every exact p_fa; H3's exact row is None where its
+    law is."""
     sc, ideal = scenario(n_packets=4), scenario(n_packets=4, tx_mismatch=IqMismatch.ideal())
     for s, gamma_rows in ((sc, 3), (ideal, 4)):
         means = statistic_means(s.pair, *s.coefficients)[:gamma_rows]
         laws = montecarlo.scenario_laws(s)[:gamma_rows]
         assert [(law.v_min, law.pmf.tolist()) for law in laws] == [(m[0], [1.0]) for m in means]
+        for mode in (DetectorMode("four"), DetectorMode("two-bayes"),
+                     DetectorMode("two-cfar", 0.1)):
+            rule = rule_for_mode(scenario_variances(s), 4, mode)
+            exact = montecarlo.exact_probabilities(s, rule)
+            gamma = conditional_probabilities(scenario_variances(s), rule)
+            assert ([r.tobytes() for r in exact[:gamma_rows]]
+                    == [r.tobytes() for r in gamma[:gamma_rows]])
+            for convention in CONVENTIONS:
+                assert (convention_metric(exact, convention, "p_fa")
+                        == convention_metric(gamma, convention, "p_fa"))
     table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
     assert montecarlo.scenario_laws(sc)[3] is table
     assert (table is None) == (h3_draw == "per-packet")
+    assert (montecarlo.exact_probabilities(sc, scenario_rule(sc))[3] is None) == (table is None)
+
+
+@pytest.mark.parametrize("n", [1, 4, 32])
+@pytest.mark.parametrize("joint", [False, True], ids=["tx-only", "joint"])
+def test_exact_h3_row_is_the_laplace_law(joint, n):
+    """At figure 4's SNR1 20 dB point at delta -10 dB (tx IRR -15 dB),
+    where the Gamma H3 row is furthest from the exact law, row H3 of
+    exact_probabilities is the differences of the Talbot inversion of Z's
+    transform at the rule's boundaries, to 1e-12: a check that shares no
+    code with the packet-count table the engine draws from."""
+    tx = irr_to_mismatch(-15.0)
+    sc = SensingScenario(20.0, 30.0, tx_mismatch=tx, rx_mismatch=tx if joint else None,
+                         n_packets=n)
+    rule = scenario_rule(sc)
+    assert [int(h) for h in rule.levels] == [0, 1, 2, 3]
+    means = statistic_means(sc.pair, *sc.coefficients)[3]
+    want = -np.diff([1.0, *(law_oracle.h3_tail(means, n, t) for t in rule.boundaries), 0.0])
+    assert montecarlo.exact_probabilities(sc, rule)[3] == pytest.approx(want, rel=0.0, abs=1e-12)
 
 
 # Tallies of the exact-law engine: three blocks with a short last one.  At
@@ -1036,10 +1069,12 @@ def test_run_trials_argument_validation():
             run_trials(sc, 10, seed)
     assert run_trials(sc, 10, np.int64(3)) == run_trials(sc, 10, 3)
     assert run_trials(sc, 10, SeedSpec(np.int64(3))) == run_trials(sc, 10, 3)
-    # A rule must be built for the scenario's packet count.
+    # A rule must be built for the scenario's packet count, for the trials
+    # and for the exact rows alike.
     for mode in (DetectorMode("four"), DetectorMode("two-cfar", 0.1)):
         rule = scenario_rule(scenario(n_packets=4, mode=mode))
-        with pytest.raises(
-            ValueError, match="^rule was built for n_packets=4, but the scenario has n_packets=8$"
-        ):
-            run_trials(scenario(n_packets=8, mode=mode), 10, 1, rule=rule)
+        for entry in (partial(run_trials, per_hypothesis=10, seed=1),
+                      montecarlo.exact_probabilities):
+            with pytest.raises(ValueError, match="^rule was built for n_packets=4, "
+                                                 "but the scenario has n_packets=8$"):
+                entry(scenario(n_packets=8, mode=mode), rule=rule)

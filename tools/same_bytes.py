@@ -106,6 +106,12 @@ COMMANDS = [
     ("analytic-json", None, ["analytic", "--format", "json"]),
     ("analytic-joint", {"scenario": {**_JOINT, "n_packets": 3}}, ["analytic", "--out", "o.csv"]),
     ("analytic-mode-two-cfar", None, ["analytic", "--mode", "two-cfar", "--cfar-pfa", "0.05"]),
+    # figure 4's SNR1 20 dB point at delta -10 dB, where the exact p_d is
+    # 0.0623 below the Gamma form, and a point past the H3 table's length
+    # cap, whose exact p_d is an empty cell
+    ("analytic-figure-4-point", {"scenario": {"snr1_db": 20.0, "snr2_db": 30.0}}, ["analytic"]),
+    ("analytic-past-table-cap", {"scenario": {
+        "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}}, ["analytic"]),
     ("analytic-two-cfar", {"scenario": _CFAR}, ["analytic", "--format", "json"]),
     ("frame-csv", {"frame": _FRAME}, ["frame"]),
     ("frame-json", {"frame": _FRAME}, ["frame", "--format", "json", "--out", "o.json"]),
