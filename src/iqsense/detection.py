@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import check_int, check_real, gamma_sf, inverse_gamma_sf
+from .numerics import check_int, check_real, gamma_sf, inverse_gamma_sf, packet_count_tail
 from .signal_model import MismatchCoefficients, SubcarrierPairConfig
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "MAX_PACKETS",
     "H3PacketCountLaw",
     "h3_packet_count_law",
-    "packet_count_tail",
     "pairwise_threshold",
     "pairwise_threshold_paper",
     "decision_rule",
@@ -227,9 +226,8 @@ def statistic_means(
 
 # Most packets a statistic averages.  An H3 trial drawn packet by packet
 # (past the packet-count table's length cap) costs 2*n_packets draws, a
-# packet-count table grows with n_packets, and the closed forms' Erlang
-# sums lengthen with it (one `analytic` call takes 2 s at 10**9); the
-# documented runs use at most 32.
+# packet-count table grows with n_packets, and the closed forms' Poisson
+# sums lengthen with it; the documented runs use at most 32.
 MAX_PACKETS = 1024
 
 # Upper bound on the mass of K - n that an H3 packet-count table leaves out.
@@ -322,25 +320,6 @@ def h3_packet_count_law(
     pmf = np.append(pmf, max(0.0, 1.0 - math.fsum(pmf)))
     pmf.flags.writeable = False
     return H3PacketCountLaw(v, pmf)
-
-
-def packet_count_tail(v: float, pmf: np.ndarray, n_packets: int, thresholds) -> np.ndarray:
-    """Upper tails P(Z >= t), one per threshold t > 0, of Z = v*Gamma(K, 1)/n
-    with P(K = n + j) = ``pmf[j]`` (an :class:`H3PacketCountLaw`).
-
-    Gamma(K, 1) >= y exactly when a Poisson count of mean y is below K, so
-    with y = n*t/v, P(Z >= t) = sum_i Pois(i; y)*P(K > i), a finite sum over
-    i < n + ``pmf.size`` - 1: P(K > i) is 1 below n and then the reverse
-    cumulative sum of ``pmf``, summed from the small end.  The Poisson
-    weights are formed in log space, exp(i*log(y) - y - log(i!)), so none
-    overflows where its product is small.  A one-entry ``pmf`` [1.0] is
-    the Erlang tail of a Gamma row with mean v.
-    """
-    k_tail = np.concatenate([np.ones(n_packets), np.cumsum(pmf[::-1])[::-1][1:]])
-    i = np.arange(k_tail.size)
-    log_factorial = np.array([math.lgamma(k + 1.0) for k in range(k_tail.size)])
-    y = np.asarray(thresholds, dtype=float)[:, None] * (n_packets / v)
-    return np.exp(i * np.log(y) - y - log_factorial) @ k_tail
 
 
 @lru_cache
@@ -456,9 +435,13 @@ class DecisionRule:
             out[int(level)] = edges[r] - edges[r + 1]
         return out
 
-    def row(self, tails) -> np.ndarray:
-        """P(decide each hypothesis) of a statistic whose upper tails at
-        ``boundaries`` are ``tails``: one row of P(decide col | true row)."""
+    def row(self, v: float, pmf) -> np.ndarray:
+        """P(decide each hypothesis) of Z = v*Gamma(K, 1)/n with P(K = n + j)
+        = ``pmf[j]``: one row of P(decide col | true row), from the tails
+        :func:`~iqsense.numerics.packet_count_tail` gives at ``boundaries``.
+        Every closed-form row is formed here, so two rows of one law are
+        equal to the bit."""
+        tails = packet_count_tail(v, pmf, self.n_packets, self.boundaries)
         # The tail falls with the threshold; its rounding need not, and a
         # rise of one ulp would leave a cell at -1e-16.
         return self.decided(1.0, np.minimum.accumulate([1.0, *tails])[1:])
@@ -529,12 +512,9 @@ def classify_batch(z: np.ndarray, rule: DecisionRule) -> np.ndarray:
 def conditional_probabilities(v: HypothesisVariances, rule: DecisionRule) -> np.ndarray:
     """4x4 matrix of P(decide H_col | true H_row) under the Gamma laws,
     the paper's form.  Rows H0-H2 are exact; row H3 with a cross term is
-    not (its exact row is :func:`~iqsense.montecarlo.exact_probabilities`')."""
-    out = np.empty((4, 4))
-    for i, var in enumerate(v.as_tuple()):
-        scale = 2.0 * var / rule.n_packets
-        out[i] = rule.row([gamma_sf(rule.n_packets, scale, b) for b in rule.boundaries])
-    return out
+    not (its exact row is :func:`~iqsense.montecarlo.exact_probabilities`').
+    Row i is :meth:`DecisionRule.row` of the one-entry law (2*sigma_i^2, [1.0])."""
+    return np.array([rule.row(2.0 * var, [1.0]) for var in v.as_tuple()])
 
 
 def metric_cells(convention: str, metric: str) -> tuple[float, tuple]:

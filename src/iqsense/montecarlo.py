@@ -25,7 +25,8 @@ draw one int64 phase index and one ``standard_exponential``, scaled by
 m_3(u); that Z is counted as it is.  :func:`exact_probabilities` gives
 the closed form of each row under its law: the row of P(decide | truth)
 that a tally row estimates, which is the paper's Gamma row for H0-H2 but
-not for H3 with a cross term.  Only
+not for H3 with a cross term.  Every such row, Gamma or not, reads the one
+tail kernel :func:`~iqsense.numerics.packet_count_tail`.  Only
 :func:`estimate_component_variances`, an oracle for the closed forms
 that does not read the pair table, runs the sample-level model of
 :mod:`~iqsense.signal_model`: it draws symbols, channel and noise and
@@ -121,12 +122,10 @@ from .detection import (
     H3PacketCountLaw,
     Hypothesis,
     HypothesisVariances,
-    conditional_probabilities,
     decision_rule,
     h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
-    packet_count_tail,
     statistic_means,
     two_level_rule,
 )
@@ -481,19 +480,17 @@ def scenario_laws(sc: SensingScenario) -> list[H3PacketCountLaw | None]:
 def exact_probabilities(sc: SensingScenario, rule: DecisionRule) -> list[np.ndarray | None]:
     """Per hypothesis, the row of P(decide col | true row) under ``rule``
     and the row's law in :func:`scenario_laws`, the law the trial engine
-    draws it from.  A one-entry law (H0-H2, and H3 without a cross term)
-    keeps its row of :func:`~iqsense.detection.conditional_probabilities`
-    bit for bit; a packet-count table gives the row of
-    :func:`~iqsense.detection.packet_count_tail` at the rule's boundaries,
-    within the table's cut mass and rounding (at most 1e-13); a row with
-    no law (H3 past the table's length cap) is None.  ``sense --verify``
-    tests each row against it, and ``analytic`` and ``sense`` print its
-    metrics beside the Gamma forms."""
+    draws it from.  Each row with a law is :meth:`~iqsense.detection.DecisionRule.row`
+    of it, the expression :func:`~iqsense.detection.conditional_probabilities`
+    forms its Gamma rows with, so a one-entry law (H0-H2, and H3 without a
+    cross term) whose mean m is 2*sigma^2 (always for H0-H2) has that row bit
+    for bit.  A packet-count table's row is within the table's cut mass and
+    rounding of the exact law (at most 1e-13); a row with no law (H3 past
+    the table's length cap) is None.  ``sense --verify`` tests each row
+    against it, and ``analytic`` and ``sense`` print its metrics beside the
+    Gamma forms."""
     _check_rule(sc, rule)
-    gamma = conditional_probabilities(scenario_variances(sc), rule)
-    return [None if law is None else gamma[h] if law.pmf.size == 1
-            else rule.row(packet_count_tail(*law, sc.n_packets, rule.boundaries))
-            for h, law in enumerate(scenario_laws(sc))]
+    return [None if law is None else rule.row(*law) for law in scenario_laws(sc)]
 
 
 # --------------------------------------------------------------------------

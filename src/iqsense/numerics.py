@@ -9,7 +9,12 @@ tail is evaluated through the finite Erlang sum
 
 which is exact for integer shape and free of the cancellation that
 plagues ``1 - P(n, x)`` in the far right tail.  The sum is the Poisson
-CDF ``P(Poisson(x) <= n - 1)``.  The module needs numpy only.
+CDF ``P(Poisson(x) <= n - 1)``.  The exact H3 law is a Poisson mixture of
+such tails, and :func:`packet_count_tail` is the one kernel for both: every
+closed-form cell of :mod:`~iqsense.detection` and
+:mod:`~iqsense.montecarlo`, :func:`regularized_upper_gamma` (its one-entry
+law) and, through it, :func:`gamma_sf` and the CFAR inverse
+:func:`inverse_gamma_sf` read it.  The module needs numpy only.
 
 It also owns the one rule for a number a model type takes:
 :func:`check_int` and :func:`check_real` accept a Python or numpy int
@@ -22,21 +27,26 @@ naming the field.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
 __all__ = [
     "check_int",
     "check_real",
+    "packet_count_tail",
     "regularized_upper_gamma",
     "gamma_sf",
     "inverse_gamma_sf",
 ]
 
-# Largest x for which exp(-x) stays comfortably inside double range; the
-# direct Erlang sum is used up to here, the sum scaled by its largest term
-# beyond.
+# Largest y for which exp(-y) stays comfortably inside double range; the
+# Poisson weights come from their term recurrence up to here, from their
+# logarithms beyond.
 _DIRECT_SUM_LIMIT = 700.0
+
+# log(i!) for i < 16, below the range of Stirling's series.
+_LOG_FACTORIAL = np.array([math.lgamma(i + 1.0) for i in range(16)])
 
 
 def check_int(name: str, v, lo: int, hi: int | None = None) -> int:
@@ -67,6 +77,71 @@ def check_real(name: str, v, lo: float | None = None, *, strict: bool = False) -
     return x
 
 
+def packet_count_tail(v: float, pmf, n_packets: int, thresholds) -> np.ndarray:
+    """Upper tails P(Z >= t), one per threshold t >= 0, of Z = v*Gamma(K, 1)/n
+    with P(K = n + j) = ``pmf[j]`` (n = ``n_packets``, ``pmf`` summing to 1).
+
+    Gamma(K, 1) >= y exactly when a Poisson count of mean y is below K, so
+    with y = t/(v/n), P(Z >= t) = sum_i Pois(i; y)*P(K > i): P(K > i) is 1
+    below n and then the reverse cumulative sum of ``pmf``, summed from the
+    small end.  The one-entry ``pmf`` [1.0] gives the Erlang tail Q(n, y),
+    the Gamma(n, v/n) law; an :class:`~iqsense.detection.H3PacketCountLaw`
+    gives the exact H3 law (Jensen 1953).  A y past the double range has
+    tail 0.
+
+    All thresholds are done in one array pass over (threshold, i), each
+    row summed from its large-i end.  For y <= 700 the weights are e^-y
+    times the terms y^i/i! of the recurrence term_i = term_(i-1)*y/i,
+    within a few ULP.  Beyond that e^-y would underflow, so each weight is
+    the exponential of its logarithm, written for i >= 16 around
+    Stirling's formula,
+    -(i log(i/y) + y - i) - log(2 pi i)/2 - d(i), so that no two terms of
+    size i log y cancel (d(i) = log i! - log(Stirling's i!) is its
+    asymptotic series, exact to double precision from i = 16 on); the
+    weights are taken relative to the largest before the sum, so a result
+    below the normal range keeps its digits, within about 1e-13 relative.
+    The sum runs over i within 40 standard deviations plus 40 terms of the
+    smallest and the largest y, where the Poisson mass left out no longer
+    shows.  A sum that rounds above 1 is returned as 1.
+    """
+    pmf = np.asarray(pmf, dtype=float)
+    theta = float(v) / n_packets
+    # A y past the double range is taken as the largest double: its tail is 0.
+    y = [min(float(t) / theta, sys.float_info.max) for t in thresholds]
+    low, high = min(y, default=0.0), max(y, default=0.0)
+    stop = min(n_packets + pmf.size - 1, math.ceil(high + 40.0 * math.sqrt(high)) + 40)
+    start = min(max(0, math.floor(low - 40.0 * math.sqrt(low)) - 40), stop)
+    i = np.arange(start, stop)
+    # P(K > i): 1 below n, then P(K >= i + 1), the reverse cumulative sum of pmf[1:].
+    k_tail = np.ones(i.size)
+    if stop > n_packets:
+        k_tail[max(n_packets - start, 0):] = (
+            np.cumsum(pmf[:0:-1])[::-1][max(start - n_packets, 0):stop - n_packets])
+    # Pois(i; y) = scale*weights[:, i], by the recurrence (y taken at most
+    # 700; a row with y <= 700 puts the window's start at i = 0) ...
+    y_d = np.array([min(t, _DIRECT_SUM_LIMIT) for t in y])
+    ratios = np.divide.outer(y_d, np.maximum(i, 1))
+    ratios[:, :1] = 1.0
+    scale, weights = np.exp(-y_d), np.cumprod(ratios, axis=1)
+    # ... and, in the rows past 700, from the logarithms.
+    if high > _DIRECT_SUM_LIMIT:
+        logs = [r for r, t in enumerate(y) if t > _DIRECT_SUM_LIMIT]
+        y_l = np.array([y[r] for r in logs])[:, None]
+        m = np.maximum(i, 16.0)  # Stirling's form, read from i = 16 on
+        u = 1.0 / (m * m)
+        d = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / m
+        # (m - y)/y rounds to -1 only where y is past 2**53*m, whose weight
+        # underflows either way.
+        log_w = np.where(i < 16, i * np.log(y_l) - _LOG_FACTORIAL[np.minimum(i, 15)] - y_l,
+                         -m * np.log1p(np.maximum((m - y_l) / y_l, -1.0 + 2.0**-53))
+                         - (y_l - m) - 0.5 * np.log(2 * np.pi * m) - d)
+        peak = log_w.max(axis=1, keepdims=True, initial=-math.inf)
+        scale[logs], weights[logs] = np.exp(peak[:, 0]), np.exp(log_w - peak)
+    # Summed from the large-i end, where the weights are smallest for a y
+    # below the window's end.
+    return np.minimum(scale * (weights * k_tail)[:, ::-1].sum(axis=1), 1.0)
+
+
 def regularized_upper_gamma(n: int, x: float) -> float:
     """Regularized upper incomplete gamma Q(n, x) for integer shape.
 
@@ -80,71 +155,14 @@ def regularized_upper_gamma(n: int, x: float) -> float:
     Returns
     -------
     float
-        ``Q(n, x) = Gamma(n, x) / Gamma(n)`` in [0, 1].  Values whose
-        true magnitude is below double-precision range underflow to 0.
-
-    Notes
-    -----
-    For ``x <= 700`` the finite Erlang sum is accumulated with a
-    multiplicative term recurrence and compensated summation, accurate
-    to a few ULP.  Beyond that ``exp(-x)`` alone would underflow, so the
-    terms are taken relative to the largest one, ``m0 = min(n - 1,
-    floor(x))``, and the prefactor ``x^m0 e^-x / m0!`` is one ``exp`` of
-    its logarithm, within about 1e-12 relative.  A sum that rounds
-    above 1 is returned as 1.
+        ``Q(n, x) = Gamma(n, x) / Gamma(n)`` in [0, 1], the
+        :func:`packet_count_tail` of the one-entry law with ``v = n`` (so
+        ``y = x`` exactly).  Values whose true magnitude is below
+        double-precision range underflow to 0.
     """
     n = check_int("shape", n, 1)
     x = check_real("x", x, 0)
-    if x == 0.0:
-        return 1.0
-    if x > _DIRECT_SUM_LIMIT:
-        return min(_scaled_erlang_sum(n, x), 1.0)
-    terms = [1.0]
-    term = 1.0
-    for m in range(1, n):
-        term *= x / m
-        terms.append(term)
-        # Past the mode the terms decay at least geometrically; once they
-        # stop contributing at double precision the rest of the sum is
-        # invisible in the result.
-        if m > x and term < terms[0] * 1e-20 and term < terms[-2]:
-            break
-    return min(math.exp(-x) * math.fsum(terms), 1.0)
-
-
-def _scaled_erlang_sum(n: int, x: float) -> float:
-    """The Erlang sum for ``x > 0``, with each term taken relative to the
-    largest, ``x^m0 / m0!``: down from ``m0`` and up to ``n - 1``.  Both
-    runs fall off at least geometrically, so each stops at the first term
-    below 1e-20, where the rest no longer shows next to the sum (>= 1)."""
-    m0 = min(n - 1, math.floor(x))
-    terms = [1.0]
-    term = 1.0
-    for m in range(m0, 0, -1):
-        term *= m / x
-        if term < 1e-20:
-            break
-        terms.append(term)
-    term = 1.0
-    for m in range(m0 + 1, n):
-        term *= x / m
-        if term < 1e-20:
-            break
-        terms.append(term)
-    return math.exp(_log_poisson_mass(m0, x)) * math.fsum(terms)
-
-
-def _log_poisson_mass(m: int, x: float) -> float:
-    """``log(x^m e^-x / m!)``.  For ``m >= 16`` it is written around
-    Stirling's formula, ``-(m log(m/x) + x - m) - log(2 pi m)/2 - d(m)``,
-    so that no two terms of size ``m log x`` cancel; ``d(m) = log m! -
-    log(Stirling's m!)`` is its asymptotic series, exact to double
-    precision from ``m = 16`` on."""
-    if m < 16:
-        return m * math.log(x) - math.lgamma(m + 1) - x
-    u = 1.0 / (m * m)
-    d = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - u / 1188) * u) * u) * u) / m
-    return -m * math.log1p((m - x) / x) - (x - m) - 0.5 * math.log(2 * math.pi * m) - d
+    return float(packet_count_tail(n, [1.0], n, [x])[0])
 
 
 def gamma_sf(n: int, scale: float, threshold: float) -> float:

@@ -294,12 +294,15 @@ def cli_in_tmp(tmp_path, monkeypatch):
 # inputs that once crashed: a rate_p whose threshold 2**rate_p - 1
 # overflows, a subnormal noise_var whose thresholds round to 0, a pair
 # whose H3 means overflow, and an interference draw that overflows at a
-# zero threshold; and a signal mean that overflows, which printed nan
+# zero threshold; a signal mean that overflows, which printed nan; and a
+# CFAR rule over a noise variance so small that n/(2 sigma0^2) overflows
 @example({("outage", "rate_p"): 1e308})
 @example({("outage", "noise_p"): 5e-324})
 @example({("scenario", "noise_var"): 1e-320})
 @example({("scenario", "noise_var"): 1e308, ("scenario", "channel_var"): 5e-324})
 @example({("outage", "var_h"): 1e308, ("outage", "rate_p"): 0})
+@example({("scenario", "noise_var"): 1e-307, ("scenario", "n_packets"): 32,
+          ("scenario", "mode"): "two-cfar", ("scenario", "cfar_pfa"): 0.1})
 @settings(max_examples=400, deadline=None, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.dictionaries(st.sampled_from(_CONFIG_KEYS), st.sampled_from(_EDGE_VALUES),

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,6 @@ from iqsense.detection import (
     h3_packet_count_law,
     hypothesis_variances,
     metric_cells,
-    packet_count_tail,
     pair_table,
     pairwise_threshold,
     pairwise_threshold_paper,
@@ -42,7 +42,7 @@ from iqsense.detection import (
     thresholds_paper_literal,
     two_level_rule,
 )
-from iqsense.numerics import gamma_sf
+from iqsense.numerics import gamma_sf, packet_count_tail
 from iqsense.signal_model import (
     IqMismatch,
     MismatchCoefficients,
@@ -562,18 +562,30 @@ def test_h3_packet_count_table_gives_the_laplace_tail(case, n):
         assert got == pytest.approx(law_oracle.h3_tail(means, n, z), rel=0.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("n", [1, 2, 4, 32])
-@pytest.mark.parametrize("case", ["gate-tx-only", "gate-joint"])
+# Figure 4's SNR1 20 dB point at delta -10 dB, tx IRR -15 dB.
+_FIGURE_4 = (SubcarrierPairConfig(100.0, 1000.0), mismatch_coefficients(irr_to_mismatch(-15.0)),
+             None)
+
+
+@pytest.mark.parametrize("case, n", [
+    *((case, n) for case in ("gate-tx-only", "gate-joint") for n in (1, 2, 4, 32)),
+    ("figure-4", 256),
+])
 def test_packet_count_tail_is_the_h3_law(case, n):
     """The H3 row's tails at the rule's boundaries, read from the table,
     equal the Talbot inversion of Z's transform to 1e-12 relative, and at
-    one packet the M-term sum (1/M)*sum_u exp(-t/m_u) as well."""
-    args = _h3_law_args(case)
+    one packet the M-term sum (1/M)*sum_u exp(-t/m_u) as well.  At figure
+    4's point with 256 packets the table has 2,698 entries and the
+    boundaries sit at n*t/v of about 46, 692 and 1,466, on both sides of
+    the kernel's switch to log weights at 700; there the gate is 1e-13
+    against a 60-digit inversion (measured 2.8e-14)."""
+    args = _FIGURE_4 if case == "figure-4" else _h3_law_args(case)
+    rel, dps = (1e-13, 60) if case == "figure-4" else (1e-12, 30)
     means = statistic_means(*args)[3]
     t = decision_rule(hypothesis_variances(*args), n).boundaries
     got = packet_count_tail(*h3_packet_count_law(*args, n), n, t)
-    want = [law_oracle.h3_tail(means, n, z) for z in t]
-    assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+    want = [law_oracle.h3_tail(means, n, z, dps) for z in t]
+    assert got == pytest.approx(want, rel=rel, abs=0.0)
     if n == 1:
         m_term = np.exp(-np.divide.outer(t, means)).mean(axis=1)
         assert got == pytest.approx(m_term, rel=1e-12, abs=0.0)
@@ -581,10 +593,13 @@ def test_packet_count_tail_is_the_h3_law(case, n):
 
 @pytest.mark.parametrize("n", [1, 4, 32, MAX_PACKETS])
 def test_one_entry_packet_count_tail_is_the_erlang_tail(n):
-    """A one-entry pmf is the Gamma row: P(Z >= t) = Q(n, n*t/v)."""
+    """A one-entry pmf is the Gamma row: P(Z >= t) = Q(n, n*t/v), against
+    mpmath's regularized incomplete gamma at 50 digits."""
     v = 2.0 * REF_VARIANCES.sigma2_sq
     t = v * np.array([0.05, 0.5, 1.0, 1.3, 4.0])
-    want = [gamma_sf(n, v / n, z) for z in t]
+    with mpmath.workdps(50):
+        want = [float(mpmath.gammainc(n, mpmath.mpf(float(z)) * n / mpmath.mpf(v),
+                                      mpmath.inf, regularized=True)) for z in t]
     assert packet_count_tail(v, np.array([1.0]), n, t) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 

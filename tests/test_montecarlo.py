@@ -18,6 +18,7 @@ from number_rule import REFUSED
 from scipy.stats import norm
 from variance_reference import component_variances
 
+from iqsense.config import parse_config
 from iqsense.detection import (
     CONVENTIONS,
     METRICS,
@@ -299,18 +300,27 @@ def test_scenario_laws_give_each_row_its_law(h3_draw):
     """A row whose means do not depend on the phase gets the Gamma row
     (m, [1.0]): H0-H2, and H3 on an ideal front end.  H3 with a cross term
     gets the cached packet-count table itself, and None past the table's
-    length cap (set to 0 by the fixture).  Under every mode's rule, the
-    exact rows of Gamma-row laws are conditional_probabilities' rows to
-    the bit, and so is every exact p_fa; H3's exact row is None where its
-    law is."""
-    sc, ideal = scenario(n_packets=4), scenario(n_packets=4, tx_mismatch=IqMismatch.ideal())
-    for s, gamma_rows in ((sc, 3), (ideal, 4)):
+    length cap (set to 0 by the fixture).  At 1, 4 and 32 packets, on the
+    default scenario too, and under every mode's rule (CFAR targets 0.05
+    and 0.1), the exact rows of Gamma-row laws are
+    conditional_probabilities' rows to the bit, and so is every exact p_fa;
+    H3's exact row is None where its law is.  On an ideal transmitter with
+    a receiver mismatch, H3 has no cross term but its law's mean m3 is one
+    ulp from the paper's 2*sigma3^2, and its exact row is the row of m3,
+    the mean the engine draws from."""
+    modes = (DetectorMode("four"), DetectorMode("two-bayes"),
+             DetectorMode("two-cfar", 0.05), DetectorMode("two-cfar", 0.1))
+    joint_ideal = parse_config({"scenario": {"tx_irr_db": None, "rx_irr_db": -20}}).scenario
+    cases = [(parse_config({}).scenario, 3), (joint_ideal, 3)]
+    for n in (1, 4, 32):
+        cases += [(scenario(n_packets=n), 3),
+                  (scenario(n_packets=n, tx_mismatch=IqMismatch.ideal()), 4)]
+    for s, gamma_rows in cases:
         means = statistic_means(s.pair, *s.coefficients)[:gamma_rows]
         laws = montecarlo.scenario_laws(s)[:gamma_rows]
         assert [(law.v_min, law.pmf.tolist()) for law in laws] == [(m[0], [1.0]) for m in means]
-        for mode in (DetectorMode("four"), DetectorMode("two-bayes"),
-                     DetectorMode("two-cfar", 0.1)):
-            rule = rule_for_mode(scenario_variances(s), 4, mode)
+        for mode in modes:
+            rule = rule_for_mode(scenario_variances(s), s.n_packets, mode)
             exact = montecarlo.exact_probabilities(s, rule)
             gamma = conditional_probabilities(scenario_variances(s), rule)
             assert ([r.tobytes() for r in exact[:gamma_rows]]
@@ -318,6 +328,14 @@ def test_scenario_laws_give_each_row_its_law(h3_draw):
             for convention in CONVENTIONS:
                 assert (convention_metric(exact, convention, "p_fa")
                         == convention_metric(gamma, convention, "p_fa"))
+    law, rule = montecarlo.scenario_laws(joint_ideal)[3], scenario_rule(joint_ideal)
+    assert law.pmf.tolist() == [1.0]
+    assert law.v_min != 2.0 * scenario_variances(joint_ideal).sigma3_sq
+    exact_h3 = montecarlo.exact_probabilities(joint_ideal, rule)[3]
+    assert exact_h3.tobytes() == rule.row(law.v_min, [1.0]).tobytes()
+    gamma_h3 = conditional_probabilities(scenario_variances(joint_ideal), rule)[3]
+    assert exact_h3 == pytest.approx(gamma_h3, rel=0.0, abs=1e-15)
+    sc = scenario(n_packets=4)
     table = h3_packet_count_law(sc.pair, *sc.coefficients, sc.n_packets)
     assert montecarlo.scenario_laws(sc)[3] is table
     assert (table is None) == (h3_draw == "per-packet")

@@ -113,6 +113,10 @@ COMMANDS = [
     ("analytic-past-table-cap", {"scenario": {
         "snr1_db": 10.0, "snr2_db": 24.9, "tx_irr_db": -15.0, "n_packets": 256}}, ["analytic"]),
     ("analytic-two-cfar", {"scenario": _CFAR}, ["analytic", "--format", "json"]),
+    # the headline point at 1024 packets: its H3 table has 140 entries and
+    # its boundaries sit at n*t/v of about 542, 752 and 1,084, so the exact
+    # and the Gamma tails take the Poisson weights from their logarithms
+    ("analytic-n1024", {"scenario": {"n_packets": 1024}}, ["analytic"]),
     ("frame-csv", {"frame": _FRAME}, ["frame"]),
     ("frame-json", {"frame": _FRAME}, ["frame", "--format", "json", "--out", "o.json"]),
     ("frame-joint", {"frame": _FRAME, "scenario": {**_JOINT, "n_packets": 4}},
