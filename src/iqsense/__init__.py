@@ -7,6 +7,8 @@ its two-level baselines, a deterministic Monte Carlo harness that
 cross-checks the closed forms, and a CLI (``iqsense``) over all of it.
 """
 
+from types import ModuleType as _ModuleType
+
 from .detection import (
     CONVENTIONS,
     DecisionRule,
@@ -55,52 +57,6 @@ from .stats import Estimate, wilson_interval
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CONVENTIONS",
-    "DecisionRule",
-    "DetectorMode",
-    "Estimate",
-    "FrameResult",
-    "Hypothesis",
-    "HypothesisVariances",
-    "IqMismatch",
-    "MismatchCoefficients",
-    "OccupancyMap",
-    "OutageScenario",
-    "SeedSpec",
-    "SensingScenario",
-    "SubcarrierPairConfig",
-    "SweepPoint",
-    "TallyMatrix",
-    "VarianceOrderError",
-    "analytic_detection",
-    "analytic_false_alarm",
-    "analytic_outage",
-    "classify_batch",
-    "conditional_probabilities",
-    "decision_rule",
-    "detection_paper_literal",
-    "empirical_metrics",
-    "estimate_component_variances",
-    "false_alarm_paper_literal",
-    "gamma_sf",
-    "hypothesis_variances",
-    "inverse_gamma_sf",
-    "irr_to_mismatch",
-    "mc_outage",
-    "mismatch_coefficients",
-    "outage_paper_literal",
-    "p_fa_gap",
-    "pairwise_threshold",
-    "pairwise_threshold_paper",
-    "regularized_upper_gamma",
-    "run_trials",
-    "scenario_rule",
-    "scenario_variances",
-    "simulate_frame",
-    "substream",
-    "sweep",
-    "thresholds_paper_literal",
-    "two_level_rule",
-    "wilson_interval",
-]
+# The package API is what the imports above bring in: every public name but the submodules.
+__all__ = sorted(n for n, v in globals().items()
+                 if not n.startswith("_") and not isinstance(v, _ModuleType))

@@ -23,7 +23,7 @@ import hashlib
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .detection import DetectorMode
 from .frame import OccupancyMap
@@ -119,7 +119,8 @@ def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
     return None
 
 
-# Keys whose config default is the SensingScenario field's own.
+# Keys whose config default is the SensingScenario field's own; the hash reads
+# each as that field.
 _SCENARIO_NUMBERS = ("noise_var", "channel_var", "channel_var_mirror", "psk_order", "n_packets")
 _SCENARIO_KEYS = {
     *_SCENARIO_NUMBERS, "snr1_db", "snr2_db", "mode", "cfar_pfa",
@@ -226,18 +227,16 @@ def _frame_from(d: dict, path: str = "frame") -> FrameSection:
 
 
 def _outage_from(d: dict, path: str = "outage") -> OutageScenario:
-    _section(
-        d, path, {"p_mk", "p0", "noise_p", "var_g", "var_h", "rate_p", "irr_db", "beta_sq_sec"}
-    )
+    _section(d, path, {f.name for f in fields(OutageScenario)} | {"irr_db"})
     if "irr_db" in d and "beta_sq_sec" in d:
         raise ConfigError(f"{path}.irr_db: conflicts with beta_sq_sec")
     # every other key's config default is the OutageScenario field's own
-    fields = {"p0": 10.0, **d}
-    irr_db = fields.pop("irr_db", -15.0)
+    values = {"p0": 10.0, **d}
+    irr_db = values.pop("irr_db", -15.0)
     with config_key(path):
-        if "beta_sq_sec" not in fields:
-            fields["beta_sq_sec"] = irr_to_beta_sq(irr_db)
-        return OutageScenario(**fields)
+        if "beta_sq_sec" not in values:
+            values["beta_sq_sec"] = irr_to_beta_sq(irr_db)
+        return OutageScenario(**values)
 
 
 @dataclass(frozen=True)
@@ -248,7 +247,7 @@ class FigureSection:
 
 
 def _figure_from(d: dict, path: str = "figure") -> FigureSection:
-    _section(d, path, {"irr_grid", "snr1_grid", "delta_snrs"})
+    _section(d, path, {f.name for f in fields(FigureSection)})
     irr_grid = _grid_list(d, path, "irr_grid", DEFAULT_IRR_GRID)
     _check_irr_grid(irr_grid, path, "irr_grid")
     return FigureSection(
@@ -300,28 +299,23 @@ class ExperimentConfig:
         computed numbers.
         """
         sc = self.scenario
+        scenario = {
+            "snr1_db": _json_num(sc.snr1_db),
+            "snr2_db": _json_num(sc.snr2_db),
+            **{key: getattr(sc, key) for key in _SCENARIO_NUMBERS},
+            "mode": sc.mode.kind,
+        }
+        if sc.mode.target_pfa is not None:
+            scenario["cfar_pfa"] = sc.mode.target_pfa
+        for side, m in (("tx", sc.tx_mismatch), ("rx", sc.rx_mismatch)):
+            if m is not None:
+                scenario[f"{side}_epsilon"], scenario[f"{side}_theta"] = m.epsilon, m.theta
         d: dict = {
-            "scenario": {
-                "snr1_db": _json_num(sc.snr1_db),
-                "snr2_db": _json_num(sc.snr2_db),
-                "noise_var": sc.noise_var,
-                "channel_var": sc.channel_var,
-                "channel_var_mirror": sc.channel_var_mirror,
-                "psk_order": sc.psk_order,
-                "n_packets": sc.n_packets,
-                "mode": sc.mode.kind,
-                "tx_epsilon": sc.tx_mismatch.epsilon,
-                "tx_theta": sc.tx_mismatch.theta,
-            },
+            "scenario": scenario,
             "trials": self.trials,
             "seed": self.seed.master_seed,
             "stream_index": self.seed.stream_index,
         }
-        if self.scenario.mode.target_pfa is not None:
-            d["scenario"]["cfar_pfa"] = self.scenario.mode.target_pfa
-        if sc.rx_mismatch is not None:
-            d["scenario"]["rx_epsilon"] = sc.rx_mismatch.epsilon
-            d["scenario"]["rx_theta"] = sc.rx_mismatch.theta
         if self.sweep is not None:
             d["sweep"] = {
                 "axis": self.sweep.axis,
@@ -337,11 +331,7 @@ class ExperimentConfig:
             "active": sorted(self.frame.occupancy.active),
             "snr_db": self.frame.snr_db,
         }
-        d["figure"] = {
-            "irr_grid": list(self.figure.irr_grid),
-            "snr1_grid": list(self.figure.snr1_grid),
-            "delta_snrs": list(self.figure.delta_snrs),
-        }
+        d["figure"] = {key: list(grid) for key, grid in asdict(self.figure).items()}
         return d
 
 

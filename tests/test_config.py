@@ -238,6 +238,30 @@ def test_sweep_hash_covers_its_modes():
     assert canonical_hash(a) != canonical_hash(b)
 
 
+# Sets every section and every optional key, so each hashed field is in the digest.
+EVERY_SECTION = {
+    "scenario": {"snr1_db": 5.0, "snr2_db": None, "rx_irr_db": -20, "n_packets": 4,
+                 "mode": "two-cfar", "cfar_pfa": 0.05, "psk_order": 8,
+                 "channel_var_mirror": 2.0},
+    "seed": 7, "stream_index": 3, "trials": 1234,
+    "sweep": {"axis": "irr_db", "grid": [-25, -10], "modes": ["four", "two-bayes", "two-cfar"],
+              "cfar_pfa": 0.1},
+    "outage": {"irr_db": -12.0, "rate_p": 2},
+    "frame": {"n_subcarriers": 16, "active": [1, -3, 8], "snr_db": 4.0},
+    "figure": {"irr_grid": [-20, -5], "snr1_grid": [0, 10], "delta_snrs": [-5]},
+}
+
+
+@pytest.mark.parametrize("raw, digest", [
+    ({}, "bf0c7b4123590a0abe2b39bd53a7cfe42be48714d273d975e84743cae7ebeb2d"),
+    (EVERY_SECTION, "4d809d501be0b8f9ba3a5228ad0e03f224aaa4a246adfbe9ed2abd9f89bd2035"),
+], ids=["defaults", "every-section"])
+def test_config_sha256_is_pinned(raw, digest):
+    """Every output prints this digest as its config_sha256: a rewrite of
+    canonical_dict that moves one byte of its JSON moves the digest."""
+    assert canonical_hash(parse_config(raw)) == digest
+
+
 def test_canonical_dict_roundtrips_through_json():
     cfg = parse_config({
         "scenario": {"snr2_db": None, "tx_irr_db": -18.0},

@@ -34,6 +34,17 @@ _MODES = {"modes": ["four", "two-bayes", "two-cfar"], "cfar_pfa": 0.1}
 # A joint scenario whose own variances are in order while the default
 # frame's (0 dB on both sides) are not; only `frame` refuses it.
 _MIRROR_HEAVY = {"scenario": {"tx_irr_db": -3, "rx_irr_db": -3, "channel_var_mirror": 10}}
+_EVERY_SECTION = {
+    "scenario": {"snr1_db": 5.0, "snr2_db": None, "rx_irr_db": -20, "n_packets": 4,
+                 "mode": "two-cfar", "cfar_pfa": 0.05, "psk_order": 8,
+                 "channel_var_mirror": 2.0},
+    "seed": 7, "stream_index": 3, "trials": 1234,
+    "sweep": {"axis": "irr_db", "grid": [-25, -10], "modes": ["four", "two-bayes", "two-cfar"],
+              "cfar_pfa": 0.1},
+    "outage": {"irr_db": -12.0, "rate_p": 2},
+    "frame": {"n_subcarriers": 16, "active": [1, -3, 8], "snr_db": 4.0},
+    "figure": {"irr_grid": [-20, -5], "snr1_grid": [0, 10], "delta_snrs": [-5]},
+}
 
 
 def _sweep(axis, grid, **scenario):
@@ -117,6 +128,9 @@ COMMANDS = [
     # its boundaries sit at n*t/v of about 542, 752 and 1,084, so the exact
     # and the Gamma tails take the Poisson weights from their logarithms
     ("analytic-n1024", {"scenario": {"n_packets": 1024}}, ["analytic"]),
+    # every section and every optional key set: analytic prints the
+    # config_sha256 of them all and runs no trials
+    ("analytic-every-section", _EVERY_SECTION, ["analytic"]),
     ("frame-csv", {"frame": _FRAME}, ["frame"]),
     ("frame-json", {"frame": _FRAME}, ["frame", "--format", "json", "--out", "o.json"]),
     ("frame-joint", {"frame": _FRAME, "scenario": {**_JOINT, "n_packets": 4}},
