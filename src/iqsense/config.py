@@ -2,8 +2,8 @@
 
 Unknown keys are rejected with their full path so that typos fail loudly
 instead of silently running a default.  The parser checks structure
-only: which keys a section holds, and that a section is an object and a
-list an array.  Each value goes, as written, to the model type that
+only: which keys a section holds (:data:`ACCEPTED_KEYS`, the one list of
+them), and that a section is an object and a list an array.  Each value goes, as written, to the model type that
 takes it (``trials``, ``workers``, ``format`` and ``out`` to
 :class:`ExperimentConfig` itself), whose check is the only one, and
 :func:`config_key` reports its error under the key the user wrote.  An
@@ -34,6 +34,7 @@ from .signal_model import IqMismatch, irr_to_mismatch
 from .stats import MAX_TRIALS
 
 __all__ = [
+    "ACCEPTED_KEYS",
     "ConfigError",
     "config_key",
     "ExperimentConfig",
@@ -59,19 +60,14 @@ class ConfigError(ValueError):
     """Invalid configuration; the message carries the offending path."""
 
 
-def _join(path: str, key: str) -> str:
-    """Config path of ``key`` under ``path``; top-level keys stand alone."""
-    return f"{path}.{key}" if path else key
-
-
-def _section(d, path: str, known: set[str]):
-    """Refuse a section at ``path`` that is not an object or that holds a
-    key outside ``known``."""
+def _section(d, path: str):
+    """Refuse a section at ``path`` (``""`` for the top level) that is not
+    an object or that holds a key outside ``ACCEPTED_KEYS[path]``."""
     if not isinstance(d, dict):
         raise ConfigError(f"{path or 'top level'}: must be an object")
     for key in d:
-        if key not in known:
-            raise ConfigError(f"{_join(path, key)}: unknown key")
+        if key not in ACCEPTED_KEYS[path]:
+            raise ConfigError(f"{path}.{key}: unknown key" if path else f"{key}: unknown key")
 
 
 @contextmanager
@@ -102,8 +98,7 @@ def _mode(kind, d: dict, path: str, kind_key: str) -> DetectorMode:
 def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
     """Front-end mismatch from either <prefix>_irr_db or the explicit
     (<prefix>_epsilon, <prefix>_theta) pair; None if no key present."""
-    irr_key = f"{prefix}_irr_db"
-    eps_key, theta_key = f"{prefix}_epsilon", f"{prefix}_theta"
+    irr_key, eps_key, theta_key = (f"{prefix}_{key}" for key in ("irr_db", "epsilon", "theta"))
     has_irr = irr_key in d and d[irr_key] is not None
     has_explicit = eps_key in d or theta_key in d
     if has_irr and has_explicit:
@@ -122,10 +117,6 @@ def _mismatch_from(d: dict, path: str, prefix: str) -> IqMismatch | None:
 # Keys whose config default is the SensingScenario field's own; the hash reads
 # each as that field.
 _SCENARIO_NUMBERS = ("noise_var", "channel_var", "channel_var_mirror", "psk_order", "n_packets")
-_SCENARIO_KEYS = {
-    *_SCENARIO_NUMBERS, "snr1_db", "snr2_db", "mode", "cfar_pfa",
-    "tx_irr_db", "tx_epsilon", "tx_theta", "rx_irr_db", "rx_epsilon", "rx_theta",
-}
 
 
 def _snr_value(d, key, default):
@@ -135,7 +126,7 @@ def _snr_value(d, key, default):
 
 
 def _scenario_from(d: dict, path: str = "scenario") -> SensingScenario:
-    _section(d, path, _SCENARIO_KEYS)
+    _section(d, path)
     tx = _mismatch_from(d, path, "tx")
     if tx is None:
         tx = irr_to_mismatch(-15.0)
@@ -182,7 +173,7 @@ class SweepSection:
 
 
 def _sweep_from(d: dict, path: str = "sweep") -> SweepSection:
-    _section(d, path, {"axis", "grid", "modes", "cfar_pfa"})
+    _section(d, path)
     if "axis" not in d:
         raise ConfigError(f"{path}.axis: required")
     axis = d["axis"]
@@ -210,7 +201,7 @@ class FrameSection:
 
 
 def _frame_from(d: dict, path: str = "frame") -> FrameSection:
-    _section(d, path, {"n_subcarriers", "active", "snr_db"})
+    _section(d, path)
     n = d.get("n_subcarriers", 512)
     active = d.get("active", [])
     if not isinstance(active, list):
@@ -227,7 +218,7 @@ def _frame_from(d: dict, path: str = "frame") -> FrameSection:
 
 
 def _outage_from(d: dict, path: str = "outage") -> OutageScenario:
-    _section(d, path, {f.name for f in fields(OutageScenario)} | {"irr_db"})
+    _section(d, path)
     if "irr_db" in d and "beta_sq_sec" in d:
         raise ConfigError(f"{path}.irr_db: conflicts with beta_sq_sec")
     # every other key's config default is the OutageScenario field's own
@@ -247,7 +238,7 @@ class FigureSection:
 
 
 def _figure_from(d: dict, path: str = "figure") -> FigureSection:
-    _section(d, path, {f.name for f in fields(FigureSection)})
+    _section(d, path)
     irr_grid = _grid_list(d, path, "irr_grid", DEFAULT_IRR_GRID)
     _check_irr_grid(irr_grid, path, "irr_grid")
     return FigureSection(
@@ -257,9 +248,17 @@ def _figure_from(d: dict, path: str = "figure") -> FigureSection:
     )
 
 
-_TOP_KEYS = {
-    "scenario", "trials", "seed", "stream_index", "workers",
-    "sweep", "outage", "frame", "figure", "out", "format",
+# The keys each config section accepts, by its path ("" is the top level);
+# the parser refuses any other.
+ACCEPTED_KEYS = {
+    "": ("scenario", "trials", "seed", "stream_index", "workers",
+         "sweep", "outage", "frame", "figure", "out", "format"),
+    "scenario": (*_SCENARIO_NUMBERS, "snr1_db", "snr2_db", "mode", "cfar_pfa",
+                 "tx_irr_db", "tx_epsilon", "tx_theta", "rx_irr_db", "rx_epsilon", "rx_theta"),
+    "sweep": ("axis", "grid", "modes", "cfar_pfa"),
+    "outage": (*(f.name for f in fields(OutageScenario)), "irr_db"),
+    "frame": ("n_subcarriers", "active", "snr_db"),
+    "figure": tuple(f.name for f in fields(FigureSection)),
 }
 
 
@@ -342,7 +341,7 @@ def _json_num(x: float):
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw JSON object into an :class:`ExperimentConfig`."""
-    _section(raw, "", _TOP_KEYS)
+    _section(raw, "")
     scenario = _scenario_from(raw.get("scenario", {}))
     with config_key("seed"):
         seed = SeedSpec(raw.get("seed", 0), raw.get("stream_index", 0))

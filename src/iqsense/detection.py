@@ -185,19 +185,27 @@ def hypothesis_variances(
     |beta_r|^2*E|y_-k|^2, averaged over the phase.  Rows H0..H2 of the
     table carry no cross term and are the same at every phase; the H3
     cross term averages to zero, which leaves sigma3^2 = sigma2^2 +
-    (sigma1^2 - sigma0^2).  Taking that difference instead of the
-    table's rounded phase mean keeps sigma2^2 <= sigma3^2 exact.  A
-    configuration whose image outpowers the wanted signal raises
-    :class:`VarianceOrderError`, and one whose H3 means overflow at any
-    phase (the engine draws from them) raises ValueError.
+    (sigma1^2 - sigma0^2).  Where H3 has a cross term, taking that
+    difference instead of the table's rounded phase mean keeps
+    sigma2^2 <= sigma3^2 exact.  Where H3's mean is the same at every
+    phase, sigma3^2 is half that mean, the one the engine draws H3 from;
+    the order still holds, since each rounded step of that mean only adds
+    to the matching step of the H2 mean.  A configuration whose image
+    outpowers the wanted signal raises :class:`VarianceOrderError`, and
+    one whose H3 means overflow at any phase (the engine draws from them)
+    raises ValueError.
     """
     # Powers that overflow leave inf or nan in the table, which
     # HypothesisVariances rejects with the values it got; the H3 row's
-    # cross term can overflow where its phase average does not.
+    # cross term can overflow where its phase average does not.  An H3
+    # mean that overflows at every phase keeps the difference form, so
+    # the error below, not HypothesisVariances', names it.
     with np.errstate(over="ignore", invalid="ignore"):
         means = statistic_means(cfg, tx, rx)
-    s0, s1, s2 = (0.5 * means[:3, 0]).tolist()
-    v = HypothesisVariances(s0, s1, s2, s2 + (s1 - s0))
+    s0, s1, s2, s3 = (0.5 * means[:, 0]).tolist()
+    if not (np.isfinite(s3) and (means[3] == means[3, 0]).all()):
+        s3 = s2 + (s1 - s0)
+    v = HypothesisVariances(s0, s1, s2, s3)
     if not np.isfinite(means[3]).all():
         raise ValueError("the H3 mean powers overflow a float")
     return v

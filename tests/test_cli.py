@@ -104,6 +104,15 @@ def test_analytic_prints_the_exact_metrics_beside_the_gamma_forms(tmp_path, caps
     assert exact["paper_sum"]["p_d"] == pytest.approx(h2_h2 + tails[-1], rel=0.0, abs=1e-12)
 
 
+def test_an_exact_gamma_row_has_no_gamma_error(tmp_path, capsys):
+    """An ideal transmitter with a receiver mismatch: H3 has no cross term,
+    its Gamma row is its exact law, and every gamma_error reads 0.0."""
+    rep = _report(tmp_path, capsys, "analytic", {"tx_irr_db": None, "rx_irr_db": -20})["report"]
+    for convention in ("paper_sum", "prior_weighted"):
+        assert rep["gamma_error"][convention] == {"p_fa": 0.0, "p_d": 0.0}
+        assert rep["exact_metrics"][convention] == rep["metrics"][convention]
+
+
 def test_past_the_table_cap_the_exact_p_d_is_empty(tmp_path, capsys):
     """Row H3 has no exact row past the table's cap, so every exact p_d and
     its error is null in JSON and an empty cell in CSV, never nan; p_fa

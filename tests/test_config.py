@@ -1,14 +1,19 @@
 """JSON experiment configuration: defaults, validation, hashing."""
 
+import copy
 import functools
+import importlib.util
 import json
 import math
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, seed, settings
 from hypothesis import strategies as st
 
 from iqsense.config import (
+    ACCEPTED_KEYS,
     DEFAULT_IRR_GRID,
     DEFAULT_SNR1_GRID,
     ConfigError,
@@ -17,6 +22,11 @@ from iqsense.config import (
     parse_config,
 )
 from iqsense.signal_model import IqMismatch
+
+_ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("same_bytes", _ROOT / "tools" / "same_bytes.py")
+same_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_bytes)
 
 
 def test_empty_config_defaults():
@@ -238,28 +248,76 @@ def test_sweep_hash_covers_its_modes():
     assert canonical_hash(a) != canonical_hash(b)
 
 
-# Sets every section and every optional key, so each hashed field is in the digest.
-EVERY_SECTION = {
-    "scenario": {"snr1_db": 5.0, "snr2_db": None, "rx_irr_db": -20, "n_packets": 4,
-                 "mode": "two-cfar", "cfar_pfa": 0.05, "psk_order": 8,
-                 "channel_var_mirror": 2.0},
-    "seed": 7, "stream_index": 3, "trials": 1234,
-    "sweep": {"axis": "irr_db", "grid": [-25, -10], "modes": ["four", "two-bayes", "two-cfar"],
-              "cfar_pfa": 0.1},
-    "outage": {"irr_db": -12.0, "rate_p": 2},
-    "frame": {"n_subcarriers": 16, "active": [1, -3, 8], "snr_db": 4.0},
-    "figure": {"irr_grid": [-20, -5], "snr1_grid": [0, 10], "delta_snrs": [-5]},
-}
-
-
+# same_bytes.EVERY_SECTION sets every section and every optional key, so
+# each hashed field is in its digest; tools/same_bytes.py runs it too.
 @pytest.mark.parametrize("raw, digest", [
     ({}, "bf0c7b4123590a0abe2b39bd53a7cfe42be48714d273d975e84743cae7ebeb2d"),
-    (EVERY_SECTION, "4d809d501be0b8f9ba3a5228ad0e03f224aaa4a246adfbe9ed2abd9f89bd2035"),
+    (same_bytes.EVERY_SECTION, "4d809d501be0b8f9ba3a5228ad0e03f224aaa4a246adfbe9ed2abd9f89bd2035"),
 ], ids=["defaults", "every-section"])
 def test_config_sha256_is_pinned(raw, digest):
     """Every output prints this digest as its config_sha256: a rewrite of
     canonical_dict that moves one byte of its JSON moves the digest."""
     assert canonical_hash(parse_config(raw)) == digest
+
+
+# (section, key) of every leaf key the parser accepts, "" for the top level,
+# sorted so that the fuzz test's draws do not depend on PYTHONHASHSEED.
+_CONFIG_KEYS = sorted((section, key) for section, keys in ACCEPTED_KEYS.items()
+                      for key in keys if section or key not in ACCEPTED_KEYS)
+# A valid value other than its default for every key of _CONFIG_KEYS; a key
+# the parser accepts with no value here fails the digest test.
+_NON_DEFAULT = {
+    ("", "trials"): 7, ("", "seed"): 1, ("", "stream_index"): 1,
+    ("", "workers"): 2, ("", "out"): "x.csv", ("", "format"): "json",
+    ("scenario", "snr1_db"): 1.0, ("scenario", "snr2_db"): None,
+    ("scenario", "noise_var"): 2.0, ("scenario", "channel_var"): 2.0,
+    ("scenario", "channel_var_mirror"): 2.0, ("scenario", "psk_order"): 8,
+    ("scenario", "n_packets"): 4, ("scenario", "mode"): "two-bayes",
+    ("scenario", "cfar_pfa"): 0.2,
+    ("scenario", "tx_irr_db"): -20.0, ("scenario", "tx_epsilon"): 0.1,
+    ("scenario", "tx_theta"): 0.1, ("scenario", "rx_irr_db"): -20.0,
+    ("scenario", "rx_epsilon"): 0.1, ("scenario", "rx_theta"): 0.1,
+    ("sweep", "axis"): "snr1_db", ("sweep", "grid"): [-10.0],
+    ("sweep", "modes"): ["two-cfar"], ("sweep", "cfar_pfa"): 0.2,
+    ("outage", "p_mk"): 2.0, ("outage", "p0"): 5.0, ("outage", "beta_sq_sec"): 0.01,
+    ("outage", "noise_p"): 2.0, ("outage", "var_g"): 2.0, ("outage", "var_h"): 2.0,
+    ("outage", "rate_p"): 2.0, ("outage", "irr_db"): -12.0,
+    ("frame", "n_subcarriers"): 64, ("frame", "active"): [1], ("frame", "snr_db"): 4.0,
+    ("figure", "irr_grid"): [-20.0], ("figure", "snr1_grid"): [0.0],
+    ("figure", "delta_snrs"): [-5.0],
+}
+# Keys that cannot change a computed number, so stay out of the digest.
+_UNHASHED = {("", "workers"), ("", "out"), ("", "format")}
+
+
+@pytest.mark.parametrize("section, key", _CONFIG_KEYS, ids=lambda x: x or "top")
+def test_every_accepted_key_moves_the_digest(section, key):
+    """Each key, set over a config that it may be set in (a sweep needs its
+    axis and grid, a scenario's cfar_pfa its two-cfar mode), moves
+    config_sha256, unless it is an execution detail."""
+    base: dict = {}
+    if section == "sweep":
+        base = {"sweep": {"axis": "irr_db", "grid": [-20.0], "modes": ["four", "two-cfar"],
+                          "cfar_pfa": 0.1}}
+    elif (section, key) == ("scenario", "cfar_pfa"):
+        base = {"scenario": {"mode": "two-cfar", "cfar_pfa": 0.1}}
+    raw = copy.deepcopy(base)
+    (raw.setdefault(section, {}) if section else raw)[key] = _NON_DEFAULT[section, key]
+    moved = canonical_hash(parse_config(raw)) != canonical_hash(parse_config(base))
+    assert moved == ((section, key) not in _UNHASHED)
+
+
+def test_readme_schema_names_the_accepted_keys():
+    """README's "Configuration schema" block quotes only keys the parser
+    accepts, and names every one of them, as a key or in an ``// OR``
+    comment."""
+    readme = (_ROOT / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Configuration schema\n.*?```jsonc\n(.*?)```", readme, re.S)[1]
+    quoted = set(re.findall(r'"(\w+)"\s*:', block))
+    alternatives = {k for names in re.findall(r"// OR ([\w/]+)", block) for k in names.split("/")}
+    accepted = {key for keys in ACCEPTED_KEYS.values() for key in keys}
+    assert quoted <= accepted
+    assert accepted <= quoted | alternatives
 
 
 def test_canonical_dict_roundtrips_through_json():
@@ -288,18 +346,6 @@ def test_load_config_errors(tmp_path):
 # Edge values of every JSON kind, for any key: zero, negative, subnormal,
 # huge, 2**63, strings, booleans, null, arrays and objects.
 _EDGE_VALUES = (0, -1, 5e-324, 1e308, 2**63, "", "x", True, None, [], [1, "x"], {})
-# (section, key) of every value the commands below read; None is the top level.
-_CONFIG_KEYS = (
-    *((None, k) for k in ("trials", "seed", "stream_index", "workers", "out", "format")),
-    *(("scenario", k) for k in (
-        "snr1_db", "snr2_db", "noise_var", "channel_var", "channel_var_mirror", "psk_order",
-        "n_packets", "mode", "cfar_pfa", "tx_irr_db", "tx_epsilon", "tx_theta", "rx_irr_db",
-        "rx_epsilon", "rx_theta")),
-    *(("outage", k) for k in (
-        "p_mk", "p0", "noise_p", "var_g", "var_h", "rate_p", "irr_db", "beta_sq_sec")),
-    *(("frame", k) for k in ("n_subcarriers", "active", "snr_db")),
-    *(("figure", k) for k in ("irr_grid", "snr1_grid", "delta_snrs")),
-)
 _COMMANDS = (["analytic"], ["sense", "--verify"], ["outage"], ["frame"])
 
 

@@ -484,6 +484,12 @@ def test_overflowing_h3_means_are_refused():
     tx = mismatch_coefficients(irr_to_mismatch(-15.0))
     with pytest.raises(ValueError, match="^the H3 mean powers overflow a float$"):
         hypothesis_variances(cfg, tx)
+    # without a cross term: an ideal transmitter seen through a receiver
+    # mismatch, whose H3 mean overflows at every phase while H0-H2 do not
+    cfg = SubcarrierPairConfig(1.0, 1.0, channel_var=1e308, channel_var_mirror=1e308)
+    ideal, rx = (mismatch_coefficients(m) for m in (IqMismatch.ideal(), IqMismatch(0.9, 0.0)))
+    with pytest.raises(ValueError, match="^the H3 mean powers overflow a float$"):
+        hypothesis_variances(cfg, ideal, rx)
 
 
 # (pair, tx, rx) with an H3 cross term: the kernel gate's point (tx IRR

@@ -25,6 +25,7 @@ import tempfile
 from pathlib import Path
 
 _JOINT = {"rx_irr_db": -20.0}
+_JOINT_IDEAL_TX = {"tx_irr_db": None, "rx_irr_db": -20}
 _CFAR = {"mode": "two-cfar", "cfar_pfa": 0.1}
 _FIGURE = {"trials": 2000, "figure": {"irr_grid": [-30.0, -20.0, -10.0],
                                       "snr1_grid": [-10.0, 0.0, 10.0],
@@ -34,7 +35,9 @@ _MODES = {"modes": ["four", "two-bayes", "two-cfar"], "cfar_pfa": 0.1}
 # A joint scenario whose own variances are in order while the default
 # frame's (0 dB on both sides) are not; only `frame` refuses it.
 _MIRROR_HEAVY = {"scenario": {"tx_irr_db": -3, "rx_irr_db": -3, "channel_var_mirror": 10}}
-_EVERY_SECTION = {
+# Every section and every optional key set; tests/test_config.py pins its
+# config_sha256.
+EVERY_SECTION = {
     "scenario": {"snr1_db": 5.0, "snr2_db": None, "rx_irr_db": -20, "n_packets": 4,
                  "mode": "two-cfar", "cfar_pfa": 0.05, "psk_order": 8,
                  "channel_var_mirror": 2.0},
@@ -130,7 +133,7 @@ COMMANDS = [
     ("analytic-n1024", {"scenario": {"n_packets": 1024}}, ["analytic"]),
     # every section and every optional key set: analytic prints the
     # config_sha256 of them all and runs no trials
-    ("analytic-every-section", _EVERY_SECTION, ["analytic"]),
+    ("analytic-every-section", EVERY_SECTION, ["analytic"]),
     ("frame-csv", {"frame": _FRAME}, ["frame"]),
     ("frame-json", {"frame": _FRAME}, ["frame", "--format", "json", "--out", "o.json"]),
     ("frame-joint", {"frame": _FRAME, "scenario": {**_JOINT, "n_packets": 4}},
@@ -141,6 +144,10 @@ COMMANDS = [
     # rule shapes with fewer than three boundaries: an ideal front end
     # merges H0/H1 and H2/H3, and CFAR at target 1 has no boundary
     ("analytic-ideal-tx", {"scenario": {"tx_irr_db": None}}, ["analytic"]),
+    # an ideal transmitter with a receiver mismatch: H3 has no cross term,
+    # so its Gamma row is exact and 2*sigma3^2 is its one-entry law's mean
+    ("analytic-joint-ideal-tx", {"scenario": _JOINT_IDEAL_TX}, ["analytic"]),
+    ("sense-joint-ideal-tx", {"trials": 5000, "scenario": _JOINT_IDEAL_TX}, ["sense"]),
     ("sense-cfar-always-busy", {"trials": 5000},
      ["sense", "--mode", "two-cfar", "--cfar-pfa", "1"]),
     ("outage-csv", {"trials": 20000}, ["outage"]),
